@@ -29,7 +29,6 @@ from .trustops import (
     load_audit_log,
     load_kit,
     provision,
-    sign_model,
     write_kits,
 )
 
@@ -219,8 +218,7 @@ def cmd_serve(args) -> int:
             log.error("federation failed: round aborted with no retry left")
             return EXIT_RUNTIME
         (out / "model.params").write_bytes(canonical_param_bytes(server.global_params))
-        signature = sign_model(server.global_params, kit.private_key())
-        (out / "model.sig").write_text(signature.hex() + "\n")
+        (out / "model.sig").write_text(server.model_signature.hex() + "\n")
         for rec in server.state.history:
             print(f"round {rec.round}: responded={len(rec.responded)} "
                   f"late={len(rec.late_discarded)} norm={rec.aggregate_norm:.6f}")

@@ -81,6 +81,8 @@ from .trustops import (
 log = logging.getLogger(__name__)
 
 _REGISTER_ATTEMPTS = 50
+# A signed payload ends in an Ed25519 signature of this length.
+SIGNATURE_LEN = 64
 _EVAL_TIMEOUT_FACTOR = 2.0
 
 
@@ -165,28 +167,35 @@ class FederationResult:
 
 
 def _signed(doc: dict, vector: np.ndarray | None, kit: StartupKit) -> bytes:
-    unsigned = encode_payload(doc, vector)
-    signature = sign_digest(hashlib.sha256(unsigned).digest(), kit.private_key())
-    return encode_payload({**doc, "sig": signature.hex()}, vector)
+    """Encode once and append a signature over the SHA-256 of the encoding."""
+    body = encode_payload(doc, vector)
+    return body + sign_digest(hashlib.sha256(body).digest(), kit.private_key())
 
 
 def _opened(payload: bytes, sender_pub: bytes) -> tuple[dict, np.ndarray | None] | None:
     """Verify a signed payload; None on any parse or signature failure."""
+    body, signature = memoryview(payload)[:-SIGNATURE_LEN], payload[-SIGNATURE_LEN:]
+    if len(signature) != SIGNATURE_LEN or not verify_digest(
+        hashlib.sha256(body).digest(), signature, sender_pub
+    ):
+        return None
     try:
-        doc, vector = decode_payload(payload)
+        return decode_payload(body)
     except transport.CorruptFrame:
         return None
-    sig_hex = doc.pop("sig", None)
-    if not isinstance(sig_hex, str):
+
+
+def _task_fields(
+    opened: tuple[dict, np.ndarray | None] | None,
+) -> tuple[int, np.ndarray, tuple[str, ...]] | None:
+    """(round, params, masked peers) of an opened task; None if malformed."""
+    if opened is None or opened[1] is None:
         return None
-    unsigned = encode_payload(doc, vector)
+    doc, params = opened
     try:
-        signature = bytes.fromhex(sig_hex)
-    except ValueError:
+        return int(doc["round"]), params, tuple(str(m) for m in doc.get("masked", []))
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    if not verify_digest(hashlib.sha256(unsigned).digest(), signature, sender_pub):
-        return None
-    return doc, vector
 
 
 def _detail_doc(detail: tuple[tuple[str, str], ...]) -> str:
@@ -309,14 +318,17 @@ class ServerNode:
             )
             return
         doc, vector = opened
-        if doc.get("client_id") != src or vector is None or "round" not in doc:
+        try:
+            round_no = int(doc["round"])
+            weight = float(doc.get("weight", 0.0))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            round_no = None
+        if round_no is None or doc.get("client_id") != src or vector is None:
             self.audit.append(
                 "UpdateRejected",
                 kvdoc.emit_doc({"client": src, "reason": "malformed update"}),
             )
             return
-        round_no = int(doc["round"])
-        weight = float(doc.get("weight", 0.0))
         masked = bool(doc.get("masked", False))
         if weight <= 0 or not np.isfinite(weight):
             self.audit.append(
@@ -417,9 +429,11 @@ class ServerNode:
             return
         if self._eval_timer is not None:
             self.rel.raw.cancel(self._eval_timer)
-        self.done = True
         for client in sorted(self.expected):
             self.rel.send(client, MSG_ACK, _signed({"done": True}, None, self.kit))
+        # Last: a TCP host closes its sockets as soon as it sees done, and a
+        # client that never gets this ack waits out its whole timeout.
+        self.done = True
 
     def cross_site_table(self) -> dict[str, tuple[Metrics, Metrics] | None]:
         table: dict[str, tuple[Metrics, Metrics] | None] = {}
@@ -507,18 +521,15 @@ class ClientNode:
             return
         pub = self.kit.public_key_of(self.server_id)
         if msg_type == MSG_TASK_ASSIGN:
-            opened = _opened(payload, pub)
-            if opened is None or opened[1] is None or "round" not in opened[0]:
+            task = _task_fields(_opened(payload, pub))
+            if task is None:
                 self.dispatch(TaskReceived(round=-1, malformed=True))
                 return
-            doc, params = opened
-            round_no = int(doc["round"])
-            masked = tuple(str(m) for m in doc.get("masked", []))
             self.registered = True
             # Staged before dispatch; consumed synchronously by _train if
             # the machine accepts this round.
-            self.current_task = (round_no, params, masked)
-            self.dispatch(TaskReceived(round_no))
+            self.current_task = task
+            self.dispatch(TaskReceived(task[0]))
         elif msg_type == MSG_ACK:
             opened = _opened(payload, pub)
             if opened is None:

@@ -5,7 +5,9 @@ reassemble frames and push them onto a single dispatch queue; timers push
 callbacks onto the same queue.  The dispatch loop is the only thread that
 touches protocol state, which preserves the state machines' serialization
 contract.  Peers are identified by the sender id inside the reliability
-envelope of the first data frame on a connection.
+envelope of the first data frame on a connection.  Received frames are
+queued as the exact bytes that arrived, so each is checksummed once by the
+reader and once by the reliability layer, and never re-encoded.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ from __future__ import annotations
 import logging
 import queue
 import socket
-import struct
 import threading
 import time
 from typing import Callable
 
-from .transport import MSG_TRANSPORT_ACK, FrameDecoder, CorruptFrame, encode_frame
+from .transport import MSG_TRANSPORT_ACK, CorruptFrame, FrameDecoder, unpack_envelope
+
+# Not called here since the reader queues received frames as they are, but
+# perfbench/tracing.py patches this name to time frame encoding over TCP.
+from .transport import encode_frame  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -30,14 +35,6 @@ def parse_address(text: str) -> tuple[str, int]:
     if not host:
         return text, DEFAULT_PORT
     return host, int(port)
-
-
-def _envelope_sender(payload: bytes) -> str | None:
-    try:
-        (n,) = struct.unpack(">H", payload[:2])
-        return payload[2:2 + n].decode("utf-8")
-    except (struct.error, UnicodeDecodeError):
-        return None
 
 
 class TcpNode:
@@ -139,13 +136,15 @@ class TcpNode:
             except CorruptFrame:
                 log.warning("closing connection after corrupt frame from %s", peer)
                 break
-            for msg_type, payload in frames:
+            for msg_type, payload, frame in frames:
                 if peer is None and msg_type != MSG_TRANSPORT_ACK:
-                    sender = _envelope_sender(payload)
-                    if sender is not None:
-                        peer = sender
-                        self._conns[sender] = sock
-                self._queue.put(("frame", encode_frame(msg_type, payload)))
+                    try:
+                        peer, _, _ = unpack_envelope(payload)
+                    except CorruptFrame:
+                        pass
+                    else:
+                        self._conns[peer] = sock
+                self._queue.put(("frame", frame))
         if peer is not None:
             self._drop_conn(peer)
 

@@ -9,10 +9,21 @@ Wire frame layout (big-endian lengths):
     payload  `length` bytes
     checksum 4 bytes  CRC32 of payload
 
-Control payloads are a key/value document plus an optional 64-bit array:
+Control payloads are a key/value document plus an optional vector:
 
-    doc_len  4 bytes BE | doc UTF-8 | kind 1 byte (0 none, 1 f64, 2 u64)
-    count    4 bytes BE | count * 8 bytes little-endian words
+    doc_len  4 bytes BE | doc UTF-8 | kind 1 byte | count 4 bytes BE | body
+
+    kind 0  no vector; count is 0 and the body is empty
+    kind 1  dense f64: count little-endian float64 words
+    kind 2  dense u64: count little-endian uint64 words (masked updates)
+    kind 3  sparse f64: count is the dimension; the body is nnz (4 bytes BE),
+            nnz strictly increasing u32 LE indices, then nnz f64 LE values
+
+A float64 vector goes sparse when fewer than a third of its words have a
+nonzero bit pattern, so -0.0 is kept as a live word and decoding is
+bit-exact; u64 vectors always go dense.  A signed payload (runner._signed)
+is the encoded payload followed by a 64-byte Ed25519 signature over its
+SHA-256, so the receiver hashes the bytes it got and never re-encodes.
 
 Reliable delivery wraps application payloads in an envelope carrying the
 sender id and a sequence number; receivers ack every data frame and
@@ -112,7 +123,8 @@ class FrameDecoder:
     def __init__(self):
         self._buf = bytearray()
 
-    def feed(self, data: bytes) -> list[tuple[int, bytes]]:
+    def feed(self, data: bytes) -> list[tuple[int, bytes, bytes]]:
+        """Return each completed frame as (msg_type, payload, exact frame bytes)."""
         self._buf.extend(data)
         frames = []
         while self._buf:
@@ -120,14 +132,18 @@ class FrameDecoder:
                 msg_type, payload, consumed = decode_frame(self._buf)
             except NeedMoreBytes:
                 break
+            frames.append((msg_type, payload, bytes(self._buf[:consumed])))
             del self._buf[:consumed]
-            frames.append((msg_type, payload))
         return frames
 
 
 VECTOR_NONE = 0
 VECTOR_F64 = 1
 VECTOR_U64 = 2
+VECTOR_SPARSE_F64 = 3
+
+# A sparse vector may not decode to more words than a dense frame can carry.
+_MAX_DIMS = MAX_PAYLOAD // 8
 
 
 def encode_payload(doc: dict[str, Any], vector: np.ndarray | None = None) -> bytes:
@@ -137,28 +153,39 @@ def encode_payload(doc: dict[str, Any], vector: np.ndarray | None = None) -> byt
     if vector is None:
         parts.append(struct.pack(">BI", VECTOR_NONE, 0))
     elif vector.dtype == np.float64:
-        parts.append(struct.pack(">BI", VECTOR_F64, len(vector)))
-        parts.append(np.ascontiguousarray(vector, dtype="<f8").tobytes())
+        words = np.ascontiguousarray(vector, dtype="<f8")
+        live = words.view(np.uint64) != 0
+        nnz = int(np.count_nonzero(live))
+        if 3 * nnz < len(words):
+            (indices,) = np.nonzero(live)
+            parts.append(struct.pack(">BII", VECTOR_SPARSE_F64, len(words), nnz))
+            parts.append(indices.astype("<u4").tobytes())
+            parts.append(words[indices].tobytes())
+        else:
+            parts.append(struct.pack(">BI", VECTOR_F64, len(words)))
+            parts.append(words.data)
     elif vector.dtype == np.uint64:
         parts.append(struct.pack(">BI", VECTOR_U64, len(vector)))
-        parts.append(np.ascontiguousarray(vector, dtype="<u8").tobytes())
+        parts.append(np.ascontiguousarray(vector, dtype="<u8").data)
     else:
         raise ValueError(f"unsupported vector dtype {vector.dtype}")
     return b"".join(parts)
 
 
-def decode_payload(payload: bytes) -> tuple[dict[str, Any], np.ndarray | None]:
+def decode_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], np.ndarray | None]:
     try:
         (doc_len,) = struct.unpack(">I", payload[:4])
-        doc = kvdoc.parse_doc(payload[4:4 + doc_len].decode("utf-8"))
+        doc = kvdoc.parse_doc(str(payload[4:4 + doc_len], "utf-8"))
         kind, count = struct.unpack(">BI", payload[4 + doc_len:9 + doc_len])
         body = payload[9 + doc_len:]
     except (struct.error, UnicodeDecodeError, kvdoc.DocError) as exc:
         raise CorruptFrame(f"malformed payload: {exc}") from exc
     if kind == VECTOR_NONE:
-        if count:
-            raise CorruptFrame("vector count without vector kind")
+        if count or body:
+            raise CorruptFrame("vector data without vector kind")
         return doc, None
+    if kind == VECTOR_SPARSE_F64:
+        return doc, _decode_sparse(count, body)
     if len(body) != count * 8:
         raise CorruptFrame(f"vector advertises {count} words, body has {len(body)} bytes")
     if kind == VECTOR_F64:
@@ -166,6 +193,22 @@ def decode_payload(payload: bytes) -> tuple[dict[str, Any], np.ndarray | None]:
     if kind == VECTOR_U64:
         return doc, np.frombuffer(body, dtype="<u8").astype(np.uint64)
     raise CorruptFrame(f"unknown vector kind {kind}")
+
+
+def _decode_sparse(dims: int, body: bytes | memoryview) -> np.ndarray:
+    if dims > _MAX_DIMS:
+        raise CorruptFrame(f"sparse vector of {dims} words exceeds the dense bound")
+    if len(body) < 4:
+        raise CorruptFrame("sparse vector body truncated")
+    (nnz,) = struct.unpack(">I", body[:4])
+    if len(body) != 4 + 12 * nnz:
+        raise CorruptFrame(f"sparse vector advertises {nnz} entries, body has {len(body)} bytes")
+    indices = np.frombuffer(body, dtype="<u4", count=nnz, offset=4)
+    if nnz and (indices[-1] >= dims or np.any(indices[1:] <= indices[:-1])):
+        raise CorruptFrame("sparse indices must be strictly increasing and below the dimension")
+    vector = np.zeros(dims, dtype=np.float64)
+    vector[indices] = np.frombuffer(body, dtype="<f8", count=nnz, offset=4 + 4 * nnz)
+    return vector
 
 
 class RawEndpoint(Protocol):
@@ -198,10 +241,14 @@ def _pack_envelope(sender: str, seq: int, inner: bytes) -> bytes:
     return struct.pack(">H", len(sender_bytes)) + sender_bytes + struct.pack(">Q", seq) + inner
 
 
-def _unpack_envelope(data: bytes) -> tuple[str, int, bytes]:
-    (n,) = struct.unpack(">H", data[:2])
-    sender = data[2:2 + n].decode("utf-8")
-    (seq,) = struct.unpack(">Q", data[2 + n:10 + n])
+def unpack_envelope(data: bytes) -> tuple[str, int, bytes]:
+    """Split an envelope into (sender, seq, inner); CorruptFrame if malformed."""
+    try:
+        (n,) = struct.unpack(">H", data[:2])
+        sender = data[2:2 + n].decode("utf-8")
+        (seq,) = struct.unpack(">Q", data[2 + n:10 + n])
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise CorruptFrame(f"malformed envelope: {exc}") from exc
     return sender, seq, data[10 + n:]
 
 
@@ -281,12 +328,12 @@ class ReliableEndpoint:
     def _on_raw(self, data: bytes) -> None:
         try:
             msg_type, payload, consumed = decode_frame(data)
+            sender, seq, inner = unpack_envelope(payload)
         except (NeedMoreBytes, CorruptFrame):
             return
         if consumed != len(data):
             return
         if msg_type == MSG_TRANSPORT_ACK:
-            sender, seq, _ = _unpack_envelope(payload)
             if sender != self.name:
                 return
             pending = self._pending.pop(seq, None)
@@ -300,7 +347,6 @@ class ReliableEndpoint:
                     attempts=pending.attempts,
                 ))
             return
-        sender, seq, inner = _unpack_envelope(payload)
         # Ack echoes the data frame's own (sender, seq) so the source can
         # match it; this endpoint's identity rides in the routing layer.
         ack = encode_frame(MSG_TRANSPORT_ACK, _pack_envelope(sender, seq, b""))

@@ -6,7 +6,7 @@ import pytest
 
 from fedmesh.cli import main
 from fedmesh.data import load_conll
-from fedmesh.trustops import load_kit
+from fedmesh.trustops import load_kit, verify_model
 
 CONFIG_TEMPLATE = """
 corpus.train = "data/train.conll"
@@ -207,6 +207,9 @@ class TestTcpFederation:
         sim_params = np.frombuffer(sim_model[4:], dtype="<f8")
         tcp_params = np.frombuffer(tcp_model[4:], dtype="<f8")
         assert np.max(np.abs(sim_params - tcp_params)) < 1e-9
+        signature = bytes.fromhex((srv_out / "model.sig").read_text())
+        server_identity = load_kit(workspace / "kits" / "server").identity()
+        assert verify_model(tcp_params, signature, server_identity)
         assert main(["audit-verify", "--log", str(srv_out / "audit.log")]) == 0
 
     def test_client_with_wrong_key_is_rejected(self, workspace):

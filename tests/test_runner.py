@@ -7,6 +7,7 @@ from fedmesh.errors import ConfigError
 from fedmesh.model import TrainConfig, evaluate, zero_params
 from fedmesh.privacy import DpParams, SitePolicy, SvtParams
 from fedmesh.runner import (
+    SIGNATURE_LEN,
     Adversary,
     FederationSpec,
     RoundFailedError,
@@ -17,7 +18,13 @@ from fedmesh.runner import (
     run_federation,
 )
 from fedmesh.simnet import SimNetConfig
-from fedmesh.transport import MSG_REGISTER, MSG_UPDATE_SUBMIT, ReliableEndpoint, encode_payload
+from fedmesh.transport import (
+    MSG_REGISTER,
+    MSG_UPDATE_SUBMIT,
+    VECTOR_SPARSE_F64,
+    ReliableEndpoint,
+    encode_payload,
+)
 from fedmesh.trustops import AuditLog, audit_verify, provision, verify_model
 
 CFG = TrainConfig(feature_dim=1 << 12, learning_rate=0.5, batch_size=16)
@@ -349,3 +356,132 @@ class TestServerAuthentication:
             honest.send("server", MSG_UPDATE_SUBMIT, bytes(blob))
         net.run()
         assert server.state.responded == ()
+
+    def _registered_site_1(self, spec):
+        from fedmesh.runner import _signed
+
+        net, server, audit = self._server_net(spec)
+        site = ReliableEndpoint(net.endpoint("site-1"))
+        site.send(
+            "server", MSG_REGISTER,
+            _signed({"site_id": "site-1", "role": "client"}, None, spec.kits["site-1"]),
+        )
+        net.run()
+        assert "site-1" in server.state.registry
+        return net, server, audit, site
+
+    @pytest.mark.parametrize("field,value", [
+        ("round", "x"), ("round", [1, 2]), ("weight", "heavy"), ("round", None),
+    ])
+    def test_signed_update_with_bad_numbers_audited_not_raised(self, field, value):
+        from fedmesh.runner import _signed
+
+        spec = make_spec()
+        net, server, audit, site = self._registered_site_1(spec)
+        doc = {"client_id": "site-1", "round": 1, "weight": 5.0, "masked": False}
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        site.send("server", MSG_UPDATE_SUBMIT,
+                  _signed(doc, np.zeros(CFG.dims), spec.kits["site-1"]))
+        net.run()
+        assert server.state.responded == ()
+        assert any(
+            e.event_type == "UpdateRejected" and "malformed update" in e.payload
+            for e in audit.entries
+        )
+
+    def test_signed_payload_is_one_encoding_plus_signature_trailer(self):
+        from fedmesh.runner import _opened, _signed
+
+        kit = make_spec().kits["site-1"]
+        delta = np.zeros(CFG.dims)
+        delta[[3, 77, 500, 4000]] = [0.25, -0.0, 5e-324, -3.5]
+        doc = {"client_id": "site-1", "round": 1, "weight": 5.0, "masked": False}
+        signed = _signed(doc, delta, kit)
+        body = encode_payload(doc, delta)
+        assert signed[:-SIGNATURE_LEN] == body
+        assert len(signed) == len(body) + SIGNATURE_LEN
+        got_doc, got = _opened(signed, kit.identity().public_key)
+        assert got_doc == doc and got.tobytes() == delta.tobytes()
+
+    def test_every_bit_flip_of_signed_sparse_update_rejected(self):
+        from fedmesh.runner import _opened, _signed
+
+        spec = make_spec()
+        kit = spec.kits["site-1"]
+        pub = kit.identity().public_key
+        delta = np.zeros(CFG.dims)
+        delta[[0, 3, 77, 500, CFG.dims - 1]] = [1.0, 0.25, -0.0, 5e-324, -3.5]
+        good = _signed(
+            {"client_id": "site-1", "round": 1, "weight": 5.0, "masked": False},
+            delta, kit,
+        )
+        doc_len = int.from_bytes(good[:4], "big")
+        assert good[4 + doc_len] == VECTOR_SPARSE_F64
+        flips = 0
+        for byte_idx in range(len(good)):
+            for bit in range(8):
+                blob = bytearray(good)
+                blob[byte_idx] ^= 1 << bit
+                assert _opened(bytes(blob), pub) is None
+                flips += 1
+        assert flips == 8 * len(good)
+        for cut in (1, SIGNATURE_LEN, len(good) - 1):
+            assert _opened(good[:-cut], pub) is None
+        assert _opened(good + b"\x00", pub) is None
+
+        net, server, audit, site = self._registered_site_1(spec)
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            blob = bytearray(good)
+            blob[rng.integers(len(blob))] ^= 1 << int(rng.integers(8))
+            site.send("server", MSG_UPDATE_SUBMIT, bytes(blob))
+        net.run()
+        assert server.state.responded == ()
+        assert sum(e.event_type == "UpdateRejected" for e in audit.entries) == 40
+
+
+class TestClientTaskValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("round", "x"), ("round", [1, 2]), ("round", None), ("masked", 5),
+    ])
+    def test_signed_task_with_bad_fields_refused_not_raised(self, field, value, caplog):
+        from fedmesh.runner import ClientNode, _signed
+        from fedmesh.simnet import SimNetwork
+        from fedmesh.transport import MSG_TASK_ASSIGN
+
+        spec = make_spec()
+        net = SimNetwork(SimNetConfig(seed=13))
+        server = ReliableEndpoint(net.endpoint("server"))
+        client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"],
+                            spec.shards["site-1"], spec)
+        doc = {"round": 1, "invited": ["site-1"], "masked": []}
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        server.send("site-1", MSG_TASK_ASSIGN,
+                    _signed(doc, np.zeros(CFG.dims), spec.kits["server"]))
+        net.run()
+        assert client.current_task is None
+        assert "malformed task" in caplog.text
+
+
+class TestServerShutdown:
+    def test_done_is_set_only_after_closing_acks_are_sent(self):
+        from fedmesh.runner import ServerNode
+        from fedmesh.simnet import SimNetwork
+
+        spec = make_spec()
+        net = SimNetwork(SimNetConfig(seed=13))
+        server = ServerNode(ReliableEndpoint(net.endpoint("server")), spec.kits["server"],
+                            spec, AuditLog())
+        done_at_send = []
+        server.rel.send = lambda dst, msg_type, payload, on_result=None: (
+            done_at_send.append((dst, server.done))
+        )
+        server._finish_eval()
+        assert done_at_send == [("site-1", False), ("site-2", False)]
+        assert server.done

@@ -1,15 +1,23 @@
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmesh.simnet import SimNetConfig, SimNetwork
 from fedmesh.transport import (
     CorruptFrame,
     FrameDecoder,
     MSG_TASK_ASSIGN,
+    MSG_TRANSPORT_ACK,
+    MSG_UPDATE_SUBMIT,
     NeedMoreBytes,
     ReliableEndpoint,
+    VECTOR_F64,
+    VECTOR_SPARSE_F64,
+    VECTOR_U64,
     decode_frame,
     decode_payload,
     encode_frame,
@@ -93,7 +101,7 @@ class TestFrameCodec:
             step = rng.randrange(1, 9)
             got.extend(decoder.feed(blob[i:i + step]))
             i += step
-        assert got == [(i % 7, bytes([i]) * i) for i in range(20)]
+        assert got == [(i % 7, bytes([i]) * i, frames[i]) for i in range(20)]
 
 
 class TestPayloadEnvelope:
@@ -118,6 +126,122 @@ class TestPayloadEnvelope:
     def test_malformed_rejected(self):
         with pytest.raises(CorruptFrame):
             decode_payload(b"\x00\x00\x00\xffjunk")
+
+
+def vector_kind(payload: bytes) -> int:
+    (doc_len,) = struct.unpack(">I", payload[:4])
+    return payload[4 + doc_len]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Edge values the sparse codec must carry bit for bit.
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def float_vectors(draw):
+    dims = draw(st.integers(1, 300))
+    third = dims // 3
+    count = draw(st.sampled_from([0, max(third - 1, 0), third, third + 1])
+                 | st.integers(0, dims))
+    positions = draw(st.permutations(range(dims)))[:count]
+    values = draw(st.lists(
+        st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS),
+        min_size=count, max_size=count,
+    ))
+    vector = np.zeros(dims)
+    vector[positions] = values
+    return vector
+
+
+def sparse_payload(dims: int, indices, values, nnz: int | None = None) -> bytes:
+    """A hand-built kind-3 payload; nnz defaults to the true entry count."""
+    head = encode_payload({"round": 1})[:-5]  # drop the kind-0 vector header
+    nnz = len(indices) if nnz is None else nnz
+    return (head + struct.pack(">BII", VECTOR_SPARSE_F64, dims, nnz)
+            + np.asarray(indices, dtype="<u4").tobytes()
+            + np.asarray(values, dtype="<f8").tobytes())
+
+
+class TestSparseVectors:
+    @given(float_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_is_bit_exact_and_picks_the_smaller_kind(self, vector):
+        payload = encode_payload({"round": 2}, vector)
+        doc, got = decode_payload(payload)
+        assert doc == {"round": 2}
+        assert same_bits(got, vector)
+        live = int(np.count_nonzero(vector.view(np.uint64)))
+        expected = VECTOR_SPARSE_F64 if 3 * live < len(vector) else VECTOR_F64
+        assert vector_kind(payload) == expected
+
+    def test_threshold_is_a_third_of_the_dimension(self):
+        below, at = np.zeros(300), np.zeros(300)
+        below[:99] = 1.5
+        at[:100] = 1.5
+        assert vector_kind(encode_payload({}, below)) == VECTOR_SPARSE_F64
+        assert vector_kind(encode_payload({}, at)) == VECTOR_F64
+
+    def test_negative_zero_is_a_live_coordinate(self):
+        vector = np.zeros(64)
+        vector[7] = -0.0
+        payload = encode_payload({}, vector)
+        assert vector_kind(payload) == VECTOR_SPARSE_F64
+        _, got = decode_payload(payload)
+        assert np.signbit(got[7]) and same_bits(got, vector)
+
+    def test_all_zero_vector_carries_no_entries(self):
+        payload = encode_payload({}, np.zeros(3 * 2**18))
+        assert vector_kind(payload) == VECTOR_SPARSE_F64
+        assert payload.endswith(struct.pack(">I", 0))
+        assert len(payload) < 64
+
+    def test_non_contiguous_input(self):
+        vector = np.zeros(40)
+        vector[::4] = np.arange(10.0)
+        _, got = decode_payload(encode_payload({}, vector[::2]))
+        assert same_bits(got, np.ascontiguousarray(vector[::2]))
+
+    @pytest.mark.parametrize("fill", ["zeros", "one-word", "dense"])
+    def test_word_vectors_stay_dense(self, fill):
+        vector = np.zeros(90, dtype=np.uint64)
+        if fill == "one-word":
+            vector[3] = np.uint64(2**63 + 5)
+        elif fill == "dense":
+            vector[:] = np.arange(90, dtype=np.uint64) * np.uint64(2**57)
+        payload = encode_payload({}, vector)
+        assert vector_kind(payload) == VECTOR_U64
+        _, got = decode_payload(payload)
+        assert same_bits(got, vector)
+
+    def test_hand_built_body_decodes(self):
+        _, got = decode_payload(sparse_payload(10, [1, 4, 9], [-0.0, 2.5, 5e-324]))
+        expected = np.zeros(10)
+        expected[[1, 4, 9]] = [-0.0, 2.5, 5e-324]
+        assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("payload", [
+        pytest.param(sparse_payload(10, [1, 4], [1.0, 2.0])[:-1], id="truncated-values"),
+        pytest.param(sparse_payload(10, [], [])[:-2], id="truncated-nnz"),
+        pytest.param(sparse_payload(10, [1, 4], [1.0, 2.0], nnz=3), id="nnz-above-body"),
+        pytest.param(sparse_payload(10, [1, 4], [1.0, 2.0], nnz=1), id="nnz-below-body"),
+        pytest.param(sparse_payload(10, [4, 1], [1.0, 2.0]), id="unsorted"),
+        pytest.param(sparse_payload(10, [4, 4], [1.0, 2.0]), id="duplicate"),
+        pytest.param(sparse_payload(10, [1, 10], [1.0, 2.0]), id="index-at-dims"),
+        pytest.param(sparse_payload(10, [2**32 - 1], [1.0]), id="index-u32-max"),
+        pytest.param(sparse_payload(2**32 - 1, [], []), id="dims-beyond-frame-bound"),
+    ])
+    def test_malformed_sparse_body_rejected(self, payload):
+        with pytest.raises(CorruptFrame):
+            decode_payload(payload)
+
+    def test_trailing_bytes_after_empty_vector_rejected(self):
+        with pytest.raises(CorruptFrame):
+            decode_payload(encode_payload({"round": 1}) + b"\x00")
 
 
 def _pair(config, names=("a", "b"), **rel_kwargs):
@@ -234,6 +358,21 @@ class TestReliableDelivery:
         assert receipts and receipts[0].ok
         assert receipts[0].attempts == 2
         assert len(inboxes["b"]) == 1
+
+    @pytest.mark.parametrize("frame", [
+        encode_frame(MSG_UPDATE_SUBMIT, b"\xff\xff\x01"),
+        encode_frame(MSG_TRANSPORT_ACK, b"\x00"),
+        encode_frame(MSG_UPDATE_SUBMIT, b"\x00\x01a\x00\x00"),
+        encode_frame(MSG_UPDATE_SUBMIT, b"\x00\x01\xff" + bytes(8)),
+    ], ids=["long-sender", "short-ack", "short-seq", "bad-utf8"])
+    def test_junk_envelope_dropped_and_simulator_keeps_running(self, frame):
+        net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 4))
+        receipts = []
+        eps["a"].raw.send("b", frame)
+        eps["a"].send("b", MSG_TASK_ASSIGN, b"after", receipts.append)
+        net.run()
+        assert inboxes["b"] == [("a", MSG_TASK_ASSIGN, b"after")]
+        assert receipts and receipts[0].ok
 
     def test_backoff_is_exponential(self):
         net, eps, _ = _pair(
