@@ -95,14 +95,40 @@ def geometric_median(
     radius of one gets the Vardi-Zhang treatment: the point is returned if
     it passes the optimality test (residual pull <= multiplicity), otherwise
     the iteration steps off it in the residual direction.
+
+    Each iteration streams the points through one reused scratch row instead
+    of materializing n x dims temporaries, and is bit-for-bit the dense
+    formula: a row's distance is ``sqrt(add.reduce((p - x) ** 2))``, the same
+    per-row reduction ``np.linalg.norm(points - x, axis=1)`` runs, and the
+    weighted sum adds the rows ``p * w`` in order onto zeros, exactly as
+    ``(points * w[:, None]).sum(axis=0)`` reduces axis 0 (so an all ``-0.0``
+    coordinate still sums to ``+0.0``).  BLAS products or Gram-matrix
+    distances would round differently and must not replace these loops.
     """
     updates = _sorted_updates(updates)
     points = np.stack([u.delta for u in updates])
     if not np.all(np.isfinite(points)):
         raise ValueError("geometric median requires finite inputs")
+    scratch = np.empty(points.shape[1])
+
+    def distances(x: np.ndarray) -> np.ndarray:
+        dist = np.empty(len(points))
+        for i, p in enumerate(points):
+            np.subtract(p, x, out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            dist[i] = np.add.reduce(scratch)
+        return np.sqrt(dist, out=dist)
+
+    def weighted_sum(w: np.ndarray) -> np.ndarray:
+        acc = np.zeros(points.shape[1])
+        for p, wi in zip(points, w):
+            np.multiply(p, wi, out=scratch)
+            acc += scratch
+        return acc
+
     x = np.median(points, axis=0)
     for _ in range(max_iter):
-        dist = np.linalg.norm(points - x, axis=1)
+        dist = distances(x)
         coincident = dist < _WEISZFELD_SNAP
         if coincident.any():
             rest = points[~coincident]
@@ -120,8 +146,9 @@ def geometric_median(
             new_x = (1.0 - beta) * weiszfeld + beta * x
         else:
             inv = 1.0 / dist
-            new_x = (points * inv[:, None]).sum(axis=0) / inv.sum()
-        step = float(np.linalg.norm(new_x - x))
+            new_x = weighted_sum(inv)
+            new_x /= inv.sum()
+        step = float(np.linalg.norm(np.subtract(new_x, x, out=scratch)))
         x = new_x
         if step < tol:
             break

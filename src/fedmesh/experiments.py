@@ -16,7 +16,7 @@ from . import report as report_mod
 from .config import ExperimentConfig, experiment_to_doc
 from .data import TaggedCorpus, load_conll, partition
 from .kvdoc import emit_doc
-from .model import Metrics, evaluate
+from .model import Metrics, encode_sentences, evaluate
 from .runner import (
     FederationResult,
     FederationSpec,
@@ -170,6 +170,10 @@ def run_simulation(
         "seed_net": config.seeds.net,
     }
 
+    # One encoding of the test split serves every cell and the baseline.
+    test_batch = encode_sentences(
+        test_corpus.sentences, config.train.feature_dim, config.train.hash_seed
+    )
     for label, n_clients, ratios in _sweep_cells(config):
         spec = build_spec(config, train_corpus, test_corpus, n_clients, ratios)
         audit_path = None
@@ -177,7 +181,7 @@ def run_simulation(
             audit_path = Path(audit_dir) / f"audit-{label.replace('/', '-')}.log"
         result = run_federation(spec, config.sim, audit_path=audit_path)
         out.results[label] = result
-        entity, token = evaluate(result.final_params, test_corpus.sentences, config.train)
+        entity, token = evaluate(result.final_params, test_batch, config.train)
         out.config_rows.append({
             "config": label,
             "kind": config.experiment_kind,
@@ -217,7 +221,7 @@ def run_simulation(
     central = run_centralized(
         train_corpus.sentences, config.train, config.rounds, config.seeds
     )
-    entity, token = evaluate(central, test_corpus.sentences, config.train)
+    entity, token = evaluate(central, test_batch, config.train)
     out.config_rows.append({
         "config": "centralized",
         "kind": "baseline",

@@ -669,19 +669,6 @@ def run_federation(
     )
 
 
-def cross_site_evaluate(
-    params: np.ndarray,
-    site_holdouts: dict[str, list[TaggedSentence]],
-    config: TrainConfig,
-) -> dict[str, tuple[Metrics, Metrics] | None]:
-    """Evaluate one model on each site's held-out split (absent when empty)."""
-    table: dict[str, tuple[Metrics, Metrics] | None] = {}
-    for site in sorted(site_holdouts):
-        holdout = site_holdouts[site]
-        table[site] = evaluate(params, holdout, config) if holdout else None
-    return table
-
-
 def run_centralized(
     shards: dict[str, list[TaggedSentence]] | list[TaggedSentence],
     train: TrainConfig,

@@ -350,7 +350,13 @@ class ReliableEndpoint:
         # Ack echoes the data frame's own (sender, seq) so the source can
         # match it; this endpoint's identity rides in the routing layer.
         ack = encode_frame(MSG_TRANSPORT_ACK, _pack_envelope(sender, seq, b""))
-        self.raw.send(sender, ack)
+        try:
+            self.raw.send(sender, ack)
+        except KeyError:
+            # The simulator knows no endpoint by that name: nobody sent this
+            # frame, so it is neither acked nor delivered.  (A TCP backend
+            # drops an ack to an unrouted name silently instead.)
+            return
         if (sender, seq) in self._seen:
             return
         self._seen.add((sender, seq))

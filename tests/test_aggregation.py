@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedmesh.aggregation import (
     AggregationStrategy,
@@ -15,6 +16,7 @@ from fedmesh.aggregation import (
     normalize_updates,
     trust_weights,
 )
+from fedmesh.aggregation import _WEISZFELD_SNAP, _sorted_updates
 from fedmesh.errors import ConfigError
 
 
@@ -134,6 +136,102 @@ class TestGeometricMedian:
             obj = distance_sum(x, ups)
             assert obj <= prev_obj + 1e-9
             prev_obj = obj
+
+
+def _reference_geometric_median(updates, tol=1e-8, max_iter=200):
+    """The dense Weiszfeld formula the streamed implementation replaced,
+    kept verbatim as the bit-identity reference."""
+    updates = _sorted_updates(updates)
+    points = np.stack([u.delta for u in updates])
+    if not np.all(np.isfinite(points)):
+        raise ValueError("geometric median requires finite inputs")
+    x = np.median(points, axis=0)
+    for _ in range(max_iter):
+        dist = np.linalg.norm(points - x, axis=1)
+        coincident = dist < _WEISZFELD_SNAP
+        if coincident.any():
+            rest = points[~coincident]
+            if rest.size == 0:
+                return x
+            d = np.linalg.norm(rest - x, axis=1)
+            inv = 1.0 / d
+            pull = ((rest - x) * inv[:, None]).sum(axis=0)
+            r = float(np.linalg.norm(pull))
+            eta = float(coincident.sum())
+            if r <= eta:
+                return x
+            weiszfeld = (rest * inv[:, None]).sum(axis=0) / inv.sum()
+            beta = eta / r
+            new_x = (1.0 - beta) * weiszfeld + beta * x
+        else:
+            inv = 1.0 / dist
+            new_x = (points * inv[:, None]).sum(axis=0) / inv.sum()
+        step = float(np.linalg.norm(new_x - x))
+        x = new_x
+        if step < tol:
+            break
+    return x
+
+
+_COORD = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-300, -5e-324, 1e100, -1e100]),
+)
+
+
+@st.composite
+def _point_sets(draw):
+    n = draw(st.integers(1, 9))
+    dims = draw(st.integers(1, 40))
+    points = draw(hnp.arrays(np.float64, (n, dims), elements=_COORD, fill=st.nothing()))
+    if draw(st.booleans()):
+        # Sparse rows: about half the coordinates become exact zeros.
+        points[draw(hnp.arrays(np.bool_, (n, dims), fill=st.nothing()))] = 0.0
+    # Put the first row on the start point, so the coincident (Vardi-Zhang)
+    # branch runs: a repeated row can be the coordinate median, and with an
+    # odd count the median of the other rows is always the overall median.
+    mode = draw(st.sampled_from(["as drawn", "repeated", "at median"]))
+    if mode == "repeated":
+        points[1:1 + draw(st.integers(1, 3))] = points[0]
+    elif mode == "at median" and n % 2 == 1 and n > 1:
+        points[0] = np.median(points[1:], axis=0)
+    return points
+
+
+class TestGeometricMedianBitIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(points=_point_sets(), tol=st.sampled_from([1e-8, 1e-12]))
+    def test_matches_dense_formula_bytes(self, points, tol):
+        ups = updates_from(list(points))
+        got = geometric_median(ups, tol=tol)
+        want = _reference_geometric_median(ups, tol=tol)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_all_negative_zero_coordinate_matches_dense_sum(self):
+        # numpy's axis-0 sum starts from +0.0, so an all -0.0 column sums to
+        # +0.0; the streamed sum must start there too, not from the first row.
+        ups = updates_from([[-0.0, 1.0], [-0.0, 2.0], [-0.0, 7.0], [-0.0, 10.0]])
+        for max_iter in (1, 200):
+            got = geometric_median(ups, max_iter=max_iter)
+            want = _reference_geometric_median(ups, max_iter=max_iter)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,dims", [(1, 5), (3, 20_001), (8, 65_536), (9, 100_003)])
+    def test_long_rows_match_dense_formula_bytes(self, n, dims):
+        # Rows long enough for numpy's pairwise summation blocks and its
+        # buffered iteration to matter.
+        rng = np.random.default_rng(dims)
+        deltas = rng.normal(size=(n, dims)) * rng.choice([1e-4, 1.0, 1e3], size=(n, dims))
+        deltas[rng.random(size=(n, dims)) < 0.5] = 0.0
+        ups = updates_from(list(deltas))
+        assert geometric_median(ups).tobytes() == _reference_geometric_median(ups).tobytes()
+
+    def test_coincident_branch_matches_dense_formula_bytes(self):
+        pts = [[1.0, 1.0], [1.0, 1.0], [5.0, -3.0], [0.5, 2.0], [9.0, 9.0]]
+        ups = updates_from(pts)
+        assert geometric_median(ups).tobytes() == _reference_geometric_median(ups).tobytes()
 
 
 class TestTrustWeights:

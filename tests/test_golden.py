@@ -8,7 +8,10 @@ re-record them and say why.
 
 The config covers both vector wire kinds a float64 update can take (sparse
 plain updates and dense DP-noised ones), a masked u64 cohort, clipping and a
-lossy network with retransmits.
+lossy network with retransmits.  A second config covers the Byzantine-robust
+path: a two-cell client sweep under geo-median (Weiszfeld) aggregation with
+an adversarial site, a DP site and loss; its constants were recorded the
+same way, before the aggregation and featurization kernels were streamed.
 """
 
 import hashlib
@@ -37,12 +40,36 @@ policy.site-3.masking_enabled = true
 GOLDEN_ROWS_SHA256 = "37bafcef915bc4e330b0f2539d8568c1055499ca428a34bb7fd381e1a762b89d"
 GOLDEN_PARAMS_SHA256 = "7c9f9485216968b7d0cf53deb35548962445bdd74c571fb5b941ba238e796e6d"
 
+GEO_CONFIG = """
+corpus.train = "train.conll"
+corpus.test = "test.conll"
+rounds = 3
+clients = 5
+train.feature_dim = 8192
+experiment.kind = client-sweep
+experiment.client_counts = [3, 5]
+strategy.kind = geo-median
+adversary.client = "site-3"
+adversary.magnitude = 1000.0
+seeds.data = 41
+seeds.model = 42
+seeds.net = 43
+transport.drop_prob = 0.05
+policy.site-1.clip_norm = 5.0
+policy.site-1.dp.epsilon = 8.0
+policy.site-1.dp.delta = 0.00001
+policy.site-2.clip_norm = 5.0
+"""
 
-def _run_golden(tmp_path):
-    save_conll(synthetic_corpus(160, seed=31), tmp_path / "train.conll")
-    save_conll(synthetic_corpus(60, seed=32), tmp_path / "test.conll")
+GEO_ROWS_SHA256 = "c8bb55eb7ca11d337eb45b58b69321e7d7bb49cd7caf9fcad75ae42fe8986f45"
+GEO_PARAMS_SHA256 = "d4499f8434a8a20a19eee5aa9a2a6325325b918944614564d7d2386335995669"
+
+
+def _run_golden(tmp_path, config_text=GOLDEN_CONFIG, corpus_seeds=(31, 32)):
+    save_conll(synthetic_corpus(160, seed=corpus_seeds[0]), tmp_path / "train.conll")
+    save_conll(synthetic_corpus(60, seed=corpus_seeds[1]), tmp_path / "test.conll")
     config = tmp_path / "experiment.cfg"
-    config.write_text(GOLDEN_CONFIG, encoding="utf-8")
+    config.write_text(config_text, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     rows = hashlib.sha256((out / "report.rows").read_bytes()).hexdigest()
@@ -58,3 +85,9 @@ def test_simulate_digests_match_recorded_constants(tmp_path):
     rows, params = _run_golden(tmp_path)
     assert rows == GOLDEN_ROWS_SHA256
     assert params == GOLDEN_PARAMS_SHA256
+
+
+def test_geo_median_simulate_digests_match_recorded_constants(tmp_path):
+    rows, params = _run_golden(tmp_path, GEO_CONFIG, corpus_seeds=(51, 52))
+    assert rows == GEO_ROWS_SHA256
+    assert params == GEO_PARAMS_SHA256

@@ -2,12 +2,18 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedmesh import model
 from fedmesh.errors import ConfigError
 from fedmesh.model import (
     EmptyShardError,
+    EncodedBatch,
     Metrics,
     TaggedSentence,
     TrainConfig,
@@ -15,6 +21,7 @@ from fedmesh.model import (
     encode_sentences,
     evaluate,
     featurize,
+    fnv1a64,
     local_train,
     loss_and_grad,
     predict_tags,
@@ -82,6 +89,162 @@ class TestFeaturize:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
             featurize(sentence(["a"], ["O"]), 1000)
+
+
+# The per-feature-string encoder the per-word memo replaced, kept verbatim as
+# the bit-identity reference.
+def _reference_feature_strings(tokens, position):
+    token = tokens[position].lower()
+    prev_tok = tokens[position - 1].lower() if position > 0 else "<s>"
+    next_tok = tokens[position + 1].lower() if position + 1 < len(tokens) else "</s>"
+    feats = [f"w={token}", f"p={prev_tok}", f"n={next_tok}"]
+    padded = f"^{token}$"
+    for i in range(len(padded) - 2):
+        feats.append(f"g={padded[i:i + 3]}")
+    return feats
+
+
+def _reference_featurize(sentence, feature_dim, hash_seed=0):
+    if feature_dim < 2 or feature_dim & (feature_dim - 1):
+        raise ConfigError("feature_dim must be a power of two")
+    tokens = sentence.tokens if isinstance(sentence, TaggedSentence) else tuple(sentence)
+    mask = feature_dim - 1
+    out = []
+    for pos in range(len(tokens)):
+        idx = {
+            fnv1a64(feat.encode("utf-8"), hash_seed) & mask
+            for feat in _reference_feature_strings(tokens, pos)
+        }
+        out.append(np.array(sorted(idx), dtype=np.int64))
+    return out
+
+
+def _reference_encode_sentences(sentences, feature_dim, hash_seed=0):
+    feat_runs = []
+    token_counts = []
+    labels = []
+    sent_lengths = []
+    for sentence in sentences:
+        per_token = _reference_featurize(sentence, feature_dim, hash_seed)
+        for arr in per_token:
+            feat_runs.append(arr)
+            token_counts.append(len(arr))
+        labels.extend(model._TAG_INDEX[tag] for tag in sentence.tags)
+        sent_lengths.append(len(sentence))
+    token_ptr = np.zeros(len(token_counts) + 1, dtype=np.int64)
+    np.cumsum(token_counts, out=token_ptr[1:])
+    sent_ptr = np.zeros(len(sent_lengths) + 1, dtype=np.int64)
+    np.cumsum(sent_lengths, out=sent_ptr[1:])
+    feats = np.concatenate(feat_runs) if feat_runs else np.zeros(0, dtype=np.int64)
+    return EncodedBatch(feats, token_ptr, np.array(labels, dtype=np.int64), sent_ptr)
+
+
+def _reference_sentence_slice(batch, order):
+    feat_runs = []
+    label_runs = []
+    token_counts = []
+    tok_lengths = np.diff(batch.token_ptr)
+    for s in order:
+        t0, t1 = batch.sent_ptr[s], batch.sent_ptr[s + 1]
+        f0, f1 = batch.token_ptr[t0], batch.token_ptr[t1]
+        feat_runs.append(batch.feats[f0:f1])
+        label_runs.append(batch.labels[t0:t1])
+        token_counts.append(tok_lengths[t0:t1])
+    counts = np.concatenate(token_counts)
+    token_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=token_ptr[1:])
+    labels = np.concatenate(label_runs)
+    sent_lengths = np.array([len(run) for run in label_runs], dtype=np.int64)
+    sent_ptr = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(sent_lengths, out=sent_ptr[1:])
+    return EncodedBatch(np.concatenate(feat_runs), token_ptr, labels, sent_ptr)
+
+
+def assert_same_batch(got, want):
+    for name in ("feats", "token_ptr", "labels", "sent_ptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+# Words that stress lower-casing and UTF-8 hashing: mixed case, non-ASCII
+# (some change length when lower-cased), the edge markers themselves, and
+# words too short to have a 3-gram.
+_WORD = st.one_of(
+    st.sampled_from([
+        "<s>", "</s>", "<S>", "</S>", "", "a", "Flu", "FLU", "flu", "İstanbul",
+        "Straße", "ΣΊΣΥΦΟΣ", "naïve", "日本", "😷", "x\u0307", "follow-up",
+    ]),
+    st.text(min_size=0, max_size=8),
+)
+
+
+@st.composite
+def _sentences(draw, max_tokens=6):
+    tokens = draw(st.lists(_WORD, min_size=0, max_size=max_tokens))
+    tags = draw(st.lists(st.sampled_from(("O", "B", "I")),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return TaggedSentence(tuple(tokens), tuple(tags))
+
+
+class TestEncoderBitIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        corpus=st.lists(_sentences(), min_size=0, max_size=6),
+        feature_dim=st.sampled_from([1 << 10, 1 << 18]),
+        hash_seed=st.sampled_from([0, 7]),
+        chunk=st.sampled_from([1, 3, model._KEY_CHUNK_TOKENS]),
+    )
+    def test_encode_sentences_matches_per_string_encoder(
+        self, corpus, feature_dim, hash_seed, chunk
+    ):
+        with mock.patch.object(model, "_KEY_CHUNK_TOKENS", chunk):
+            got = encode_sentences(corpus, feature_dim, hash_seed)
+        assert_same_batch(got, _reference_encode_sentences(corpus, feature_dim, hash_seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sent=_sentences(max_tokens=8),
+        feature_dim=st.sampled_from([1 << 10, 1 << 18]),
+        hash_seed=st.sampled_from([0, 7]),
+    )
+    def test_featurize_matches_per_string_encoder(self, sent, feature_dim, hash_seed):
+        got = featurize(sent, feature_dim, hash_seed)
+        want = _reference_featurize(sent, feature_dim, hash_seed)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_synthetic_corpus_matches_per_string_encoder(self):
+        from fedmesh.data import synthetic_corpus
+
+        corpus = synthetic_corpus(300, seed=5).sentences
+        for feature_dim in (1 << 10, 1 << 18):
+            assert_same_batch(
+                encode_sentences(corpus, feature_dim, 3),
+                _reference_encode_sentences(corpus, feature_dim, 3),
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus=st.lists(_sentences(), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_sentence_slice_matches_loop(self, corpus, data):
+        batch = encode_sentences(corpus, 1 << 10)
+        order = np.array(data.draw(st.lists(
+            st.integers(0, len(corpus) - 1), min_size=1, max_size=12
+        )), dtype=np.int64)
+        assert_same_batch(batch.sentence_slice(order), _reference_sentence_slice(batch, order))
+
+    def test_sentence_slice_of_permutation_matches_loop(self):
+        from fedmesh.data import synthetic_corpus
+
+        batch = encode_sentences(synthetic_corpus(200, seed=6).sentences, 1 << 12)
+        order = np.random.default_rng(0).permutation(batch.n_sentences)
+        for lo in range(0, len(order), 32):
+            part = order[lo:lo + 32]
+            assert_same_batch(batch.sentence_slice(part), _reference_sentence_slice(batch, part))
 
 
 class TestLossAndGrad:

@@ -18,6 +18,7 @@ from fedmesh.transport import (
     VECTOR_F64,
     VECTOR_SPARSE_F64,
     VECTOR_U64,
+    _pack_envelope,
     decode_frame,
     decode_payload,
     encode_frame,
@@ -373,6 +374,21 @@ class TestReliableDelivery:
         net.run()
         assert inboxes["b"] == [("a", MSG_TASK_ASSIGN, b"after")]
         assert receipts and receipts[0].ok
+
+    def test_ghost_sender_dropped_and_simulator_keeps_running(self):
+        # A CRC-valid data frame naming a sender the simulator does not know
+        # used to be acked to that name, and the ack send raised KeyError
+        # out of SimNetwork.run.
+        net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 4))
+        receipts = []
+        eps["a"].raw.send("b", encode_frame(3, _pack_envelope("ghost", 0, b"")))
+        eps["a"].send("b", MSG_TASK_ASSIGN, b"after", receipts.append)
+        net.run()
+        assert inboxes["b"] == [("a", MSG_TASK_ASSIGN, b"after")]
+        assert receipts and receipts[0].ok
+        assert [(src, dst) for _, src, dst, _ in net.delivery_trace] == [
+            ("a", "b"), ("a", "b"), ("b", "a"),
+        ]
 
     def test_backoff_is_exponential(self):
         net, eps, _ = _pair(
