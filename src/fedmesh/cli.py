@@ -73,7 +73,6 @@ def cmd_gen_corpus(args) -> int:
     splits = [
         ("train", args.train_sentences, args.seed),
         ("test", args.test_sentences, args.seed + 1),
-        ("dev", args.dev_sentences, args.seed + 2),
     ]
     for name, count, seed in splits:
         if count <= 0:
@@ -205,7 +204,10 @@ def cmd_serve(args) -> int:
     node = TcpNode(kit.site_id, bind=parse_address(bind_text))
     log.info("serving on %s (port %d)", bind_text, node.port)
     if args.port_file:
-        Path(args.port_file).write_text(str(node.port))
+        # Replace, not write in place, so a reader never sees an empty file.
+        staged = Path(args.port_file + ".tmp")
+        staged.write_text(str(node.port))
+        os.replace(staged, args.port_file)
     try:
         rel = ReliableEndpoint(node, backoff_base_ms=args.backoff_ms)
         audit = AuditLog(path=out / "audit.log")
@@ -256,7 +258,7 @@ def cmd_client(args) -> int:
             adversary=config.adversary,
         )
         client = ClientNode(rel, kit, shard, spec, holdout)
-        client.register()
+        node.schedule(0.0, client.register)
         if not node.run_until(lambda: client.done, timeout_s=args.timeout):
             log.error("client timed out waiting for federation to finish")
             return EXIT_RUNTIME
@@ -283,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--train-sentences", type=int, default=5000)
     p.add_argument("--test-sentences", type=int, default=1500)
-    p.add_argument("--dev-sentences", type=int, default=500)
     p.add_argument("--seed", type=int, default=11)
     p.set_defaults(fn=cmd_gen_corpus)
 

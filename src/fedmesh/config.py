@@ -27,7 +27,6 @@ EXPERIMENT_KINDS = ("single", "client-sweep", "imbalance-sweep")
 class ExperimentConfig:
     train_path: str
     test_path: str
-    dev_path: str | None
     rounds: int
     clients: int
     partition_mode: str
@@ -37,7 +36,6 @@ class ExperimentConfig:
     k: int
     m: int
     deadline_ms: float
-    transport: str
     sim: SimNetConfig
     seeds: Seeds
     experiment_kind: str
@@ -99,15 +97,12 @@ def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     base = Path(base_dir)
 
-    def resolve(rel: str | None) -> str | None:
-        if rel is None:
-            return None
+    def resolve(rel: str) -> str:
         path = Path(rel)
         return str(path if path.is_absolute() else base / path)
 
     train_path = resolve(_need(doc, "corpus.train", str))
     test_path = resolve(_need(doc, "corpus.test", str))
-    dev_path = resolve(_need(doc, "corpus.dev", str, default=None))
 
     clients = _need(doc, "clients", int)
     rounds = _need(doc, "rounds", int)
@@ -158,9 +153,6 @@ def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         net=_need(doc, "seeds.net", int, default=3),
     )
 
-    transport = _need(doc, "transport.kind", str, default="sim")
-    if transport not in ("sim", "tcp"):
-        raise ConfigError(f"transport.kind: unknown transport {transport!r}")
     sim = SimNetConfig(
         latency_ms=(
             _need(doc, "transport.latency_min_ms", float, default=1.0),
@@ -209,7 +201,6 @@ def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     return ExperimentConfig(
         train_path=train_path,
         test_path=test_path,
-        dev_path=dev_path,
         rounds=rounds,
         clients=clients,
         partition_mode=mode,
@@ -219,7 +210,6 @@ def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         k=k,
         m=m,
         deadline_ms=deadline_ms,
-        transport=transport,
         sim=sim,
         seeds=seeds,
         experiment_kind=kind,
@@ -239,9 +229,8 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
     for label, ref in (
         ("corpus.train", config.train_path),
         ("corpus.test", config.test_path),
-        ("corpus.dev", config.dev_path),
     ):
-        if ref is not None and not Path(ref).is_file():
+        if not Path(ref).is_file():
             raise ConfigError(f"{label}: file {ref} does not exist")
     return config
 
@@ -268,7 +257,6 @@ def experiment_to_doc(config: ExperimentConfig) -> dict:
         },
         "quorum": {"k": config.k, "m": config.m, "deadline_ms": config.deadline_ms},
         "transport": {
-            "kind": config.transport,
             "latency_min_ms": config.sim.latency_ms[0],
             "latency_max_ms": config.sim.latency_ms[1],
             "drop_prob": config.sim.drop_prob,
@@ -283,8 +271,6 @@ def experiment_to_doc(config: ExperimentConfig) -> dict:
         "server_id": config.server_id,
         "bind": config.bind,
     }
-    if config.dev_path is not None:
-        doc["corpus"]["dev"] = config.dev_path
     if config.ratios:
         doc["partition"]["ratios"] = list(config.ratios)
     if config.strategy.normalize_to is not None:

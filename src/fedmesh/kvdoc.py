@@ -56,7 +56,8 @@ class DocError(ValueError):
         super().__init__(message)
 
 
-def _parse_scalar(text: str, lineno: int) -> Scalar:
+def parse_scalar(text: str, lineno: int) -> Scalar:
+    """Parse one scalar value; *lineno* labels any DocError."""
     text = text.strip()
     if not text:
         raise DocError("empty value", lineno)
@@ -144,8 +145,8 @@ def _parse_value(text: str, lineno: int) -> Value:
         body = text[1:-1].strip()
         if not body:
             return []
-        return [_parse_scalar(item, lineno) for item in _split_list_items(body, lineno)]
-    return _parse_scalar(text, lineno)
+        return [parse_scalar(item, lineno) for item in _split_list_items(body, lineno)]
+    return parse_scalar(text, lineno)
 
 
 def parse_doc(text: str) -> dict[str, Any]:
@@ -178,7 +179,8 @@ def parse_doc(text: str) -> dict[str, Any]:
     return root
 
 
-def _emit_scalar(value: Scalar) -> str:
+def emit_scalar(value: Scalar) -> str:
+    """Render one scalar so that parse_scalar reads it back unchanged."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -210,8 +212,8 @@ def _looks_numeric(text: str) -> bool:
 
 def _emit_value(value: Value) -> str:
     if isinstance(value, list):
-        return "[" + ", ".join(_emit_scalar(v) for v in value) + "]"
-    return _emit_scalar(value)
+        return "[" + ", ".join(emit_scalar(v) for v in value) + "]"
+    return emit_scalar(value)
 
 
 def flatten(tree: dict[str, Any], prefix: str = "") -> dict[str, Value]:

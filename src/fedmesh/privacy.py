@@ -120,11 +120,6 @@ def policy_to_doc(policy: SitePolicy) -> dict:
     return doc
 
 
-def clip_l2(delta: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale the vector onto the L2 ball of radius clip_norm (no-op inside it)."""
-    return clip_to_norm(delta, clip_norm)
-
-
 def gaussian_sigma(clip_norm: float, epsilon: float, delta_dp: float) -> float:
     """Classic Gaussian-mechanism calibration for (epsilon, delta)-DP."""
     if epsilon <= 0:
@@ -301,7 +296,7 @@ def apply_policy(
     """
     out = delta
     if policy.clip_norm is not None:
-        out = clip_l2(out, policy.clip_norm)
+        out = clip_to_norm(out, policy.clip_norm)
     if policy.dp is not None:
         out = gaussian_mechanism(out, policy.clip_norm, policy.dp.epsilon, policy.dp.delta, rng)
     elif policy.svt is not None:

@@ -114,11 +114,6 @@ class Start:
 
 
 @dataclass(frozen=True)
-class Stop:
-    now_ms: float = 0.0
-
-
-@dataclass(frozen=True)
 class ClientRegistered:
     client_id: str
     now_ms: float = 0.0
@@ -260,9 +255,6 @@ def server_step(
         if config.rounds == 0:
             return replace(state, phase=FINISHED), [FederationComplete(0)]
         return _begin_round(state, config, 1, 0, event.now_ms)
-
-    if isinstance(event, Stop):
-        return replace(state, phase=FINISHED), []
 
     if isinstance(event, UpdateReceived):
         return _on_update(state, event, config)

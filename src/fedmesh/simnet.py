@@ -2,19 +2,20 @@
 
 Datagrams between named endpoints are delayed by a uniform latency draw,
 dropped with a configured probability, and blocked during scheduled
-partition windows.  All deliveries and timers run through one event queue
-ordered by (virtual time, insertion sequence), so a run is a pure function
-of the seed.
+partition windows.  All deliveries and timers run through one
+`transport.Timers` heap ordered by (virtual time, insertion sequence), the
+same heap the TCP backend runs on wall-clock time, so a run is a pure
+function of the seed.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConfigError
+from .transport import Timers
 
 
 @dataclass(frozen=True)
@@ -30,14 +31,6 @@ class SimNetConfig:
             raise ConfigError("latency_ms must satisfy 0 <= min <= max")
         if not (0.0 <= self.drop_prob < 1.0):
             raise ConfigError("drop_prob must be in [0, 1)")
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    fn: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
 
 
 class SimEndpoint:
@@ -73,8 +66,7 @@ class SimNetwork:
         self.config = config
         self.now_ms = 0.0
         self._rng = random.Random(config.seed)
-        self._queue: list[_Event] = []
-        self._seq = 0
+        self._timers = Timers()
         self._endpoints: dict[str, SimEndpoint] = {}
         self.delivery_trace: list[tuple[float, str, str, int]] = []
 
@@ -85,17 +77,13 @@ class SimNetwork:
         self._endpoints[name] = ep
         return ep
 
-    def schedule(self, delay_ms: float, fn: Callable[[], None]) -> _Event:
+    def schedule(self, delay_ms: float, fn: Callable[[], None]) -> object:
         if delay_ms < 0:
             raise ValueError("cannot schedule into the past")
-        event = _Event(self.now_ms + delay_ms, self._seq, fn)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
-        return event
+        return self._timers.schedule(self.now_ms + delay_ms, fn)
 
     def cancel(self, handle: object) -> None:
-        if isinstance(handle, _Event):
-            handle.cancelled = True
+        self._timers.cancel(handle)
 
     def _partitioned(self, src: str, dst: str) -> bool:
         for a, b, start, end in self.config.partitions:
@@ -123,14 +111,12 @@ class SimNetwork:
 
     def step(self) -> bool:
         """Run the earliest pending event; False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.now_ms = event.time
-            event.fn()
-            return True
-        return False
+        event = self._timers.pop()
+        if event is None:
+            return False
+        self.now_ms, fn = event
+        fn()
+        return True
 
     def run(
         self,
@@ -142,13 +128,8 @@ class SimNetwork:
         for _ in range(max_events):
             if until is not None and until():
                 return
-            if max_virtual_ms is not None and self._next_time() > max_virtual_ms:
+            if max_virtual_ms is not None and self._timers.next_time() > max_virtual_ms:
                 return
             if not self.step():
                 return
         raise RuntimeError("simulator exceeded max_events; likely a timer loop")
-
-    def _next_time(self) -> float:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else float("inf")

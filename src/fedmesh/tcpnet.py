@@ -1,13 +1,14 @@
 """Plain-TCP transport backend carrying the same frames as the simulator.
 
-One node per process.  Sockets are read by per-connection threads that
-reassemble frames and push them onto a single dispatch queue; timers push
-callbacks onto the same queue.  The dispatch loop is the only thread that
-touches protocol state, which preserves the state machines' serialization
-contract.  Peers are identified by the sender id inside the reliability
-envelope of the first data frame on a connection.  Received frames are
-queued as the exact bytes that arrived, so each is checksummed once by the
-reader and once by the reliability layer, and never re-encoded.
+One node per process.  The thread that calls `TcpNode.run_until` is the
+event loop: it runs due timers from a `transport.Timers` heap on monotonic
+milliseconds (the simulator's heap on wall-clock time) and hands received
+frames to the receive handler, so it alone touches protocol state.  Each
+connection has a reader thread that reassembles frames onto the queue the
+loop blocks on, so a node keeps reading while it blocks in a send.  A
+connection is routed by the sender id in the envelope of its first data
+frame; a claim on a sender that is routed to a live connection is refused.
+Frames are queued as the exact bytes that arrived and never re-encoded.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import threading
 import time
 from typing import Callable
 
-from .transport import MSG_TRANSPORT_ACK, CorruptFrame, FrameDecoder, unpack_envelope
+from .transport import MSG_TRANSPORT_ACK, CorruptFrame, FrameDecoder, Timers, unpack_envelope
 
 # Not called here since the reader queues received frames as they are, but
 # perfbench/tracing.py patches this name to time frame encoding over TCP.
@@ -37,6 +38,13 @@ def parse_address(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _close(sock: socket.socket) -> None:
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class TcpNode:
     """RawEndpoint over TCP; server mode listens, client mode dials one peer."""
 
@@ -50,12 +58,11 @@ class TcpNode:
         if (bind is None) == (server_addr is None):
             raise ValueError("exactly one of bind / server_addr must be given")
         self.name = name
-        self._queue: queue.Queue = queue.Queue()
+        self._frames: queue.Queue = queue.Queue()
+        self._timers = Timers()
         self._handler: Callable[[bytes], None] | None = None
         self._conns: dict[str, socket.socket] = {}
-        self._server_id = server_id
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
         self._listener: socket.socket | None = None
 
         if bind is not None:
@@ -70,9 +77,6 @@ class TcpNode:
             self._conns[server_id] = sock
             self._spawn(self._reader_loop, sock, server_id)
 
-        self._dispatcher = threading.Thread(target=self._dispatch_loop, daemon=True)
-        self._dispatcher.start()
-
     # -- RawEndpoint interface -------------------------------------------------
 
     def send(self, dst: str, data: bytes) -> None:
@@ -84,17 +88,15 @@ class TcpNode:
         try:
             sock.sendall(data)
         except OSError:
-            self._drop_conn(dst)
+            # The connection's reader thread sees the closed socket and
+            # drops the route.
+            _close(sock)
 
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> object:
-        timer = threading.Timer(delay_ms / 1000.0, lambda: self._queue.put(("call", fn)))
-        timer.daemon = True
-        timer.start()
-        return timer
+        return self._timers.schedule(self.now_ms() + delay_ms, fn)
 
     def cancel(self, handle: object) -> None:
-        if isinstance(handle, threading.Timer):
-            handle.cancel()
+        self._timers.cancel(handle)
 
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
@@ -102,12 +104,39 @@ class TcpNode:
     def set_receive_handler(self, fn: Callable[[bytes], None]) -> None:
         self._handler = fn
 
+    # -- event loop ---------------------------------------------------------------
+
+    def run_until(self, predicate: Callable[[], bool], timeout_s: float = 600.0) -> bool:
+        """Run the event loop on the calling thread until the predicate holds.
+
+        Each pass runs one due timer, or else waits on the frame queue until
+        the next timer or the deadline and hands a frame to the receive
+        handler.  An exception from a handler or timer is logged and the
+        loop goes on.  False when the deadline passes first.
+        """
+        deadline = self.now_ms() + timeout_s * 1000.0
+        while not predicate():
+            now = self.now_ms()
+            if now >= deadline:
+                return False
+            due = self._timers.next_time()
+            try:
+                if due <= now:
+                    self._timers.pop()[1]()
+                else:
+                    frame = self._frames.get(timeout=(min(due, deadline) - now) / 1000.0)
+                    if self._handler is not None:
+                        self._handler(frame)
+            except queue.Empty:
+                pass
+            except Exception:
+                log.exception("error in dispatch")
+        return True
+
     # -- plumbing -----------------------------------------------------------------
 
     def _spawn(self, target, *args) -> None:
-        thread = threading.Thread(target=target, args=args, daemon=True)
-        thread.start()
-        self._threads.append(thread)
+        threading.Thread(target=target, args=args, daemon=True).start()
 
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
@@ -120,7 +149,8 @@ class TcpNode:
             conn.settimeout(0.2)
             self._spawn(self._reader_loop, conn, None)
 
-    def _reader_loop(self, sock: socket.socket, peer: str | None) -> None:
+    def _read_frames(self, sock: socket.socket):
+        """Yield decoded frames until the peer closes, the node stops or a frame is corrupt."""
         decoder = FrameDecoder()
         while not self._stop.is_set():
             try:
@@ -128,63 +158,39 @@ class TcpNode:
             except socket.timeout:
                 continue
             except OSError:
-                break
+                return
             if not chunk:
-                break
+                return
             try:
-                frames = decoder.feed(chunk)
+                yield from decoder.feed(chunk)
             except CorruptFrame:
-                log.warning("closing connection after corrupt frame from %s", peer)
-                break
-            for msg_type, payload, frame in frames:
-                if peer is None and msg_type != MSG_TRANSPORT_ACK:
-                    try:
-                        peer, _, _ = unpack_envelope(payload)
-                    except CorruptFrame:
-                        pass
-                    else:
-                        self._conns[peer] = sock
-                self._queue.put(("frame", frame))
-        if peer is not None:
-            self._drop_conn(peer)
+                log.warning("closing connection after a corrupt frame")
+                return
 
-    def _drop_conn(self, peer: str) -> None:
-        sock = self._conns.pop(peer, None)
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+    def _reader_loop(self, sock: socket.socket, peer: str | None) -> None:
+        for msg_type, payload, frame in self._read_frames(sock):
+            if peer is None and msg_type != MSG_TRANSPORT_ACK:
+                try:
+                    peer, _, _ = unpack_envelope(payload)
+                except CorruptFrame:
+                    pass
+                else:
+                    if self._conns.setdefault(peer, sock) is not sock:
+                        log.warning("refusing a second connection claiming to be %s", peer)
+                        break
+            self._frames.put(frame)
+        self._drop_conn(peer, sock)
 
-    def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                kind, item = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            try:
-                if kind == "frame" and self._handler is not None:
-                    self._handler(item)
-                elif kind == "call":
-                    item()
-            except Exception:
-                log.exception("error in dispatch")
-
-    def run_until(self, predicate: Callable[[], bool], timeout_s: float = 600.0) -> bool:
-        """Block the calling thread until the predicate holds (polling)."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            time.sleep(0.01)
-        return predicate()
+    def _drop_conn(self, peer: str | None, sock: socket.socket) -> None:
+        # Only the socket's own reader calls this, and other threads only add
+        # routes, so a route bound to another socket is never popped here.
+        if peer is not None and self._conns.get(peer) is sock:
+            del self._conns[peer]
+        _close(sock)
 
     def close(self) -> None:
         self._stop.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        for peer in list(self._conns):
-            self._drop_conn(peer)
+            _close(self._listener)
+        for sock in list(self._conns.values()):
+            _close(sock)

@@ -33,6 +33,7 @@ until acked or retries run out.
 
 from __future__ import annotations
 
+import heapq
 import struct
 import zlib
 from dataclasses import dataclass
@@ -57,17 +58,6 @@ MSG_ACK = 0x04
 MSG_ABORT = 0x05
 MSG_EVAL_REQUEST = 0x06
 MSG_EVAL_REPORT = 0x07
-
-MSG_NAMES = {
-    MSG_TRANSPORT_ACK: "TransportAck",
-    MSG_REGISTER: "Register",
-    MSG_TASK_ASSIGN: "TaskAssign",
-    MSG_UPDATE_SUBMIT: "UpdateSubmit",
-    MSG_ACK: "Ack",
-    MSG_ABORT: "Abort",
-    MSG_EVAL_REQUEST: "EvalRequest",
-    MSG_EVAL_REPORT: "EvalReport",
-}
 
 
 class NeedMoreBytes(Exception):
@@ -225,6 +215,44 @@ class RawEndpoint(Protocol):
     def cancel(self, handle: object) -> None: ...
     def now_ms(self) -> float: ...
     def set_receive_handler(self, fn: Callable[[bytes], None]) -> None: ...
+
+
+class Timers:
+    """Pending callbacks ordered by (due time, insertion sequence).
+
+    Both transports schedule through this heap: the simulator on its virtual
+    clock, TCP on monotonic milliseconds.  A handle is the heap entry itself;
+    cancelling clears its callback and the entry is skipped when it surfaces.
+    """
+
+    def __init__(self):
+        self._heap: list[list] = []
+        self._seq = 0
+
+    def schedule(self, at_ms: float, fn: Callable[[], None]) -> object:
+        entry = [at_ms, self._seq, fn]
+        self._seq += 1
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, handle: object) -> None:
+        if isinstance(handle, list):
+            handle[2] = None
+
+    def next_time(self) -> float:
+        """Due time of the earliest live callback; infinity when none."""
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else float("inf")
+
+    def pop(self) -> tuple[float, Callable[[], None]] | None:
+        """Remove and return the earliest live (due time, callback), or None."""
+        while self._heap:
+            at_ms, _, fn = heapq.heappop(self._heap)
+            if fn is not None:
+                return at_ms, fn
+        return None
 
 
 @dataclass

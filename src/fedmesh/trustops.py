@@ -296,7 +296,7 @@ class AuditLog:
 
 
 def format_entry(entry: AuditEntry) -> str:
-    quoted = kvdoc._emit_scalar(entry.payload)
+    quoted = kvdoc.emit_scalar(entry.payload)
     return (
         f"seq={entry.seq} timestamp={entry.timestamp} event_type={entry.event_type} "
         f"payload_hash={entry.payload_hash} prev_hash={entry.prev_hash} "
@@ -311,7 +311,7 @@ def parse_audit_line(line: str) -> AuditEntry:
     for token in head.split():
         key, _, value = token.partition("=")
         fields[key] = value
-    payload = kvdoc._parse_scalar(payload_part, 0) if payload_part else ""
+    payload = kvdoc.parse_scalar(payload_part, 0) if payload_part else ""
     return AuditEntry(
         seq=int(fields["seq"]),
         timestamp=fields["timestamp"],

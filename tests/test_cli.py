@@ -23,8 +23,7 @@ bind = "127.0.0.1:0"
 def workspace(tmp_path):
     assert main([
         "gen-corpus", "--out", str(tmp_path / "data"),
-        "--train-sentences", "160", "--test-sentences", "80",
-        "--dev-sentences", "0", "--seed", "11",
+        "--train-sentences", "160", "--test-sentences", "80", "--seed", "11",
     ]) == 0
     (tmp_path / "exp.cfg").write_text(CONFIG_TEMPLATE)
     return tmp_path

@@ -84,7 +84,6 @@ class TestExperimentConfig:
         assert config.rounds == 20
         assert config.clients == config.k == config.m == 6
         assert config.strategy.kind == "fedavg"
-        assert config.transport == "sim"
         assert config.seeds.data == 1
         assert config.experiment_kind == "single"
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fedmesh.aggregation import clip_to_norm
 from fedmesh.errors import ConfigError
 from fedmesh.kvdoc import parse_doc
 from fedmesh.privacy import (
@@ -11,7 +12,6 @@ from fedmesh.privacy import (
     SitePolicy,
     SvtParams,
     apply_policy,
-    clip_l2,
     decode_fixed,
     encode_fixed,
     gaussian_mechanism,
@@ -24,20 +24,6 @@ from fedmesh.privacy import (
     sum_masked,
     svt_filter,
 )
-
-
-class TestClip:
-    def test_rescales_to_clip_norm(self):
-        d = np.array([6.0, 8.0])
-        out = clip_l2(d, 1.0)
-        assert np.linalg.norm(out) == pytest.approx(1.0)
-
-    def test_small_vector_unchanged(self):
-        d = np.array([0.1, 0.2, 0.2])
-        np.testing.assert_array_equal(clip_l2(d, 1.0), d)
-
-    def test_zero_vector_identity(self):
-        np.testing.assert_array_equal(clip_l2(np.zeros(4), 1.0), np.zeros(4))
 
 
 class TestGaussianMechanism:
@@ -237,7 +223,7 @@ class TestPolicy:
         delta = np.linspace(-3, 3, 200)
         policy = SitePolicy(site_id="s", clip_norm=1.0, dp=DpParams(1.0, 1e-5))
         piped = apply_policy(delta, policy, rng_a)
-        composed = gaussian_mechanism(clip_l2(delta, 1.0), 1.0, 1.0, 1e-5, rng_b)
+        composed = gaussian_mechanism(clip_to_norm(delta, 1.0), 1.0, 1.0, 1e-5, rng_b)
         np.testing.assert_array_equal(piped, composed)
 
     def test_svt_pipeline_uses_clip_as_scale(self):
@@ -248,7 +234,7 @@ class TestPolicy:
             site_id="s", clip_norm=2.0, svt=SvtParams(0.5, 3, 1.0)
         )
         piped = apply_policy(delta, policy, rng_a)
-        composed = svt_filter(clip_l2(delta, 2.0), 0.5, 3, 1.0, rng_b, scale_unit=2.0)
+        composed = svt_filter(clip_to_norm(delta, 2.0), 0.5, 3, 1.0, rng_b, scale_unit=2.0)
         np.testing.assert_array_equal(piped, composed.to_dense())
 
     def test_empty_policy_is_identity(self):

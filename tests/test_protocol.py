@@ -22,7 +22,6 @@ from fedmesh.protocol import (
     Start,
     StartAggregation,
     StartLocalTrain,
-    Stop,
     SubmitUpdate,
     RefuseTask,
     TRAINING,
@@ -340,7 +339,7 @@ class TestFuzzInvariants:
             return ClientRegistered(cid, float(now))
         if kind == 4:
             return UpdateReceived(cid, rng.randint(0, 4), 1.0, float(now))
-        return Stop(float(now)) if rng.random() < 0.02 else DeadlineFired(rnd, 0, float(now))
+        return DeadlineFired(rnd, 0, float(now))
 
     def _check(self, state, actions, cfg):
         if state.plan is not None:

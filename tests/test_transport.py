@@ -1,5 +1,10 @@
+import logging
 import random
+import socket
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmesh.simnet import SimNetConfig, SimNetwork
+from fedmesh.tcpnet import TcpNode
 from fedmesh.transport import (
     CorruptFrame,
     FrameDecoder,
@@ -15,6 +21,7 @@ from fedmesh.transport import (
     MSG_UPDATE_SUBMIT,
     NeedMoreBytes,
     ReliableEndpoint,
+    Timers,
     VECTOR_F64,
     VECTOR_SPARSE_F64,
     VECTOR_U64,
@@ -401,3 +408,166 @@ class TestReliableDelivery:
         net.run()
         gaps = [b - a for a, b in zip(sends, sends[1:])]
         assert gaps == [50.0, 100.0, 200.0]
+
+
+class TestTimers:
+    def test_pop_in_time_then_insertion_order(self):
+        timers = Timers()
+        for at_ms, label in [(5.0, "c"), (1.0, "a"), (5.0, "d"), (1.0, "b")]:
+            timers.schedule(at_ms, label)
+        assert timers.next_time() == 1.0
+        popped = [timers.pop() for _ in range(4)]
+        assert popped == [(1.0, "a"), (1.0, "b"), (5.0, "c"), (5.0, "d")]
+        assert timers.pop() is None and timers.next_time() == float("inf")
+
+    def test_cancelled_entries_are_skipped(self):
+        timers = Timers()
+        first = timers.schedule(1.0, "first")
+        timers.schedule(2.0, "second")
+        timers.cancel(first)
+        timers.cancel(object())  # a foreign handle is ignored
+        assert timers.next_time() == 2.0
+        assert timers.pop() == (2.0, "second")
+        assert timers.pop() is None
+
+
+def _frame(sender: str, seq: int, body: bytes) -> bytes:
+    return encode_frame(MSG_TASK_ASSIGN, _pack_envelope(sender, seq, body))
+
+
+@pytest.fixture()
+def tcp_nodes():
+    """Build loopback TcpNodes and close them all after the test."""
+    nodes = []
+
+    def make(name, **kwargs):
+        node = TcpNode(name, **kwargs)
+        nodes.append(node)
+        return node
+
+    yield make
+    for node in nodes:
+        node.close()
+
+
+def _read_frame(sock: socket.socket) -> bytes:
+    """The first whole frame from the socket, or b"" if the peer closes first."""
+    decoder = FrameDecoder()
+    while chunk := sock.recv(65536):
+        frames = decoder.feed(chunk)
+        if frames:
+            return frames[0][2]
+    return b""
+
+
+class TestTcpNode:
+    def test_timers_fire_in_order_on_the_calling_thread(self, tcp_nodes):
+        node = tcp_nodes("server", bind=("127.0.0.1", 0))
+        fired = []
+        for delay_ms, label in [(40.0, "d"), (10.0, "b"), (0.0, "a"), (10.0, "c")]:
+            node.schedule(
+                delay_ms, lambda label=label: fired.append((label, threading.get_ident()))
+            )
+        assert node.run_until(lambda: len(fired) == 4, timeout_s=5.0)
+        assert [label for label, _ in fired] == ["a", "b", "c", "d"]
+        assert {ident for _, ident in fired} == {threading.get_ident()}
+
+    def test_cancelled_timer_never_fires(self, tcp_nodes):
+        node = tcp_nodes("server", bind=("127.0.0.1", 0))
+        fired = []
+        handle = node.schedule(10.0, lambda: fired.append("cancelled"))
+        node.schedule(30.0, lambda: fired.append("kept"))
+        node.cancel(handle)
+        assert not node.run_until(lambda: False, timeout_s=0.1)
+        assert fired == ["kept"]
+
+    def test_run_until_returns_false_at_its_timeout(self, tcp_nodes):
+        node = tcp_nodes("server", bind=("127.0.0.1", 0))
+        started = time.monotonic()
+        assert node.run_until(lambda: False, timeout_s=0.1) is False
+        assert 0.1 <= time.monotonic() - started < 2.0
+
+    def test_raising_handler_and_timer_are_logged_and_loop_goes_on(self, tcp_nodes, caplog):
+        server = tcp_nodes("server", bind=("127.0.0.1", 0))
+        client = tcp_nodes("site-1", server_addr=("127.0.0.1", server.port), server_id="server")
+        got = []
+
+        def handler(data):
+            got.append(data)
+            raise RuntimeError("handler fault")
+
+        def timer():
+            raise RuntimeError("timer fault")
+
+        server.set_receive_handler(handler)
+        server.schedule(0.0, timer)
+        with caplog.at_level(logging.ERROR, logger="fedmesh.tcpnet"):
+            client.send("server", _frame("site-1", 0, b"one"))
+            client.send("server", _frame("site-1", 1, b"two"))
+            assert server.run_until(lambda: len(got) == 2, timeout_s=5.0)
+        assert got == [_frame("site-1", 0, b"one"), _frame("site-1", 1, b"two")]
+        errors = [r for r in caplog.records if r.getMessage() == "error in dispatch"]
+        assert len(errors) == 3
+
+    def test_frames_are_delivered_both_ways_over_loopback(self, tcp_nodes):
+        server = tcp_nodes("server", bind=("127.0.0.1", 0))
+        client = tcp_nodes("site-1", server_addr=("127.0.0.1", server.port), server_id="server")
+        at_server, at_client = [], []
+        server.set_receive_handler(at_server.append)
+        client.set_receive_handler(at_client.append)
+        client.send("server", _frame("site-1", 0, b"up"))
+        assert server.run_until(lambda: at_server, timeout_s=5.0)
+        # The first data frame routed the connection, so the server can answer.
+        server.send("site-1", _frame("server", 0, b"down"))
+        assert client.run_until(lambda: at_client, timeout_s=5.0)
+        assert at_server == [_frame("site-1", 0, b"up")]
+        assert at_client == [_frame("server", 0, b"down")]
+
+    def test_second_connection_cannot_take_a_live_route(self, tcp_nodes):
+        server = tcp_nodes("server", bind=("127.0.0.1", 0))
+        got = []
+        server.set_receive_handler(got.append)
+        first = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        second = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        try:
+            first.sendall(_frame("site-1", 0, b"real"))
+            assert server.run_until(lambda: got, timeout_s=5.0)
+            second.sendall(_frame("site-1", 0, b"impostor"))
+            # The server refuses the claim by closing the second connection.
+            assert _read_frame(second) == b""
+            server.send("site-1", _frame("server", 0, b"reply"))
+            assert _read_frame(first) == _frame("server", 0, b"reply")
+            assert got == [_frame("site-1", 0, b"real")]
+        finally:
+            first.close()
+            second.close()
+
+    def test_concurrent_claims_bind_exactly_one_connection(self, tcp_nodes):
+        server = tcp_nodes("server", bind=("127.0.0.1", 0))
+        got = []
+        server.set_receive_handler(got.append)
+        socks = [
+            socket.create_connection(("127.0.0.1", server.port), timeout=5.0) for _ in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            senders = [
+                threading.Thread(target=sock.sendall, args=(_frame("site-1", 0, b"claim"),))
+                for sock in socks
+            ]
+            for thread in senders:
+                thread.start()
+            for thread in senders:
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+            assert server.run_until(lambda: got, timeout_s=5.0)
+            server.send("site-1", _frame("server", 0, b"reply"))
+            # The one routed connection gets the reply; every other claim is closed.
+            outcomes = sorted(_read_frame(sock) for sock in socks)
+            assert outcomes == [b""] * 5 + [_frame("server", 0, b"reply")]
+            assert got == [_frame("site-1", 0, b"claim")]
+        finally:
+            sys.setswitchinterval(interval)
+            for sock in socks:
+                sock.close()
