@@ -2,7 +2,8 @@
 
 All aggregators canonicalize update order (sort by client id) before any
 floating-point work, so the result is invariant to arrival order.  The
-coordinator applies the result as ``global += aggregate(deltas)``.
+coordinator applies the result as ``global += aggregate(deltas)``.  A
+SparseVector delta gives exactly the bytes its dense form would.
 """
 
 from __future__ import annotations
@@ -21,13 +22,47 @@ _WEISZFELD_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
+class SparseVector:
+    """A float64 vector: *values* at strictly increasing *indices*, +0.0 elsewhere."""
+
+    dims: int
+    indices: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return self.dims
+
+    def to_dense(self) -> np.ndarray:
+        dense = np.zeros(self.dims, dtype=np.float64)
+        dense[self.indices] = self.values
+        return dense
+
+
+Vector = np.ndarray | SparseVector
+
+
+def as_dense(vector: Vector) -> np.ndarray:
+    """Norms and dot products run on this: BLAS groups its sums by position."""
+    return vector.to_dense() if isinstance(vector, SparseVector) else vector
+
+
+def add_scaled(acc: np.ndarray, vector: Vector, weight: float, scratch=None) -> None:
+    """``acc += vector * weight``, adding a sparse vector at its live words only:
+    exact, as a sum from +0.0 never turns -0.0 under round-to-nearest."""
+    if isinstance(vector, SparseVector):
+        acc[vector.indices] += vector.values * weight
+    else:
+        acc += np.multiply(vector, weight, out=scratch)
+
+
+@dataclass(frozen=True)
 class ClientUpdate:
     """One client's contribution to a round: a weighted parameter delta."""
 
     client_id: str
     round: int
     weight: float
-    delta: np.ndarray
+    delta: Vector
 
     def __post_init__(self):
         if self.weight <= 0:
@@ -54,10 +89,10 @@ def _sorted_updates(updates: list[ClientUpdate]) -> list[ClientUpdate]:
     if not updates:
         raise ValueError("cannot aggregate zero updates")
     updates = sorted(updates, key=lambda u: u.client_id)
-    dims = updates[0].delta.shape
+    dims = len(updates[0].delta)
     rnd = updates[0].round
     for u in updates:
-        if u.delta.shape != dims:
+        if len(u.delta) != dims:
             raise ConfigError("updates disagree on parameter dims")
         if u.round != rnd:
             raise ConfigError("updates disagree on round")
@@ -67,19 +102,33 @@ def _sorted_updates(updates: list[ClientUpdate]) -> list[ClientUpdate]:
 def fedavg(updates: list[ClientUpdate]) -> np.ndarray:
     """Weight-averaged delta, summed in client-id order."""
     updates = _sorted_updates(updates)
-    total = np.zeros_like(updates[0].delta)
+    total = np.zeros(len(updates[0].delta))
     weight_sum = 0.0
     for u in updates:
-        total += u.weight * u.delta
+        add_scaled(total, u.delta, u.weight)
         weight_sum += u.weight
     return total / weight_sum
 
 
 def coordinate_median(updates: list[ClientUpdate]) -> np.ndarray:
-    """Per-coordinate median; even counts use the mean of the middle pair."""
-    updates = _sorted_updates(updates)
-    stacked = np.stack([u.delta for u in updates])
-    return np.median(stacked, axis=0)
+    """Per-coordinate median; even counts use the mean of the middle pair.
+
+    With a majority of sparse rows, only columns that a sparse row stores or
+    a dense row holds as +-0.0 or NaN can differ from +0.0, so only they run.
+    """
+    rows = [u.delta for u in _sorted_updates(updates)]
+    sparse = [r for r in rows if isinstance(r, SparseVector)]
+    if len(sparse) <= len(rows) // 2:
+        return np.median(np.stack([as_dense(r) for r in rows]), axis=0)
+    cols = np.unique(np.concatenate([r.indices for r in sparse] + [
+        np.flatnonzero((r == 0) | np.isnan(r)) for r in rows if not isinstance(r, SparseVector)
+    ]))
+    out = np.zeros(len(rows[0]))
+    out[cols] = np.median(np.stack([
+        SparseVector(len(cols), np.searchsorted(cols, r.indices), r.values).to_dense()
+        if isinstance(r, SparseVector) else r[cols] for r in rows
+    ]), axis=0)
+    return out
 
 
 def geometric_median(
@@ -102,36 +151,43 @@ def geometric_median(
     per-row reduction ``np.linalg.norm(points - x, axis=1)`` runs, and the
     weighted sum adds the rows ``p * w`` in order onto zeros, exactly as
     ``(points * w[:, None]).sum(axis=0)`` reduces axis 0 (so an all ``-0.0``
-    coordinate still sums to ``+0.0``).  BLAS products or Gram-matrix
-    distances would round differently and must not replace these loops.
+    coordinate still sums to ``+0.0``).  A sparse row adds at its live words
+    only; its squared-distance row is the shared ``x * x`` with them swapped
+    in.  BLAS products or Gram-matrix distances would round differently and
+    must not replace these loops.
     """
-    updates = _sorted_updates(updates)
-    points = np.stack([u.delta for u in updates])
-    if not np.all(np.isfinite(points)):
+    rows = [u.delta for u in _sorted_updates(updates)]
+    if not all(np.isfinite(r.values if isinstance(r, SparseVector) else r).all() for r in rows):
         raise ValueError("geometric median requires finite inputs")
-    scratch = np.empty(points.shape[1])
+    scratch = np.empty(len(rows[0]))
+    squares = np.empty(len(rows[0]))
 
     def distances(x: np.ndarray) -> np.ndarray:
-        dist = np.empty(len(points))
-        for i, p in enumerate(points):
-            np.subtract(p, x, out=scratch)
-            np.multiply(scratch, scratch, out=scratch)
-            dist[i] = np.add.reduce(scratch)
+        dist = np.empty(len(rows))
+        np.square(x, out=squares)
+        for i, p in enumerate(rows):
+            if isinstance(p, SparseVector):
+                squares[p.indices] = np.square(p.values - x[p.indices])
+                dist[i] = np.add.reduce(squares)
+                squares[p.indices] = np.square(x[p.indices])
+            else:
+                np.subtract(p, x, out=scratch)
+                np.multiply(scratch, scratch, out=scratch)
+                dist[i] = np.add.reduce(scratch)
         return np.sqrt(dist, out=dist)
 
     def weighted_sum(w: np.ndarray) -> np.ndarray:
-        acc = np.zeros(points.shape[1])
-        for p, wi in zip(points, w):
-            np.multiply(p, wi, out=scratch)
-            acc += scratch
+        acc = np.zeros(len(rows[0]))
+        for p, wi in zip(rows, w):
+            add_scaled(acc, p, wi, scratch)
         return acc
 
-    x = np.median(points, axis=0)
+    x = coordinate_median(updates)
     for _ in range(max_iter):
         dist = distances(x)
         coincident = dist < _WEISZFELD_SNAP
         if coincident.any():
-            rest = points[~coincident]
+            rest = np.array([as_dense(p) for p, c in zip(rows, coincident) if not c])
             if rest.size == 0:
                 return x
             d = np.linalg.norm(rest - x, axis=1)
@@ -157,7 +213,7 @@ def geometric_median(
 
 def distance_sum(x: np.ndarray, updates: list[ClientUpdate]) -> float:
     """The geometric-median objective at *x*."""
-    return float(sum(np.linalg.norm(u.delta - x) for u in updates))
+    return float(sum(np.linalg.norm(as_dense(u.delta) - x) for u in updates))
 
 
 @dataclass(frozen=True)
@@ -182,25 +238,28 @@ def trust_weights(
     updates = _sorted_updates(updates)
     scores: dict[str, float] = {}
     for u in updates:
-        norm = float(np.linalg.norm(u.delta))
+        delta = as_dense(u.delta)
+        norm = float(np.linalg.norm(delta))
         if norm == 0.0:
             scores[u.client_id] = 0.0
         else:
-            cos = float(u.delta @ server_reference) / (norm * ref_norm)
+            cos = float(delta @ server_reference) / (norm * ref_norm)
             scores[u.client_id] = max(0.0, cos)
     if all(v == 0.0 for v in scores.values()):
         return TrustWeights({cid: 1.0 for cid in scores}, uniform_fallback=True)
     return TrustWeights(scores, uniform_fallback=False)
 
 
-def clip_to_norm(delta: np.ndarray, target_norm: float) -> np.ndarray:
+def clip_to_norm(delta: Vector, target_norm: float) -> Vector:
     """Rescale to exactly target_norm when larger; otherwise unchanged."""
     if target_norm <= 0:
         raise ConfigError("target norm must be positive")
-    norm = float(np.linalg.norm(delta))
-    if norm > target_norm:
-        return delta * (target_norm / norm)
-    return delta
+    norm = float(np.linalg.norm(as_dense(delta)))
+    if norm <= target_norm:
+        return delta
+    if isinstance(delta, SparseVector):
+        return SparseVector(delta.dims, delta.indices, delta.values * (target_norm / norm))
+    return delta * (target_norm / norm)
 
 
 def normalize_updates(

@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import clip_to_norm
+from .aggregation import SparseVector, clip_to_norm
 from .errors import ConfigError
 from .seeding import derive_seed
 
 FIXED_POINT_BITS = 32
 _FIXED_SCALE = float(1 << FIXED_POINT_BITS)
-# Keep |value| * 2^32 comfortably inside int64 (and sums of six inside too).
+# Keep |value| * 2^32 inside int64, and a cohort's sum too (see encode_fixed).
 _FIXED_MAX_ABS = float(1 << 28)
 
 
@@ -141,20 +141,6 @@ def gaussian_mechanism(
     return delta + rng.normal(0.0, sigma, size=delta.shape)
 
 
-@dataclass(frozen=True)
-class SparseDelta:
-    """SVT output: the released coordinates of a delta, zeros elsewhere."""
-
-    dims: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dims, dtype=np.float64)
-        dense[self.indices] = self.values
-        return dense
-
-
 def svt_filter(
     delta: np.ndarray,
     threshold_fraction: float,
@@ -162,7 +148,7 @@ def svt_filter(
     epsilon: float,
     rng: np.random.Generator,
     scale_unit: float = 1.0,
-) -> SparseDelta:
+) -> SparseVector:
     """Sparse-vector release of at most budget_c large-magnitude coordinates.
 
     The threshold is the given quantile of |delta| plus Laplace(2/epsilon)
@@ -186,7 +172,7 @@ def svt_filter(
         noise = np.zeros_like(delta)
     passing = np.flatnonzero(magnitude + noise >= threshold)
     released = passing[:budget_c]
-    return SparseDelta(dims=len(delta), indices=released, values=delta[released])
+    return SparseVector(dims=len(delta), indices=released, values=delta[released])
 
 
 # --- pairwise masking -------------------------------------------------------
@@ -211,6 +197,9 @@ class MaskPairing:
             raise KeyError(f"no mask seed for pair {key} in round {self.round}")
         return self.pair_seeds[key]
 
+    def cohort(self) -> list[str]:
+        return sorted({c for pair in self.pair_seeds for c in pair})
+
 
 def make_pairing(cohort: list[str], round_no: int, root_seed: int) -> MaskPairing:
     """Derive one seed per unordered pair of cohort members."""
@@ -223,8 +212,8 @@ def make_pairing(cohort: list[str], round_no: int, root_seed: int) -> MaskPairin
 
 
 def _pair_words(seed: int, dims: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.PCG64(seed))
-    return gen.integers(0, (1 << 64) - 1, size=dims, dtype=np.uint64, endpoint=True)
+    # Word for word what Generator.integers draws over the full u64 range.
+    return np.random.PCG64(seed).random_raw(dims)
 
 
 def make_masks(pairing: MaskPairing, client_id: str, dims: int) -> np.ndarray:
@@ -234,7 +223,7 @@ def make_masks(pairing: MaskPairing, client_id: str, dims: int) -> np.ndarray:
     smaller ones, so summing all cohort members' masks cancels to zero
     word-for-word.
     """
-    cohort = sorted({c for pair in pairing.pair_seeds for c in pair})
+    cohort = pairing.cohort()
     if client_id not in cohort:
         raise KeyError(f"{client_id!r} not in the masked cohort")
     mask = np.zeros(dims, dtype=np.uint64)
@@ -249,11 +238,13 @@ def make_masks(pairing: MaskPairing, client_id: str, dims: int) -> np.ndarray:
     return mask
 
 
-def encode_fixed(delta: np.ndarray) -> np.ndarray:
-    """Round to the 2^-32 grid and reinterpret as mod-2^64 words."""
-    if np.any(np.abs(delta) > _FIXED_MAX_ABS):
+def encode_fixed(delta: np.ndarray, cohort_size: int = 1) -> np.ndarray:
+    """Round to the 2^-32 grid and reinterpret as mod-2^64 words; |value| <=
+    min(2^28, 2^31 / cohort_size) keeps a cohort's summed words within +-2^63."""
+    bound = min(_FIXED_MAX_ABS, float(1 << 31) / max(cohort_size, 1))
+    if np.any(np.abs(delta) > bound):
         raise ConfigError(
-            f"masking supports |value| <= {_FIXED_MAX_ABS}; clip updates first"
+            f"masking {cohort_size} clients supports |value| <= {bound}; clip updates first"
         )
     scaled = np.rint(delta * _FIXED_SCALE).astype(np.int64)
     return scaled.view(np.uint64).copy()
@@ -266,7 +257,7 @@ def decode_fixed(words: np.ndarray) -> np.ndarray:
 
 def mask_update(delta: np.ndarray, pairing: MaskPairing, client_id: str) -> np.ndarray:
     """Fixed-point encode then add this client's mask (mod 2^64)."""
-    words = encode_fixed(delta)
+    words = encode_fixed(delta, len(pairing.cohort()))
     return words + make_masks(pairing, client_id, len(delta))
 
 

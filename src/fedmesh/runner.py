@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import kvdoc, protocol, transport
-from .aggregation import AggregationStrategy, ClientUpdate, aggregate
+from .aggregation import (
+    AggregationStrategy, ClientUpdate, SparseVector, Vector, add_scaled, aggregate, as_dense,
+)
 from .errors import ConfigError
 from .model import (
     EncodedBatch,
@@ -172,7 +174,7 @@ def _signed(doc: dict, vector: np.ndarray | None, kit: StartupKit) -> bytes:
     return body + sign_digest(hashlib.sha256(body).digest(), kit.private_key())
 
 
-def _opened(payload: bytes, sender_pub: bytes) -> tuple[dict, np.ndarray | None] | None:
+def _opened(payload: bytes, sender_pub: bytes) -> tuple[dict, Vector | None] | None:
     """Verify a signed payload; None on any parse or signature failure."""
     body, signature = memoryview(payload)[:-SIGNATURE_LEN], payload[-SIGNATURE_LEN:]
     if len(signature) != SIGNATURE_LEN or not verify_digest(
@@ -186,14 +188,14 @@ def _opened(payload: bytes, sender_pub: bytes) -> tuple[dict, np.ndarray | None]
 
 
 def _task_fields(
-    opened: tuple[dict, np.ndarray | None] | None,
+    opened: tuple[dict, Vector | None] | None,
 ) -> tuple[int, np.ndarray, tuple[str, ...]] | None:
-    """(round, params, masked peers) of an opened task; None if malformed."""
+    """(round, dense params, masked peers) of an opened task; None if malformed."""
     if opened is None or opened[1] is None:
         return None
     doc, params = opened
     try:
-        return int(doc["round"]), params, tuple(str(m) for m in doc.get("masked", []))
+        return int(doc["round"]), as_dense(params), tuple(str(m) for m in doc.get("masked", []))
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
@@ -226,9 +228,9 @@ class ServerNode:
         self.state = ServerState()
         self.global_params = zero_params(spec.train)
         self.trust_reference: np.ndarray | None = None
-        # (round, client) -> (masked?, vector); written before the state
-        # machine sees the update so aggregation can read it synchronously.
-        self.vectors: dict[tuple[int, str], tuple[bool, np.ndarray]] = {}
+        # (round, client) -> (masked?, vector as it arrived); written before the
+        # state machine sees the update so aggregation can read it synchronously.
+        self.vectors: dict[tuple[int, str], tuple[bool, Vector]] = {}
         self.params_per_round: list[np.ndarray] = []
         self.eval_reports: dict[str, dict] = {}
         self.model_signature: bytes | None = None
@@ -336,16 +338,16 @@ class ServerNode:
                 kvdoc.emit_doc({"client": src, "reason": "bad weight"}),
             )
             return
-        if masked != (src in self.config.masked_cohort) or (
-            not masked and vector.dtype != np.float64
-        ) or (masked and vector.dtype != np.uint64):
+        words = vector.values if isinstance(vector, SparseVector) else vector
+        expected = np.uint64 if masked else np.float64
+        if masked != (src in self.config.masked_cohort) or words.dtype != expected:
             self.audit.append(
                 "UpdateRejected",
                 kvdoc.emit_doc({"client": src, "reason": "masking mismatch"}),
             )
             return
         if len(vector) != self.spec.train.dims or (
-            not masked and not np.all(np.isfinite(vector))
+            not masked and not np.all(np.isfinite(words))
         ):
             self.audit.append(
                 "UpdateRejected",
@@ -375,7 +377,7 @@ class ServerNode:
         if masked_ids:
             total = sum_masked([self.vectors[(action.round, c)][1] for c in masked_ids])
             for cid in plain_ids:
-                total = total + weights[cid] * self.vectors[(action.round, cid)][1]
+                add_scaled(total, self.vectors[(action.round, cid)][1], weights[cid])
             delta = total / sum(weights.values())
         else:
             updates = [
@@ -385,8 +387,8 @@ class ServerNode:
             ]
             delta = aggregate(updates, self.spec.strategy, self.trust_reference)
         self.global_params = self.global_params + delta
-        if np.any(delta):
-            self.trust_reference = delta.copy()
+        if self.spec.strategy.kind == "fedavg-trust" and np.any(delta):
+            self.trust_reference = delta
         if self.spec.track_params:
             self.params_per_round.append(self.global_params.copy())
         self.vectors = {key: v for key, v in self.vectors.items() if key[0] > action.round}
@@ -542,7 +544,7 @@ class ClientNode:
             opened = _opened(payload, pub)
             if opened is None or opened[1] is None:
                 return
-            self._report_eval(opened[1])
+            self._report_eval(as_dense(opened[1]))
         elif msg_type == MSG_ABORT:
             opened = _opened(payload, pub)
             if opened is not None and opened[0].get("reason") == "registration rejected":

@@ -4,17 +4,19 @@ One node per process.  The thread that calls `TcpNode.run_until` is the
 event loop: it runs due timers from a `transport.Timers` heap on monotonic
 milliseconds (the simulator's heap on wall-clock time) and hands received
 frames to the receive handler, so it alone touches protocol state.  Each
-connection has a reader thread that reassembles frames onto the queue the
-loop blocks on, so a node keeps reading while it blocks in a send.  A
-connection is routed by the sender id in the envelope of its first data
-frame; a claim on a sender that is routed to a live connection is refused.
+connection has a reader thread that polls and reassembles frames onto the
+queue the loop blocks on, so a node keeps reading while a send waits out a
+slow peer.  A connection is routed by the sender id in the envelope of its
+first data frame; a claim on a sender routed to a live connection is refused.
 Frames are queued as the exact bytes that arrived and never re-encoded.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import queue
+import select
 import socket
 import threading
 import time
@@ -29,6 +31,7 @@ from .transport import encode_frame  # noqa: F401
 log = logging.getLogger(__name__)
 
 DEFAULT_PORT = 7761
+_POLL_S = 0.2  # how often the accept loop and idle readers look for close()
 
 
 def parse_address(text: str) -> tuple[str, int]:
@@ -67,13 +70,13 @@ class TcpNode:
 
         if bind is not None:
             self._listener = socket.create_server(bind)
-            self._listener.settimeout(0.2)
+            self._listener.settimeout(_POLL_S)
             self.port = self._listener.getsockname()[1]
             self._spawn(self._accept_loop)
         else:
             assert server_id is not None
             sock = socket.create_connection(server_addr, timeout=10.0)
-            sock.settimeout(0.2)
+            sock.settimeout(None)
             self._conns[server_id] = sock
             self._spawn(self._reader_loop, sock, server_id)
 
@@ -88,9 +91,8 @@ class TcpNode:
         try:
             sock.sendall(data)
         except OSError:
-            # The connection's reader thread sees the closed socket and
-            # drops the route.
-            _close(sock)
+            with contextlib.suppress(OSError):  # wakes the reader to drop the route
+                sock.shutdown(socket.SHUT_RDWR)
 
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> object:
         return self._timers.schedule(self.now_ms() + delay_ms, fn)
@@ -146,17 +148,19 @@ class TcpNode:
                 continue
             except OSError:
                 return
-            conn.settimeout(0.2)
+            conn.settimeout(None)
             self._spawn(self._reader_loop, conn, None)
 
     def _read_frames(self, sock: socket.socket):
         """Yield decoded frames until the peer closes, the node stops or a frame is corrupt."""
         decoder = FrameDecoder()
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
         while not self._stop.is_set():
             try:
+                if not poller.poll(_POLL_S * 1000):
+                    continue
                 chunk = sock.recv(65536)
-            except socket.timeout:
-                continue
             except OSError:
                 return
             if not chunk:

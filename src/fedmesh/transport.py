@@ -21,9 +21,11 @@ Control payloads are a key/value document plus an optional vector:
 
 A float64 vector goes sparse when fewer than a third of its words have a
 nonzero bit pattern, so -0.0 is kept as a live word and decoding is
-bit-exact; u64 vectors always go dense.  A signed payload (runner._signed)
-is the encoded payload followed by a 64-byte Ed25519 signature over its
-SHA-256, so the receiver hashes the bytes it got and never re-encodes.
+bit-exact; u64 vectors always go dense.  Kind 3 decodes to an
+aggregation.SparseVector; that type encodes as its dense form would.  A
+signed payload (runner._signed) is the encoded payload followed by a 64-byte
+Ed25519 signature over its SHA-256, so the receiver hashes the bytes it got
+and never re-encodes.
 
 Reliable delivery wraps application payloads in an envelope carrying the
 sender id and a sequence number; receivers ack every data frame and
@@ -42,6 +44,7 @@ from typing import Any, Callable, Protocol
 import numpy as np
 
 from . import kvdoc
+from .aggregation import SparseVector, Vector
 
 MAGIC = b"FHN1"
 VERSION = 0x01
@@ -136,10 +139,12 @@ VECTOR_SPARSE_F64 = 3
 _MAX_DIMS = MAX_PAYLOAD // 8
 
 
-def encode_payload(doc: dict[str, Any], vector: np.ndarray | None = None) -> bytes:
-    """Serialize a control document plus an optional 64-bit word array."""
+def encode_payload(doc: dict[str, Any], vector: Vector | None = None) -> bytes:
+    """Serialize a control document plus an optional 64-bit word vector."""
     doc_bytes = kvdoc.emit_doc(doc).encode("utf-8")
     parts = [struct.pack(">I", len(doc_bytes)), doc_bytes]
+    if isinstance(vector, SparseVector):
+        vector = vector.to_dense()  # so the bytes are exactly the dense form's
     if vector is None:
         parts.append(struct.pack(">BI", VECTOR_NONE, 0))
     elif vector.dtype == np.float64:
@@ -162,7 +167,7 @@ def encode_payload(doc: dict[str, Any], vector: np.ndarray | None = None) -> byt
     return b"".join(parts)
 
 
-def decode_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], np.ndarray | None]:
+def decode_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], Vector | None]:
     try:
         (doc_len,) = struct.unpack(">I", payload[:4])
         doc = kvdoc.parse_doc(str(payload[4:4 + doc_len], "utf-8"))
@@ -185,7 +190,7 @@ def decode_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], np.ndar
     raise CorruptFrame(f"unknown vector kind {kind}")
 
 
-def _decode_sparse(dims: int, body: bytes | memoryview) -> np.ndarray:
+def _decode_sparse(dims: int, body: bytes | memoryview) -> SparseVector:
     if dims > _MAX_DIMS:
         raise CorruptFrame(f"sparse vector of {dims} words exceeds the dense bound")
     if len(body) < 4:
@@ -196,9 +201,8 @@ def _decode_sparse(dims: int, body: bytes | memoryview) -> np.ndarray:
     indices = np.frombuffer(body, dtype="<u4", count=nnz, offset=4)
     if nnz and (indices[-1] >= dims or np.any(indices[1:] <= indices[:-1])):
         raise CorruptFrame("sparse indices must be strictly increasing and below the dimension")
-    vector = np.zeros(dims, dtype=np.float64)
-    vector[indices] = np.frombuffer(body, dtype="<f8", count=nnz, offset=4 + 4 * nnz)
-    return vector
+    values = np.frombuffer(body, dtype="<f8", count=nnz, offset=4 + 4 * nnz)
+    return SparseVector(dims, indices.astype(np.intp), values.astype(np.float64))
 
 
 class RawEndpoint(Protocol):

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from fedmesh.aggregation import (
     AggregationStrategy,
     ClientUpdate,
+    SparseVector,
     aggregate,
     clip_to_norm,
     coordinate_median,
@@ -16,14 +17,15 @@ from fedmesh.aggregation import (
     normalize_updates,
     trust_weights,
 )
-from fedmesh.aggregation import _WEISZFELD_SNAP, _sorted_updates
+from fedmesh.aggregation import STRATEGY_KINDS, _WEISZFELD_SNAP, _sorted_updates
 from fedmesh.errors import ConfigError
 
 
 def updates_from(deltas, weights=None, round_no=1):
     weights = weights or [1.0] * len(deltas)
     return [
-        ClientUpdate(f"site-{i}", round_no, w, np.asarray(d, dtype=np.float64))
+        ClientUpdate(f"site-{i}", round_no, w,
+                     d if isinstance(d, SparseVector) else np.asarray(d, dtype=np.float64))
         for i, (d, w) in enumerate(zip(deltas, weights))
     ]
 
@@ -232,6 +234,150 @@ class TestGeometricMedianBitIdentity:
         pts = [[1.0, 1.0], [1.0, 1.0], [5.0, -3.0], [0.5, 2.0], [9.0, 9.0]]
         ups = updates_from(pts)
         assert geometric_median(ups).tobytes() == _reference_geometric_median(ups).tobytes()
+
+
+def _reference_fedavg(updates):
+    """Dense FedAvg as it was before sparse rows, verbatim."""
+    updates = _sorted_updates(updates)
+    total = np.zeros_like(updates[0].delta)
+    weight_sum = 0.0
+    for u in updates:
+        total += u.weight * u.delta
+        weight_sum += u.weight
+    return total / weight_sum
+
+
+def _reference_coordinate_median(updates):
+    """Dense coordinate median as it was before sparse rows, verbatim."""
+    updates = _sorted_updates(updates)
+    stacked = np.stack([u.delta for u in updates])
+    return np.median(stacked, axis=0)
+
+
+def _sparse_form(row, extra_zeros):
+    """*row* as a SparseVector of its nonzero-bit words plus stored +0.0 words."""
+    (indices,) = np.nonzero((row.view(np.uint64) != 0) | extra_zeros)
+    return SparseVector(len(row), indices, row[indices])
+
+
+@st.composite
+def _mixed_rows(draw):
+    """(dense points, weights, the same rows with some given as SparseVector)."""
+    points = draw(_point_sets())
+    n, dims = points.shape
+    chosen = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    if chosen and draw(st.booleans()):
+        # Columns dead in every sparse row, so the median skips them.
+        dead = draw(hnp.arrays(np.bool_, dims, fill=st.nothing()))
+        points[np.ix_(sorted(chosen), np.flatnonzero(dead))] = 0.0
+    rows = []
+    for i, row in enumerate(points):
+        if i in chosen:
+            # Released zeros: +0.0 words an SVT release may store.
+            rows.append(_sparse_form(
+                row, draw(hnp.arrays(np.bool_, dims, fill=st.nothing()))))
+        else:
+            rows.append(row.copy())
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return points, weights, rows
+
+
+class TestSparseRowsBitIdentity:
+    """Sparse rows give the bytes the dense code gives for their dense form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_mixed_rows())
+    def test_fedavg(self, case):
+        points, weights, rows = case
+        got = fedavg(updates_from(rows, weights))
+        want = _reference_fedavg(updates_from(list(points), weights))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_mixed_rows())
+    def test_coordinate_median(self, case):
+        points, weights, rows = case
+        got = coordinate_median(updates_from(rows, weights))
+        want = _reference_coordinate_median(updates_from(list(points), weights))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_mixed_rows(), tol=st.sampled_from([1e-8, 1e-12]))
+    def test_geometric_median(self, case, tol):
+        points, _, rows = case
+        got = geometric_median(updates_from(rows), tol=tol)
+        want = _reference_geometric_median(updates_from(list(points)), tol=tol)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_mixed_rows(), kind=st.sampled_from(STRATEGY_KINDS),
+           normalize_to=st.sampled_from([None, 1e-3, 1.0, 1e6]))
+    def test_aggregate_with_normalization_and_trust(self, case, kind, normalize_to):
+        points, weights, rows = case
+        strategy = AggregationStrategy(kind, normalize_to=normalize_to)
+        reference = points.sum(axis=0) + 1.0
+        got = aggregate(updates_from(rows, weights), strategy, reference)
+        want = aggregate(updates_from(list(points), weights), strategy, reference)
+        assert got.tobytes() == want.tobytes()
+
+    def test_clip_and_trust_use_the_dense_norm(self):
+        # BLAS groups a dot product's partial sums by position, so the norm of
+        # a sparse row's compacted values can differ from its dense norm;
+        # clipping and trust weights must use the dense one.
+        dims, nnz = 65_536, 600
+        differs = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            indices = np.sort(rng.choice(dims, nnz, replace=False))
+            sparse = SparseVector(dims, indices, rng.normal(size=nnz))
+            dense = sparse.to_dense()
+            differs += np.linalg.norm(sparse.values) != np.linalg.norm(dense)
+            assert clip_to_norm(sparse, 0.5).to_dense().tobytes() == \
+                clip_to_norm(dense, 0.5).tobytes()
+            ref = rng.normal(size=dims)
+            assert trust_weights(updates_from([sparse]), ref) == \
+                trust_weights(updates_from([dense]), ref)
+        assert differs  # the trap is real on this BLAS; otherwise the test is vacuous
+
+    @pytest.mark.parametrize("n_sparse", [3, 4, 5, 8])
+    def test_long_rows(self, n_sparse):
+        # Rows long enough for numpy's pairwise summation blocks, with fewer
+        # than and at least n // 2 + 1 sparse rows among 8.
+        n, dims = 8, 65_536
+        rng = np.random.default_rng(n_sparse)
+        points = rng.normal(size=(n, dims)) * 1e-3
+        points[:n_sparse][rng.random(size=(n_sparse, dims)) < 0.99] = 0.0
+        points[n_sparse:, :50] = 0.0
+        points[n_sparse:, 50:60] = -0.0
+        points[0, 7] = -0.0
+        rows = [_sparse_form(p, np.zeros(dims, bool)) if i < n_sparse else p
+                for i, p in enumerate(points)]
+        weights = list(rng.uniform(1, 100, size=n))
+        dense_ups = updates_from(list(points), weights)
+        ups = updates_from(rows, weights)
+        assert fedavg(ups).tobytes() == _reference_fedavg(dense_ups).tobytes()
+        assert coordinate_median(ups).tobytes() == \
+            _reference_coordinate_median(dense_ups).tobytes()
+        assert geometric_median(ups).tobytes() == \
+            _reference_geometric_median(dense_ups).tobytes()
+
+    def test_coordinate_median_keeps_a_dense_nan_column(self):
+        # np.median yields NaN for any column holding one, even where the
+        # sparse majority is +0.0 there.
+        pts = np.array([[np.nan, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        rows = [pts[0], _sparse_form(pts[1], np.zeros(3, bool)),
+                _sparse_form(pts[2], np.zeros(3, bool))]
+        got = coordinate_median(updates_from(rows))
+        want = _reference_coordinate_median(updates_from(list(pts)))
+        assert np.isnan(got[0]) and got.tobytes() == want.tobytes()
+
+    def test_coincident_branch(self):
+        pts = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [5.0, -3.0, 0.0],
+                        [0.0, 2.0, 0.0], [9.0, 0.0, 0.0]])
+        rows = [_sparse_form(p, np.zeros(3, bool)) for p in pts]
+        got = geometric_median(updates_from(rows))
+        assert got.tobytes() == _reference_geometric_median(updates_from(list(pts))).tobytes()
+        assert got.tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
 
 
 class TestTrustWeights:

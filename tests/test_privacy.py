@@ -16,6 +16,7 @@ from fedmesh.privacy import (
     encode_fixed,
     gaussian_mechanism,
     gaussian_sigma,
+    _pair_words,
     make_masks,
     make_pairing,
     mask_update,
@@ -120,6 +121,33 @@ class TestFixedPoint:
     def test_range_guard(self):
         with pytest.raises(ConfigError):
             encode_fixed(np.array([1e12]))
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_small_cohorts_keep_the_2_28_bound(self, n):
+        encode_fixed(np.array([2.0 ** 28, -(2.0 ** 28)]), cohort_size=n)
+        with pytest.raises(ConfigError):
+            encode_fixed(np.array([np.nextafter(2.0 ** 28, np.inf)]), cohort_size=n)
+
+    def test_large_cohort_bound_keeps_the_masked_sum_unwrapped(self):
+        # Nine clients at 0.99 * 2^28 sum past 2^63 on the fixed-point grid,
+        # which wraps and decodes to about -1.9e9; the bound is 2^31 / 9.
+        cohort = [f"site-{i}" for i in range(9)]
+        pairing = make_pairing(cohort, round_no=1, root_seed=4)
+        with pytest.raises(ConfigError):
+            mask_update(np.full(3, 0.99 * 2.0 ** 28), pairing, "site-0")
+        value = 0.99 * 2.0 ** 31 / 9
+        total = sum_masked([mask_update(np.full(3, value), pairing, cid) for cid in cohort])
+        np.testing.assert_allclose(total, 9 * value, rtol=1e-12)
+
+
+class TestPairWords:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 17, 2**64 - 1])
+    @pytest.mark.parametrize("dims", [0, 1, 786_432])
+    def test_raw_words_match_full_range_integers(self, seed, dims):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        want = gen.integers(0, 2**64 - 1, size=dims, dtype=np.uint64, endpoint=True)
+        got = _pair_words(seed, dims)
+        assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
 
 
 class TestMasks:

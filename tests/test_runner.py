@@ -412,7 +412,7 @@ class TestServerAuthentication:
         assert signed[:-SIGNATURE_LEN] == body
         assert len(signed) == len(body) + SIGNATURE_LEN
         got_doc, got = _opened(signed, kit.identity().public_key)
-        assert got_doc == doc and got.tobytes() == delta.tobytes()
+        assert got_doc == doc and got.to_dense().tobytes() == delta.tobytes()
 
     def test_every_bit_flip_of_signed_sparse_update_rejected(self):
         from fedmesh.runner import _opened, _signed

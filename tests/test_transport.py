@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmesh.aggregation import SparseVector, as_dense
 from fedmesh.simnet import SimNetConfig, SimNetwork
 from fedmesh.tcpnet import TcpNode
 from fedmesh.transport import (
@@ -182,10 +183,11 @@ class TestSparseVectors:
         payload = encode_payload({"round": 2}, vector)
         doc, got = decode_payload(payload)
         assert doc == {"round": 2}
-        assert same_bits(got, vector)
         live = int(np.count_nonzero(vector.view(np.uint64)))
         expected = VECTOR_SPARSE_F64 if 3 * live < len(vector) else VECTOR_F64
         assert vector_kind(payload) == expected
+        assert isinstance(got, SparseVector) == (expected == VECTOR_SPARSE_F64)
+        assert same_bits(as_dense(got), vector)
 
     def test_threshold_is_a_third_of_the_dimension(self):
         below, at = np.zeros(300), np.zeros(300)
@@ -200,7 +202,8 @@ class TestSparseVectors:
         payload = encode_payload({}, vector)
         assert vector_kind(payload) == VECTOR_SPARSE_F64
         _, got = decode_payload(payload)
-        assert np.signbit(got[7]) and same_bits(got, vector)
+        assert list(got.indices) == [7] and np.signbit(got.values[0])
+        assert same_bits(got.to_dense(), vector)
 
     def test_all_zero_vector_carries_no_entries(self):
         payload = encode_payload({}, np.zeros(3 * 2**18))
@@ -226,11 +229,38 @@ class TestSparseVectors:
         _, got = decode_payload(payload)
         assert same_bits(got, vector)
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_sparse_type_encodes_as_its_dense_form_around_a_third(self, offset):
+        dims = 300
+        indices = np.arange(0, dims, 2)[:dims // 3 + offset]
+        values = np.linspace(-2.0, 2.0, len(indices))
+        sparse = SparseVector(dims, indices, values)
+        payload = encode_payload({"round": 4}, sparse)
+        assert payload == encode_payload({"round": 4}, sparse.to_dense())
+        assert vector_kind(payload) == (VECTOR_SPARSE_F64 if offset < 0 else VECTOR_F64)
+
+    def test_sparse_type_drops_stored_zero_words_but_keeps_negative_zero(self):
+        sparse = SparseVector(12, np.array([0, 2, 5, 11]), np.array([0.0, -0.0, 1.5, 0.0]))
+        payload = encode_payload({}, sparse)
+        assert payload == encode_payload({}, sparse.to_dense())
+        _, got = decode_payload(payload)
+        assert list(got.indices) == [2, 5] and same_bits(got.values, np.array([-0.0, 1.5]))
+
+    @given(float_vectors())
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_type_round_trips_bytes(self, vector):
+        (indices,) = np.nonzero(vector.view(np.uint64))
+        sparse = SparseVector(len(vector), indices, vector[indices])
+        payload = encode_payload({}, sparse)
+        assert payload == encode_payload({}, vector)
+        _, got = decode_payload(payload)
+        assert encode_payload({}, got) == payload
+
     def test_hand_built_body_decodes(self):
         _, got = decode_payload(sparse_payload(10, [1, 4, 9], [-0.0, 2.5, 5e-324]))
         expected = np.zeros(10)
         expected[[1, 4, 9]] = [-0.0, 2.5, 5e-324]
-        assert same_bits(got, expected)
+        assert same_bits(got.to_dense(), expected)
 
     @pytest.mark.parametrize("payload", [
         pytest.param(sparse_payload(10, [1, 4], [1.0, 2.0])[:-1], id="truncated-values"),
@@ -541,6 +571,64 @@ class TestTcpNode:
         finally:
             first.close()
             second.close()
+
+    def test_slow_reader_gets_a_whole_large_frame_and_keeps_its_route(self, tcp_nodes):
+        # A model-sized frame to a peer reading 64 KiB every 20 ms (~3 MB/s)
+        # takes about two seconds; the send must wait for it, not give up.
+        server = tcp_nodes("server", bind=("127.0.0.1", 0))
+        got = []
+        server.set_receive_handler(got.append)
+        peer = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        big = _frame("server", 0, bytes(range(256)) * (6_300_000 // 256))
+        received = bytearray()
+
+        def read_slowly():
+            while len(received) < len(big) and (chunk := peer.recv(65536)):
+                received.extend(chunk)
+                time.sleep(0.02)
+
+        try:
+            peer.sendall(_frame("site-1", 0, b"hello"))
+            assert server.run_until(lambda: got, timeout_s=5.0)
+            reader = threading.Thread(target=read_slowly)
+            reader.start()
+            server.send("site-1", big)
+            reader.join(timeout=30.0)
+            assert not reader.is_alive()
+            assert bytes(received) == big
+            server.send("site-1", _frame("server", 1, b"after"))
+            assert _read_frame(peer) == _frame("server", 1, b"after")
+        finally:
+            peer.close()
+
+    def test_close_ends_reader_threads_promptly(self):
+        def loops():
+            return {t for t in threading.enumerate()
+                    if t.name.endswith(("(_reader_loop)", "(_accept_loop)"))}
+
+        before = loops()
+        server = TcpNode("server", bind=("127.0.0.1", 0))
+        client = TcpNode("site-1", server_addr=("127.0.0.1", server.port), server_id="server")
+        idle = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        try:
+            got = []
+            server.set_receive_handler(got.append)
+            client.send("server", _frame("site-1", 0, b"up"))
+            assert server.run_until(lambda: got, timeout_s=5.0)
+            deadline = time.monotonic() + 5.0
+            while len(loops() - before) < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            threads = loops() - before
+            assert len(threads) == 4  # accept, two routed readers, one unrouted
+            started = time.monotonic()
+            server.close()
+            client.close()
+            for thread in threads:
+                thread.join(timeout=2.0)
+                assert not thread.is_alive()
+            assert time.monotonic() - started < 1.5
+        finally:
+            idle.close()
 
     def test_concurrent_claims_bind_exactly_one_connection(self, tcp_nodes):
         server = tcp_nodes("server", bind=("127.0.0.1", 0))
