@@ -46,6 +46,15 @@ def as_dense(vector: Vector) -> np.ndarray:
     return vector.to_dense() if isinstance(vector, SparseVector) else vector
 
 
+def take(vector: Vector, cols: np.ndarray) -> np.ndarray:
+    """``as_dense(vector)[cols]``, without densifying a sparse vector."""
+    if not isinstance(vector, SparseVector):
+        return vector[cols]
+    indices = np.append(vector.indices, vector.dims)  # a sentinel no column matches
+    pos = np.searchsorted(indices, cols)
+    return np.where(indices[pos] == cols, np.append(vector.values, 0.0)[pos], 0.0)
+
+
 def add_scaled(acc: np.ndarray, vector: Vector, weight: float, scratch=None) -> None:
     """``acc += vector * weight``, adding a sparse vector at its live words only:
     exact, as a sum from +0.0 never turns -0.0 under round-to-nearest."""

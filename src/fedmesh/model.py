@@ -11,10 +11,11 @@ flat float64 numpy arrays of length ``num_classes * feature_dim``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .aggregation import SparseVector, Vector, take
 from .errors import ConfigError
 
 TAGS = ("O", "B", "I")
@@ -246,6 +247,13 @@ class EncodedBatch:
     def n_sentences(self) -> int:
         return len(self.sent_ptr) - 1
 
+    @cached_property
+    def compact(self) -> tuple[np.ndarray, "EncodedBatch"]:
+        """(vocab, batch): the sorted feature ids in use, and this batch with
+        each feature replaced by its position in vocab."""
+        vocab, local = np.unique(self.feats, return_inverse=True)
+        return vocab, EncodedBatch(local, self.token_ptr, self.labels, self.sent_ptr)
+
     def sentence_slice(self, order: np.ndarray) -> "EncodedBatch":
         """Reassemble a batch containing the given sentences, in order."""
         order = np.asarray(order, dtype=np.int64)
@@ -281,10 +289,11 @@ def zero_params(config: TrainConfig) -> np.ndarray:
     return np.zeros(config.dims, dtype=np.float64)
 
 
-def _check_params(params: np.ndarray, config: TrainConfig) -> None:
-    if params.ndim != 1 or params.shape[0] != config.dims:
+def _check_params(params: Vector, config: TrainConfig) -> None:
+    shape = (params.dims,) if isinstance(params, SparseVector) else params.shape
+    if shape != (config.dims,):
         raise ConfigError(
-            f"parameter vector has {params.shape} but config implies dims={config.dims}"
+            f"parameter vector has {shape} but config implies dims={config.dims}"
         )
 
 
@@ -343,22 +352,17 @@ def loss_and_grad(
     return loss, grad.reshape(-1)
 
 
-def _sparse_sgd_step(
-    weights: np.ndarray,
-    batch: EncodedBatch,
-    lr: float,
-    mu: float,
-    reference: np.ndarray | None,
+def _sgd_step(
+    weights: np.ndarray, batch: EncodedBatch, lr: float, mu: float, reference: np.ndarray
 ) -> None:
-    """One SGD step touching only the features present in the batch.
+    """One SGD step on C-contiguous ``(classes, V)`` weights of the batch's feature ids.
 
     Per-feature error sums accumulate in input order and are scaled with the
     same operation order as loss_and_grad, so a full-batch step is bit-equal
-    to ``start - lr * grad(start)`` when mu = 0.
+    to ``start - lr * grad(start)`` when mu = 0.  The proximal pull toward the
+    flat *reference* writes through ``weights.reshape(-1)``, so it needs a view.
     """
-    prox = None
-    if mu > 0 and reference is not None:
-        prox = mu * (weights.reshape(-1) - reference)
+    prox = mu * (weights.reshape(-1) - reference) if mu > 0 else None
     probs = _softmax(_token_scores(weights, batch))
     err = probs
     err[batch.labels, np.arange(batch.n_tokens)] -= 1.0
@@ -375,35 +379,37 @@ def _sparse_sgd_step(
 
 
 def local_train(
-    start: np.ndarray,
+    start: Vector,
     shard: list[TaggedSentence] | EncodedBatch,
     config: TrainConfig,
-    global_reference: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """Run local SGD epochs over a shard; returns (new params, examples seen).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run local SGD epochs over a shard, on the shard's own columns only.
+
+    Returns (cols, before, after): the ascending flat indices of every class's
+    weights at the shard's features, *start* there, and the trained values
+    there; every other word of the trained vector is *start*'s.
 
     Deterministic for a fixed config.seed: sentence order is reshuffled each
     epoch from one seeded generator.  With fedprox_mu > 0 the proximal pull
-    uses *global_reference*, defaulting to the start vector.
+    is toward *start*.
     """
     _check_params(start, config)
     if not isinstance(shard, EncodedBatch):
         shard = encode_sentences(shard, config.feature_dim, config.hash_seed)
     if shard.n_sentences == 0:
         raise EmptyShardError("client shard is empty; report 'no data' instead")
-    mu = config.fedprox_mu
-    reference = None
-    if mu > 0:
-        reference = global_reference if global_reference is not None else start.copy()
-    weights = start.reshape(config.num_classes, config.feature_dim).copy()
+    vocab, local = shard.compact
+    cols = (np.arange(config.num_classes)[:, None] * config.feature_dim + vocab).reshape(-1)
+    before = take(start, cols)
+    weights = before.reshape(config.num_classes, len(vocab)).copy()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = shard.n_sentences
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
         for lo in range(0, n, config.batch_size):
-            batch = shard.sentence_slice(order[lo:lo + config.batch_size])
-            _sparse_sgd_step(weights, batch, config.learning_rate, mu, reference)
-    return weights.reshape(-1), n * config.local_epochs
+            batch = local.sentence_slice(order[lo:lo + config.batch_size])
+            _sgd_step(weights, batch, config.learning_rate, config.fedprox_mu, before)
+    return cols, before, weights.reshape(-1)
 
 
 def repair_tags(tags: list[str] | tuple[str, ...]) -> list[str]:

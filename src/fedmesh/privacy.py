@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import SparseVector, clip_to_norm
+from .aggregation import SparseVector, Vector, as_dense, clip_to_norm
 from .errors import ConfigError
 from .seeding import derive_seed
 
@@ -239,12 +239,12 @@ def make_masks(pairing: MaskPairing, client_id: str, dims: int) -> np.ndarray:
 
 
 def encode_fixed(delta: np.ndarray, cohort_size: int = 1) -> np.ndarray:
-    """Round to the 2^-32 grid and reinterpret as mod-2^64 words; |value| <=
-    min(2^28, 2^31 / cohort_size) keeps a cohort's summed words within +-2^63."""
+    """Round to the 2^-32 grid and reinterpret as mod-2^64 words; |value| <
+    min(2^28, 2^31 / cohort_size) keeps a cohort's summed words inside +-2^63."""
     bound = min(_FIXED_MAX_ABS, float(1 << 31) / max(cohort_size, 1))
-    if np.any(np.abs(delta) > bound):
+    if np.any(np.abs(delta) >= bound):
         raise ConfigError(
-            f"masking {cohort_size} clients supports |value| <= {bound}; clip updates first"
+            f"masking {cohort_size} clients supports |value| < {bound}; clip updates first"
         )
     scaled = np.rint(delta * _FIXED_SCALE).astype(np.int64)
     return scaled.view(np.uint64).copy()
@@ -276,16 +276,16 @@ def sum_masked(masked_words: list[np.ndarray]) -> np.ndarray:
 
 
 def apply_policy(
-    delta: np.ndarray,
+    delta: Vector,
     policy: SitePolicy,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> Vector:
     """Run the clip -> (dp | svt) part of the policy pipeline on one delta.
 
-    Masking is applied separately at submit time because it needs the
-    round's pairing.
+    A DP site densifies a sparse delta once, as noise fills it; others keep
+    it sparse.  Masking is applied at submit time: it needs the round's pairing.
     """
-    out = delta
+    out = as_dense(delta) if policy.dp is not None else delta
     if policy.clip_norm is not None:
         out = clip_to_norm(out, policy.clip_norm)
     if policy.dp is not None:
@@ -293,11 +293,11 @@ def apply_policy(
     elif policy.svt is not None:
         scale = policy.clip_norm if policy.clip_norm is not None else 1.0
         out = svt_filter(
-            out,
+            as_dense(out),
             policy.svt.threshold_fraction,
             policy.svt.budget_c,
             policy.svt.epsilon,
             rng,
             scale_unit=scale,
-        ).to_dense()
+        )
     return out

@@ -189,13 +189,16 @@ def _opened(payload: bytes, sender_pub: bytes) -> tuple[dict, Vector | None] | N
 
 def _task_fields(
     opened: tuple[dict, Vector | None] | None,
-) -> tuple[int, np.ndarray, tuple[str, ...]] | None:
-    """(round, dense params, masked peers) of an opened task; None if malformed."""
+) -> tuple[int, Vector, tuple[str, ...]] | None:
+    """(round, params, masked peers) of an opened task; None if malformed or non-finite."""
     if opened is None or opened[1] is None:
         return None
     doc, params = opened
+    words = params.values if isinstance(params, SparseVector) else params
+    if words.dtype != np.float64 or not np.isfinite(words).all():
+        return None
     try:
-        return int(doc["round"]), as_dense(params), tuple(str(m) for m in doc.get("masked", []))
+        return int(doc["round"]), params, tuple(str(m) for m in doc.get("masked", []))
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
@@ -484,7 +487,7 @@ class ClientNode:
         self.server_id = spec.server_id
         self.encoded: EncodedBatch | None = None
         self.weight = float(token_count(shard)) if shard else 0.0
-        self.current_task: tuple[int, np.ndarray, tuple[str, ...]] | None = None
+        self.current_task: tuple[int, Vector, tuple[str, ...]] | None = None
         self.done = False
         self.registered = False
         self._register_attempts = 0
@@ -569,8 +572,8 @@ class ClientNode:
             self.spec.train,
             seed=derive_seed(self.spec.seeds.model, "shuffle", self.kit.site_id, round_no),
         )
-        trained, _ = local_train(start, self.encoded, cfg, global_reference=start)
-        delta = trained - start
+        cols, before, after = local_train(start, self.encoded, cfg)
+        delta: Vector = SparseVector(cfg.dims, cols, after - before)
         adversary = self.spec.adversary
         if adversary is not None and adversary.client_id == self.kit.site_id:
             sign_rng = np.random.Generator(np.random.PCG64(
@@ -599,7 +602,7 @@ class ClientNode:
                 raise ConfigError(f"{self.kit.site_id} has no mask root in its kit")
             root = int.from_bytes(self.kit.mask_root[:8], "big")
             pairing = make_pairing(list(self._pending_masked_peers), round_no, root)
-            vector: np.ndarray = mask_update(self.weight * delta, pairing, self.kit.site_id)
+            vector: Vector = mask_update(self.weight * as_dense(delta), pairing, self.kit.site_id)
         else:
             vector = delta
         payload = _signed(doc, vector, self.kit)
@@ -696,7 +699,8 @@ def run_centralized(
             train,
             seed=derive_seed(seeds.model, "shuffle", "centralized", round_no),
         )
-        params, _ = local_train(params, encoded, cfg, global_reference=params)
+        cols, _, trained = local_train(params, encoded, cfg)
+        params[cols] = trained
     return params
 
 

@@ -18,6 +18,7 @@ import logging
 import queue
 import select
 import socket
+import struct
 import threading
 import time
 from typing import Callable
@@ -32,6 +33,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_PORT = 7761
 _POLL_S = 0.2  # how often the accept loop and idle readers look for close()
+# A send that moves no byte for this long fails and drops the route, so a
+# connected peer that stops reading cannot hold the event loop.
+SEND_STALL_S = 5.0
 
 
 def parse_address(text: str) -> tuple[str, int]:
@@ -39,6 +43,14 @@ def parse_address(text: str) -> tuple[str, int]:
     if not host:
         return text, DEFAULT_PORT
     return host, int(port)
+
+
+def _blocking(sock: socket.socket) -> socket.socket:
+    """Blocking mode for a connection, with each send bounded by SEND_STALL_S."""
+    sock.settimeout(None)
+    stall = divmod(round(SEND_STALL_S * 1e6), 1_000_000)  # struct timeval
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack("ll", *stall))
+    return sock
 
 
 def _close(sock: socket.socket) -> None:
@@ -75,8 +87,7 @@ class TcpNode:
             self._spawn(self._accept_loop)
         else:
             assert server_id is not None
-            sock = socket.create_connection(server_addr, timeout=10.0)
-            sock.settimeout(None)
+            sock = _blocking(socket.create_connection(server_addr, timeout=10.0))
             self._conns[server_id] = sock
             self._spawn(self._reader_loop, sock, server_id)
 
@@ -148,8 +159,7 @@ class TcpNode:
                 continue
             except OSError:
                 return
-            conn.settimeout(None)
-            self._spawn(self._reader_loop, conn, None)
+            self._spawn(self._reader_loop, _blocking(conn), None)
 
     def _read_frames(self, sock: socket.socket):
         """Yield decoded frames until the peer closes, the node stops or a frame is corrupt."""

@@ -22,7 +22,8 @@ Control payloads are a key/value document plus an optional vector:
 A float64 vector goes sparse when fewer than a third of its words have a
 nonzero bit pattern, so -0.0 is kept as a live word and decoding is
 bit-exact; u64 vectors always go dense.  Kind 3 decodes to an
-aggregation.SparseVector; that type encodes as its dense form would.  A
+aggregation.SparseVector; that type encodes as its dense form would, from
+its live entries without densifying unless the dense kind wins.  A
 signed payload (runner._signed) is the encoded payload followed by a 64-byte
 Ed25519 signature over its SHA-256, so the receiver hashes the bytes it got
 and never re-encodes.
@@ -143,28 +144,31 @@ def encode_payload(doc: dict[str, Any], vector: Vector | None = None) -> bytes:
     """Serialize a control document plus an optional 64-bit word vector."""
     doc_bytes = kvdoc.emit_doc(doc).encode("utf-8")
     parts = [struct.pack(">I", len(doc_bytes)), doc_bytes]
-    if isinstance(vector, SparseVector):
-        vector = vector.to_dense()  # so the bytes are exactly the dense form's
     if vector is None:
         parts.append(struct.pack(">BI", VECTOR_NONE, 0))
-    elif vector.dtype == np.float64:
-        words = np.ascontiguousarray(vector, dtype="<f8")
-        live = words.view(np.uint64) != 0
-        nnz = int(np.count_nonzero(live))
-        if 3 * nnz < len(words):
-            (indices,) = np.nonzero(live)
-            parts.append(struct.pack(">BII", VECTOR_SPARSE_F64, len(words), nnz))
-            parts.append(indices.astype("<u4").tobytes())
-            parts.append(words[indices].tobytes())
-        else:
-            parts.append(struct.pack(">BI", VECTOR_F64, len(words)))
-            parts.append(words.data)
+    elif isinstance(vector, SparseVector) or vector.dtype == np.float64:
+        parts += _f64_frame(vector)
     elif vector.dtype == np.uint64:
         parts.append(struct.pack(">BI", VECTOR_U64, len(vector)))
         parts.append(np.ascontiguousarray(vector, dtype="<u8").data)
     else:
         raise ValueError(f"unsupported vector dtype {vector.dtype}")
     return b"".join(parts)
+
+
+def _f64_frame(vector: Vector) -> list:
+    """Kind 3 from the live words (nonzero bit pattern) when fewer than a third
+    are live, else kind 1.  A SparseVector's stored +0.0 entries are not live,
+    so its bytes are exactly its dense form's, and it densifies only for kind 1."""
+    sparse = isinstance(vector, SparseVector)
+    values = np.ascontiguousarray(vector.values if sparse else vector, dtype="<f8")
+    live = values.view(np.uint64) != 0
+    if 3 * np.count_nonzero(live) >= len(vector):
+        dense = np.ascontiguousarray(vector.to_dense(), dtype="<f8") if sparse else values
+        return [struct.pack(">BI", VECTOR_F64, len(dense)), dense.data]
+    indices = vector.indices[live] if sparse else np.flatnonzero(live)
+    head = struct.pack(">BII", VECTOR_SPARSE_F64, len(vector), len(indices))
+    return [head, indices.astype("<u4").tobytes(), values[live].tobytes()]
 
 
 def decode_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], Vector | None]:

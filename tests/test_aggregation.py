@@ -15,6 +15,7 @@ from fedmesh.aggregation import (
     fedavg,
     geometric_median,
     normalize_updates,
+    take,
     trust_weights,
 )
 from fedmesh.aggregation import STRATEGY_KINDS, _WEISZFELD_SNAP, _sorted_updates
@@ -378,6 +379,20 @@ class TestSparseRowsBitIdentity:
         got = geometric_median(updates_from(rows))
         assert got.tobytes() == _reference_geometric_median(updates_from(list(pts))).tobytes()
         assert got.tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
+
+
+class TestTake:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        row=hnp.arrays(np.float64, st.integers(1, 40),
+                       elements=st.sampled_from([0.0, -0.0, 1.5, -2.0, 5e-324])),
+        data=st.data(),
+    )
+    def test_take_gathers_what_the_dense_form_holds(self, row, data):
+        sparse = _sparse_form(row, data.draw(hnp.arrays(np.bool_, len(row))))
+        cols = np.array(sorted(data.draw(st.sets(st.integers(0, len(row) - 1)))), dtype=np.int64)
+        assert take(sparse, cols).tobytes() == row[cols].tobytes()
+        assert take(row, cols).tobytes() == row[cols].tobytes()
 
 
 class TestTrustWeights:

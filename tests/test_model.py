@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmesh import model
+from fedmesh.aggregation import SparseVector
 from fedmesh.errors import ConfigError
 from fedmesh.model import (
     EmptyShardError,
@@ -29,6 +30,8 @@ from fedmesh.model import (
     token_count,
     zero_params,
 )
+from fedmesh.runner import Seeds, run_centralized
+from fedmesh.seeding import derive_seed
 
 DATA = Path(__file__).parent / "data"
 
@@ -37,6 +40,14 @@ SMALL = TrainConfig(feature_dim=1 << 10, learning_rate=0.5, batch_size=8, seed=3
 
 def sentence(tokens, tags):
     return TaggedSentence(tuple(tokens), tuple(tags))
+
+
+def trained_params(start, shard, cfg):
+    """The whole trained vector: *start* with local_train's columns replaced."""
+    cols, _, after = local_train(start, shard, cfg)
+    out = start.copy()
+    out[cols] = after
+    return out
 
 
 def random_corpus(rng, n_sentences=6, vocab=("flu", "cough", "mild", "acute", "x1", "zz")):
@@ -316,7 +327,7 @@ class TestLocalTrain:
         rng = np.random.default_rng(5)
         params = rng.normal(size=SMALL.dims)
         cfg = replace(SMALL, learning_rate=0.0)
-        out, _ = local_train(params, random_corpus(rng), cfg)
+        out = trained_params(params, random_corpus(rng), cfg)
         assert (out == params).all()
 
     def test_single_full_batch_step_equals_gd_step(self):
@@ -324,7 +335,7 @@ class TestLocalTrain:
         shard = random_corpus(rng)
         params = rng.normal(size=SMALL.dims) * 0.1
         cfg = replace(SMALL, local_epochs=1, batch_size=1000, learning_rate=0.3)
-        trained, _ = local_train(params, shard, cfg)
+        trained = trained_params(params, shard, cfg)
         _, grad = loss_and_grad(params, shard, cfg)
         expected = params - cfg.learning_rate * grad
         # The epoch shuffle reorders the token sum, so agreement is to
@@ -332,19 +343,30 @@ class TestLocalTrain:
         np.testing.assert_allclose(trained, expected, rtol=0, atol=1e-14)
 
     def test_examples_seen(self):
+        # Each epoch visits every one of the n sentences once, batch_size at a time.
         rng = np.random.default_rng(7)
         shard = random_corpus(rng, n_sentences=9)
-        cfg = replace(SMALL, local_epochs=3)
-        _, seen = local_train(zero_params(cfg), shard, cfg)
-        assert seen == 9 * 3
+        cfg = replace(SMALL, local_epochs=3, batch_size=4)
+        real = EncodedBatch.sentence_slice
+        batches = []
+
+        def spy(batch, order):
+            batches.append(np.asarray(order))
+            return real(batch, order)
+
+        with mock.patch.object(EncodedBatch, "sentence_slice", spy):
+            local_train(zero_params(cfg), shard, cfg)
+        assert [len(b) for b in batches] == [4, 4, 1] * 3
+        for epoch in np.concatenate(batches).reshape(3, 9):
+            assert sorted(epoch) == list(range(9))
 
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(8)
         shard = random_corpus(rng, n_sentences=12)
         start = rng.normal(size=SMALL.dims) * 0.1
         cfg = replace(SMALL, local_epochs=2, batch_size=3)
-        a, _ = local_train(start, shard, cfg)
-        b, _ = local_train(start, shard, cfg)
+        a = trained_params(start, shard, cfg)
+        b = trained_params(start, shard, cfg)
         assert (a == b).all()
 
     def test_seed_changes_batch_order_result(self):
@@ -352,8 +374,8 @@ class TestLocalTrain:
         shard = random_corpus(rng, n_sentences=12)
         start = rng.normal(size=SMALL.dims) * 0.1
         cfg = replace(SMALL, local_epochs=2, batch_size=3)
-        a, _ = local_train(start, shard, cfg)
-        b, _ = local_train(start, shard, replace(cfg, seed=cfg.seed + 1))
+        a = trained_params(start, shard, cfg)
+        b = trained_params(start, shard, replace(cfg, seed=cfg.seed + 1))
         assert not (a == b).all()
 
     def test_empty_shard_refused(self):
@@ -366,9 +388,110 @@ class TestLocalTrain:
         start = rng.normal(size=SMALL.dims)
         plain_cfg = replace(SMALL, local_epochs=2)
         prox_cfg = replace(plain_cfg, fedprox_mu=1.0)
-        plain, _ = local_train(start, shard, plain_cfg)
-        prox, _ = local_train(start, shard, prox_cfg, global_reference=start)
+        plain = trained_params(start, shard, plain_cfg)
+        prox = trained_params(start, shard, prox_cfg)
         assert np.linalg.norm(prox - start) < np.linalg.norm(plain - start)
+
+
+def _reference_sgd_step(weights, batch, lr, mu, reference):
+    """_sparse_sgd_step as it was before training on the shard's own columns, verbatim."""
+    prox = None
+    if mu > 0 and reference is not None:
+        prox = mu * (weights.reshape(-1) - reference)
+    probs = model._softmax(model._token_scores(weights, batch))
+    err = probs
+    err[batch.labels, np.arange(batch.n_tokens)] -= 1.0
+    counts = np.diff(batch.token_ptr)
+    uniq, inv = np.unique(batch.feats, return_inverse=True)
+    for cls in range(weights.shape[0]):
+        per_feat = np.repeat(err[cls], counts)
+        sums = np.bincount(inv, weights=per_feat, minlength=len(uniq))
+        sums /= batch.n_tokens
+        weights[cls, uniq] -= lr * sums
+    if prox is not None:
+        flat = weights.reshape(-1)
+        flat -= lr * prox
+
+
+def _reference_local_train(start, shard, config, global_reference=None):
+    """local_train as it was before training on the shard's own columns,
+    verbatim but for its argument checks."""
+    if not isinstance(shard, EncodedBatch):
+        shard = encode_sentences(shard, config.feature_dim, config.hash_seed)
+    mu = config.fedprox_mu
+    reference = None
+    if mu > 0:
+        reference = global_reference if global_reference is not None else start.copy()
+    weights = start.reshape(config.num_classes, config.feature_dim).copy()
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    n = shard.n_sentences
+    for _ in range(config.local_epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, config.batch_size):
+            batch = shard.sentence_slice(order[lo:lo + config.batch_size])
+            _reference_sgd_step(weights, batch, config.learning_rate, mu, reference)
+    return weights.reshape(-1), n * config.local_epochs
+
+
+@st.composite
+def _training_cases(draw):
+    """(start, its dense form, shard, config): starts with +-0.0 words and, at
+    random, given as a SparseVector that also stores some +0.0 words."""
+    # No empty sentences: an SGD step on a batch with no tokens raises.
+    shard = draw(st.lists(_sentences().filter(len), min_size=1, max_size=8))
+    cfg = replace(
+        SMALL,
+        learning_rate=draw(st.sampled_from([0.0, 0.3, 0.5])),
+        local_epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, len(shard) + 2)),
+        fedprox_mu=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    dense = rng.normal(size=cfg.dims) * rng.choice([1e-3, 1.0], size=cfg.dims)
+    dense[rng.random(cfg.dims) < draw(st.sampled_from([0.0, 0.5, 0.99]))] = 0.0
+    dense[rng.random(cfg.dims) < 0.2] *= -0.0
+    if not draw(st.booleans()):
+        return dense, dense, shard, cfg
+    (indices,) = np.nonzero((dense.view(np.uint64) != 0) | (rng.random(cfg.dims) < 0.1))
+    return SparseVector(cfg.dims, indices, dense[indices]), dense, shard, cfg
+
+
+class TestCompactTrainingBitIdentity:
+    """The sparse delta over the shard's columns has the bytes of the dense
+    ``trained - start`` that training the whole vector gave."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_training_cases())
+    def test_delta_matches_dense_training(self, case):
+        start, dense, shard, cfg = case
+        cols, before, after = local_train(start, shard, cfg)
+        got = SparseVector(cfg.dims, cols, after - before).to_dense()
+        trained, _ = _reference_local_train(dense, shard, cfg, global_reference=dense)
+        assert got.tobytes() == (trained - dense).tobytes()
+
+    def test_run_centralized_params_match_dense_training(self):
+        rng = np.random.default_rng(12)
+        shard = random_corpus(rng, n_sentences=30)
+        cfg = replace(SMALL, local_epochs=2, fedprox_mu=0.1)
+        seeds = Seeds(model=5)
+        params = zero_params(cfg)
+        for round_no in range(1, 5):
+            round_cfg = replace(
+                cfg, seed=derive_seed(seeds.model, "shuffle", "centralized", round_no)
+            )
+            params, _ = _reference_local_train(params, shard, round_cfg,
+                                               global_reference=params)
+        assert run_centralized(shard, cfg, 4, seeds).tobytes() == params.tobytes()
+
+    def test_compact_remap_is_cached(self):
+        shard = encode_sentences(random_corpus(np.random.default_rng(13)), SMALL.feature_dim)
+        with mock.patch.object(model.np, "unique", wraps=np.unique) as unique:
+            local_train(zero_params(SMALL), shard, SMALL)
+            calls = unique.call_count
+            local_train(zero_params(SMALL), shard, SMALL)
+        # The second call re-runs only the per-step np.unique, not the remap.
+        assert unique.call_count - calls == calls - 1
 
 
 class TestDecode:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedmesh.aggregation import clip_to_norm
+from fedmesh.aggregation import SparseVector, as_dense, clip_to_norm
 from fedmesh.errors import ConfigError
 from fedmesh.kvdoc import parse_doc
 from fedmesh.privacy import (
@@ -124,9 +124,22 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_small_cohorts_keep_the_2_28_bound(self, n):
-        encode_fixed(np.array([2.0 ** 28, -(2.0 ** 28)]), cohort_size=n)
+        below = np.nextafter(2.0 ** 28, 0.0)
+        encode_fixed(np.array([below, -below]), cohort_size=n)
+        for edge in (2.0 ** 28, -(2.0 ** 28)):
+            with pytest.raises(ConfigError):
+                encode_fixed(np.array([edge]), cohort_size=n)
+
+    def test_a_cohort_at_exactly_the_bound_is_refused(self):
+        # Eight clients at +2^28 sum to 2^63 on the fixed-point grid, which
+        # wraps to -2^63 and decodes to -2^31; the bound is strict.
+        cohort = [f"site-{i}" for i in range(8)]
+        pairing = make_pairing(cohort, round_no=1, root_seed=4)
         with pytest.raises(ConfigError):
-            encode_fixed(np.array([np.nextafter(2.0 ** 28, np.inf)]), cohort_size=n)
+            mask_update(np.full(2, 2.0 ** 28), pairing, "site-0")
+        below = np.nextafter(2.0 ** 28, 0.0)
+        total = sum_masked([mask_update(np.full(2, below), pairing, c) for c in cohort])
+        np.testing.assert_array_equal(total, np.full(2, 8 * below))
 
     def test_large_cohort_bound_keeps_the_masked_sum_unwrapped(self):
         # Nine clients at 0.99 * 2^28 sum past 2^63 on the fixed-point grid,
@@ -263,7 +276,25 @@ class TestPolicy:
         )
         piped = apply_policy(delta, policy, rng_a)
         composed = svt_filter(clip_to_norm(delta, 2.0), 0.5, 3, 1.0, rng_b, scale_unit=2.0)
-        np.testing.assert_array_equal(piped, composed.to_dense())
+        np.testing.assert_array_equal(piped.to_dense(), composed.to_dense())
+
+    @pytest.mark.parametrize("policy", [
+        SitePolicy(site_id="s"),
+        SitePolicy(site_id="s", clip_norm=0.5),
+        SitePolicy(site_id="s", clip_norm=50.0),
+        SitePolicy(site_id="s", clip_norm=0.5, dp=DpParams(1.0, 1e-5)),
+        SitePolicy(site_id="s", clip_norm=0.5, svt=SvtParams(0.9, 4, 1.0)),
+        SitePolicy(site_id="s", svt=SvtParams(0.5, 40, math.inf)),
+    ], ids=["none", "clip", "no-clip", "dp", "svt", "svt-noiseless"])
+    def test_sparse_delta_gives_the_dense_result(self, policy):
+        dense = np.zeros(300)
+        dense[::7] = np.linspace(-3.0, 3.0, 43)
+        dense[14] = -0.0
+        (indices,) = np.nonzero(dense.view(np.uint64) != 0)
+        sparse = SparseVector(300, indices, dense[indices])
+        got = apply_policy(sparse, policy, np.random.default_rng(4))
+        want = apply_policy(dense, policy, np.random.default_rng(4))
+        assert as_dense(got).tobytes() == as_dense(want).tobytes()
 
     def test_empty_policy_is_identity(self):
         delta = np.linspace(-1, 1, 10)

@@ -4,7 +4,7 @@ import pytest
 from fedmesh.aggregation import AggregationStrategy
 from fedmesh.data import PartitionPlan, partition, synthetic_corpus
 from fedmesh.errors import ConfigError
-from fedmesh.model import TrainConfig, evaluate, zero_params
+from fedmesh.model import TrainConfig, encode_sentences, evaluate, zero_params
 from fedmesh.privacy import DpParams, SitePolicy, SvtParams
 from fedmesh.runner import (
     SIGNATURE_LEN,
@@ -472,6 +472,50 @@ class TestClientTaskValidation:
             doc[field] = value
         server.send("site-1", MSG_TASK_ASSIGN,
                     _signed(doc, np.zeros(CFG.dims), spec.kits["server"]))
+        net.run()
+        assert client.current_task is None
+        assert "malformed task" in caplog.text
+
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("fill", [0.0, 1e-3], ids=["sparse-task", "dense-task"])
+    def test_non_finite_task_refused_and_no_update_sent(self, bad, fill, caplog):
+        from fedmesh.runner import ClientNode, _signed
+        from fedmesh.simnet import SimNetwork
+        from fedmesh.transport import MSG_TASK_ASSIGN
+
+        spec = make_spec()
+        net = SimNetwork(SimNetConfig(seed=13))
+        server = ReliableEndpoint(net.endpoint("server"))
+        sent = []
+        server.on_message = lambda src, msg_type, payload: sent.append(msg_type)
+        shard = spec.shards["site-1"]
+        client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"],
+                            shard, spec)
+        # The bad word sits outside the shard's features, where no step reads it.
+        used = encode_sentences(shard, CFG.feature_dim, CFG.hash_seed).feats
+        params = np.full(CFG.dims, fill)
+        params[np.setdiff1d(np.arange(CFG.feature_dim), used)[0]] = bad
+        doc = {"round": 1, "invited": ["site-1"], "masked": []}
+        server.send("site-1", MSG_TASK_ASSIGN, _signed(doc, params, spec.kits["server"]))
+        net.run()
+        assert client.current_task is None
+        assert "malformed task" in caplog.text
+        assert MSG_UPDATE_SUBMIT not in sent
+
+    def test_word_vector_task_refused_not_raised(self, caplog):
+        from fedmesh.runner import ClientNode, _signed
+        from fedmesh.simnet import SimNetwork
+        from fedmesh.transport import MSG_TASK_ASSIGN
+
+        spec = make_spec()
+        net = SimNetwork(SimNetConfig(seed=13))
+        server = ReliableEndpoint(net.endpoint("server"))
+        client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"],
+                            spec.shards["site-1"], spec)
+        doc = {"round": 1, "invited": ["site-1"], "masked": []}
+        words = np.ones(CFG.dims, dtype=np.uint64)
+        server.send("site-1", MSG_TASK_ASSIGN, _signed(doc, words, spec.kits["server"]))
         net.run()
         assert client.current_task is None
         assert "malformed task" in caplog.text

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from fedmesh.aggregation import SparseVector, as_dense
 from fedmesh.simnet import SimNetConfig, SimNetwork
+from fedmesh import tcpnet
 from fedmesh.tcpnet import TcpNode
 from fedmesh.transport import (
     CorruptFrame,
@@ -245,6 +246,14 @@ class TestSparseVectors:
         assert payload == encode_payload({}, sparse.to_dense())
         _, got = decode_payload(payload)
         assert list(got.indices) == [2, 5] and same_bits(got.values, np.array([-0.0, 1.5]))
+
+    def test_stored_zero_words_do_not_count_toward_the_dense_threshold(self):
+        values = np.zeros(150)
+        values[::3] = np.linspace(1.0, 2.0, 50)
+        sparse = SparseVector(300, np.arange(0, 300, 2), values)
+        payload = encode_payload({}, sparse)
+        assert vector_kind(payload) == VECTOR_SPARSE_F64
+        assert payload == encode_payload({}, sparse.to_dense())
 
     @given(float_vectors())
     @settings(max_examples=100, deadline=None)
@@ -598,6 +607,28 @@ class TestTcpNode:
             assert bytes(received) == big
             server.send("site-1", _frame("server", 1, b"after"))
             assert _read_frame(peer) == _frame("server", 1, b"after")
+        finally:
+            peer.close()
+
+    def test_send_to_a_peer_that_stops_reading_gives_up_and_drops_the_route(
+        self, tcp_nodes, monkeypatch
+    ):
+        monkeypatch.setattr(tcpnet, "SEND_STALL_S", 0.3)
+        server = tcp_nodes("server", bind=("127.0.0.1", 0))
+        got = []
+        server.set_receive_handler(got.append)
+        peer = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        try:
+            peer.sendall(_frame("site-1", 0, b"hello"))
+            assert server.run_until(lambda: got, timeout_s=5.0)
+            # Far more than the loopback socket buffers hold; the peer reads none of it.
+            started = time.monotonic()
+            server.send("site-1", _frame("server", 0, bytes(32_000_000)))
+            assert time.monotonic() - started < 10.0
+            deadline = time.monotonic() + 5.0
+            while "site-1" in server._conns and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert "site-1" not in server._conns
         finally:
             peer.close()
 
