@@ -396,8 +396,8 @@ def local_train(
     _check_params(start, config)
     if not isinstance(shard, EncodedBatch):
         shard = encode_sentences(shard, config.feature_dim, config.hash_seed)
-    if shard.n_sentences == 0:
-        raise EmptyShardError("client shard is empty; report 'no data' instead")
+    if shard.n_tokens == 0:
+        raise EmptyShardError("client shard has no tokens; report 'no data' instead")
     vocab, local = shard.compact
     cols = (np.arange(config.num_classes)[:, None] * config.feature_dim + vocab).reshape(-1)
     before = take(start, cols)
@@ -408,7 +408,8 @@ def local_train(
         order = rng.permutation(n)
         for lo in range(0, n, config.batch_size):
             batch = local.sentence_slice(order[lo:lo + config.batch_size])
-            _sgd_step(weights, batch, config.learning_rate, config.fedprox_mu, before)
+            if batch.n_tokens:  # a batch of token-less sentences has no gradient
+                _sgd_step(weights, batch, config.learning_rate, config.fedprox_mu, before)
     return cols, before, weights.reshape(-1)
 
 

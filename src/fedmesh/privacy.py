@@ -221,15 +221,17 @@ def make_masks(pairing: MaskPairing, client_id: str, dims: int) -> np.ndarray:
 
     The sign is +1 toward lexicographically larger peers and -1 toward
     smaller ones, so summing all cohort members' masks cancels to zero
-    word-for-word.
+    word-for-word.  The first peer's words become the mask, and every other
+    peer's are added or subtracted in place (mod 2^64, in any order).
     """
     cohort = pairing.cohort()
     if client_id not in cohort:
         raise KeyError(f"{client_id!r} not in the masked cohort")
-    mask = np.zeros(dims, dtype=np.uint64)
-    for peer in cohort:
-        if peer == client_id:
-            continue
+    first, *rest = [peer for peer in cohort if peer != client_id]
+    mask = _pair_words(pairing.seed_for(client_id, first), dims)
+    if client_id > first:
+        np.negative(mask, out=mask)
+    for peer in rest:
         words = _pair_words(pairing.seed_for(client_id, peer), dims)
         if client_id < peer:
             mask += words
@@ -246,19 +248,34 @@ def encode_fixed(delta: np.ndarray, cohort_size: int = 1) -> np.ndarray:
         raise ConfigError(
             f"masking {cohort_size} clients supports |value| < {bound}; clip updates first"
         )
-    scaled = np.rint(delta * _FIXED_SCALE).astype(np.int64)
-    return scaled.view(np.uint64).copy()
+    scaled = np.multiply(delta, _FIXED_SCALE)
+    return np.rint(scaled, out=scaled).astype(np.int64).view(np.uint64)
 
 
 def decode_fixed(words: np.ndarray) -> np.ndarray:
     """Inverse of encode_fixed, after any number of mod-2^64 additions."""
-    return words.view(np.int64).astype(np.float64) / _FIXED_SCALE
+    values = words.view(np.int64).astype(np.float64)
+    values /= _FIXED_SCALE
+    return values
 
 
-def mask_update(delta: np.ndarray, pairing: MaskPairing, client_id: str) -> np.ndarray:
-    """Fixed-point encode then add this client's mask (mod 2^64)."""
-    words = encode_fixed(delta, len(pairing.cohort()))
-    return words + make_masks(pairing, client_id, len(delta))
+def mask_update(
+    delta: Vector, pairing: MaskPairing, client_id: str, weight: float = 1.0
+) -> np.ndarray:
+    """Fixed-point encode weight * delta, then add it into this client's mask
+    (mod 2^64).
+
+    A sparse delta's words are added at its indices only: every other word
+    encodes weight * +-0.0, which is word 0.
+    """
+    sparse = isinstance(delta, SparseVector)
+    words = encode_fixed(weight * (delta.values if sparse else delta), len(pairing.cohort()))
+    mask = make_masks(pairing, client_id, len(delta))
+    if sparse:
+        mask[delta.indices] += words
+    else:
+        mask += words
+    return mask
 
 
 def sum_masked(masked_words: list[np.ndarray]) -> np.ndarray:
@@ -269,8 +286,8 @@ def sum_masked(masked_words: list[np.ndarray]) -> np.ndarray:
     """
     if not masked_words:
         raise ValueError("cannot sum zero masked updates")
-    total = np.zeros_like(masked_words[0])
-    for words in masked_words:
+    total = masked_words[0].copy()
+    for words in masked_words[1:]:
         total += words
     return decode_fixed(total)
 

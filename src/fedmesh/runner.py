@@ -174,7 +174,7 @@ def _signed(doc: dict, vector: np.ndarray | None, kit: StartupKit) -> bytes:
     return body + sign_digest(hashlib.sha256(body).digest(), kit.private_key())
 
 
-def _opened(payload: bytes, sender_pub: bytes) -> tuple[dict, Vector | None] | None:
+def _opened(payload: memoryview, sender_pub: bytes) -> tuple[dict, Vector | None] | None:
     """Verify a signed payload; None on any parse or signature failure."""
     body, signature = memoryview(payload)[:-SIGNATURE_LEN], payload[-SIGNATURE_LEN:]
     if len(signature) != SIGNATURE_LEN or not verify_digest(
@@ -284,7 +284,7 @@ class ServerNode:
 
     # -- message handling ------------------------------------------------------
 
-    def on_message(self, src: str, msg_type: int, payload: bytes) -> None:
+    def on_message(self, src: str, msg_type: int, payload: memoryview) -> None:
         if msg_type == MSG_REGISTER:
             self._on_register(src, payload)
         elif msg_type == MSG_UPDATE_SUBMIT:
@@ -298,7 +298,7 @@ class ServerNode:
         except KeyError:
             return None
 
-    def _on_register(self, src: str, payload: bytes) -> None:
+    def _on_register(self, src: str, payload: memoryview) -> None:
         pub = self._pub(src)
         opened = _opened(payload, pub) if pub is not None else None
         if opened is None or opened[0].get("site_id") != src or src not in self.expected:
@@ -313,7 +313,7 @@ class ServerNode:
         if self.state.phase == protocol.IDLE and self.state.registry >= self.expected:
             self.dispatch(Start(self._now()))
 
-    def _on_update(self, src: str, payload: bytes) -> None:
+    def _on_update(self, src: str, payload: memoryview) -> None:
         pub = self._pub(src)
         opened = _opened(payload, pub) if pub is not None else None
         if opened is None:
@@ -420,7 +420,7 @@ class ServerNode:
             self.spec.deadline_ms * _EVAL_TIMEOUT_FACTOR, self._finish_eval
         )
 
-    def _on_eval_report(self, src: str, payload: bytes) -> None:
+    def _on_eval_report(self, src: str, payload: memoryview) -> None:
         pub = self._pub(src)
         opened = _opened(payload, pub) if pub is not None else None
         if opened is None or self.done or src in self.eval_reports:
@@ -521,7 +521,7 @@ class ClientNode:
                 log.warning("client %s refused task for round %d: %s",
                             self.kit.site_id, action.round, action.reason)
 
-    def on_message(self, src: str, msg_type: int, payload: bytes) -> None:
+    def on_message(self, src: str, msg_type: int, payload: memoryview) -> None:
         if src != self.server_id:
             return
         pub = self.kit.public_key_of(self.server_id)
@@ -558,7 +558,7 @@ class ClientNode:
     def _train(self, round_no: int) -> None:
         assert self.current_task is not None and self.current_task[0] == round_no
         _, start, masked = self.current_task
-        if not self.shard:
+        if not self.weight:  # no tokens to train on
             # Refuse instead of uploading a fabricated update; the round
             # proceeds (or aborts) on quorum without this site.
             log.warning("client %s has no data; skipping round %d",
@@ -602,7 +602,7 @@ class ClientNode:
                 raise ConfigError(f"{self.kit.site_id} has no mask root in its kit")
             root = int.from_bytes(self.kit.mask_root[:8], "big")
             pairing = make_pairing(list(self._pending_masked_peers), round_no, root)
-            vector: Vector = mask_update(self.weight * as_dense(delta), pairing, self.kit.site_id)
+            vector: Vector = mask_update(delta, pairing, self.kit.site_id, self.weight)
         else:
             vector = delta
         payload = _signed(doc, vector, self.kit)

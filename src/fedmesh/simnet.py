@@ -2,10 +2,11 @@
 
 Datagrams between named endpoints are delayed by a uniform latency draw,
 dropped with a configured probability, and blocked during scheduled
-partition windows.  All deliveries and timers run through one
-`transport.Timers` heap ordered by (virtual time, insertion sequence), the
-same heap the TCP backend runs on wall-clock time, so a run is a pure
-function of the seed.
+partition windows.  A delivered datagram is checked as a frame once, on
+arrival, and the receive handler gets its (src, msg_type, payload).  All
+deliveries and timers run through one `transport.Timers` heap ordered by
+(virtual time, insertion sequence), the same heap the TCP backend runs on
+wall-clock time, so a run is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+from . import transport
 from .errors import ConfigError
-from .transport import Timers
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class SimEndpoint:
     def __init__(self, net: "SimNetwork", name: str):
         self._net = net
         self.name = name
-        self._handler: Callable[[bytes], None] | None = None
+        self._handler: Callable[[str, int, memoryview], None] | None = None
 
     def send(self, dst: str, data: bytes) -> None:
         self._net._send(self.name, dst, data)
@@ -53,12 +54,20 @@ class SimEndpoint:
     def now_ms(self) -> float:
         return self._net.now_ms
 
-    def set_receive_handler(self, fn: Callable[[bytes], None]) -> None:
+    def set_receive_handler(self, fn: Callable[[str, int, memoryview], None]) -> None:
         self._handler = fn
 
-    def _deliver(self, data: bytes) -> None:
-        if self._handler is not None:
-            self._handler(data)
+    def _deliver(self, src: str, data: bytes) -> None:
+        """Check the frame once; the handler gets (src, msg_type, payload view)
+        of exactly one valid frame, and anything else is dropped."""
+        if self._handler is None:
+            return
+        try:
+            msg_type, payload, consumed = transport.decode_frame(data)
+        except (transport.NeedMoreBytes, transport.CorruptFrame):
+            return
+        if consumed == len(data):
+            self._handler(src, msg_type, payload)
 
 
 class SimNetwork:
@@ -66,7 +75,7 @@ class SimNetwork:
         self.config = config
         self.now_ms = 0.0
         self._rng = random.Random(config.seed)
-        self._timers = Timers()
+        self._timers = transport.Timers()
         self._endpoints: dict[str, SimEndpoint] = {}
         self.delivery_trace: list[tuple[float, str, str, int]] = []
 
@@ -105,7 +114,7 @@ class SimNetwork:
 
         def deliver():
             self.delivery_trace.append((self.now_ms, src, dst, size))
-            target._deliver(data)
+            target._deliver(src, data)
 
         self.schedule(latency, deliver)
 

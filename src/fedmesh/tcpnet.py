@@ -4,11 +4,13 @@ One node per process.  The thread that calls `TcpNode.run_until` is the
 event loop: it runs due timers from a `transport.Timers` heap on monotonic
 milliseconds (the simulator's heap on wall-clock time) and hands received
 frames to the receive handler, so it alone touches protocol state.  Each
-connection has a reader thread that polls and reassembles frames onto the
-queue the loop blocks on, so a node keeps reading while a send waits out a
-slow peer.  A connection is routed by the sender id in the envelope of its
-first data frame; a claim on a sender routed to a live connection is refused.
-Frames are queued as the exact bytes that arrived and never re-encoded.
+connection has a reader thread that polls, reads each frame into a buffer of
+its own (transport.read_frames), checks it once and queues its
+(src, msg_type, payload view) for the loop, so a node keeps reading while a
+send waits out a slow peer.  A connection is routed by the sender id in the
+envelope of its first data frame, which is then the src of every frame it
+carries; a claim on a sender routed to a live connection is refused, and
+frames before the first data frame are dropped.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import threading
 import time
 from typing import Callable
 
-from .transport import MSG_TRANSPORT_ACK, CorruptFrame, FrameDecoder, Timers, unpack_envelope
+from .transport import MSG_TRANSPORT_ACK, CorruptFrame, Timers, read_frames, unpack_envelope
 
-# Not called here since the reader queues received frames as they are, but
-# perfbench/tracing.py patches this name to time frame encoding over TCP.
+# Not called here, but perfbench/tracing.py patches this name, so the import stays.
 from .transport import encode_frame  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -75,7 +76,7 @@ class TcpNode:
         self.name = name
         self._frames: queue.Queue = queue.Queue()
         self._timers = Timers()
-        self._handler: Callable[[bytes], None] | None = None
+        self._handler: Callable[[str, int, memoryview], None] | None = None
         self._conns: dict[str, socket.socket] = {}
         self._stop = threading.Event()
         self._listener: socket.socket | None = None
@@ -114,7 +115,7 @@ class TcpNode:
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
 
-    def set_receive_handler(self, fn: Callable[[bytes], None]) -> None:
+    def set_receive_handler(self, fn: Callable[[str, int, memoryview], None]) -> None:
         self._handler = fn
 
     # -- event loop ---------------------------------------------------------------
@@ -137,9 +138,11 @@ class TcpNode:
                 if due <= now:
                     self._timers.pop()[1]()
                 else:
-                    frame = self._frames.get(timeout=(min(due, deadline) - now) / 1000.0)
+                    src, msg_type, payload = self._frames.get(
+                        timeout=(min(due, deadline) - now) / 1000.0
+                    )
                     if self._handler is not None:
-                        self._handler(frame)
+                        self._handler(src, msg_type, payload)
             except queue.Empty:
                 pass
             except Exception:
@@ -161,38 +164,38 @@ class TcpNode:
                 return
             self._spawn(self._reader_loop, _blocking(conn), None)
 
-    def _read_frames(self, sock: socket.socket):
-        """Yield decoded frames until the peer closes, the node stops or a frame is corrupt."""
-        decoder = FrameDecoder()
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
+    def _recv_into(self, sock: socket.socket, poller, view: memoryview) -> int:
+        """Receive into *view* once readable; 0 when the peer closes, the
+        socket fails or the node stops."""
         while not self._stop.is_set():
             try:
-                if not poller.poll(_POLL_S * 1000):
-                    continue
-                chunk = sock.recv(65536)
+                if poller.poll(_POLL_S * 1000):
+                    return sock.recv_into(view)
             except OSError:
-                return
-            if not chunk:
-                return
-            try:
-                yield from decoder.feed(chunk)
-            except CorruptFrame:
-                log.warning("closing connection after a corrupt frame")
-                return
+                return 0
+        return 0
 
     def _reader_loop(self, sock: socket.socket, peer: str | None) -> None:
-        for msg_type, payload, frame in self._read_frames(sock):
-            if peer is None and msg_type != MSG_TRANSPORT_ACK:
-                try:
-                    peer, _, _ = unpack_envelope(payload)
-                except CorruptFrame:
-                    pass
-                else:
-                    if self._conns.setdefault(peer, sock) is not sock:
-                        log.warning("refusing a second connection claiming to be %s", peer)
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        try:
+            for msg_type, payload in read_frames(
+                lambda view: self._recv_into(sock, poller, view)
+            ):
+                if peer is None:
+                    if msg_type == MSG_TRANSPORT_ACK:
+                        continue  # nothing was sent over an unrouted connection
+                    try:
+                        sender, _, _ = unpack_envelope(payload)
+                    except CorruptFrame:
+                        continue
+                    if self._conns.setdefault(sender, sock) is not sock:
+                        log.warning("refusing a second connection claiming to be %s", sender)
                         break
-            self._frames.put(frame)
+                    peer = sender
+                self._frames.put((peer, msg_type, payload))
+        except CorruptFrame:
+            log.warning("closing connection after a corrupt frame")
         self._drop_conn(peer, sock)
 
     def _drop_conn(self, peer: str | None, sock: socket.socket) -> None:

@@ -29,9 +29,17 @@ Ed25519 signature over its SHA-256, so the receiver hashes the bytes it got
 and never re-encodes.
 
 Reliable delivery wraps application payloads in an envelope carrying the
-sender id and a sequence number; receivers ack every data frame and
-deduplicate by (sender, seq), senders retransmit on an exponential backoff
-until acked or retries run out.
+sender id and a sequence number, counted per destination from 0; receivers
+ack every data frame inside their window and deduplicate by (sender, seq),
+senders retransmit on an exponential backoff until acked or retries run out.
+
+A message costs one build on send and one check on receive.  encode_frame
+takes the envelope head and the payload as separate parts, allocates the
+frame once and chains the CRC over the parts.  The raw endpoint (the TCP
+reader, or the simulator on delivery) runs decode_frame once per frame and
+hands the receive handler (src, msg_type, payload view), src being the node
+the frame came from; the envelope's inner payload is a view as well, and
+decode_payload makes the one owned copy.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import heapq
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -63,6 +71,11 @@ MSG_ABORT = 0x05
 MSG_EVAL_REQUEST = 0x06
 MSG_EVAL_REPORT = 0x07
 
+# Seqs per sender that a receiver accepts past its mark (see ReliableEndpoint).
+DEDUP_WINDOW = 1024
+# A frame's buffer starts at most this large and doubles as its bytes arrive.
+_FIRST_READ = 1 << 20
+
 
 class NeedMoreBytes(Exception):
     """The buffer ends before the frame does; feed more bytes and retry."""
@@ -72,63 +85,93 @@ class CorruptFrame(ValueError):
     """Bad magic, version, length bound, or checksum."""
 
 
-def encode_frame(msg_type: int, payload: bytes) -> bytes:
+def encode_frame(msg_type: int, *parts) -> bytes:
+    """One frame whose payload is the concatenation of *parts*.
+
+    The frame is allocated once and each part copied into it once; the CRC
+    is chained over the parts, which equals the CRC of their concatenation.
+    """
     if not 0 <= msg_type <= 0xFF:
         raise ValueError(f"msg_type out of range: {msg_type}")
-    if len(payload) > MAX_PAYLOAD:
-        raise ValueError(f"payload of {len(payload)} bytes exceeds 64 MiB bound")
-    header = MAGIC + bytes((VERSION, msg_type)) + struct.pack(">I", len(payload))
-    return header + payload + struct.pack(">I", zlib.crc32(payload) & 0xFFFFFFFF)
+    length = sum(memoryview(part).nbytes for part in parts)
+    if length > MAX_PAYLOAD:
+        raise ValueError(f"payload of {length} bytes exceeds 64 MiB bound")
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    header = MAGIC + bytes((VERSION, msg_type)) + struct.pack(">I", length)
+    return b"".join((header, *parts, struct.pack(">I", crc)))
 
 
-def decode_frame(data: bytes | memoryview) -> tuple[int, bytes, int]:
+def _payload_length(header: memoryview) -> int:
+    """Check a whole header (magic, version, length bound); its payload length."""
+    if bytes(header[:4]) != MAGIC:
+        raise CorruptFrame("bad magic")
+    if header[4] != VERSION:
+        raise CorruptFrame(f"unsupported version {header[4]}")
+    (length,) = struct.unpack(">I", header[6:10])
+    if length > MAX_PAYLOAD:
+        raise CorruptFrame(f"declared length {length} exceeds 64 MiB bound")
+    return length
+
+
+def decode_frame(data: bytes | bytearray | memoryview) -> tuple[int, memoryview, int]:
     """Decode one frame from the head of *data*: (msg_type, payload, consumed).
 
-    Raises NeedMoreBytes when the buffer is a strict prefix of a valid frame
-    and CorruptFrame on any malformed header or checksum mismatch.  Never
-    reads past the declared length.
+    The payload is a view into *data*, not a copy.  Raises NeedMoreBytes when
+    the buffer is a strict prefix of a valid frame and CorruptFrame on any
+    malformed header or checksum mismatch.  Never reads past the declared
+    length.
     """
     data = memoryview(data)
     if len(data) < HEADER_LEN:
         if bytes(data[:len(MAGIC)]) != MAGIC[:len(data)]:
             raise CorruptFrame("bad magic")
         raise NeedMoreBytes
-    if bytes(data[:4]) != MAGIC:
-        raise CorruptFrame("bad magic")
-    if data[4] != VERSION:
-        raise CorruptFrame(f"unsupported version {data[4]}")
-    msg_type = data[5]
-    (length,) = struct.unpack(">I", data[6:10])
-    if length > MAX_PAYLOAD:
-        raise CorruptFrame(f"declared length {length} exceeds 64 MiB bound")
+    length = _payload_length(data)
     total = HEADER_LEN + length + TRAILER_LEN
     if len(data) < total:
         raise NeedMoreBytes
-    payload = bytes(data[HEADER_LEN:HEADER_LEN + length])
+    payload = data[HEADER_LEN:HEADER_LEN + length]
     (checksum,) = struct.unpack(">I", data[HEADER_LEN + length:total])
-    if checksum != zlib.crc32(payload) & 0xFFFFFFFF:
+    if checksum != zlib.crc32(payload):
         raise CorruptFrame("checksum mismatch")
-    return msg_type, payload, total
+    return data[5], payload, total
 
 
-class FrameDecoder:
-    """Incremental decoder for frames arriving over a byte stream."""
+def read_frames(recv_into: Callable[[memoryview], int]) -> Iterator[tuple[int, memoryview]]:
+    """Yield (msg_type, payload view) for each frame of a byte stream.
 
-    def __init__(self):
-        self._buf = bytearray()
+    *recv_into(view)* writes up to len(view) bytes at the head of *view* and
+    returns how many, 0 at the end of the stream.  Each header is parsed
+    once and the frame's one buffer is filled straight from the stream, then
+    decode_frame checks it once.  The buffer holds at most _FIRST_READ bytes
+    more than have arrived and doubles as they do, so a header declaring a
+    large frame costs memory only as its bytes come.  Ends quietly at the end
+    of the stream, dropping a cut-off frame; CorruptFrame on a bad frame.
+    """
+    header = memoryview(bytearray(HEADER_LEN))
+    while _fill(recv_into, header):
+        total = HEADER_LEN + _payload_length(header) + TRAILER_LEN
+        frame = bytearray(header)
+        while len(frame) < total:
+            have = len(frame)
+            frame += bytes(min(max(have, _FIRST_READ), total - have))
+            if not _fill(recv_into, memoryview(frame)[have:]):
+                return
+        msg_type, payload, _ = decode_frame(frame)
+        yield msg_type, payload
 
-    def feed(self, data: bytes) -> list[tuple[int, bytes, bytes]]:
-        """Return each completed frame as (msg_type, payload, exact frame bytes)."""
-        self._buf.extend(data)
-        frames = []
-        while self._buf:
-            try:
-                msg_type, payload, consumed = decode_frame(self._buf)
-            except NeedMoreBytes:
-                break
-            frames.append((msg_type, payload, bytes(self._buf[:consumed])))
-            del self._buf[:consumed]
-        return frames
+
+def _fill(recv_into: Callable[[memoryview], int], view: memoryview) -> bool:
+    """Fill all of *view*; False when the stream ends first."""
+    have = 0
+    while have < len(view):
+        got = recv_into(view[have:])
+        if not got:
+            return False
+        have += got
+    return True
 
 
 VECTOR_NONE = 0
@@ -212,6 +255,10 @@ def _decode_sparse(dims: int, body: bytes | memoryview) -> SparseVector:
 class RawEndpoint(Protocol):
     """What a transport backend must provide to host reliable messaging.
 
+    `send` takes one whole frame.  The backend checks each received frame
+    once, where it arrives, drops anything that is not exactly one valid
+    frame, and calls the receive handler with (src, msg_type, payload view),
+    where src names the node the frame came from.
     Implementations must invoke the receive handler and scheduled callbacks
     on a single logical thread.
     """
@@ -222,7 +269,7 @@ class RawEndpoint(Protocol):
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> object: ...
     def cancel(self, handle: object) -> None: ...
     def now_ms(self) -> float: ...
-    def set_receive_handler(self, fn: Callable[[bytes], None]) -> None: ...
+    def set_receive_handler(self, fn: Callable[[str, int, memoryview], None]) -> None: ...
 
 
 class Timers:
@@ -272,16 +319,18 @@ class DeliveryReceipt:
     error: str | None = None
 
 
-def _pack_envelope(sender: str, seq: int, inner: bytes) -> bytes:
+def _pack_envelope(sender: str, seq: int) -> bytes:
+    """The envelope head; the inner payload follows it in the frame."""
     sender_bytes = sender.encode("utf-8")
-    return struct.pack(">H", len(sender_bytes)) + sender_bytes + struct.pack(">Q", seq) + inner
+    return struct.pack(">H", len(sender_bytes)) + sender_bytes + struct.pack(">Q", seq)
 
 
-def unpack_envelope(data: bytes) -> tuple[str, int, bytes]:
-    """Split an envelope into (sender, seq, inner); CorruptFrame if malformed."""
+def unpack_envelope(data: bytes | memoryview) -> tuple[str, int, memoryview]:
+    """Split an envelope into (sender, seq, inner view); CorruptFrame if malformed."""
+    data = memoryview(data)
     try:
         (n,) = struct.unpack(">H", data[:2])
-        sender = data[2:2 + n].decode("utf-8")
+        sender = str(data[2:2 + n], "utf-8")
         (seq,) = struct.unpack(">Q", data[2 + n:10 + n])
     except (struct.error, UnicodeDecodeError) as exc:
         raise CorruptFrame(f"malformed envelope: {exc}") from exc
@@ -303,8 +352,17 @@ class ReliableEndpoint:
 
     Outgoing messages are retransmitted on a backoff of base * 2^attempt
     until the peer's transport ack arrives or max_retries retransmissions
-    are spent.  Incoming data frames are always acked and delivered to the
-    application at most once per (sender, seq).
+    are spent.  Incoming data frames inside the window are acked and
+    delivered to the application at most once per (sender, seq).
+
+    A sender numbers its messages to each destination from 0, so the seqs
+    one receiver gets from a sender have no gaps that stay open.  Per sender,
+    the receiver keeps a mark (every seq below it has been seen) and a bitmap
+    of the seqs seen in the DEDUP_WINDOW seqs from the mark; the mark
+    advances over seqs seen in a row, so the state stays two integers per
+    sender.  A frame at or past the window's end is dropped un-acked, and
+    the sender retransmits it.  An ack is matched by the node it came from
+    and its seq.
     """
 
     def __init__(
@@ -317,10 +375,10 @@ class ReliableEndpoint:
         self.name = raw.name
         self.max_retries = max_retries
         self.backoff_base_ms = backoff_base_ms
-        self.on_message: Callable[[str, int, bytes], None] | None = None
-        self._next_seq = 0
-        self._pending: dict[int, _Pending] = {}
-        self._seen: set[tuple[str, int]] = set()
+        self.on_message: Callable[[str, int, memoryview], None] | None = None
+        self._next_seq: dict[str, int] = {}  # destination -> its next seq
+        self._pending: dict[tuple[str, int], _Pending] = {}
+        self._seen: dict[str, tuple[int, int]] = {}  # sender -> (mark, window bitmap)
         raw.set_receive_handler(self._on_raw)
 
     def send(
@@ -331,48 +389,47 @@ class ReliableEndpoint:
         on_result: Callable[[DeliveryReceipt], None] | None = None,
     ) -> int:
         """Queue a reliable send; the receipt callback fires on ack or failure."""
-        seq = self._next_seq
-        self._next_seq += 1
-        frame = encode_frame(msg_type, _pack_envelope(self.name, seq, payload))
-        self._pending[seq] = _Pending(dst, msg_type, frame, 0, None, on_result)
-        self._transmit(seq)
+        seq = self._next_seq.get(dst, 0)
+        self._next_seq[dst] = seq + 1
+        frame = encode_frame(msg_type, _pack_envelope(self.name, seq), payload)
+        self._pending[dst, seq] = _Pending(dst, msg_type, frame, 0, None, on_result)
+        self._transmit((dst, seq))
         return seq
 
-    def _transmit(self, seq: int) -> None:
-        pending = self._pending.get(seq)
+    def _transmit(self, key: tuple[str, int]) -> None:
+        pending = self._pending.get(key)
         if pending is None:
             return
         pending.attempts += 1
         self.raw.send(pending.dst, pending.frame)
         delay = self.backoff_base_ms * (2 ** (pending.attempts - 1))
-        pending.timer = self.raw.schedule(delay, lambda: self._on_timeout(seq))
+        pending.timer = self.raw.schedule(delay, lambda: self._on_timeout(key))
 
-    def _on_timeout(self, seq: int) -> None:
-        pending = self._pending.get(seq)
+    def _on_timeout(self, key: tuple[str, int]) -> None:
+        pending = self._pending.get(key)
         if pending is None:
             return
         if pending.attempts > self.max_retries:
-            del self._pending[seq]
+            del self._pending[key]
             if pending.on_result is not None:
                 pending.on_result(DeliveryReceipt(
                     ok=False, dst=pending.dst, msg_type=pending.msg_type,
                     attempts=pending.attempts, error="retries exhausted",
                 ))
             return
-        self._transmit(seq)
+        self._transmit(key)
 
-    def _on_raw(self, data: bytes) -> None:
+    def _on_raw(self, src: str, msg_type: int, payload: memoryview) -> None:
         try:
-            msg_type, payload, consumed = decode_frame(data)
             sender, seq, inner = unpack_envelope(payload)
-        except (NeedMoreBytes, CorruptFrame):
-            return
-        if consumed != len(data):
+        except CorruptFrame:
             return
         if msg_type == MSG_TRANSPORT_ACK:
+            # An ack echoes the data frame's own (sender, seq); src is the
+            # node that acked, so one peer cannot ack what was sent to another.
             if sender != self.name:
                 return
-            pending = self._pending.pop(seq, None)
+            pending = self._pending.pop((src, seq), None)
             if pending is None:
                 return
             if pending.timer is not None:
@@ -383,18 +440,17 @@ class ReliableEndpoint:
                     attempts=pending.attempts,
                 ))
             return
-        # Ack echoes the data frame's own (sender, seq) so the source can
-        # match it; this endpoint's identity rides in the routing layer.
-        ack = encode_frame(MSG_TRANSPORT_ACK, _pack_envelope(sender, seq, b""))
-        try:
-            self.raw.send(sender, ack)
-        except KeyError:
-            # The simulator knows no endpoint by that name: nobody sent this
-            # frame, so it is neither acked nor delivered.  (A TCP backend
-            # drops an ack to an unrouted name silently instead.)
-            return
-        if (sender, seq) in self._seen:
-            return
-        self._seen.add((sender, seq))
+        if sender != src:
+            return  # a data frame speaks only for the node it came from
+        mark, bits = self._seen.get(sender, (0, 0))
+        if seq >= mark + DEDUP_WINDOW:
+            return  # past the window: not acked, so the sender retransmits it
+        self.raw.send(sender, encode_frame(MSG_TRANSPORT_ACK, _pack_envelope(sender, seq)))
+        bit = 1 << (seq - mark) if seq >= mark else 0
+        if not bit or bits & bit:
+            return  # seen before: acked again, delivered once
+        bits |= bit
+        run = (~bits & (bits + 1)).bit_length() - 1  # trailing seen seqs
+        self._seen[sender] = (mark + run, bits >> run)
         if self.on_message is not None:
             self.on_message(sender, msg_type, inner)

@@ -382,6 +382,29 @@ class TestLocalTrain:
         with pytest.raises(EmptyShardError):
             local_train(zero_params(SMALL), [], SMALL)
 
+    def test_shard_without_tokens_refused(self):
+        with pytest.raises(EmptyShardError):
+            local_train(zero_params(SMALL), [TaggedSentence((), ())] * 3, SMALL)
+
+    def test_token_less_batches_are_skipped(self):
+        rng = np.random.default_rng(12)
+        empty = TaggedSentence((), ())
+        corpus = random_corpus(rng, n_sentences=5)
+        shard = [empty, *corpus[:2], empty, empty, *corpus[2:]]
+        cfg = replace(SMALL, local_epochs=3, batch_size=1)
+        start = rng.normal(size=SMALL.dims) * 0.1
+        got = trained_params(start, shard, cfg)
+        # The same one-sentence steps in the same order; a token-less
+        # sentence is no step at all.
+        want = start.copy()
+        order_rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        one_step = replace(cfg, local_epochs=1)
+        for _ in range(cfg.local_epochs):
+            for i in order_rng.permutation(len(shard)):
+                if len(shard[i]):
+                    want = trained_params(want, [shard[i]], one_step)
+        assert got.tobytes() == want.tobytes()
+
     def test_fedprox_pulls_toward_reference(self):
         rng = np.random.default_rng(10)
         shard = random_corpus(rng, n_sentences=10)

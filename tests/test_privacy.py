@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmesh.aggregation import SparseVector, as_dense, clip_to_norm
 from fedmesh.errors import ConfigError
@@ -211,6 +213,83 @@ class TestMasks:
         a = make_pairing(["x", "y"], 1, 5).pair_seeds[("x", "y")]
         b = make_pairing(["x", "y"], 2, 5).pair_seeds[("x", "y")]
         assert a != b
+
+
+def _zero_start_mask_update(dense, pairing, client_id):
+    """The earlier masking path, verbatim: encode_fixed of the whole dense
+    delta plus a mask summed onto a zero vector."""
+    cohort = pairing.cohort()
+    bound = min(float(1 << 28), float(1 << 31) / max(len(cohort), 1))
+    if np.any(np.abs(dense) >= bound):
+        raise ConfigError("out of bound")
+    words = np.rint(dense * float(1 << 32)).astype(np.int64).view(np.uint64).copy()
+    mask = np.zeros(len(dense), dtype=np.uint64)
+    for peer in cohort:
+        if peer == client_id:
+            continue
+        pair = _pair_words(pairing.seed_for(client_id, peer), len(dense))
+        if client_id < peer:
+            mask += pair
+        else:
+            mask -= pair
+    return words + mask
+
+
+@st.composite
+def weighted_deltas(draw):
+    """(dims, live indices, values, weight): values hold +-0.0 and stored +0.0
+    entries, and now and then one past the masking bound."""
+    dims = draw(st.integers(0, 40))
+    indices = sorted(draw(st.sets(st.integers(0, max(dims - 1, 0)), max_size=dims)))
+    values = draw(st.lists(
+        st.sampled_from([0.0, -0.0, 5e-324, 2.0**-33, 2.0**-32])
+        | st.floats(-1e4, 1e4)
+        | st.just(3e5),
+        min_size=len(indices), max_size=len(indices),
+    ))
+    weight = draw(st.sampled_from([1.0, 0.5, 3.0, 1234.0]))
+    return dims, np.array(indices, dtype=np.intp), np.array(values, dtype=np.float64), weight
+
+
+class TestFusedMasking:
+    @given(weighted_deltas(), st.integers(2, 5), st.integers(0, 2**63))
+    @settings(max_examples=300, deadline=None)
+    def test_mask_update_equals_the_zero_start_path(self, delta, n, root):
+        dims, indices, values, weight = delta
+        sparse = SparseVector(dims, indices, values)
+        dense = sparse.to_dense()
+        cohort = [f"site-{i}" for i in range(n)]
+        pairing = make_pairing(cohort, round_no=4, root_seed=root)
+        for cid in cohort:  # both sides of every pair
+            try:
+                want = _zero_start_mask_update(weight * dense, pairing, cid)
+            except ConfigError:
+                for vector in (sparse, dense):
+                    with pytest.raises(ConfigError):
+                        mask_update(vector, pairing, cid, weight)
+                continue
+            assert mask_update(sparse, pairing, cid, weight).tobytes() == want.tobytes()
+            assert mask_update(dense, pairing, cid, weight).tobytes() == want.tobytes()
+
+    @given(st.integers(2, 5), st.integers(0, 40), st.integers(0, 2**63))
+    @settings(max_examples=50, deadline=None)
+    def test_sum_masked_equals_the_zero_start_sum(self, n, dims, root):
+        cohort = [f"site-{i}" for i in range(n)]
+        pairing = make_pairing(cohort, round_no=2, root_seed=root)
+        rng = np.random.default_rng(root % 2**32)
+        masked = [mask_update(rng.normal(size=dims), pairing, cid) for cid in cohort]
+        total = np.zeros(dims, dtype=np.uint64)
+        for words in masked:
+            total += words
+        want = total.view(np.int64).astype(np.float64) / float(1 << 32)
+        assert sum_masked(masked).tobytes() == want.tobytes()
+
+    def test_sum_masked_leaves_its_inputs_alone(self):
+        pairing = make_pairing(["a", "b"], round_no=1, root_seed=8)
+        masked = [mask_update(np.full(6, 0.25), pairing, cid) for cid in ("a", "b")]
+        before = [words.copy() for words in masked]
+        sum_masked(masked)
+        assert all((a == b).all() for a, b in zip(masked, before))
 
 
 class TestPolicy:

@@ -5,6 +5,8 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -13,11 +15,11 @@ from hypothesis import strategies as st
 
 from fedmesh.aggregation import SparseVector, as_dense
 from fedmesh.simnet import SimNetConfig, SimNetwork
-from fedmesh import tcpnet
+from fedmesh import tcpnet, transport
 from fedmesh.tcpnet import TcpNode
 from fedmesh.transport import (
+    DEDUP_WINDOW,
     CorruptFrame,
-    FrameDecoder,
     MSG_TASK_ASSIGN,
     MSG_TRANSPORT_ACK,
     MSG_UPDATE_SUBMIT,
@@ -32,7 +34,23 @@ from fedmesh.transport import (
     decode_payload,
     encode_frame,
     encode_payload,
+    read_frames,
 )
+
+
+def _chunked_recv(blob: bytes, lo: int, hi: int, seed: int):
+    """A recv_into over *blob* that fills lo..hi-1 bytes per call (less at the end)."""
+    rng = random.Random(seed)
+    pos = 0
+
+    def recv_into(view: memoryview) -> int:
+        nonlocal pos
+        n = min(len(view), rng.randrange(lo, hi), len(blob) - pos)
+        view[:n] = blob[pos:pos + n]
+        pos += n
+        return n
+
+    return recv_into
 
 
 class TestFrameCodec:
@@ -103,15 +121,68 @@ class TestFrameCodec:
     def test_stream_decoder_reassembles_across_chunks(self):
         frames = [encode_frame(i % 7, bytes([i]) * i) for i in range(20)]
         blob = b"".join(frames)
-        decoder = FrameDecoder()
-        got = []
-        rng = random.Random(2)
-        i = 0
-        while i < len(blob):
-            step = rng.randrange(1, 9)
-            got.extend(decoder.feed(blob[i:i + step]))
-            i += step
-        assert got == [(i % 7, bytes([i]) * i, frames[i]) for i in range(20)]
+        got = list(read_frames(_chunked_recv(blob, 1, 9, seed=2)))
+        # Every payload view is still whole after the frames behind it were read.
+        assert [(t, bytes(p)) for t, p in got] == [(i % 7, bytes([i]) * i) for i in range(20)]
+
+    @pytest.mark.parametrize("lo,hi", [(1, 9), (1000, 5000), (60_000, 300_000)])
+    def test_stream_reader_checks_each_frame_once_at_any_size(self, lo, hi, monkeypatch):
+        sizes = [0, 3, 70_000, 1, 200_000, 65_536 - 14, 65_536, 12]
+        payloads = [random.Random(n).randbytes(n) for n in sizes]
+        blob = b"".join(encode_frame(i, p) for i, p in enumerate(payloads))
+        calls = []
+        decode = transport.decode_frame
+        monkeypatch.setattr(transport, "decode_frame", lambda f: calls.append(1) or decode(f))
+        got = [(t, bytes(p)) for t, p in read_frames(_chunked_recv(blob, lo, hi, seed=lo))]
+        assert got == list(enumerate(payloads))
+        assert len(calls) == len(payloads)
+
+    def test_stream_reader_stops_at_a_corrupt_frame(self):
+        bad = bytearray(encode_frame(2, b"two"))
+        bad[11] ^= 0x01
+        blob = encode_frame(1, b"one") + bytes(bad) + encode_frame(3, b"three")
+        frames = read_frames(_chunked_recv(blob, 1, 5, seed=3))
+        assert next(frames) == (1, b"one")
+        with pytest.raises(CorruptFrame):
+            next(frames)
+
+    def test_stream_reader_refuses_a_bad_header(self):
+        with pytest.raises(CorruptFrame):
+            list(read_frames(_chunked_recv(b"XXXX" + bytes(20), 1, 30, seed=4)))
+
+    def test_stream_reader_drops_a_cut_off_frame_at_the_end(self):
+        blob = encode_frame(1, b"whole") + encode_frame(2, bytes(100_000))[:-3]
+        got = [(t, bytes(p)) for t, p in read_frames(_chunked_recv(blob, 1, 70_000, seed=5))]
+        assert got == [(1, b"whole")]
+
+    def test_a_header_alone_does_not_commit_its_declared_size(self):
+        # A peer that declares the largest frame and then stalls holds memory
+        # in proportion to what it sent, not to what it declared.
+        header = b"FHN1" + bytes((0x01, 3)) + struct.pack(">I", transport.MAX_PAYLOAD)
+        tracemalloc.start()
+        try:
+            frames = read_frames(_chunked_recv(header + bytes(5000), 1, 4096, seed=6))
+            assert list(frames) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
+
+    @given(st.integers(0, 255), st.lists(st.binary(max_size=40), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_frame_of_parts_equals_frame_of_their_concatenation(self, msg_type, parts):
+        assert encode_frame(msg_type, *parts) == _one_buffer_frame(msg_type, b"".join(parts))
+
+    def test_frame_parts_count_bytes_not_items(self):
+        words = np.arange(5, dtype=np.float64)
+        frame = encode_frame(9, b"head", words.data)
+        assert frame == _one_buffer_frame(9, b"head" + words.tobytes())
+
+
+def _one_buffer_frame(msg_type: int, payload: bytes) -> bytes:
+    """The earlier encode_frame, verbatim: one payload buffer, one CRC over it."""
+    header = b"FHN1" + bytes((0x01, msg_type)) + struct.pack(">I", len(payload))
+    return header + payload + struct.pack(">I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
 class TestPayloadEnvelope:
@@ -322,9 +393,9 @@ class TestSimNetwork:
         net = SimNetwork(SimNetConfig((5.0, 5.0), 0.0, 1))
         a, b = net.endpoint("a"), net.endpoint("b")
         got = []
-        b.set_receive_handler(lambda data: got.append(net.now_ms))
-        a.send("b", b"x")
-        net.schedule(100.0, lambda: a.send("b", b"y"))
+        b.set_receive_handler(lambda src, msg_type, payload: got.append(net.now_ms))
+        a.send("b", encode_frame(1, b"x"))
+        net.schedule(100.0, lambda: a.send("b", encode_frame(1, b"y")))
         net.run()
         assert got == [5.0, 105.0]
 
@@ -333,11 +404,25 @@ class TestSimNetwork:
         net = SimNetwork(config)
         a, b = net.endpoint("a"), net.endpoint("b")
         got = []
-        b.set_receive_handler(lambda data: got.append((net.now_ms, data)))
-        a.send("b", b"blocked")
-        net.schedule(60.0, lambda: a.send("b", b"open"))
+        b.set_receive_handler(lambda src, msg_type, payload: got.append((net.now_ms, payload)))
+        a.send("b", encode_frame(1, b"blocked"))
+        net.schedule(60.0, lambda: a.send("b", encode_frame(1, b"open")))
         net.run()
         assert got == [(61.0, b"open")]
+
+    def test_only_a_datagram_of_exactly_one_valid_frame_is_handed_on(self):
+        net = SimNetwork(SimNetConfig())
+        a, b = net.endpoint("a"), net.endpoint("b")
+        got = []
+        b.set_receive_handler(
+            lambda src, msg_type, payload: got.append((src, msg_type, bytes(payload)))
+        )
+        frame = encode_frame(4, b"ok")
+        flipped = frame[:-1] + bytes([frame[-1] ^ 1])
+        for data in (b"x", frame[:-1], frame + b"\x00", flipped, frame):
+            a.send("b", data)
+        net.run()
+        assert got == [("a", 4, b"ok")]
 
     def test_unknown_endpoint_rejected(self):
         net = SimNetwork(SimNetConfig())
@@ -422,12 +507,11 @@ class TestReliableDelivery:
         assert receipts and receipts[0].ok
 
     def test_ghost_sender_dropped_and_simulator_keeps_running(self):
-        # A CRC-valid data frame naming a sender the simulator does not know
-        # used to be acked to that name, and the ack send raised KeyError
-        # out of SimNetwork.run.
+        # A CRC-valid data frame naming a sender other than the endpoint it
+        # came from is neither acked nor delivered.
         net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 4))
         receipts = []
-        eps["a"].raw.send("b", encode_frame(3, _pack_envelope("ghost", 0, b"")))
+        eps["a"].raw.send("b", encode_frame(3, _pack_envelope("ghost", 0)))
         eps["a"].send("b", MSG_TASK_ASSIGN, b"after", receipts.append)
         net.run()
         assert inboxes["b"] == [("a", MSG_TASK_ASSIGN, b"after")]
@@ -447,6 +531,117 @@ class TestReliableDelivery:
         net.run()
         gaps = [b - a for a, b in zip(sends, sends[1:])]
         assert gaps == [50.0, 100.0, 200.0]
+
+
+class TestDedupState:
+    def test_ten_thousand_in_order_messages_leave_two_integers(self):
+        net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 6))
+        for i in range(10_000):
+            eps["a"].send("b", MSG_TASK_ASSIGN, b"m")
+        net.run()
+        assert len(inboxes["b"]) == 10_000
+        assert eps["b"]._seen == {"a": (10_000, 0)}
+        # An old duplicate is still acked and dropped.
+        eps["a"].raw.send("b", _frame("a", 5, b"old"))
+        net.run()
+        assert len(inboxes["b"]) == 10_000
+        last_two = [(src, dst) for _, src, dst, _ in net.delivery_trace[-2:]]
+        assert last_two == [("a", "b"), ("b", "a")]
+
+    def test_each_receiver_gets_its_own_seqs_from_zero(self):
+        net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 7), names=("a", "b", "c"))
+        seqs = [eps["a"].send("bc"[i % 2], MSG_TASK_ASSIGN, b"%d" % i) for i in range(10_000)]
+        net.run()
+        assert seqs == [i // 2 for i in range(10_000)]
+        assert [bytes(p) for _, _, p in inboxes["b"]] == [b"%d" % i for i in range(0, 10_000, 2)]
+        assert [bytes(p) for _, _, p in inboxes["c"]] == [b"%d" % i for i in range(1, 10_000, 2)]
+        assert eps["b"]._seen == eps["c"]._seen == {"a": (5_000, 0)}
+
+    def test_out_of_order_seqs_within_the_window(self):
+        net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 8))
+        for seq in (3, 1, 0, 2, 2, 0, 5):
+            eps["a"].raw.send("b", _frame("a", seq, b"%d" % seq))
+        net.run()
+        assert [bytes(p) for _, _, p in inboxes["b"]] == [b"3", b"1", b"0", b"2", b"5"]
+        assert eps["b"]._seen["a"] == (4, 0b10)  # 0-3 seen in a row, then 5
+        acks = [dst for _, _, dst, _ in net.delivery_trace if dst == "a"]
+        assert len(acks) == 7  # duplicates are acked again
+
+    def test_a_frame_past_the_window_is_dropped_unacked(self):
+        net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 9))
+        eps["a"].raw.send("b", _frame("a", DEDUP_WINDOW, b"far"))
+        eps["a"].raw.send("b", _frame("a", DEDUP_WINDOW - 1, b"edge"))
+        net.run()
+        assert [bytes(p) for _, _, p in inboxes["b"]] == [b"edge"]
+        assert [(src, dst) for _, src, dst, _ in net.delivery_trace] == [
+            ("a", "b"), ("a", "b"), ("b", "a"),
+        ]
+        assert eps["b"]._seen["a"] == (0, 1 << (DEDUP_WINDOW - 1))
+
+    def test_frames_past_a_stalled_mark_arrive_on_retransmit(self):
+        # The first message is lost once, so the receiver's mark stays at 0
+        # while the next DEDUP_WINDOW + 4 arrive; those past the window go
+        # un-acked until a retransmit finds the mark moved on.  Every receipt
+        # reports a message the application was handed.
+        net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 10), backoff_base_ms=50.0)
+        raw_send, lost = eps["a"].raw.send, []
+        eps["a"].raw.send = lambda dst, data: (
+            lost.append(data) if not lost else raw_send(dst, data)
+        )
+        receipts = []
+        total = DEDUP_WINDOW + 5
+        for i in range(total):
+            eps["a"].send("b", MSG_TASK_ASSIGN, b"%d" % i, receipts.append)
+        net.run()
+        assert len(lost) == 1
+        assert sorted(int(p) for _, _, p in inboxes["b"]) == list(range(total))
+        assert len(receipts) == total and all(r.ok for r in receipts)
+        retried = sum(r.attempts > 1 for r in receipts)
+        assert retried == 1 + 5  # seq 0 and the five past the window
+        assert eps["b"]._seen["a"] == (total, 0)
+
+
+class TestCheckOnce:
+    """Each received frame's payload goes through CRC-32 exactly once."""
+
+    @staticmethod
+    def _crc_inputs(monkeypatch) -> list[bytes]:
+        seen = []
+        crc32 = zlib.crc32
+
+        def counting(data, value=0):
+            seen.append(bytes(data))
+            return crc32(data, value)
+
+        monkeypatch.setattr(transport.zlib, "crc32", counting)
+        return seen
+
+    def test_on_the_simulator(self, monkeypatch):
+        net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 8))
+        seen = self._crc_inputs(monkeypatch)
+        for i in range(5):
+            eps["a"].send("b", MSG_TASK_ASSIGN, b"body-%d" % i)
+        net.run()
+        assert len(inboxes["b"]) == 5
+        for seq in range(5):
+            assert seen.count(_pack_envelope("a", seq) + b"body-%d" % seq) == 1
+
+    def test_over_loopback_tcp(self, tcp_nodes, monkeypatch):
+        server = ReliableEndpoint(tcp_nodes("server", bind=("127.0.0.1", 0)))
+        client = ReliableEndpoint(tcp_nodes(
+            "site-1", server_addr=("127.0.0.1", server.raw.port), server_id="server"
+        ))
+        inbox, receipts = [], []
+        server.on_message = lambda src, mt, payload: inbox.append(bytes(payload))
+        seen = self._crc_inputs(monkeypatch)
+        for i in range(5):
+            client.send("server", MSG_TASK_ASSIGN, b"body-%d" % i, receipts.append)
+        assert server.raw.run_until(lambda: len(inbox) == 5, timeout_s=5.0)
+        assert client.raw.run_until(lambda: len(receipts) == 5, timeout_s=5.0)
+        assert inbox == [b"body-%d" % i for i in range(5)]
+        assert all(r.ok for r in receipts)
+        for seq in range(5):
+            assert seen.count(_pack_envelope("site-1", seq) + b"body-%d" % seq) == 1
 
 
 class TestTimers:
@@ -471,7 +666,12 @@ class TestTimers:
 
 
 def _frame(sender: str, seq: int, body: bytes) -> bytes:
-    return encode_frame(MSG_TASK_ASSIGN, _pack_envelope(sender, seq, body))
+    return encode_frame(MSG_TASK_ASSIGN, _pack_envelope(sender, seq), body)
+
+
+def _frames_into(got: list):
+    """A receive handler that appends each frame as it was sent: encoding is deterministic."""
+    return lambda src, msg_type, payload: got.append(encode_frame(msg_type, payload))
 
 
 @pytest.fixture()
@@ -491,11 +691,8 @@ def tcp_nodes():
 
 def _read_frame(sock: socket.socket) -> bytes:
     """The first whole frame from the socket, or b"" if the peer closes first."""
-    decoder = FrameDecoder()
-    while chunk := sock.recv(65536):
-        frames = decoder.feed(chunk)
-        if frames:
-            return frames[0][2]
+    for msg_type, payload in read_frames(sock.recv_into):
+        return encode_frame(msg_type, payload)
     return b""
 
 
@@ -531,8 +728,8 @@ class TestTcpNode:
         client = tcp_nodes("site-1", server_addr=("127.0.0.1", server.port), server_id="server")
         got = []
 
-        def handler(data):
-            got.append(data)
+        def handler(src, msg_type, payload):
+            got.append(encode_frame(msg_type, payload))
             raise RuntimeError("handler fault")
 
         def timer():
@@ -552,8 +749,8 @@ class TestTcpNode:
         server = tcp_nodes("server", bind=("127.0.0.1", 0))
         client = tcp_nodes("site-1", server_addr=("127.0.0.1", server.port), server_id="server")
         at_server, at_client = [], []
-        server.set_receive_handler(at_server.append)
-        client.set_receive_handler(at_client.append)
+        server.set_receive_handler(_frames_into(at_server))
+        client.set_receive_handler(_frames_into(at_client))
         client.send("server", _frame("site-1", 0, b"up"))
         assert server.run_until(lambda: at_server, timeout_s=5.0)
         # The first data frame routed the connection, so the server can answer.
@@ -565,7 +762,7 @@ class TestTcpNode:
     def test_second_connection_cannot_take_a_live_route(self, tcp_nodes):
         server = tcp_nodes("server", bind=("127.0.0.1", 0))
         got = []
-        server.set_receive_handler(got.append)
+        server.set_receive_handler(_frames_into(got))
         first = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         second = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         try:
@@ -581,12 +778,53 @@ class TestTcpNode:
             first.close()
             second.close()
 
+    def test_a_routed_connection_cannot_speak_for_another_sender(self, tcp_nodes):
+        server = ReliableEndpoint(tcp_nodes("server", bind=("127.0.0.1", 0)))
+        client = ReliableEndpoint(tcp_nodes(
+            "site-1", server_addr=("127.0.0.1", server.raw.port), server_id="server"
+        ))
+        inbox = []
+        server.on_message = lambda src, mt, payload: inbox.append((src, bytes(payload)))
+        rogue = socket.create_connection(("127.0.0.1", server.raw.port), timeout=5.0)
+        try:
+            rogue.sendall(_frame("rogue", 0, b"hello"))
+            assert server.raw.run_until(lambda: inbox, timeout_s=5.0)
+            rogue.sendall(_frame("site-1", 0, b"forged"))
+            assert not server.raw.run_until(lambda: False, timeout_s=0.3)
+            client.send("server", MSG_TASK_ASSIGN, b"real")
+            assert server.raw.run_until(lambda: ("site-1", b"real") in inbox, timeout_s=5.0)
+            assert inbox == [("rogue", b"hello"), ("site-1", b"real")]
+        finally:
+            rogue.close()
+
+    def test_an_ack_counts_only_from_the_node_it_was_sent_to(self, tcp_nodes):
+        server = ReliableEndpoint(tcp_nodes("server", bind=("127.0.0.1", 0)))
+        inbox, receipts = [], []
+        server.on_message = lambda src, mt, payload: inbox.append(src)
+        site, rogue = (
+            socket.create_connection(("127.0.0.1", server.raw.port), timeout=5.0)
+            for _ in range(2)
+        )
+        try:
+            site.sendall(_frame("site-1", 0, b"hello"))
+            rogue.sendall(_frame("rogue", 0, b"hello"))
+            assert server.raw.run_until(lambda: len(inbox) == 2, timeout_s=5.0)
+            seq = server.send("site-1", MSG_TASK_ASSIGN, b"task", receipts.append)
+            rogue.sendall(encode_frame(MSG_TRANSPORT_ACK, _pack_envelope("server", seq)))
+            assert not server.raw.run_until(lambda: receipts, timeout_s=0.3)
+            site.sendall(encode_frame(MSG_TRANSPORT_ACK, _pack_envelope("server", seq)))
+            assert server.raw.run_until(lambda: receipts, timeout_s=5.0)
+            assert receipts[0].ok and receipts[0].dst == "site-1"
+        finally:
+            site.close()
+            rogue.close()
+
     def test_slow_reader_gets_a_whole_large_frame_and_keeps_its_route(self, tcp_nodes):
         # A model-sized frame to a peer reading 64 KiB every 20 ms (~3 MB/s)
         # takes about two seconds; the send must wait for it, not give up.
         server = tcp_nodes("server", bind=("127.0.0.1", 0))
         got = []
-        server.set_receive_handler(got.append)
+        server.set_receive_handler(_frames_into(got))
         peer = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         big = _frame("server", 0, bytes(range(256)) * (6_300_000 // 256))
         received = bytearray()
@@ -616,7 +854,7 @@ class TestTcpNode:
         monkeypatch.setattr(tcpnet, "SEND_STALL_S", 0.3)
         server = tcp_nodes("server", bind=("127.0.0.1", 0))
         got = []
-        server.set_receive_handler(got.append)
+        server.set_receive_handler(_frames_into(got))
         peer = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         try:
             peer.sendall(_frame("site-1", 0, b"hello"))
@@ -643,7 +881,7 @@ class TestTcpNode:
         idle = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         try:
             got = []
-            server.set_receive_handler(got.append)
+            server.set_receive_handler(_frames_into(got))
             client.send("server", _frame("site-1", 0, b"up"))
             assert server.run_until(lambda: got, timeout_s=5.0)
             deadline = time.monotonic() + 5.0
@@ -664,7 +902,7 @@ class TestTcpNode:
     def test_concurrent_claims_bind_exactly_one_connection(self, tcp_nodes):
         server = tcp_nodes("server", bind=("127.0.0.1", 0))
         got = []
-        server.set_receive_handler(got.append)
+        server.set_receive_handler(_frames_into(got))
         socks = [
             socket.create_connection(("127.0.0.1", server.port), timeout=5.0) for _ in range(6)
         ]
