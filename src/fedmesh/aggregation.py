@@ -42,8 +42,18 @@ Vector = np.ndarray | SparseVector
 
 
 def as_dense(vector: Vector) -> np.ndarray:
-    """Norms and dot products run on this: BLAS groups its sums by position."""
+    """Norms and dot products run on this, so a sparse vector rounds as its dense form."""
     return vector.to_dense() if isinstance(vector, SparseVector) else vector
+
+
+def l2_norm(vector: Vector, scratch=None) -> float:
+    """``sqrt(add.reduce(w * w))`` over the dense form: pairwise-summed, never
+    BLAS, so the same bits on any thread count.  The squares go to *scratch*
+    (which may be *vector* itself) when given, else to a new array (for a
+    sparse vector, its dense copy)."""
+    if isinstance(vector, SparseVector):
+        vector = scratch = vector.to_dense()
+    return float(np.sqrt(np.add.reduce(np.multiply(vector, vector, out=scratch))))
 
 
 def take(vector: Vector, cols: np.ndarray) -> np.ndarray:
@@ -162,8 +172,8 @@ def geometric_median(
     ``(points * w[:, None]).sum(axis=0)`` reduces axis 0 (so an all ``-0.0``
     coordinate still sums to ``+0.0``).  A sparse row adds at its live words
     only; its squared-distance row is the shared ``x * x`` with them swapped
-    in.  BLAS products or Gram-matrix distances would round differently and
-    must not replace these loops.
+    in.  Norms are ``l2_norm``: BLAS products or Gram-matrix distances would
+    round differently, by thread count, and must not replace these loops.
     """
     rows = [u.delta for u in _sorted_updates(updates)]
     if not all(np.isfinite(r.values if isinstance(r, SparseVector) else r).all() for r in rows):
@@ -202,7 +212,7 @@ def geometric_median(
             d = np.linalg.norm(rest - x, axis=1)
             inv = 1.0 / d
             pull = ((rest - x) * inv[:, None]).sum(axis=0)
-            r = float(np.linalg.norm(pull))
+            r = l2_norm(pull)
             eta = float(coincident.sum())
             if r <= eta:
                 return x
@@ -213,7 +223,7 @@ def geometric_median(
             inv = 1.0 / dist
             new_x = weighted_sum(inv)
             new_x /= inv.sum()
-        step = float(np.linalg.norm(np.subtract(new_x, x, out=scratch)))
+        step = l2_norm(np.subtract(new_x, x, out=scratch), scratch)
         x = new_x
         if step < tol:
             break
@@ -222,7 +232,7 @@ def geometric_median(
 
 def distance_sum(x: np.ndarray, updates: list[ClientUpdate]) -> float:
     """The geometric-median objective at *x*."""
-    return float(sum(np.linalg.norm(as_dense(u.delta) - x) for u in updates))
+    return float(sum(l2_norm(as_dense(u.delta) - x) for u in updates))
 
 
 @dataclass(frozen=True)
@@ -241,18 +251,18 @@ def trust_weights(
     A zero-norm delta scores 0.  When every score is 0 the weights fall back
     to uniform so the aggregate stays defined, and the result says so.
     """
-    ref_norm = float(np.linalg.norm(server_reference))
+    ref_norm = l2_norm(server_reference)
     if ref_norm == 0.0:
         raise ConfigError("trust reference must be non-zero")
     updates = _sorted_updates(updates)
     scores: dict[str, float] = {}
     for u in updates:
         delta = as_dense(u.delta)
-        norm = float(np.linalg.norm(delta))
+        norm = l2_norm(delta)
         if norm == 0.0:
             scores[u.client_id] = 0.0
         else:
-            cos = float(delta @ server_reference) / (norm * ref_norm)
+            cos = float(np.add.reduce(delta * server_reference)) / (norm * ref_norm)
             scores[u.client_id] = max(0.0, cos)
     if all(v == 0.0 for v in scores.values()):
         return TrustWeights({cid: 1.0 for cid in scores}, uniform_fallback=True)
@@ -263,7 +273,7 @@ def clip_to_norm(delta: Vector, target_norm: float) -> Vector:
     """Rescale to exactly target_norm when larger; otherwise unchanged."""
     if target_norm <= 0:
         raise ConfigError("target norm must be positive")
-    norm = float(np.linalg.norm(as_dense(delta)))
+    norm = l2_norm(delta)
     if norm <= target_norm:
         return delta
     if isinstance(delta, SparseVector):

@@ -346,7 +346,7 @@ def loss_and_grad(
     if mu > 0:
         reference = global_reference if global_reference is not None else np.zeros_like(params)
         diff = params - reference
-        loss += 0.5 * mu * float(diff @ diff)
+        loss += 0.5 * mu * float(np.add.reduce(diff * diff))
         grad = grad.reshape(-1) + mu * diff
         return loss, grad
     return loss, grad.reshape(-1)

@@ -19,6 +19,7 @@ import numpy as np
 from . import kvdoc, protocol, transport
 from .aggregation import (
     AggregationStrategy, ClientUpdate, SparseVector, Vector, add_scaled, aggregate, as_dense,
+    l2_norm,
 )
 from .errors import ConfigError
 from .model import (
@@ -313,14 +314,14 @@ class ServerNode:
         if self.state.phase == protocol.IDLE and self.state.registry >= self.expected:
             self.dispatch(Start(self._now()))
 
+    def _reject_update(self, src: str, reason: str) -> None:
+        self.audit.append("UpdateRejected", kvdoc.emit_doc({"client": src, "reason": reason}))
+
     def _on_update(self, src: str, payload: memoryview) -> None:
         pub = self._pub(src)
         opened = _opened(payload, pub) if pub is not None else None
         if opened is None:
-            self.audit.append(
-                "UpdateRejected",
-                kvdoc.emit_doc({"client": src, "reason": "bad signature"}),
-            )
+            self._reject_update(src, "bad signature")
             return
         doc, vector = opened
         try:
@@ -329,33 +330,21 @@ class ServerNode:
         except (KeyError, TypeError, ValueError, OverflowError):
             round_no = None
         if round_no is None or doc.get("client_id") != src or vector is None:
-            self.audit.append(
-                "UpdateRejected",
-                kvdoc.emit_doc({"client": src, "reason": "malformed update"}),
-            )
+            self._reject_update(src, "malformed update")
             return
         masked = bool(doc.get("masked", False))
         if weight <= 0 or not np.isfinite(weight):
-            self.audit.append(
-                "UpdateRejected",
-                kvdoc.emit_doc({"client": src, "reason": "bad weight"}),
-            )
+            self._reject_update(src, "bad weight")
             return
         words = vector.values if isinstance(vector, SparseVector) else vector
         expected = np.uint64 if masked else np.float64
         if masked != (src in self.config.masked_cohort) or words.dtype != expected:
-            self.audit.append(
-                "UpdateRejected",
-                kvdoc.emit_doc({"client": src, "reason": "masking mismatch"}),
-            )
+            self._reject_update(src, "masking mismatch")
             return
         if len(vector) != self.spec.train.dims or (
             not masked and not np.all(np.isfinite(words))
         ):
-            self.audit.append(
-                "UpdateRejected",
-                kvdoc.emit_doc({"client": src, "reason": "bad vector"}),
-            )
+            self._reject_update(src, "bad vector")
             return
         self.vectors.setdefault((round_no, src), (masked, vector))
         self.dispatch(UpdateReceived(src, round_no, weight, self._now()))
@@ -395,8 +384,7 @@ class ServerNode:
         if self.spec.track_params:
             self.params_per_round.append(self.global_params.copy())
         self.vectors = {key: v for key, v in self.vectors.items() if key[0] > action.round}
-        norm = float(np.linalg.norm(delta))
-        self.dispatch(RoundAggregated(action.round, norm, self._now()))
+        self.dispatch(RoundAggregated(action.round, l2_norm(delta), self._now()))
 
     # -- completion and cross-site evaluation --------------------------------------
 

@@ -14,6 +14,7 @@ from fedmesh.aggregation import (
     distance_sum,
     fedavg,
     geometric_median,
+    l2_norm,
     normalize_updates,
     take,
     trust_weights,
@@ -142,8 +143,8 @@ class TestGeometricMedian:
 
 
 def _reference_geometric_median(updates, tol=1e-8, max_iter=200):
-    """The dense Weiszfeld formula the streamed implementation replaced,
-    kept verbatim as the bit-identity reference."""
+    """The dense Weiszfeld formula the streamed implementation replaced, kept
+    as the bit-identity reference; its 1-D norms are pairwise sums, not BLAS."""
     updates = _sorted_updates(updates)
     points = np.stack([u.delta for u in updates])
     if not np.all(np.isfinite(points)):
@@ -159,7 +160,7 @@ def _reference_geometric_median(updates, tol=1e-8, max_iter=200):
             d = np.linalg.norm(rest - x, axis=1)
             inv = 1.0 / d
             pull = ((rest - x) * inv[:, None]).sum(axis=0)
-            r = float(np.linalg.norm(pull))
+            r = float(np.sqrt(np.add.reduce(pull * pull)))
             eta = float(coincident.sum())
             if r <= eta:
                 return x
@@ -169,7 +170,7 @@ def _reference_geometric_median(updates, tol=1e-8, max_iter=200):
         else:
             inv = 1.0 / dist
             new_x = (points * inv[:, None]).sum(axis=0) / inv.sum()
-        step = float(np.linalg.norm(new_x - x))
+        step = float(np.sqrt(np.add.reduce((new_x - x) ** 2)))
         x = new_x
         if step < tol:
             break
@@ -322,8 +323,8 @@ class TestSparseRowsBitIdentity:
         assert got.tobytes() == want.tobytes()
 
     def test_clip_and_trust_use_the_dense_norm(self):
-        # BLAS groups a dot product's partial sums by position, so the norm of
-        # a sparse row's compacted values can differ from its dense norm;
+        # Pairwise summation groups its partial sums by position, so the norm
+        # of a sparse row's compacted values can differ from its dense norm;
         # clipping and trust weights must use the dense one.
         dims, nnz = 65_536, 600
         differs = 0
@@ -332,13 +333,13 @@ class TestSparseRowsBitIdentity:
             indices = np.sort(rng.choice(dims, nnz, replace=False))
             sparse = SparseVector(dims, indices, rng.normal(size=nnz))
             dense = sparse.to_dense()
-            differs += np.linalg.norm(sparse.values) != np.linalg.norm(dense)
+            differs += l2_norm(sparse.values) != l2_norm(dense)
             assert clip_to_norm(sparse, 0.5).to_dense().tobytes() == \
                 clip_to_norm(dense, 0.5).tobytes()
             ref = rng.normal(size=dims)
             assert trust_weights(updates_from([sparse]), ref) == \
                 trust_weights(updates_from([dense]), ref)
-        assert differs  # the trap is real on this BLAS; otherwise the test is vacuous
+        assert differs  # the trap is real; otherwise the test is vacuous
 
     @pytest.mark.parametrize("n_sparse", [3, 4, 5, 8])
     def test_long_rows(self, n_sparse):
@@ -379,6 +380,50 @@ class TestSparseRowsBitIdentity:
         got = geometric_median(updates_from(rows))
         assert got.tobytes() == _reference_geometric_median(updates_from(list(pts))).tobytes()
         assert got.tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
+
+
+_NORM_COORD = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.sampled_from([5e-324, -5e-324, 2.2e-308, -1e-310]),
+    st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
+)
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestL2Norm:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dims=st.integers(1, 400))
+    def test_sparse_norm_is_the_dense_norm_bytes(self, data, dims):
+        # Stored values include +0.0, -0.0 and subnormals.
+        live = np.flatnonzero(data.draw(hnp.arrays(np.bool_, dims, fill=st.nothing())))
+        values = data.draw(hnp.arrays(np.float64, len(live), elements=_NORM_COORD,
+                                      fill=st.nothing()))
+        sparse = SparseVector(dims, live, values.copy())
+        assert _bits(l2_norm(sparse)) == _bits(l2_norm(sparse.to_dense()))
+        assert sparse.values.tobytes() == values.tobytes()  # squares a copy
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.integers(0, 400), elements=_NORM_COORD,
+                        fill=st.nothing()))
+    def test_is_the_pairwise_sum(self, x):
+        want = _bits(np.sqrt(np.add.reduce(x * x)))
+        got = l2_norm(x)
+        assert type(got) is float and _bits(got) == want
+        assert _bits(l2_norm(x, np.empty_like(x))) == want
+        in_place = x.copy()
+        assert _bits(l2_norm(in_place, in_place)) == want
+
+    @pytest.mark.parametrize("zero", [np.zeros(5), np.full(5, -0.0),
+                                      SparseVector(5, np.array([2]), np.array([-0.0]))])
+    def test_zero_vector(self, zero):
+        assert _bits(l2_norm(zero)) == _bits(0.0)
+        assert clip_to_norm(zero, 1.0) is zero
+        tw = trust_weights(updates_from([zero, np.ones(5)]), np.ones(5))
+        assert tw.weights["site-0"] == 0.0 and not tw.uniform_fallback
 
 
 class TestTake:

@@ -18,10 +18,23 @@ were recorded before aggregation learned to keep sparse rows sparse: a
 coordinate median over server-normalized updates with an SVT site (a sparse
 row) and a DP site (a dense row), and trust-weighted FedAvg with a DP site
 and an adversarial site.
+
+The geo-median, coordinate-median and trust constants were re-recorded when
+every 1-D norm and dot product moved from BLAS to numpy's pairwise sum: BLAS
+split its sums by thread, so those bits depended on OpenBLAS's thread count.
+Every config is also run in a subprocess under other thread counts, which
+must give the same constants.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import fedmesh
 from fedmesh.cli import main
 from fedmesh.data import save_conll, synthetic_corpus
 
@@ -67,7 +80,7 @@ policy.site-1.dp.delta = 0.00001
 policy.site-2.clip_norm = 5.0
 """
 
-GEO_ROWS_SHA256 = "c8bb55eb7ca11d337eb45b58b69321e7d7bb49cd7caf9fcad75ae42fe8986f45"
+GEO_ROWS_SHA256 = "39b015fc282c3f80d7b5b1717f0b793cf86b17b7ee5d12690c9c861b9f7ee2f5"
 GEO_PARAMS_SHA256 = "d4499f8434a8a20a19eee5aa9a2a6325325b918944614564d7d2386335995669"
 
 COORD_CONFIG = """
@@ -92,7 +105,7 @@ policy.site-2.svt.epsilon = 4.0
 """
 
 COORD_ROWS_SHA256 = "5db0a158ca66fd7a0e1d674c563cbad1168a18705df59aa7795642802d9e2675"
-COORD_PARAMS_SHA256 = "257b1a9ac067091ba5fd0966c481b59fdec8b38fff7a4ee175cdb9918b11506d"
+COORD_PARAMS_SHA256 = "5efcda076c91daf7909fb7f3fb4e0877ca22786d5b0f705003ac2f574ab833e9"
 
 TRUST_CONFIG = """
 corpus.train = "train.conll"
@@ -112,17 +125,41 @@ policy.site-1.dp.epsilon = 8.0
 policy.site-1.dp.delta = 0.00001
 """
 
-TRUST_ROWS_SHA256 = "2b3aa871a74a69e478b024c0a4fc0cdacaa0104808badaa8413a0533e6e1b75c"
-TRUST_PARAMS_SHA256 = "8ded52beabee7d9f3665b9fac52c96e60608dd8c848350f13d757c0a7f8aaf58"
+TRUST_ROWS_SHA256 = "1d8b460c9738c2803f58e4d1b047eae7c09ae7674a5bc50b03fd67673baf4e07"
+TRUST_PARAMS_SHA256 = "7d5a68886b0916a3821fb6b6be5252dd065f1e5c45d18ea09569cef2a2201374"
 
 
-def _run_golden(tmp_path, config_text=GOLDEN_CONFIG, corpus_seeds=(31, 32)):
+GOLDEN_CASES = {
+    "fedavg": (GOLDEN_CONFIG, (31, 32), GOLDEN_ROWS_SHA256, GOLDEN_PARAMS_SHA256),
+    "geo-median": (GEO_CONFIG, (51, 52), GEO_ROWS_SHA256, GEO_PARAMS_SHA256),
+    "coord-median": (COORD_CONFIG, (81, 82), COORD_ROWS_SHA256, COORD_PARAMS_SHA256),
+    "fedavg-trust": (TRUST_CONFIG, (91, 92), TRUST_ROWS_SHA256, TRUST_PARAMS_SHA256),
+}
+
+
+def _simulate_in_subprocess(args, blas_threads):
+    """Run ``simulate`` in a fresh interpreter: OpenBLAS reads its thread
+    count once, when numpy loads."""
+    src = str(Path(fedmesh.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from fedmesh.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def _run_golden(tmp_path, config_text=GOLDEN_CONFIG, corpus_seeds=(31, 32), blas_threads=None):
     save_conll(synthetic_corpus(160, seed=corpus_seeds[0]), tmp_path / "train.conll")
     save_conll(synthetic_corpus(60, seed=corpus_seeds[1]), tmp_path / "test.conll")
     config = tmp_path / "experiment.cfg"
     config.write_text(config_text, encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    args = ["simulate", "--config", str(config), "--out", str(out)]
+    if blas_threads is None:
+        assert main(args) == 0
+    else:
+        _simulate_in_subprocess(args, blas_threads)
     rows = hashlib.sha256((out / "report.rows").read_bytes()).hexdigest()
     params = hashlib.sha256()
     models = sorted(out.glob("model-*.params"))
@@ -154,3 +191,10 @@ def test_trust_simulate_digests_match_recorded_constants(tmp_path):
     rows, params = _run_golden(tmp_path, TRUST_CONFIG, corpus_seeds=(91, 92))
     assert rows == TRUST_ROWS_SHA256
     assert params == TRUST_PARAMS_SHA256
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "3"])
+@pytest.mark.parametrize("case", list(GOLDEN_CASES))
+def test_digests_hold_on_any_blas_thread_count(tmp_path, case, blas_threads):
+    config_text, corpus_seeds, rows, params = GOLDEN_CASES[case]
+    assert _run_golden(tmp_path, config_text, corpus_seeds, blas_threads) == (rows, params)
