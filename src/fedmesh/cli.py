@@ -176,20 +176,26 @@ def cmd_audit_verify(args) -> int:
     return EXIT_VALIDATION
 
 
-def _tcp_spec_for_server(config: ExperimentConfig, kit) -> FederationSpec:
+def _tcp_spec(config: ExperimentConfig, kit, shard=None) -> FederationSpec:
+    """One TCP node's view of the federation; client ids come from the kit's roster.
+
+    Only a client passes its *shard*; every other shard is empty here.
+    """
     client_ids = [i.site_id for i in kit.roster if i.role == "client"]
+    k = min(config.k, len(client_ids))
     return FederationSpec(
-        shards={cid: [] for cid in client_ids},
+        shards={cid: shard if cid == kit.site_id else [] for cid in client_ids},
         train=config.train,
         strategy=config.strategy,
         rounds=config.rounds,
-        k=min(config.k, len(client_ids)),
-        m=min(config.m, min(config.k, len(client_ids))),
+        k=k,
+        m=min(config.m, k),
         deadline_ms=config.deadline_ms,
         kits={kit.site_id: kit},
-        server_id=kit.site_id,
+        server_id=next(i.site_id for i in kit.roster if i.role == "server"),
         seeds=config.seeds,
         policies=config.policies,
+        adversary=config.adversary,
         retry_on_abort=config.retry_on_abort,
     )
 
@@ -211,8 +217,7 @@ def cmd_serve(args) -> int:
     try:
         rel = ReliableEndpoint(node, backoff_base_ms=args.backoff_ms)
         audit = AuditLog(path=out / "audit.log")
-        spec = _tcp_spec_for_server(config, kit)
-        server = ServerNode(rel, kit, spec, audit)
+        server = ServerNode(rel, kit, _tcp_spec(config, kit), audit)
         if not node.run_until(lambda: server.done, timeout_s=args.timeout):
             log.error("federation did not finish before timeout")
             return EXIT_RUNTIME
@@ -234,29 +239,11 @@ def cmd_client(args) -> int:
     kit = load_kit(args.kit)
     shard = load_conll(args.shard).sentences
     holdout = load_conll(args.holdout).sentences if args.holdout else []
-    server_ident = next(i for i in kit.roster if i.role == "server")
+    spec = _tcp_spec(config, kit, shard)
     address = args.server or os.environ.get("FEDMESH_BIND", kit.server_address)
-    node = TcpNode(
-        kit.site_id,
-        server_addr=parse_address(address),
-        server_id=server_ident.site_id,
-    )
+    node = TcpNode(kit.site_id, server_addr=parse_address(address), server_id=spec.server_id)
     try:
         rel = ReliableEndpoint(node, backoff_base_ms=args.backoff_ms)
-        spec = FederationSpec(
-            shards={kit.site_id: shard},
-            train=config.train,
-            strategy=config.strategy,
-            rounds=config.rounds,
-            k=1,
-            m=1,
-            deadline_ms=config.deadline_ms,
-            kits={kit.site_id: kit},
-            server_id=server_ident.site_id,
-            seeds=config.seeds,
-            policies=config.policies,
-            adversary=config.adversary,
-        )
         client = ClientNode(rel, kit, shard, spec, holdout)
         node.schedule(0.0, client.register)
         if not node.run_until(lambda: client.done, timeout_s=args.timeout):

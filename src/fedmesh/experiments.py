@@ -16,7 +16,7 @@ from . import report as report_mod
 from .config import ExperimentConfig, experiment_to_doc
 from .data import TaggedCorpus, load_conll, partition
 from .kvdoc import emit_doc
-from .model import Metrics, encode_sentences, evaluate
+from .model import encode_sentences, evaluate
 from .runner import (
     FederationResult,
     FederationSpec,
@@ -111,17 +111,6 @@ def build_spec(
     )
 
 
-def _metric_fields(prefix: str, metrics: Metrics) -> dict:
-    return {
-        f"{prefix}_precision": metrics.precision,
-        f"{prefix}_recall": metrics.recall,
-        f"{prefix}_f1": metrics.f1,
-        f"{prefix}_tp": metrics.tp,
-        f"{prefix}_fp": metrics.fp,
-        f"{prefix}_fn": metrics.fn,
-    }
-
-
 class SimulationOutput:
     def __init__(self):
         self.config_rows: list[report_mod.Row] = []
@@ -188,24 +177,15 @@ def run_simulation(
             "n_clients": len(spec.shards),
             "rounds": config.rounds,
             "strategy": config.strategy.kind,
-            **_metric_fields("ent", entity),
-            **_metric_fields("tok", token),
+            **entity.fields("ent"),
+            **token.fields("tok"),
             **seed_fields,
         })
         for site, pair in result.cross_site.items():
-            if pair is None:
-                out.cross_rows.append(
-                    {"config": label, "site": site, "absent": True, **seed_fields}
-                )
-            else:
-                out.cross_rows.append({
-                    "config": label,
-                    "site": site,
-                    "absent": False,
-                    **_metric_fields("ent", pair[0]),
-                    **_metric_fields("tok", pair[1]),
-                    **seed_fields,
-                })
+            scores = {"absent": True} if pair is None else {
+                "absent": False, **pair[0].fields("ent"), **pair[1].fields("tok")
+            }
+            out.cross_rows.append({"config": label, "site": site, **scores, **seed_fields})
         for rec in result.history:
             out.round_rows.append({
                 "config": label,
@@ -228,8 +208,8 @@ def run_simulation(
         "n_clients": 1,
         "rounds": config.rounds,
         "strategy": "pooled-sgd",
-        **_metric_fields("ent", entity),
-        **_metric_fields("tok", token),
+        **entity.fields("ent"),
+        **token.fields("tok"),
         **seed_fields,
     })
 

@@ -97,6 +97,19 @@ class Metrics:
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         return cls(precision, recall, f1, tp, fp, fn, level)
 
+    def fields(self, prefix: str) -> dict[str, float | int]:
+        """``{prefix}_precision`` ... ``{prefix}_fn``, as rows and reports carry them."""
+        return {f"{prefix}_{name}": getattr(self, name) for name in _METRIC_FIELDS}
+
+    @classmethod
+    def from_fields(cls, doc: dict, prefix: str, level: str) -> "Metrics":
+        """Inverse of ``fields``."""
+        values = [doc[f"{prefix}_{name}"] for name in _METRIC_FIELDS]
+        return cls(*map(float, values[:3]), *map(int, values[3:]), level)
+
+
+_METRIC_FIELDS = ("precision", "recall", "f1", "tp", "fp", "fn")
+
 
 def fnv1a64(data: bytes, seed: int = 0) -> int:
     """64-bit FNV-1a over the seed's 8 little-endian bytes then *data*."""
@@ -208,22 +221,6 @@ def _encode_tokens(
     token_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.concatenate(token_counts), out=token_ptr[1:])
     return np.concatenate(feat_runs), token_ptr
-
-
-def featurize(
-    sentence: TaggedSentence | tuple[str, ...],
-    feature_dim: int,
-    hash_seed: int = 0,
-) -> list[np.ndarray]:
-    """Hash each token's features into sorted, deduplicated index arrays.
-
-    feature_dim must be a power of two; indices are the low bits of the
-    64-bit FNV-1a hash of each namespaced feature string (``w=`` the lower-
-    cased token, ``p=``/``n=`` its neighbours, ``g=`` its character 3-grams).
-    """
-    tokens = sentence.tokens if isinstance(sentence, TaggedSentence) else tuple(sentence)
-    feats, token_ptr = _encode_tokens([tokens], feature_dim, hash_seed)
-    return [feats[a:b] for a, b in zip(token_ptr[:-1], token_ptr[1:])]
 
 
 @dataclass
@@ -441,17 +438,6 @@ def decode_entities(tags: list[str] | tuple[str, ...]) -> set[tuple[int, int]]:
     if start is not None:
         spans.add((start, len(tags) - 1))
     return spans
-
-
-def predict_tags(
-    params: np.ndarray, sentence: TaggedSentence, config: TrainConfig
-) -> list[str]:
-    """Per-token argmax tags for one sentence."""
-    _check_params(params, config)
-    encoded = encode_sentences([sentence], config.feature_dim, config.hash_seed)
-    weights = params.reshape(config.num_classes, config.feature_dim)
-    best = _token_scores(weights, encoded).argmax(axis=0)
-    return [TAGS[i] for i in best]
 
 
 def evaluate(

@@ -1,16 +1,20 @@
 """Federation runtime: hosts the protocol state machines over a transport.
 
-The node classes are transport-agnostic; they talk through a
-ReliableEndpoint and an injected clock, so the same code runs under the
-in-process simulator (run_federation) and over TCP (cli serve/client).
-Every message is signed by its sender and verified against the provisioned
-roster before it reaches a state machine.
+ServerNode and ClientNode are two handler sets on one node shell.  The
+shell talks through a ReliableEndpoint and the endpoint's clock, so the same
+code runs under the in-process simulator (run_federation) and over TCP (cli
+serve/client).  Every message is signed by its sender and verified against
+the provisioned roster in the shell's one entry point, before a handler or
+a state machine sees it; every action a machine returns runs through the
+shell's one action loop.  The coordinator's audits go to its hash-chained
+AuditLog; a client's audits and refusals go to the log.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -122,8 +126,6 @@ class FederationSpec:
     holdouts: dict[str, list[TaggedSentence]] = field(default_factory=dict)
     adversary: Adversary | None = None
     retry_on_abort: bool = True
-    max_retries: int = 5
-    backoff_base_ms: float = 50.0
     track_params: bool = False
 
     def client_ids(self) -> list[str]:
@@ -165,7 +167,6 @@ class FederationResult:
     cross_site: dict[str, tuple[Metrics, Metrics] | None]
     audit: list
     model_signature: bytes | None
-    failed: bool
     params_per_round: list[np.ndarray] = field(default_factory=list)
 
 
@@ -175,7 +176,11 @@ def _signed(doc: dict, vector: np.ndarray | None, kit: StartupKit) -> bytes:
     return body + sign_digest(hashlib.sha256(body).digest(), kit.private_key())
 
 
-def _opened(payload: memoryview, sender_pub: bytes) -> tuple[dict, Vector | None] | None:
+# A verified payload: its document and its vector, if it carries one.
+Opened = tuple[dict, Vector | None]
+
+
+def _opened(payload: memoryview, sender_pub: bytes) -> Opened | None:
     """Verify a signed payload; None on any parse or signature failure."""
     body, signature = memoryview(payload)[:-SIGNATURE_LEN], payload[-SIGNATURE_LEN:]
     if len(signature) != SIGNATURE_LEN or not verify_digest(
@@ -188,9 +193,7 @@ def _opened(payload: memoryview, sender_pub: bytes) -> tuple[dict, Vector | None
         return None
 
 
-def _task_fields(
-    opened: tuple[dict, Vector | None] | None,
-) -> tuple[int, Vector, tuple[str, ...]] | None:
+def _task_fields(opened: Opened | None) -> tuple[int, Vector, tuple[str, ...]] | None:
     """(round, params, masked peers) of an opened task; None if malformed or non-finite."""
     if opened is None or opened[1] is None:
         return None
@@ -204,19 +207,59 @@ def _task_fields(
         return None
 
 
-def _detail_doc(detail: tuple[tuple[str, str], ...]) -> str:
-    return kvdoc.emit_doc({k: v for k, v in detail})
+class _Node:
+    """The shell both node kinds share: one verified entry point, one action loop.
+
+    ``on_message`` drops a message type the node has no handler for and a
+    sender it does not hear from, opens the payload against the sender's
+    roster key (a sender outside the roster opens to None) and hands
+    ``(src, opened)`` to the type's handler.  ``dispatch`` steps the node's
+    pure machine (``_step``) and runs its actions: an ``Audit`` goes to
+    ``_audit(event_type, detail)``, every other action to ``_execute``.
+    """
+
+    def __init__(self, rel: ReliableEndpoint, kit: StartupKit, spec: FederationSpec,
+                 handlers: dict[int, Callable[[str, Opened | None], None]],
+                 only_from: str | None = None):
+        self.rel = rel
+        self.kit = kit
+        self.spec = spec
+        self.done = False
+        self._handlers = handlers
+        self._only_from = only_from
+        self._keys = {ident.site_id: ident.public_key for ident in kit.roster}
+        rel.on_message = self.on_message
+
+    def _now(self) -> float:
+        return self.rel.raw.now_ms()
+
+    def on_message(self, src: str, msg_type: int, payload: memoryview) -> None:
+        handler = self._handlers.get(msg_type)
+        if handler is None or self._only_from not in (None, src):
+            return
+        pub = self._keys.get(src)
+        handler(src, None if pub is None else _opened(payload, pub))
+
+    def dispatch(self, event) -> None:
+        self.state, actions = self._step(event)
+        for action in actions:
+            if isinstance(action, Audit):
+                self._audit(action.event_type, dict(action.detail))
+            else:
+                self._execute(action)
 
 
-class ServerNode:
+class ServerNode(_Node):
     """Coordinator: registration, rounds, aggregation, audit, cross-site eval."""
 
     def __init__(self, rel: ReliableEndpoint, kit: StartupKit, spec: FederationSpec,
                  audit: AuditLog):
         spec.validate()
-        self.rel = rel
-        self.kit = kit
-        self.spec = spec
+        super().__init__(rel, kit, spec, {
+            MSG_REGISTER: self._on_register,
+            MSG_UPDATE_SUBMIT: self._on_update,
+            MSG_EVAL_REPORT: self._on_eval_report,
+        })
         self.audit = audit
         self.expected = set(spec.client_ids())
         self.config = ServerConfig(
@@ -232,40 +275,34 @@ class ServerNode:
         self.state = ServerState()
         self.global_params = zero_params(spec.train)
         self.trust_reference: np.ndarray | None = None
-        # (round, client) -> (masked?, vector as it arrived); written before the
-        # state machine sees the update so aggregation can read it synchronously.
-        self.vectors: dict[tuple[int, str], tuple[bool, Vector]] = {}
+        # (round, client) -> vector as it arrived; written before the state
+        # machine sees the update so aggregation can read it synchronously.
+        self.vectors: dict[tuple[int, str], Vector] = {}
         self.params_per_round: list[np.ndarray] = []
         self.eval_reports: dict[str, dict] = {}
         self.model_signature: bytes | None = None
-        self.done = False
         self.failed = False
         self._eval_timer = None
-        rel.on_message = self.on_message
         for site in sorted(spec.policies):
             policy = spec.policies[site]
-            self.audit.append("PolicyApplied", kvdoc.emit_doc({
+            self._audit("PolicyApplied", {
                 "site": site,
                 "clip": policy.clip_norm is not None,
                 "dp": policy.dp is not None,
                 "svt": policy.svt is not None,
                 "masking": policy.masking_enabled,
-            }))
+            })
 
-    # -- event plumbing ------------------------------------------------------
+    # -- the machine and its actions ---------------------------------------------
 
-    def _now(self) -> float:
-        return self.rel.raw.now_ms()
+    def _step(self, event) -> tuple[ServerState, list]:
+        return server_step(self.state, event, self.config)
 
-    def dispatch(self, event) -> None:
-        self.state, actions = server_step(self.state, event, self.config)
-        for action in actions:
-            self._execute(action)
+    def _audit(self, event_type: str, detail: dict) -> None:
+        self.audit.append(event_type, kvdoc.emit_doc(detail))
 
     def _execute(self, action) -> None:
-        if isinstance(action, Audit):
-            self.audit.append(action.event_type, _detail_doc(action.detail))
-        elif isinstance(action, BroadcastTask):
+        if isinstance(action, BroadcastTask):
             self._broadcast_task(action)
         elif isinstance(action, ScheduleDeadline):
             self.rel.raw.schedule(
@@ -285,27 +322,9 @@ class ServerNode:
 
     # -- message handling ------------------------------------------------------
 
-    def on_message(self, src: str, msg_type: int, payload: memoryview) -> None:
-        if msg_type == MSG_REGISTER:
-            self._on_register(src, payload)
-        elif msg_type == MSG_UPDATE_SUBMIT:
-            self._on_update(src, payload)
-        elif msg_type == MSG_EVAL_REPORT:
-            self._on_eval_report(src, payload)
-
-    def _pub(self, site_id: str) -> bytes | None:
-        try:
-            return self.kit.public_key_of(site_id)
-        except KeyError:
-            return None
-
-    def _on_register(self, src: str, payload: memoryview) -> None:
-        pub = self._pub(src)
-        opened = _opened(payload, pub) if pub is not None else None
+    def _on_register(self, src: str, opened: Opened | None) -> None:
         if opened is None or opened[0].get("site_id") != src or src not in self.expected:
-            self.audit.append(
-                "Register", kvdoc.emit_doc({"client": src, "status": "rejected"})
-            )
+            self._audit("Register", {"client": src, "status": "rejected"})
             self.rel.send(src, MSG_ABORT,
                           _signed({"reason": "registration rejected"}, None, self.kit))
             return
@@ -315,11 +334,9 @@ class ServerNode:
             self.dispatch(Start(self._now()))
 
     def _reject_update(self, src: str, reason: str) -> None:
-        self.audit.append("UpdateRejected", kvdoc.emit_doc({"client": src, "reason": reason}))
+        self._audit("UpdateRejected", {"client": src, "reason": reason})
 
-    def _on_update(self, src: str, payload: memoryview) -> None:
-        pub = self._pub(src)
-        opened = _opened(payload, pub) if pub is not None else None
+    def _on_update(self, src: str, opened: Opened | None) -> None:
         if opened is None:
             self._reject_update(src, "bad signature")
             return
@@ -346,7 +363,7 @@ class ServerNode:
         ):
             self._reject_update(src, "bad vector")
             return
-        self.vectors.setdefault((round_no, src), (masked, vector))
+        self.vectors.setdefault((round_no, src), vector)
         self.dispatch(UpdateReceived(src, round_no, weight, self._now()))
 
     # -- round mechanics ---------------------------------------------------------
@@ -367,14 +384,13 @@ class ServerNode:
         masked_ids = sorted(set(action.responded) & self.config.masked_cohort)
         plain_ids = sorted(set(action.responded) - self.config.masked_cohort)
         if masked_ids:
-            total = sum_masked([self.vectors[(action.round, c)][1] for c in masked_ids])
+            total = sum_masked([self.vectors[(action.round, c)] for c in masked_ids])
             for cid in plain_ids:
-                add_scaled(total, self.vectors[(action.round, cid)][1], weights[cid])
+                add_scaled(total, self.vectors[(action.round, cid)], weights[cid])
             delta = total / sum(weights.values())
         else:
             updates = [
-                ClientUpdate(cid, action.round, weights[cid],
-                             self.vectors[(action.round, cid)][1])
+                ClientUpdate(cid, action.round, weights[cid], self.vectors[(action.round, cid)])
                 for cid in sorted(action.responded)
             ]
             delta = aggregate(updates, self.spec.strategy, self.trust_reference)
@@ -390,13 +406,10 @@ class ServerNode:
 
     def _finish(self) -> None:
         self.model_signature = sign_model(self.global_params, self.kit.private_key())
-        self.audit.append(
-            "ModelSigned",
-            kvdoc.emit_doc({
-                "rounds": self.state.round,
-                "sha256": hashlib.sha256(self.global_params.tobytes()).hexdigest(),
-            }),
-        )
+        self._audit("ModelSigned", {
+            "rounds": self.state.round,
+            "sha256": hashlib.sha256(self.global_params.tobytes()).hexdigest(),
+        })
         if not self.expected:
             self.done = True
             return
@@ -408,9 +421,7 @@ class ServerNode:
             self.spec.deadline_ms * _EVAL_TIMEOUT_FACTOR, self._finish_eval
         )
 
-    def _on_eval_report(self, src: str, payload: memoryview) -> None:
-        pub = self._pub(src)
-        opened = _opened(payload, pub) if pub is not None else None
+    def _on_eval_report(self, src: str, opened: Opened | None) -> None:
         if opened is None or self.done or src in self.eval_reports:
             return
         self.eval_reports[src] = opened[0]
@@ -429,33 +440,20 @@ class ServerNode:
         self.done = True
 
     def cross_site_table(self) -> dict[str, tuple[Metrics, Metrics] | None]:
-        table: dict[str, tuple[Metrics, Metrics] | None] = {}
-        for cid in sorted(self.expected):
-            doc = self.eval_reports.get(cid)
-            if doc is None or not doc.get("has_data", False):
-                table[cid] = None
-                continue
-            table[cid] = (
-                Metrics(
-                    precision=float(doc["ent_precision"]),
-                    recall=float(doc["ent_recall"]),
-                    f1=float(doc["ent_f1"]),
-                    tp=int(doc["ent_tp"]), fp=int(doc["ent_fp"]), fn=int(doc["ent_fn"]),
-                    level="entity-strict",
-                ),
-                Metrics(
-                    precision=float(doc["tok_precision"]),
-                    recall=float(doc["tok_recall"]),
-                    f1=float(doc["tok_f1"]),
-                    tp=int(doc["tok_tp"]), fp=int(doc["tok_fp"]), fn=int(doc["tok_fn"]),
-                    level="token",
-                ),
-            )
-        return table
+        reports = {cid: self.eval_reports.get(cid, {}) for cid in sorted(self.expected)}
+        return {
+            cid: (Metrics.from_fields(doc, "ent", "entity-strict"),
+                  Metrics.from_fields(doc, "tok", "token")) if doc.get("has_data") else None
+            for cid, doc in reports.items()
+        }
 
 
-class ClientNode:
-    """Site runtime: trains locally, applies its policy, uploads signed updates."""
+class ClientNode(_Node):
+    """Site runtime: trains locally, applies its policy, uploads signed updates.
+
+    It hears only the coordinator.  Its audits and refusals have no audit
+    log of their own and go to the ``fedmesh.runner`` log as warnings.
+    """
 
     def __init__(
         self,
@@ -465,9 +463,12 @@ class ClientNode:
         spec: FederationSpec,
         holdout: list[TaggedSentence] | None = None,
     ):
-        self.rel = rel
-        self.kit = kit
-        self.spec = spec
+        super().__init__(rel, kit, spec, {
+            MSG_TASK_ASSIGN: self._on_task,
+            MSG_ACK: self._on_ack,
+            MSG_EVAL_REQUEST: self._on_eval_request,
+            MSG_ABORT: self._on_abort,
+        }, only_from=spec.server_id)
         self.shard = shard
         self.holdout = holdout if holdout is not None else []
         self.policy = spec.policy_for(kit.site_id)
@@ -476,10 +477,8 @@ class ClientNode:
         self.encoded: EncodedBatch | None = None
         self.weight = float(token_count(shard)) if shard else 0.0
         self.current_task: tuple[int, Vector, tuple[str, ...]] | None = None
-        self.done = False
         self.registered = False
         self._register_attempts = 0
-        rel.on_message = self.on_message
 
     def register(self) -> None:
         self._register_attempts += 1
@@ -495,62 +494,60 @@ class ClientNode:
         if self._register_attempts < _REGISTER_ATTEMPTS:
             self.register()
 
-    def dispatch(self, event) -> None:
-        self.state, actions = client_step(self.state, event)
-        for action in actions:
-            if isinstance(action, Audit):
-                log.warning("client %s: %s %s", self.kit.site_id, action.event_type,
-                            dict(action.detail))
-            elif isinstance(action, StartLocalTrain):
-                self._train(action.round)
-            elif isinstance(action, SubmitUpdate):
-                self._submit(action.round)
-            elif isinstance(action, protocol.RefuseTask):
-                log.warning("client %s refused task for round %d: %s",
-                            self.kit.site_id, action.round, action.reason)
+    # -- the machine and its actions ---------------------------------------------
 
-    def on_message(self, src: str, msg_type: int, payload: memoryview) -> None:
-        if src != self.server_id:
+    def _step(self, event) -> tuple[protocol.ClientState, list]:
+        return client_step(self.state, event)
+
+    def _audit(self, event_type: str, detail: dict) -> None:
+        log.warning("client %s: %s %s", self.kit.site_id, event_type, detail)
+
+    def _refuse(self, round_no: int, reason: str) -> None:
+        """Send nothing for this round; it goes on (or aborts) without this site."""
+        self._audit("TaskRefused", {"round": round_no, "reason": reason})
+
+    def _execute(self, action) -> None:
+        if isinstance(action, StartLocalTrain):
+            self._train(action.round)
+        elif isinstance(action, SubmitUpdate):
+            self._submit(action.round)
+        elif isinstance(action, protocol.RefuseTask):
+            self._refuse(action.round, action.reason)
+
+    # -- message handling ------------------------------------------------------
+
+    def _on_task(self, src: str, opened: Opened | None) -> None:
+        task = _task_fields(opened)
+        if task is None:
+            self.dispatch(TaskReceived(round=-1, malformed=True))
             return
-        pub = self.kit.public_key_of(self.server_id)
-        if msg_type == MSG_TASK_ASSIGN:
-            task = _task_fields(_opened(payload, pub))
-            if task is None:
-                self.dispatch(TaskReceived(round=-1, malformed=True))
-                return
-            self.registered = True
-            # Staged before dispatch; consumed synchronously by _train if
-            # the machine accepts this round.
-            self.current_task = task
-            self.dispatch(TaskReceived(task[0]))
-        elif msg_type == MSG_ACK:
-            opened = _opened(payload, pub)
-            if opened is None:
-                return
-            if opened[0].get("registered"):
-                self.registered = True
-            if opened[0].get("done"):
-                self.done = True
-        elif msg_type == MSG_EVAL_REQUEST:
-            opened = _opened(payload, pub)
-            if opened is None or opened[1] is None:
-                return
+        self.registered = True
+        # Staged before dispatch; consumed synchronously by _train if the
+        # machine accepts this round.
+        self.current_task = task
+        self.dispatch(TaskReceived(task[0]))
+
+    def _on_ack(self, src: str, opened: Opened | None) -> None:
+        if opened is not None:
+            self.registered |= bool(opened[0].get("registered"))
+            self.done |= bool(opened[0].get("done"))
+
+    def _on_eval_request(self, src: str, opened: Opened | None) -> None:
+        if opened is not None and opened[1] is not None:
             self._report_eval(as_dense(opened[1]))
-        elif msg_type == MSG_ABORT:
-            opened = _opened(payload, pub)
-            if opened is not None and opened[0].get("reason") == "registration rejected":
-                self.done = True
+
+    def _on_abort(self, src: str, opened: Opened | None) -> None:
+        if opened is not None and opened[0].get("reason") == "registration rejected":
+            self.done = True
 
     # -- local work ------------------------------------------------------------
 
     def _train(self, round_no: int) -> None:
         assert self.current_task is not None and self.current_task[0] == round_no
         _, start, masked = self.current_task
-        if not self.weight:  # no tokens to train on
-            # Refuse instead of uploading a fabricated update; the round
-            # proceeds (or aborts) on quorum without this site.
-            log.warning("client %s has no data; skipping round %d",
-                        self.kit.site_id, round_no)
+        if not self.weight:
+            # Refuse instead of uploading a fabricated update.
+            self._refuse(round_no, "no data")
             return
         if self.encoded is None:
             self.encoded = encode_sentences(
@@ -585,14 +582,18 @@ class ClientNode:
             "weight": self.weight,
             "masked": self.policy.masking_enabled,
         }
+        vector: Vector = delta
         if self.policy.masking_enabled:
             if self.kit.mask_root is None:
-                raise ConfigError(f"{self.kit.site_id} has no mask root in its kit")
+                self._refuse(round_no, "no mask root in kit")
+                return
             root = int.from_bytes(self.kit.mask_root[:8], "big")
             pairing = make_pairing(list(self._pending_masked_peers), round_no, root)
-            vector: Vector = mask_update(delta, pairing, self.kit.site_id, self.weight)
-        else:
-            vector = delta
+            try:
+                vector = mask_update(delta, pairing, self.kit.site_id, self.weight)
+            except (ConfigError, KeyError) as exc:  # past the fixed-point bound, or no peer
+                self._refuse(round_no, str(exc))
+                return
         payload = _signed(doc, vector, self.kit)
         self.rel.send(
             self.server_id, MSG_UPDATE_SUBMIT, payload,
@@ -605,12 +606,8 @@ class ClientNode:
         doc: dict = {"site_id": self.kit.site_id, "has_data": bool(self.holdout)}
         if self.holdout:
             ent, tok = evaluate(params, self.holdout, self.spec.train)
-            doc.update({
-                "ent_precision": ent.precision, "ent_recall": ent.recall, "ent_f1": ent.f1,
-                "ent_tp": ent.tp, "ent_fp": ent.fp, "ent_fn": ent.fn,
-                "tok_precision": tok.precision, "tok_recall": tok.recall, "tok_f1": tok.f1,
-                "tok_tp": tok.tp, "tok_fp": tok.fp, "tok_fn": tok.fn,
-            })
+            doc.update(ent.fields("ent"))
+            doc.update(tok.fields("tok"))
         self.rel.send(self.server_id, MSG_EVAL_REPORT, _signed(doc, None, self.kit))
 
 
@@ -631,17 +628,16 @@ def run_federation(
     net = SimNetwork(net_config or SimNetConfig(seed=spec.seeds.net))
     clock = VirtualClock(lambda: net.now_ms)
 
-    server_rel = ReliableEndpoint(
-        net.endpoint(spec.server_id), spec.max_retries, spec.backoff_base_ms
-    )
     audit = AuditLog(clock=clock, path=audit_path)
-    server = ServerNode(server_rel, spec.kits[spec.server_id], spec, audit)
+    server = ServerNode(
+        ReliableEndpoint(net.endpoint(spec.server_id)), spec.kits[spec.server_id], spec, audit
+    )
 
     clients: dict[str, ClientNode] = {}
     for cid in spec.client_ids():
-        rel = ReliableEndpoint(net.endpoint(cid), spec.max_retries, spec.backoff_base_ms)
         clients[cid] = ClientNode(
-            rel, spec.kits[cid], spec.shards[cid], spec, spec.holdouts.get(cid)
+            ReliableEndpoint(net.endpoint(cid)), spec.kits[cid], spec.shards[cid], spec,
+            spec.holdouts.get(cid),
         )
     for cid in spec.client_ids():
         net.schedule(0.0, clients[cid].register)
@@ -657,7 +653,6 @@ def run_federation(
         cross_site=server.cross_site_table(),
         audit=list(audit.entries),
         model_signature=server.model_signature,
-        failed=server.failed,
         params_per_round=server.params_per_round,
     )
 

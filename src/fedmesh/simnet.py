@@ -128,16 +128,11 @@ class SimNetwork:
         return True
 
     def run(
-        self,
-        until: Callable[[], bool] | None = None,
-        max_virtual_ms: float | None = None,
-        max_events: int = 10_000_000,
+        self, until: Callable[[], bool] | None = None, max_events: int = 10_000_000
     ) -> None:
-        """Drain events until the predicate holds, the clock cap, or idle."""
+        """Drain events until the predicate holds or the queue is idle."""
         for _ in range(max_events):
             if until is not None and until():
-                return
-            if max_virtual_ms is not None and self._timers.next_time() > max_virtual_ms:
                 return
             if not self.step():
                 return

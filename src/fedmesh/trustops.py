@@ -92,12 +92,6 @@ class StartupKit:
     def private_key(self) -> Ed25519PrivateKey:
         return Ed25519PrivateKey.from_private_bytes(self.private_seed)
 
-    def public_key_of(self, site_id: str) -> bytes:
-        for ident in self.roster:
-            if ident.site_id == site_id:
-                return ident.public_key
-        raise KeyError(f"{site_id!r} not in roster")
-
 
 def _public_bytes(private_seed: bytes) -> bytes:
     key = Ed25519PrivateKey.from_private_bytes(private_seed)

@@ -2,19 +2,27 @@
 
 The harness wraps fedmesh functions by module and attribute name from
 outside the package; a rename or a changed call shape would silently stop
-it measuring.  These tests resolve every name it patches and pin the
+it measuring.  These tests resolve every name it patches, check that a
+federation really calls the runner's sites through those names, and pin the
 arguments its wrappers read.
 """
 
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from fedmesh.aggregation import AggregationStrategy
+from fedmesh.data import PartitionPlan, partition, synthetic_corpus
+from fedmesh.model import TrainConfig
+from fedmesh.privacy import SitePolicy
+from fedmesh.runner import FederationSpec, run_federation
 from fedmesh.simnet import SimEndpoint, SimNetConfig, SimNetwork
 from fedmesh.tcpnet import TcpNode
 from fedmesh.transport import MSG_TASK_ASSIGN, MSG_UPDATE_SUBMIT, ReliableEndpoint, decode_frame
+from fedmesh.trustops import provision
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,6 +56,47 @@ def test_every_patch_target_resolves(harness, monkeypatch):
     assert len(targets) > len(tracing.SITES)  # the probe's own patches were seen too
     for module, attr in targets:
         assert callable(_resolve(module, attr)), f"{module}.{attr}"
+
+
+def _tiny_spec(policies: dict[str, SitePolicy]) -> FederationSpec:
+    ids = ["site-1", "site-2"]
+    shards = partition(synthetic_corpus(40, seed=3), PartitionPlan("equal-n", 2, seed=1))
+    return FederationSpec(
+        shards=dict(zip(ids, shards)),
+        train=TrainConfig(feature_dim=1 << 10),
+        strategy=AggregationStrategy("fedavg"),
+        rounds=1, k=2, m=2, deadline_ms=5_000.0,
+        kits=provision([("server", "server")] + [(c, "client") for c in ids], key_seed=4),
+        server_id="server",
+        policies=policies,
+        holdouts=dict(zip(ids, shards)),
+    )
+
+
+def test_every_runner_site_is_called_through_its_patched_name(harness, monkeypatch):
+    # A name that resolves can still be dead: a step function bound at class
+    # definition, say, would never reach the patched module global.
+    tracing, _ = harness
+    calls = Counter()
+    sites = [(module, attr) for module, attr, _ in tracing.SITES if module == "fedmesh.runner"]
+    for module, attr in sites:
+        *path, name = attr.split(".")
+        owner = _resolve(module, ".".join(path)) if path else importlib.import_module(module)
+        monkeypatch.setattr(owner, name, getattr(owner, name))  # restored after the test
+
+        def make(fn, attr=attr):
+            def counted(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        tracing.patch(module, attr, make)
+    run_federation(_tiny_spec({}))
+    # A masked cohort takes the mask_update/sum_masked path instead of aggregate.
+    run_federation(_tiny_spec({
+        cid: SitePolicy(site_id=cid, masking_enabled=True) for cid in ("site-1", "site-2")
+    }))
+    assert [attr for _, attr in sites if not calls[attr]] == []
 
 
 @pytest.mark.parametrize("method,params", [

@@ -16,16 +16,15 @@ from fedmesh.model import (
     EmptyShardError,
     EncodedBatch,
     Metrics,
+    TAGS,
     TaggedSentence,
     TrainConfig,
     decode_entities,
     encode_sentences,
     evaluate,
-    featurize,
     fnv1a64,
     local_train,
     loss_and_grad,
-    predict_tags,
     repair_tags,
     token_count,
     zero_params,
@@ -40,6 +39,22 @@ SMALL = TrainConfig(feature_dim=1 << 10, learning_rate=0.5, batch_size=8, seed=3
 
 def sentence(tokens, tags):
     return TaggedSentence(tuple(tokens), tuple(tags))
+
+
+def featurize(sent, feature_dim, hash_seed=0):
+    """Each token's feature indices, read off encode_sentences' CSR packing."""
+    tokens = sent.tokens if isinstance(sent, TaggedSentence) else tuple(sent)
+    batch = encode_sentences(
+        [TaggedSentence(tokens, ("O",) * len(tokens))], feature_dim, hash_seed
+    )
+    return [batch.feats[a:b] for a, b in zip(batch.token_ptr[:-1], batch.token_ptr[1:])]
+
+
+def predict_tags(params, sent, cfg):
+    """Per-token argmax tags, scored the way evaluate scores them."""
+    batch = encode_sentences([sent], cfg.feature_dim, cfg.hash_seed)
+    weights = params.reshape(cfg.num_classes, cfg.feature_dim)
+    return [TAGS[i] for i in model._token_scores(weights, batch).argmax(axis=0)]
 
 
 def trained_params(start, shard, cfg):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,32 @@ class TestPrivacyIntegration:
         }
         with pytest.raises(RoundFailedError):
             run_federation(spec, SimNetConfig(seed=1))
+
+    @pytest.mark.parametrize("spoil", ["past-the-bound", "no-mask-root", "no-peer"])
+    def test_client_that_cannot_mask_refuses_and_the_round_fails(self, spoil, caplog):
+        # weight * delta past encode_fixed's bound, a kit without a mask root
+        # or a masked cohort of one is refused by the client inside the event
+        # loop; the masked round then aborts for the missing member instead
+        # of the run raising.
+        spec = make_spec(rounds=1)
+        spec.policies = {
+            cid: SitePolicy(site_id=cid, masking_enabled=True) for cid in spec.shards
+        }
+        if spoil == "past-the-bound":
+            spec.adversary = Adversary("site-1", 1e10)
+            reason = "supports |value| <"
+        elif spoil == "no-mask-root":
+            spec.kits["site-1"] = replace(spec.kits["site-1"], mask_root=None)
+            reason = "no mask root in kit"
+        else:
+            del spec.policies["site-2"]
+            reason = "not in the masked cohort"
+        with pytest.raises(RoundFailedError):
+            run_federation(spec, SimNetConfig(seed=1))
+        refusals = [r.getMessage() for r in caplog.records if "TaskRefused" in r.getMessage()]
+        # The retry finds site-1 still holding round 1 and is refused as busy.
+        assert refusals and all(m.startswith("client site-1:") for m in refusals)
+        assert reason in refusals[0]
 
     def test_masking_requires_fedavg(self):
         spec = make_spec(strategy="coord-median")
