@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import kvdoc, report as report_mod
-from .config import ExperimentConfig, load_experiment, with_seeds
+from .config import ExperimentConfig, load_experiment, load_roster, with_seeds
 from .data import TaggedCorpus, corpus_stats, load_conll, partition, save_conll, synthetic_corpus
 from .errors import ConfigError
 from .experiments import render_text_report, run_simulation, vet_config
@@ -51,12 +51,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def cmd_provision(args) -> int:
-    doc = kvdoc.parse_doc(Path(args.roster).read_text(encoding="utf-8"))
-    sites = [str(s) for s in doc.get("sites", [])]
-    server_id = str(doc.get("server", "server"))
-    address = str(doc.get("address", "127.0.0.1:7761"))
-    if not sites:
-        raise ConfigError("roster: 'sites' list is required")
+    sites, server_id, address = load_roster(args.roster)
     kits = provision(
         [(server_id, "server")] + [(site, "client") for site in sites],
         server_address=address,
@@ -221,7 +216,7 @@ def cmd_serve(args) -> int:
         if not node.run_until(lambda: server.done, timeout_s=args.timeout):
             log.error("federation did not finish before timeout")
             return EXIT_RUNTIME
-        if server.failed:
+        if server.state.failed:
             log.error("federation failed: round aborted with no retry left")
             return EXIT_RUNTIME
         (out / "model.params").write_bytes(canonical_param_bytes(server.global_params))

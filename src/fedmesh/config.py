@@ -1,13 +1,19 @@
 """Experiment configuration: one key/value document describing a full run.
 
-The same file drives `simulate`, `serve`, `client`, and `partition`.  Parsing
-is strict: unknown keys and ill-typed values fail with their field path, so
-a typo cannot silently change an experiment.
+The same file drives `simulate`, `serve`, `client`, and `partition`.  Each
+document kind (the experiment, a site policy, the provisioning roster) has one
+key table here that declares every key once, with its type and default;
+parsing, defaults and the report's config echo all come from it.  Parsing is
+strict at every depth: an undeclared key, an ill-typed value or an incomplete
+section fails with its dotted path, so a typo cannot silently change an
+experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import re
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -16,12 +22,9 @@ from .aggregation import AggregationStrategy
 from .data import PartitionPlan
 from .errors import ConfigError
 from .model import TrainConfig
-from .privacy import SitePolicy, policy_from_doc
+from .privacy import DpParams, SitePolicy, SvtParams
 from .runner import Adversary, Seeds
 from .simnet import SimNetConfig
-
-EXPERIMENT_KINDS = ("single", "client-sweep", "imbalance-sweep")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -29,7 +32,6 @@ class ExperimentConfig:
     test_path: str
     rounds: int
     clients: int
-    partition_mode: str
     ratios: tuple[int, ...]
     strategy: AggregationStrategy
     train: TrainConfig
@@ -41,11 +43,11 @@ class ExperimentConfig:
     experiment_kind: str
     client_counts: tuple[int, ...]
     sweep_ratios: tuple[tuple[int, ...], ...]
-    policies: dict[str, SitePolicy] = field(default_factory=dict)
-    adversary: Adversary | None = None
-    retry_on_abort: bool = True
-    server_id: str = "server"
-    bind: str = "127.0.0.1:7761"
+    policies: dict[str, SitePolicy]
+    adversary: Adversary | None
+    retry_on_abort: bool
+    server_id: str
+    bind: str
 
     def site_ids(self, n_clients: int | None = None) -> list[str]:
         n = n_clients if n_clients is not None else self.clients
@@ -60,166 +62,221 @@ class ExperimentConfig:
         return PartitionPlan("equal-n", n, seed=self.seeds.data)
 
 
-def _need(doc: dict, path: str, kind: type, default: Any = ...) -> Any:
-    value = kvdoc.get_path(doc, path, default=None)
-    if value is None:
-        if default is ...:
-            raise ConfigError(f"{path}: required field is missing")
-        return default
-    if kind is float and isinstance(value, (int, bool)) and not isinstance(value, bool):
+REQUIRED = object()
+
+
+# A nested key table; build makes one object of its values, by keyword.
+_Section = namedtuple("_Section", "keys build", defaults=(dict,))
+
+
+def _check(kind: Any, value: Any, path: str) -> Any:
+    """*value* read as *kind*: a type, ``[kind]`` for a list of them, a
+    ``_Section``, or a function of ``(value, path)``."""
+    if isinstance(kind, _Section):
+        return kind.build(**_read(value, kind.keys, path))
+    if type(kind) is list:
+        if type(value) is not list:
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return tuple(_check(kind[0], item, path) for item in value)
+    if not isinstance(kind, type):
+        return kind(value, path)
+    if kind is float and type(value) is int:
         value = float(value)
-    if kind is not Any and not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+    if type(value) is not kind:
         raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
     return value
 
 
-def _parse_ratio_string(text: str, path: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p) for p in str(text).split("/"))
-    except ValueError:
-        raise ConfigError(f"{path}: expected percentages like 90/10, got {text!r}")
-    if sum(parts) != 100 or any(p <= 0 for p in parts):
-        raise ConfigError(f"{path}: percentages must be positive and sum to 100")
+def _read(doc: Any, table: dict[str, tuple], path: str = "") -> dict[str, Any]:
+    """The section *doc*'s value for every key of *table*, defaults filled in.
+
+    A table maps each key to ``(kind, default, echo getter)``; a key without
+    a getter is not echoed.  A default is written as the document would
+    write it and read like it; ``REQUIRED`` has none and ``None`` leaves the
+    key unset.  An undeclared key, an ill-typed value and a missing required
+    key fail with the key's path.
+    """
+    if type(doc) is not dict:
+        raise ConfigError(f"{path}: expected a section, got {doc!r}")
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown key")
+    values = {}
+    for key, (kind, default, _) in table.items():
+        value = doc.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{prefix}{key}: required field is missing")
+        values[key] = None if value is None else _check(kind, value, prefix + key)
+    return values
+
+
+def _echo(obj: Any, table: dict[str, tuple]) -> dict:
+    """The document that *table* reads back as *obj*, without unset or empty values."""
+    doc = {}
+    for key, (kind, _, get) in table.items():
+        value = None if get is None else get(obj)
+        if isinstance(kind, _Section) and value is not None:
+            value = _echo(value, kind.keys)
+        if value is not None and value not in ((), [], {}):
+            doc[key] = value
+    return doc
+
+
+def _ratio(value: Any, path: str) -> tuple[int, ...]:
+    """Percentages written ``90/10`` or ``[90, 10]``."""
+    text = value if type(value) is str else "/".join(map(str, _check([int], value, path)))
+    parts = tuple(map(int, text.split("/"))) if re.fullmatch(r"\d+(/\d+)*", text) else ()
+    if sum(parts) != 100 or 0 in parts:
+        raise ConfigError(f"{path}: expected positive percentages summing to 100, got {value!r}")
     return parts
 
 
-_TOP_LEVEL_KEYS = {
-    "corpus", "rounds", "clients", "partition", "strategy", "train", "quorum",
-    "transport", "seeds", "experiment", "policy", "policy_dir", "adversary",
-    "retry_on_abort", "server_id", "bind",
+_POLICY_KEYS = {
+    "site_id": (str, None, None),
+    "clip_norm": (float, None, lambda p: p.clip_norm),
+    "dp": (_Section({
+        "epsilon": (float, REQUIRED, lambda d: d.epsilon),
+        "delta": (float, REQUIRED, lambda d: d.delta),
+    }, DpParams), None, lambda p: p.dp),
+    "svt": (_Section({
+        "threshold_fraction": (float, REQUIRED, lambda s: s.threshold_fraction),
+        "budget_c": (int, REQUIRED, lambda s: s.budget_c),
+        "epsilon": (float, REQUIRED, lambda s: s.epsilon),
+    }, SvtParams), None, lambda p: p.svt),
+    "masking_enabled": (bool, False, lambda p: p.masking_enabled),
+}
+
+
+def policy_from_doc(site_id: str, doc: dict, path: str = "") -> SitePolicy:
+    """Build *site_id*'s SitePolicy from a parsed policy document."""
+    values = _read(doc, _POLICY_KEYS, path)
+    if (named := values.pop("site_id")) not in (None, site_id):
+        raise ConfigError(f"policy file names site {named!r}, expected {site_id!r}")
+    return SitePolicy(site_id, **values)
+
+
+def policy_to_doc(policy: SitePolicy) -> dict:
+    """Canonical document of a policy, without its site_id."""
+    return _echo(policy, _POLICY_KEYS)
+
+
+def _policies(value: Any, path: str) -> dict[str, SitePolicy]:
+    if type(value) is not dict:
+        raise ConfigError(f"{path}: expected a section, got {value!r}")
+    return {site: policy_from_doc(site, doc, f"{path}.{site}") for site, doc in sorted(value.items())}
+
+
+_EXPERIMENT_KEYS = {
+    "corpus": (_Section({
+        "train": (str, REQUIRED, lambda c: c.train_path),
+        "test": (str, REQUIRED, lambda c: c.test_path),
+    }), {}, lambda c: c),
+    "rounds": (int, REQUIRED, lambda c: c.rounds),
+    "clients": (int, REQUIRED, lambda c: c.clients),
+    "partition": (_Section({
+        "mode": (str, "equal-n", lambda c: "ratio" if c.ratios else "equal-n"),
+        "ratios": (_ratio, None, lambda c: c.ratios),
+    }), {}, lambda c: c),
+    "strategy": (_Section({
+        "kind": (str, "fedavg", lambda s: s.kind),
+        "normalize_to": (float, None, lambda s: s.normalize_to),
+        "geo_tol": (float, 1e-8, lambda s: s.geo_tol),
+        "geo_max_iter": (int, 200, lambda s: s.geo_max_iter),
+    }, AggregationStrategy), {}, lambda c: c.strategy),
+    "train": (_Section({
+        "learning_rate": (float, 0.5, lambda t: t.learning_rate),
+        "local_epochs": (int, 1, lambda t: t.local_epochs),
+        "batch_size": (int, 32, lambda t: t.batch_size),
+        "fedprox_mu": (float, 0.0, lambda t: t.fedprox_mu),
+        "feature_dim": (int, 1 << 18, lambda t: t.feature_dim),
+        "hash_seed": (int, 0, lambda t: t.hash_seed),
+    }, TrainConfig), {}, lambda c: c.train),
+    # quorum.k defaults to clients and quorum.m to k.
+    "quorum": (_Section({
+        "k": (int, None, lambda c: c.k),
+        "m": (int, None, lambda c: c.m),
+        "deadline_ms": (float, 30_000.0, lambda c: c.deadline_ms),
+    }), {}, lambda c: c),
+    "transport": (_Section({
+        "latency_min_ms": (float, 1.0, lambda s: s.latency_ms[0]),
+        "latency_max_ms": (float, 5.0, lambda s: s.latency_ms[1]),
+        "drop_prob": (float, 0.0, lambda s: s.drop_prob),
+    }), {}, lambda c: c.sim),
+    "seeds": (_Section({
+        "data": (int, 1, lambda s: s.data),
+        "model": (int, 2, lambda s: s.model),
+        "net": (int, 3, lambda s: s.net),
+    }, Seeds), {}, lambda c: c.seeds),
+    "experiment": (_Section({
+        "kind": (str, "single", lambda c: c.experiment_kind),
+        "client_counts": ([int], [], lambda c: c.client_counts),
+        "ratios": ([_ratio], [], lambda c: ["/".join(map(str, r)) for r in c.sweep_ratios]),
+    }), {}, lambda c: c),
+    "policy": (_policies, {}, lambda c: {s: policy_to_doc(p) for s, p in c.policies.items()}),
+    # Read for its policy files; the echo carries them under policy.
+    "policy_dir": (str, None, None),
+    "adversary": (_Section({
+        "client": (str, REQUIRED, lambda a: a.client_id),
+        "magnitude": (float, REQUIRED, lambda a: a.magnitude),
+    }, lambda client, magnitude: Adversary(client, magnitude)), None, lambda c: c.adversary),
+    "retry_on_abort": (bool, True, lambda c: c.retry_on_abort),
+    "server_id": (str, "server", lambda c: c.server_id),
+    "bind": (str, "127.0.0.1:7761", lambda c: c.bind),
 }
 
 
 def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
-    doc = kvdoc.parse_doc(text)
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    base = Path(base_dir)
-
-    def resolve(rel: str) -> str:
-        path = Path(rel)
-        return str(path if path.is_absolute() else base / path)
-
-    train_path = resolve(_need(doc, "corpus.train", str))
-    test_path = resolve(_need(doc, "corpus.test", str))
-
-    clients = _need(doc, "clients", int)
-    rounds = _need(doc, "rounds", int)
-    if rounds < 0 or clients < 1:
+    # Each entry of v left after the pops below is an ExperimentConfig field.
+    v = _read(kvdoc.parse_doc(text), _EXPERIMENT_KEYS)
+    base, clients = Path(base_dir), v["clients"]
+    if v["rounds"] < 0 or clients < 1:
         raise ConfigError("rounds must be >= 0 and clients >= 1")
 
-    mode = _need(doc, "partition.mode", str, default="equal-n")
-    ratios: tuple[int, ...] = ()
-    if mode == "ratio":
-        raw = kvdoc.get_path(doc, "partition.ratios")
-        if isinstance(raw, str):
-            ratios = _parse_ratio_string(raw, "partition.ratios")
-        elif isinstance(raw, list):
-            ratios = tuple(int(r) for r in raw)
-        else:
-            raise ConfigError("partition.ratios: required for ratio mode")
-        PartitionPlan("ratio", clients, seed=0, ratios=ratios)
-    elif mode != "equal-n":
-        raise ConfigError(f"partition.mode: unknown mode {mode!r}")
+    mode, ratios = v.pop("partition").values()
+    if (mode == "ratio") != (ratios is not None):
+        raise ConfigError("partition.ratios: given exactly when partition.mode = ratio")
+    PartitionPlan(mode, clients, seed=0, ratios=ratios or ())
 
-    normalize_to = kvdoc.get_path(doc, "strategy.normalize_to")
-    strategy = AggregationStrategy(
-        kind=_need(doc, "strategy.kind", str, default="fedavg"),
-        normalize_to=float(normalize_to) if normalize_to is not None else None,
-        geo_tol=_need(doc, "strategy.geo_tol", float, default=1e-8),
-        geo_max_iter=_need(doc, "strategy.geo_max_iter", int, default=200),
-    )
-
-    train = TrainConfig(
-        learning_rate=_need(doc, "train.learning_rate", float, default=0.5),
-        local_epochs=_need(doc, "train.local_epochs", int, default=1),
-        batch_size=_need(doc, "train.batch_size", int, default=32),
-        fedprox_mu=_need(doc, "train.fedprox_mu", float, default=0.0),
-        seed=0,
-        feature_dim=_need(doc, "train.feature_dim", int, default=1 << 18),
-        hash_seed=_need(doc, "train.hash_seed", int, default=0),
-    )
-
-    k = _need(doc, "quorum.k", int, default=clients)
-    m = _need(doc, "quorum.m", int, default=k)
-    deadline_ms = _need(doc, "quorum.deadline_ms", float, default=30_000.0)
+    k, m, deadline_ms = v.pop("quorum").values()
+    k = clients if k is None else k
+    m = k if m is None else m
     if not (1 <= m <= k <= clients):
         raise ConfigError(f"quorum: need 1 <= m <= k <= clients, got m={m} k={k}")
 
-    seeds = Seeds(
-        data=_need(doc, "seeds.data", int, default=1),
-        model=_need(doc, "seeds.model", int, default=2),
-        net=_need(doc, "seeds.net", int, default=3),
-    )
-
-    sim = SimNetConfig(
-        latency_ms=(
-            _need(doc, "transport.latency_min_ms", float, default=1.0),
-            _need(doc, "transport.latency_max_ms", float, default=5.0),
-        ),
-        drop_prob=_need(doc, "transport.drop_prob", float, default=0.0),
-        seed=seeds.net,
-    )
-
-    kind = _need(doc, "experiment.kind", str, default="single")
-    if kind not in EXPERIMENT_KINDS:
+    kind, client_counts, sweep_ratios = v.pop("experiment").values()
+    if kind not in ("single", "client-sweep", "imbalance-sweep"):
         raise ConfigError(f"experiment.kind: unknown kind {kind!r}")
-    counts_raw = kvdoc.get_path(doc, "experiment.client_counts", default=[])
-    client_counts = tuple(int(c) for c in counts_raw)
-    sweep_raw = kvdoc.get_path(doc, "experiment.ratios", default=[])
-    sweep_ratios = tuple(
-        _parse_ratio_string(r, "experiment.ratios") for r in sweep_raw
-    )
     if kind == "client-sweep" and not client_counts:
         raise ConfigError("experiment.client_counts: required for client-sweep")
     if kind == "imbalance-sweep" and not sweep_ratios:
         raise ConfigError("experiment.ratios: required for imbalance-sweep")
 
-    site_ids = [f"site-{i}" for i in range(1, clients + 1)]
     policies: dict[str, SitePolicy] = {}
-    policy_dir = _need(doc, "policy_dir", str, default=None)
-    if policy_dir is not None:
-        pdir = Path(resolve(policy_dir))
+    if (policy_dir := v.pop("policy_dir")) is not None:
+        pdir = base / policy_dir
         if not pdir.is_dir():
             raise ConfigError(f"policy_dir: {pdir} is not a directory")
-        for policy_path in sorted(pdir.glob("*.policy")):
-            site = policy_path.stem
-            policies[site] = policy_from_doc(
-                site, kvdoc.parse_doc(policy_path.read_text(encoding="utf-8"))
-            )
-    for site, policy_doc in sorted(kvdoc.get_path(doc, "policy", default={}).items()):
-        policies[site] = policy_from_doc(site, policy_doc)
+        for path in sorted(pdir.glob("*.policy")):
+            doc = kvdoc.parse_doc(path.read_text(encoding="utf-8"))
+            policies[path.stem] = policy_from_doc(path.stem, doc, f"policy.{path.stem}")
+    policies.update(v.pop("policy"))
 
-    adversary = None
-    if "adversary" in doc:
-        adversary = Adversary(
-            client_id=_need(doc, "adversary.client", str),
-            magnitude=_need(doc, "adversary.magnitude", float),
-        )
-
+    train_path, test_path = (str(base / p) for p in v.pop("corpus").values())
+    latency_min, latency_max, drop_prob = v.pop("transport").values()
     return ExperimentConfig(
         train_path=train_path,
         test_path=test_path,
-        rounds=rounds,
-        clients=clients,
-        partition_mode=mode,
-        ratios=ratios,
-        strategy=strategy,
-        train=train,
+        ratios=ratios or (),
         k=k,
         m=m,
         deadline_ms=deadline_ms,
-        sim=sim,
-        seeds=seeds,
+        sim=SimNetConfig((latency_min, latency_max), drop_prob, seed=v["seeds"].net),
         experiment_kind=kind,
         client_counts=client_counts,
         sweep_ratios=sweep_ratios,
         policies=policies,
-        adversary=adversary,
-        retry_on_abort=_need(doc, "retry_on_abort", bool, default=True),
-        server_id=_need(doc, "server_id", str, default="server"),
-        bind=_need(doc, "bind", str, default="127.0.0.1:7761"),
+        **v,
     )
 
 
@@ -237,59 +294,23 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
 
 def experiment_to_doc(config: ExperimentConfig) -> dict:
     """Canonical document echo of a parsed config (used in reports)."""
-    doc: dict = {
-        "corpus": {"train": config.train_path, "test": config.test_path},
-        "rounds": config.rounds,
-        "clients": config.clients,
-        "partition": {"mode": config.partition_mode},
-        "strategy": {
-            "kind": config.strategy.kind,
-            "geo_tol": config.strategy.geo_tol,
-            "geo_max_iter": config.strategy.geo_max_iter,
-        },
-        "train": {
-            "learning_rate": config.train.learning_rate,
-            "local_epochs": config.train.local_epochs,
-            "batch_size": config.train.batch_size,
-            "fedprox_mu": config.train.fedprox_mu,
-            "feature_dim": config.train.feature_dim,
-            "hash_seed": config.train.hash_seed,
-        },
-        "quorum": {"k": config.k, "m": config.m, "deadline_ms": config.deadline_ms},
-        "transport": {
-            "latency_min_ms": config.sim.latency_ms[0],
-            "latency_max_ms": config.sim.latency_ms[1],
-            "drop_prob": config.sim.drop_prob,
-        },
-        "seeds": {
-            "data": config.seeds.data,
-            "model": config.seeds.model,
-            "net": config.seeds.net,
-        },
-        "experiment": {"kind": config.experiment_kind},
-        "retry_on_abort": config.retry_on_abort,
-        "server_id": config.server_id,
-        "bind": config.bind,
-    }
-    if config.ratios:
-        doc["partition"]["ratios"] = list(config.ratios)
-    if config.strategy.normalize_to is not None:
-        doc["strategy"]["normalize_to"] = config.strategy.normalize_to
-    if config.client_counts:
-        doc["experiment"]["client_counts"] = list(config.client_counts)
-    if config.sweep_ratios:
-        doc["experiment"]["ratios"] = ["/".join(map(str, r)) for r in config.sweep_ratios]
-    if config.adversary is not None:
-        doc["adversary"] = {
-            "client": config.adversary.client_id,
-            "magnitude": config.adversary.magnitude,
-        }
-    for site, policy in sorted(config.policies.items()):
-        from .privacy import policy_to_doc
+    return _echo(config, _EXPERIMENT_KEYS)
 
-        kvdoc.set_path(doc, f"policy.{site}", policy_to_doc(policy))
-        doc["policy"][site].pop("site_id", None)
-    return doc
+
+_ROSTER_KEYS = {
+    "sites": ([str], REQUIRED, None),
+    "server": (str, "server", None),
+    "address": (str, "127.0.0.1:7761", None),
+}
+
+
+def load_roster(path: str | Path) -> tuple[tuple[str, ...], str, str]:
+    """A provisioning roster's (site ids, server id, server address)."""
+    doc = kvdoc.parse_doc(Path(path).read_text(encoding="utf-8"))
+    sites, server_id, address = _read(doc, _ROSTER_KEYS).values()
+    if not sites:
+        raise ConfigError("sites: needs at least one site")
+    return sites, server_id, address
 
 
 def with_seeds(config: ExperimentConfig, data=None, model=None, net=None) -> ExperimentConfig:

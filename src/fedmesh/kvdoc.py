@@ -211,7 +211,7 @@ def _looks_numeric(text: str) -> bool:
 
 
 def _emit_value(value: Value) -> str:
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(emit_scalar(v) for v in value) + "]"
     return emit_scalar(value)
 
@@ -232,22 +232,3 @@ def emit_doc(tree: dict[str, Any]) -> str:
     """Emit nested dicts canonically: flattened, sorted, one pair per line."""
     lines = [f"{path} = {_emit_value(value)}" for path, value in sorted(flatten(tree).items())]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def get_path(tree: dict[str, Any], path: str, default: Any = None) -> Any:
-    """Fetch a dotted path from nested dicts, or *default* when absent."""
-    node: Any = tree
-    for seg in path.split("."):
-        if not isinstance(node, dict) or seg not in node:
-            return default
-        node = node[seg]
-    return node
-
-
-def set_path(tree: dict[str, Any], path: str, value: Value) -> None:
-    """Assign a dotted path inside nested dicts, creating sections as needed."""
-    node = tree
-    parts = path.split(".")
-    for seg in parts[:-1]:
-        node = node.setdefault(seg, {})
-    node[parts[-1]] = value

@@ -76,50 +76,6 @@ class SitePolicy:
             raise ConfigError("dp requires clip_norm (bounded sensitivity)")
 
 
-def policy_from_doc(site_id: str, doc: dict) -> SitePolicy:
-    """Build a SitePolicy from a parsed key/value document."""
-    known = {"site_id", "clip_norm", "dp", "svt", "masking_enabled"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"policy for {site_id}: unknown fields {sorted(unknown)}")
-    doc_site = doc.get("site_id", site_id)
-    if doc_site != site_id:
-        raise ConfigError(f"policy file names site {doc_site!r}, expected {site_id!r}")
-    dp = None
-    if "dp" in doc:
-        dp = DpParams(epsilon=float(doc["dp"]["epsilon"]), delta=float(doc["dp"]["delta"]))
-    svt = None
-    if "svt" in doc:
-        svt = SvtParams(
-            threshold_fraction=float(doc["svt"]["threshold_fraction"]),
-            budget_c=int(doc["svt"]["budget_c"]),
-            epsilon=float(doc["svt"]["epsilon"]),
-        )
-    clip = doc.get("clip_norm")
-    return SitePolicy(
-        site_id=site_id,
-        clip_norm=float(clip) if clip is not None else None,
-        dp=dp,
-        svt=svt,
-        masking_enabled=bool(doc.get("masking_enabled", False)),
-    )
-
-
-def policy_to_doc(policy: SitePolicy) -> dict:
-    doc: dict = {"site_id": policy.site_id, "masking_enabled": policy.masking_enabled}
-    if policy.clip_norm is not None:
-        doc["clip_norm"] = policy.clip_norm
-    if policy.dp is not None:
-        doc["dp"] = {"epsilon": policy.dp.epsilon, "delta": policy.dp.delta}
-    if policy.svt is not None:
-        doc["svt"] = {
-            "threshold_fraction": policy.svt.threshold_fraction,
-            "budget_c": policy.svt.budget_c,
-            "epsilon": policy.svt.epsilon,
-        }
-    return doc
-
-
 def gaussian_sigma(clip_norm: float, epsilon: float, delta_dp: float) -> float:
     """Classic Gaussian-mechanism calibration for (epsilon, delta)-DP."""
     if epsilon <= 0:

@@ -416,6 +416,13 @@ class UploadFailed:
 
 
 @dataclass(frozen=True)
+class TaskDropped:
+    """The site refused its own round (no data, or it cannot mask the update)."""
+
+    round: int
+
+
+@dataclass(frozen=True)
 class StartLocalTrain:
     round: int
 
@@ -454,6 +461,10 @@ def client_step(state: ClientState, event: object) -> tuple[ClientState, list]:
         return state, []
     if isinstance(event, (UploadAcked, UploadFailed)):
         if state.phase == UPLOADING and state.round == event.round:
+            return ClientState(WAITING, state.round), []
+        return state, []
+    if isinstance(event, TaskDropped):
+        if state.phase in (TRAINING, UPLOADING) and state.round == event.round:
             return ClientState(WAITING, state.round), []
         return state, []
     return state, []

@@ -54,6 +54,7 @@ from .protocol import (
     StartAggregation,
     StartLocalTrain,
     SubmitUpdate,
+    TaskDropped,
     TaskReceived,
     TrainingDone,
     UpdateReceived,
@@ -149,7 +150,9 @@ class FederationSpec:
         # which hosts every node in-process, checks for the full set.
         if self.server_id not in self.kits and not set(self.shards) & set(self.kits):
             raise ConfigError("no startup kit available for this node")
-        if self.masked_cohort():
+        if masked := self.masked_cohort():
+            if len(masked) < 2:
+                raise ConfigError(f"masking needs at least two sites, got {sorted(masked)}")
             if self.strategy.kind != "fedavg":
                 raise ConfigError("masking requires the fedavg strategy")
             if self.strategy.normalize_to is not None:
@@ -279,9 +282,8 @@ class ServerNode(_Node):
         # machine sees the update so aggregation can read it synchronously.
         self.vectors: dict[tuple[int, str], Vector] = {}
         self.params_per_round: list[np.ndarray] = []
-        self.eval_reports: dict[str, dict] = {}
+        self.eval_reports: dict[str, tuple[Metrics, Metrics] | None] = {}
         self.model_signature: bytes | None = None
-        self.failed = False
         self._eval_timer = None
         for site in sorted(spec.policies):
             policy = spec.policies[site]
@@ -313,10 +315,8 @@ class ServerNode(_Node):
             )
         elif isinstance(action, StartAggregation):
             self._aggregate(action)
-        elif isinstance(action, AbortRound):
-            if not action.retry:
-                self.failed = True
-                self.done = True
+        elif isinstance(action, AbortRound) and not action.retry:
+            self.done = True
         elif isinstance(action, FederationComplete):
             self._finish()
 
@@ -424,7 +424,15 @@ class ServerNode(_Node):
     def _on_eval_report(self, src: str, opened: Opened | None) -> None:
         if opened is None or self.done or src in self.eval_reports:
             return
-        self.eval_reports[src] = opened[0]
+        doc = opened[0]
+        try:
+            self.eval_reports[src] = (
+                Metrics.from_fields(doc, "ent", "entity-strict"),
+                Metrics.from_fields(doc, "tok", "token"),
+            ) if doc.get("has_data") else None
+        except (KeyError, TypeError, ValueError, OverflowError):
+            self.eval_reports[src] = None
+            self._audit("EvalReportRejected", {"client": src, "reason": "malformed report"})
         if set(self.eval_reports) >= self.expected:
             self._finish_eval()
 
@@ -438,14 +446,6 @@ class ServerNode(_Node):
         # Last: a TCP host closes its sockets as soon as it sees done, and a
         # client that never gets this ack waits out its whole timeout.
         self.done = True
-
-    def cross_site_table(self) -> dict[str, tuple[Metrics, Metrics] | None]:
-        reports = {cid: self.eval_reports.get(cid, {}) for cid in sorted(self.expected)}
-        return {
-            cid: (Metrics.from_fields(doc, "ent", "entity-strict"),
-                  Metrics.from_fields(doc, "tok", "token")) if doc.get("has_data") else None
-            for cid, doc in reports.items()
-        }
 
 
 class ClientNode(_Node):
@@ -506,6 +506,11 @@ class ClientNode(_Node):
         """Send nothing for this round; it goes on (or aborts) without this site."""
         self._audit("TaskRefused", {"round": round_no, "reason": reason})
 
+    def _drop(self, round_no: int, reason: str) -> None:
+        """Refuse the round this site holds and wait for the next task."""
+        self._refuse(round_no, reason)
+        self.dispatch(TaskDropped(round_no))
+
     def _execute(self, action) -> None:
         if isinstance(action, StartLocalTrain):
             self._train(action.round)
@@ -547,7 +552,7 @@ class ClientNode(_Node):
         _, start, masked = self.current_task
         if not self.weight:
             # Refuse instead of uploading a fabricated update.
-            self._refuse(round_no, "no data")
+            self._drop(round_no, "no data")
             return
         if self.encoded is None:
             self.encoded = encode_sentences(
@@ -585,14 +590,14 @@ class ClientNode(_Node):
         vector: Vector = delta
         if self.policy.masking_enabled:
             if self.kit.mask_root is None:
-                self._refuse(round_no, "no mask root in kit")
+                self._drop(round_no, "no mask root in kit")
                 return
             root = int.from_bytes(self.kit.mask_root[:8], "big")
             pairing = make_pairing(list(self._pending_masked_peers), round_no, root)
             try:
                 vector = mask_update(delta, pairing, self.kit.site_id, self.weight)
             except (ConfigError, KeyError) as exc:  # past the fixed-point bound, or no peer
-                self._refuse(round_no, str(exc))
+                self._drop(round_no, str(exc))
                 return
         payload = _signed(doc, vector, self.kit)
         self.rel.send(
@@ -643,14 +648,14 @@ def run_federation(
         net.schedule(0.0, clients[cid].register)
 
     net.run(until=lambda: server.done)
-    if server.failed:
+    if server.state.failed:
         raise RoundFailedError("round aborted after retry; federation failed")
     if not server.done:
         raise RuntimeError("simulator went idle before the federation finished")
     return FederationResult(
         final_params=server.global_params,
         history=server.state.history,
-        cross_site=server.cross_site_table(),
+        cross_site={cid: server.eval_reports.get(cid) for cid in sorted(server.expected)},
         audit=list(audit.entries),
         model_signature=server.model_signature,
         params_per_round=server.params_per_round,

@@ -44,6 +44,7 @@ AUDIT_EVENT_TYPES = (
     "ModelSigned",
     "PolicyApplied",
     "ComponentRejected",
+    "EvalReportRejected",
 )
 
 

@@ -231,7 +231,7 @@ class TestTcpFederation:
             results["server"] = main([
                 "serve", "--kit", str(workspace / "kits" / "server"),
                 "--config", str(workspace / "exp.cfg"), "--out", str(srv_out),
-                "--port-file", str(port_file), "--timeout", "15",
+                "--port-file", str(port_file), "--timeout", "3",
             ])
 
         thread = threading.Thread(target=serve)
@@ -244,7 +244,7 @@ class TestTcpFederation:
             "client", "--kit", str(other / "kits" / "site-1"),
             "--config", str(workspace / "exp.cfg"),
             "--shard", str(workspace / "shards" / "shard-site-1.conll"),
-            "--server", f"127.0.0.1:{port}", "--timeout", "10",
+            "--server", f"127.0.0.1:{port}", "--timeout", "2",
         ])
         thread.join(timeout=60)
         assert rogue_result != 0

@@ -1,9 +1,14 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmesh import kvdoc
-from fedmesh.config import experiment_to_doc, load_experiment, parse_experiment, with_seeds
+from fedmesh.cli import main
+from fedmesh.config import (
+    experiment_to_doc, load_experiment, load_roster, parse_experiment, with_seeds,
+)
 from fedmesh.errors import ConfigError
 
 MINIMAL = """
@@ -177,6 +182,68 @@ class TestExperimentConfig:
         echoed = kvdoc.emit_doc(experiment_to_doc(config))
         again = parse_experiment(echoed)
         assert again == config
+
+    @pytest.mark.parametrize("lines,key", [
+        ("train.learnin_rate = 0.1", "train.learnin_rate"),
+        ("quorum.kk = 3", "quorum.kk"),
+        ("transport.drop = 0.5", "transport.drop"),
+        ("seeds.dat = 5", "seeds.dat"),
+        ("strategy.kinds = fedavg", "strategy.kinds"),
+        ("experiment.knd = single", "experiment.knd"),
+        ("adversary.client = site-1\nadversary.magnitude = 5.0\nadversary.clinet = site-2",
+         "adversary.clinet"),
+        ("policy.site-1.clip_norm = 1.0\npolicy.site-1.dp.epsilon = 1.0\n"
+         "policy.site-1.dp.delta = 1e-5\npolicy.site-1.dp.delt = 3", "policy.site-1.dp.delt"),
+        ("policy.site-1.svt.epsilon = 1.0\npolicy.site-1.svt.budget_c = 2\n"
+         "policy.site-1.svt.threshold_fraction = 0.5\npolicy.site-1.svt.budget = 3",
+         "policy.site-1.svt.budget"),
+        ("policy.site-1.clip = 1.0", "policy.site-1.clip"),
+        ("strategy.normalize_to = abc", "strategy.normalize_to"),
+        ("policy.site-1.clip_norm = 1.0\npolicy.site-1.dp.epsilon = 1.0", "policy.site-1.dp.delta"),
+        ("policy.site-1.svt.epsilon = 1.0", "policy.site-1.svt.threshold_fraction"),
+        ("policy.site-1.clip_norm = true", "policy.site-1.clip_norm"),
+        ("policy.site-1.masking_enabled = 1", "policy.site-1.masking_enabled"),
+        ("policy.site-1.svt.epsilon = 1.0\npolicy.site-1.svt.budget_c = 2.5\n"
+         "policy.site-1.svt.threshold_fraction = 0.5", "policy.site-1.svt.budget_c"),
+        ("policy.site-1 = 3", "policy.site-1"),
+        ("experiment.kind = client-sweep\nexperiment.client_counts = 4",
+         "experiment.client_counts"),
+        ("partition.ratios = [50, 50, 0, 0, 0, 0]", "partition.ratios"),
+    ])
+    def test_refused_naming_the_key(self, lines, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_experiment(MINIMAL + lines + "\n")
+
+    def test_policy_dir_typo_refused_naming_the_key(self, tmp_path):
+        pdir = tmp_path / "policies"
+        pdir.mkdir()
+        (pdir / "site-1.policy").write_text("clip_norm = 1.0\ndp.epsilon = 1.0\ndp.delt = 3\n")
+        with pytest.raises(ConfigError, match=r"policy\.site-1\.dp\.delt"):
+            parse_experiment(MINIMAL + 'policy_dir = "policies"\n', base_dir=tmp_path)
+
+    @pytest.mark.parametrize("text,key", [
+        ("sites = [site-1]\nsevrer = hub\n", "sevrer"),
+        ("sites = site-1\n", "sites"),
+        ("sites = []\n", "sites"),
+        ("server = hub\n", "sites"),
+    ])
+    def test_roster_refused_naming_the_key(self, tmp_path, text, key):
+        roster = tmp_path / "roster.cfg"
+        roster.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            load_roster(roster)
+
+    def test_provision_with_scalar_sites_writes_no_kits(self, tmp_path, capsys):
+        roster = tmp_path / "roster.cfg"
+        roster.write_text("sites = site-1\n")
+        assert main(["provision", "--roster", str(roster), "--out", str(tmp_path)]) == 1
+        assert "sites" in capsys.readouterr().err
+        assert not (tmp_path / "kits").exists()
+
+    def test_roster_defaults(self, tmp_path):
+        roster = tmp_path / "roster.cfg"
+        roster.write_text("sites = [site-1, site-2]\n")
+        assert load_roster(roster) == (("site-1", "site-2"), "server", "127.0.0.1:7761")
 
     def test_with_seeds_updates_sim_seed(self):
         config = parse_experiment(MINIMAL)

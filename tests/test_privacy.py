@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmesh.aggregation import SparseVector, as_dense, clip_to_norm
+from fedmesh.config import policy_from_doc, policy_to_doc
 from fedmesh.errors import ConfigError
 from fedmesh.kvdoc import parse_doc
 from fedmesh.privacy import (
@@ -22,8 +23,6 @@ from fedmesh.privacy import (
     make_masks,
     make_pairing,
     mask_update,
-    policy_from_doc,
-    policy_to_doc,
     sum_masked,
     svt_filter,
 )

@@ -25,6 +25,7 @@ from fedmesh.protocol import (
     SubmitUpdate,
     RefuseTask,
     TRAINING,
+    TaskDropped,
     TaskReceived,
     TrainingDone,
     UPLOADING,
@@ -284,6 +285,13 @@ class TestClientMachine:
     def test_upload_failure_also_returns_to_waiting(self):
         state, _ = client_step(ClientState(UPLOADING, 2), UploadFailed(2))
         assert state.phase == WAITING
+
+    def test_dropped_task_returns_to_waiting(self):
+        for phase in (TRAINING, UPLOADING):
+            state, actions = client_step(ClientState(phase, 2), TaskDropped(2))
+            assert state == ClientState(WAITING, 2) and actions == []
+        state, _ = client_step(ClientState(UPLOADING, 3), TaskDropped(2))
+        assert state == ClientState(UPLOADING, 3)
 
     def test_malformed_task_audited(self):
         before = ClientState(WAITING, 1)

@@ -6,7 +6,7 @@ import pytest
 from fedmesh.aggregation import AggregationStrategy
 from fedmesh.data import PartitionPlan, partition, synthetic_corpus
 from fedmesh.errors import ConfigError
-from fedmesh.model import TrainConfig, encode_sentences, evaluate, zero_params
+from fedmesh.model import Metrics, TrainConfig, encode_sentences, evaluate, zero_params
 from fedmesh.privacy import DpParams, SitePolicy, SvtParams
 from fedmesh.runner import (
     SIGNATURE_LEN,
@@ -20,6 +20,7 @@ from fedmesh.runner import (
 )
 from fedmesh.simnet import SimNetConfig
 from fedmesh.transport import (
+    MSG_EVAL_REPORT,
     MSG_REGISTER,
     MSG_UPDATE_SUBMIT,
     VECTOR_SPARSE_F64,
@@ -203,13 +204,10 @@ class TestPrivacyIntegration:
     @pytest.mark.parametrize("spoil", ["past-the-bound", "no-mask-root", "no-peer"])
     def test_client_that_cannot_mask_refuses_and_the_round_fails(self, spoil, caplog):
         # weight * delta past encode_fixed's bound, a kit without a mask root
-        # or a masked cohort of one is refused by the client inside the event
-        # loop; the masked round then aborts for the missing member instead
-        # of the run raising.
+        # or a task that invites site-1 without its masking peer is refused by
+        # the client inside the event loop; the masked round then aborts for
+        # the missing member instead of the run raising.
         spec = make_spec(rounds=1)
-        spec.policies = {
-            cid: SitePolicy(site_id=cid, masking_enabled=True) for cid in spec.shards
-        }
         if spoil == "past-the-bound":
             spec.adversary = Adversary("site-1", 1e10)
             reason = "supports |value| <"
@@ -217,19 +215,33 @@ class TestPrivacyIntegration:
             spec.kits["site-1"] = replace(spec.kits["site-1"], mask_root=None)
             reason = "no mask root in kit"
         else:
-            del spec.policies["site-2"]
+            # k = 2 of 3 sites, and this plan seed invites site-1 and site-3.
+            spec = make_spec(n_clients=3, rounds=1, k=2, m=2, seeds=Seeds(data=1, model=2, net=1))
             reason = "not in the masked cohort"
+        spec.policies = {
+            cid: SitePolicy(site_id=cid, masking_enabled=True) for cid in ("site-1", "site-2")
+        }
         with pytest.raises(RoundFailedError):
             run_federation(spec, SimNetConfig(seed=1))
         refusals = [r.getMessage() for r in caplog.records if "TaskRefused" in r.getMessage()]
-        # The retry finds site-1 still holding round 1 and is refused as busy.
-        assert refusals and all(m.startswith("client site-1:") for m in refusals)
-        assert reason in refusals[0]
+        # The refusal frees site-1, so it takes the retry and refuses it for the same reason.
+        assert len(refusals) == 2
+        assert all(m.startswith("client site-1:") and reason in m for m in refusals)
+        assert not any("busy in" in m for m in refusals)
 
     def test_masking_requires_fedavg(self):
         spec = make_spec(strategy="coord-median")
+        spec.policies = {
+            cid: SitePolicy(site_id=cid, masking_enabled=True) for cid in spec.shards
+        }
+        with pytest.raises(ConfigError, match="fedavg"):
+            spec.validate()
+
+    def test_masked_cohort_of_one_refused(self):
+        # Its mask has no peer to cancel against, so no round could complete.
+        spec = make_spec()
         spec.policies = {"site-1": SitePolicy(site_id="site-1", masking_enabled=True)}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="at least two sites"):
             spec.validate()
 
     def test_dp_and_svt_policies_run(self):
@@ -425,6 +437,29 @@ class TestServerAuthentication:
         assert server.state.responded == ()
         assert any(
             e.event_type == "UpdateRejected" and "malformed update" in e.payload
+            for e in audit.entries
+        )
+
+    @pytest.mark.parametrize("field,value", [("ent_f1", None), ("ent_f1", "high"), ("tok_tp", "x")])
+    def test_malformed_eval_report_audited_and_site_absent(self, field, value):
+        from fedmesh.runner import _signed
+
+        spec = make_spec()
+        net, server, audit, site = self._registered_site_1(spec)
+        doc = {
+            "site_id": "site-1", "has_data": True,
+            **Metrics.from_counts(3, 1, 2, "entity-strict").fields("ent"),
+            **Metrics.from_counts(9, 2, 4, "token").fields("tok"),
+        }
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        site.send("server", MSG_EVAL_REPORT, _signed(doc, None, spec.kits["site-1"]))
+        net.run()
+        assert server.eval_reports == {"site-1": None}
+        assert any(
+            e.event_type == "EvalReportRejected" and "malformed report" in e.payload
             for e in audit.entries
         )
 
