@@ -17,7 +17,7 @@ from . import kvdoc, report as report_mod
 from .config import ExperimentConfig, load_experiment, load_roster, with_seeds
 from .data import TaggedCorpus, corpus_stats, load_conll, partition, save_conll, synthetic_corpus
 from .errors import ConfigError
-from .experiments import render_text_report, run_simulation, vet_config
+from .experiments import federation_spec, run_simulation, vet_config
 from .runner import ClientNode, FederationSpec, RoundFailedError, ServerNode
 from .tcpnet import TcpNode, parse_address
 from .transport import ReliableEndpoint
@@ -82,28 +82,16 @@ def cmd_gen_corpus(args) -> int:
     return EXIT_OK
 
 
-def _vet_or_audit(config: ExperimentConfig, out_dir: Path) -> None:
-    """Component check; a rejection is recorded before the process exits 1."""
-    try:
-        vet_config(config)
-    except UnsafeComponentError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        audit = AuditLog(path=out_dir / "audit-rejected.log")
-        audit.append("ComponentRejected", kvdoc.emit_doc(
-            {"component": exc.component, "reason": exc.reason}
-        ))
-        raise
-
-
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     out_dir = Path(args.out)
-    _vet_or_audit(config, out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     output = run_simulation(config, audit_dir=out_dir)
-    rows_path, txt_path = report_mod.write_report(
-        out_dir, output.all_rows(), render_text_report(config, output)
+    rows = output.all_rows()
+    text = report_mod.render_text(rows) + (
+        f"\nwall-clock runtime: {output.wall_seconds:.1f}s\n\n"
+        f"== config echo ==\n{output.config_echo}"
     )
+    rows_path, txt_path = report_mod.write_report(out_dir, rows, text)
     for label, result in output.results.items():
         safe = label.replace("/", "-")
         (out_dir / f"model-{safe}.params").write_bytes(
@@ -141,19 +129,7 @@ def cmd_partition(args) -> int:
 
 def cmd_report(args) -> int:
     rows = report_mod.parse_rows(Path(args.rows).read_text(encoding="utf-8"))
-    config_rows = [r for r in rows if r.get("row") == "config"]
-    cross_rows = [r for r in rows if r.get("row") == "cross-site"]
-    round_rows = [r for r in rows if r.get("row") == "round"]
-    sections = ["federated NER report (re-rendered from rows)", ""]
-    if config_rows:
-        sections += ["== per-configuration metrics ==",
-                     report_mod.metrics_table(config_rows, "config"), ""]
-    if cross_rows:
-        sections += ["== cross-site validation ==",
-                     report_mod.cross_site_table(cross_rows), ""]
-    if round_rows:
-        sections += ["== rounds ==", report_mod.round_table(round_rows), ""]
-    text = "\n".join(sections)
+    text = report_mod.render_text(rows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(text, encoding="utf-8")
@@ -172,38 +148,25 @@ def cmd_audit_verify(args) -> int:
 
 
 def _tcp_spec(config: ExperimentConfig, kit, shard=None) -> FederationSpec:
-    """One TCP node's view of the federation; client ids come from the kit's roster.
+    """One TCP node's view of the federation; the kit's roster names the sites.
 
     Only a client passes its *shard*; every other shard is empty here.
     """
-    client_ids = [i.site_id for i in kit.roster if i.role == "client"]
-    k = min(config.k, len(client_ids))
-    return FederationSpec(
-        shards={cid: shard if cid == kit.site_id else [] for cid in client_ids},
-        train=config.train,
-        strategy=config.strategy,
-        rounds=config.rounds,
-        k=k,
-        m=min(config.m, k),
-        deadline_ms=config.deadline_ms,
-        kits={kit.site_id: kit},
-        server_id=next(i.site_id for i in kit.roster if i.role == "server"),
-        seeds=config.seeds,
-        policies=config.policies,
-        adversary=config.adversary,
-        retry_on_abort=config.retry_on_abort,
-    )
+    shards = {i.site_id: shard if i.site_id == kit.site_id else []
+              for i in kit.roster if i.role == "client"}
+    server_id = next(i.site_id for i in kit.roster if i.role == "server")
+    return federation_spec(config, shards, {}, {kit.site_id: kit}, server_id)
 
 
 def cmd_serve(args) -> int:
     config = _load_config(args)
     kit = load_kit(args.kit)
     out = Path(args.out)
-    _vet_or_audit(config, out)
+    spec = _tcp_spec(config, kit)
+    vet_config(config, list(spec.shards), out / "audit-rejected.log")
     out.mkdir(parents=True, exist_ok=True)
-    bind_text = os.environ.get("FEDMESH_BIND", config.bind)
-    node = TcpNode(kit.site_id, bind=parse_address(bind_text))
-    log.info("serving on %s (port %d)", bind_text, node.port)
+    node = TcpNode(kit.site_id, bind=parse_address(config.bind))
+    log.info("serving on %s (port %d)", config.bind, node.port)
     if args.port_file:
         # Replace, not write in place, so a reader never sees an empty file.
         staged = Path(args.port_file + ".tmp")
@@ -212,7 +175,7 @@ def cmd_serve(args) -> int:
     try:
         rel = ReliableEndpoint(node, backoff_base_ms=args.backoff_ms)
         audit = AuditLog(path=out / "audit.log")
-        server = ServerNode(rel, kit, _tcp_spec(config, kit), audit)
+        server = ServerNode(rel, kit, spec, audit)
         if not node.run_until(lambda: server.done, timeout_s=args.timeout):
             log.error("federation did not finish before timeout")
             return EXIT_RUNTIME
@@ -235,7 +198,8 @@ def cmd_client(args) -> int:
     shard = load_conll(args.shard).sentences
     holdout = load_conll(args.holdout).sentences if args.holdout else []
     spec = _tcp_spec(config, kit, shard)
-    address = args.server or os.environ.get("FEDMESH_BIND", kit.server_address)
+    vet_config(config, list(spec.shards), None)
+    address = args.server or kit.server_address
     node = TcpNode(kit.site_id, server_addr=parse_address(address), server_id=spec.server_id)
     try:
         rel = ReliableEndpoint(node, backoff_base_ms=args.backoff_ms)

@@ -245,12 +245,15 @@ def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         raise ConfigError(f"quorum: need 1 <= m <= k <= clients, got m={m} k={k}")
 
     kind, client_counts, sweep_ratios = v.pop("experiment").values()
-    if kind not in ("single", "client-sweep", "imbalance-sweep"):
+    # Each sweep kind reads its own list, and no other kind reads it.
+    lists = {"client-sweep": ("client_counts", client_counts),
+             "imbalance-sweep": ("ratios", sweep_ratios)}
+    if kind not in ("single", *lists):
         raise ConfigError(f"experiment.kind: unknown kind {kind!r}")
-    if kind == "client-sweep" and not client_counts:
-        raise ConfigError("experiment.client_counts: required for client-sweep")
-    if kind == "imbalance-sweep" and not sweep_ratios:
-        raise ConfigError("experiment.ratios: required for imbalance-sweep")
+    for owner, (key, value) in lists.items():
+        if (owner == kind) != bool(value):
+            need = "required for" if owner == kind else "read only by"
+            raise ConfigError(f"experiment.{key}: {need} experiment.kind = {owner}")
 
     policies: dict[str, SitePolicy] = {}
     if (policy_dir := v.pop("policy_dir")) is not None:

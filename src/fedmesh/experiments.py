@@ -13,8 +13,9 @@ import time
 from pathlib import Path
 
 from . import report as report_mod
-from .config import ExperimentConfig, experiment_to_doc
+from .config import ExperimentConfig, experiment_to_doc, policy_to_doc
 from .data import TaggedCorpus, load_conll, partition
+from .errors import ConfigError
 from .kvdoc import emit_doc
 from .model import encode_sentences, evaluate
 from .runner import (
@@ -25,15 +26,22 @@ from .runner import (
 )
 from .seeding import derive_seed
 from .trustops import (
-    DEFAULT_MANIFEST,
-    ComponentManifest,
+    AuditLog,
+    StartupKit,
+    UnsafeComponentError,
     check_components,
     provision,
 )
 
 
+# The manifest's component kind of each policy key; a key missing here is
+# vetted under its own name, which the manifest does not allow.
+_COMPONENT = {"clip_norm": "clip", "dp": "dp-gaussian", "svt": "svt", "masking_enabled": "masking"}
+
+
 def components_of(config: ExperimentConfig) -> list[dict[str, dict[str, float]]]:
-    """Component/parameter sets a job would execute, for manifest vetting."""
+    """Component/parameter sets a job would execute, for manifest vetting;
+    a site's job is read from its policy document, key by key."""
     jobs: list[dict[str, dict[str, float]]] = [
         {
             config.strategy.kind: {},
@@ -45,29 +53,58 @@ def components_of(config: ExperimentConfig) -> list[dict[str, dict[str, float]]]
         }
     ]
     for site in sorted(config.policies):
-        policy = config.policies[site]
-        job: dict[str, dict[str, float]] = {}
-        if policy.clip_norm is not None:
-            job["clip"] = {"clip_norm": policy.clip_norm}
-        if policy.dp is not None:
-            job["dp-gaussian"] = {"epsilon": policy.dp.epsilon, "delta": policy.dp.delta}
-        if policy.svt is not None:
-            job["svt"] = {
-                "epsilon": policy.svt.epsilon,
-                "threshold_fraction": policy.svt.threshold_fraction,
-                "budget_c": float(policy.svt.budget_c),
-            }
-        if policy.masking_enabled:
-            job["masking"] = {}
+        job = {
+            _COMPONENT.get(key, key): value if type(value) is dict else {key: value}
+            for key, value in policy_to_doc(config.policies[site]).items()
+            if value is not False
+        }
         if job:
             jobs.append(job)
     return jobs
 
 
-def vet_config(config: ExperimentConfig, manifest: ComponentManifest = DEFAULT_MANIFEST) -> None:
-    """Raise UnsafeComponentError before any round starts."""
-    for job in components_of(config):
-        check_components(job, manifest)
+def vet_config(config: ExperimentConfig, sites: list[str], audit_path: Path | None) -> None:
+    """Refuse, before any round, a policy naming none of *sites* (every site of
+    every run) and an unsafe component, audited to *audit_path* if one is given."""
+    stray = sorted(set(config.policies) - set(sites))
+    if stray:
+        raise ConfigError(f"policy.{stray[0]}: names no site of any run ({', '.join(sites)})")
+    try:
+        for job in components_of(config):
+            check_components(job)
+    except UnsafeComponentError as exc:
+        if audit_path is not None:
+            AuditLog(path=audit_path).append("ComponentRejected", emit_doc(
+                {"component": exc.component, "reason": exc.reason}
+            ))
+        raise
+
+
+def federation_spec(config: ExperimentConfig, shards: dict[str, list], holdouts: dict[str, list],
+                    kits: dict[str, StartupKit], server_id: str) -> FederationSpec:
+    """One run of *config* over the sites keying *shards*: the simulator and
+    every TCP node build their spec here, so they agree on k, m and policies."""
+    n = len(shards)
+    # A run keeps full participation unless the config explicitly carved out
+    # over-participation slack (k < clients or m < k).
+    k = n if config.k == config.clients else min(config.k, n)
+    m = k if config.m == config.k else min(config.m, k)
+    return FederationSpec(
+        shards=shards,
+        train=config.train,
+        strategy=config.strategy,
+        rounds=config.rounds,
+        k=k,
+        m=m,
+        deadline_ms=config.deadline_ms,
+        kits=kits,
+        server_id=server_id,
+        seeds=config.seeds,
+        policies={cid: p for cid, p in config.policies.items() if cid in shards},
+        holdouts=holdouts,
+        adversary=config.adversary,
+        retry_on_abort=config.retry_on_abort,
+    )
 
 
 def build_spec(
@@ -77,37 +114,21 @@ def build_spec(
     n_clients: int | None = None,
     ratios: tuple[int, ...] | None = None,
 ) -> FederationSpec:
-    """Materialize one federation run: shards, holdouts, kits, spec."""
+    """Materialize one simulated run: shards, holdouts, kits, spec."""
     n = n_clients if n_clients is not None else config.clients
     plan = config.plan(n, ratios)
-    shards = partition(train_corpus, plan)
-    holdouts = partition(test_corpus, plan)
     ids = config.site_ids(n)
     kits = provision(
         [(config.server_id, "server")] + [(cid, "client") for cid in ids],
         server_address=config.bind,
         key_seed=derive_seed(config.seeds.net, "provision"),
     )
-    policies = {cid: p for cid, p in config.policies.items() if cid in set(ids)}
-    # Sweep cells keep full participation unless the base config explicitly
-    # carved out over-participation slack (k < clients or m < k).
-    k = n if config.k == config.clients else min(config.k, n)
-    m = k if config.m == config.k else min(config.m, k)
-    return FederationSpec(
-        shards=dict(zip(ids, shards)),
-        train=config.train,
-        strategy=config.strategy,
-        rounds=config.rounds,
-        k=k,
-        m=m,
-        deadline_ms=config.deadline_ms,
-        kits=kits,
-        server_id=config.server_id,
-        seeds=config.seeds,
-        policies=policies,
-        holdouts=dict(zip(ids, holdouts)),
-        adversary=config.adversary,
-        retry_on_abort=config.retry_on_abort,
+    return federation_spec(
+        config,
+        dict(zip(ids, partition(train_corpus, plan))),
+        dict(zip(ids, partition(test_corpus, plan))),
+        kits,
+        config.server_id,
     )
 
 
@@ -146,8 +167,14 @@ def run_simulation(
     config: ExperimentConfig,
     audit_dir: str | Path | None = None,
 ) -> SimulationOutput:
-    """Run the configured experiment matrix plus the centralized baseline."""
-    vet_config(config)
+    """Run the configured experiment matrix plus the centralized baseline,
+    after vetting the config against the sites of its largest cell."""
+    cells = _sweep_cells(config)
+    vet_config(
+        config,
+        config.site_ids(max(n for _, n, _ in cells)),
+        None if audit_dir is None else Path(audit_dir) / "audit-rejected.log",
+    )
     out = SimulationOutput()
     started = time.monotonic()
     train_corpus = load_conll(config.train_path)
@@ -163,7 +190,7 @@ def run_simulation(
     test_batch = encode_sentences(
         test_corpus.sentences, config.train.feature_dim, config.train.hash_seed
     )
-    for label, n_clients, ratios in _sweep_cells(config):
+    for label, n_clients, ratios in cells:
         spec = build_spec(config, train_corpus, test_corpus, n_clients, ratios)
         audit_path = None
         if audit_dir is not None:
@@ -216,37 +243,3 @@ def run_simulation(
     out.wall_seconds = time.monotonic() - started
     out.config_echo = emit_doc(experiment_to_doc(config))
     return out
-
-
-def render_text_report(config: ExperimentConfig, out: SimulationOutput) -> str:
-    fed_rows = [r for r in out.config_rows if r["config"] != "centralized"]
-    base_rows = [r for r in out.config_rows if r["config"] == "centralized"]
-    best = max(float(r["ent_f1"]) for r in fed_rows)
-    worst = min(float(r["ent_f1"]) for r in fed_rows)
-    central = float(base_rows[0]["ent_f1"]) if base_rows else float("nan")
-    sections = [
-        f"federated NER report — experiment kind: {config.experiment_kind}",
-        "",
-        f"rounds per run: {config.rounds}   strategy: {config.strategy.kind}",
-        f"entity-F1 spread across configurations: {best - worst:.4f}",
-        f"federated-vs-centralized entity-F1 delta (worst row): {worst - central:+.4f}",
-        "",
-        "== per-configuration metrics (entity level headline) ==",
-        report_mod.metrics_table(fed_rows + base_rows, "config"),
-        "",
-        "annotation: published full-scale reference band for this task family is",
-        "P 0.95-0.97, R 0.97-0.98, F1 0.96-0.97 (not asserted; desk-scale model).",
-        "",
-        "== cross-site validation ==",
-        report_mod.cross_site_table(out.cross_rows),
-        "",
-        "== rounds ==",
-        report_mod.round_table(out.round_rows),
-        "",
-        f"wall-clock runtime: {out.wall_seconds:.1f}s",
-        "",
-        "== config echo ==",
-        out.config_echo.rstrip(),
-        "",
-    ]
-    return "\n".join(sections)

@@ -1,18 +1,17 @@
 """Seeded in-process network simulator with a virtual clock.
 
-Datagrams between named endpoints are delayed by a uniform latency draw,
-dropped with a configured probability, and blocked during scheduled
-partition windows.  A delivered datagram is checked as a frame once, on
-arrival, and the receive handler gets its (src, msg_type, payload).  All
-deliveries and timers run through one `transport.Timers` heap ordered by
-(virtual time, insertion sequence), the same heap the TCP backend runs on
-wall-clock time, so a run is a pure function of the seed.
+Datagrams between named endpoints are delayed by a uniform latency draw and
+dropped with a configured probability.  A delivered datagram is checked as a
+frame once, on arrival, and the receive handler gets its (src, msg_type,
+payload).  All deliveries and timers run through one `transport.Timers` heap
+ordered by (virtual time, insertion sequence), the same heap the TCP backend
+runs on wall-clock time, so a run is a pure function of the seed.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import transport
@@ -24,7 +23,6 @@ class SimNetConfig:
     latency_ms: tuple[float, float] = (1.0, 1.0)
     drop_prob: float = 0.0
     seed: int = 0
-    partitions: tuple[tuple[str, str, float, float], ...] = field(default=())
 
     def __post_init__(self):
         lo, hi = self.latency_ms
@@ -94,17 +92,9 @@ class SimNetwork:
     def cancel(self, handle: object) -> None:
         self._timers.cancel(handle)
 
-    def _partitioned(self, src: str, dst: str) -> bool:
-        for a, b, start, end in self.config.partitions:
-            if (a, b) == (src, dst) and start <= self.now_ms < end:
-                return True
-        return False
-
     def _send(self, src: str, dst: str, data: bytes) -> None:
         if dst not in self._endpoints:
             raise KeyError(f"unknown endpoint {dst!r}")
-        if self._partitioned(src, dst):
-            return
         if self.config.drop_prob > 0 and self._rng.random() < self.config.drop_prob:
             return
         lo, hi = self.config.latency_ms

@@ -529,7 +529,7 @@ policy.site-1.dp.delta = 1e-5
             train=replace(bad.train, learning_rate=1e6),
         )
         with pytest.raises(UnsafeComponentError):
-            vet_config(bad)
+            vet_config(bad, bad.site_ids(), None)
         print(
             f"\nACCEPTANCE 10 PASS — trust/audit: {flips} model bit-flips and "
             f"{mutations} audit mutations all detected; unsafe jobs rejected "

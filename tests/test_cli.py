@@ -1,12 +1,16 @@
+import socket
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from fedmesh.cli import main
+from fedmesh.cli import _tcp_spec, main
+from fedmesh.config import parse_experiment
 from fedmesh.data import load_conll
-from fedmesh.trustops import load_kit, verify_model
+from fedmesh.experiments import build_spec
+from fedmesh.kvdoc import parse_doc
+from fedmesh.trustops import load_kit, provision, verify_model
 
 CONFIG_TEMPLATE = """
 corpus.train = "data/train.conll"
@@ -27,6 +31,20 @@ def workspace(tmp_path):
     ]) == 0
     (tmp_path / "exp.cfg").write_text(CONFIG_TEMPLATE)
     return tmp_path
+
+
+def _provision(workspace):
+    (workspace / "roster.cfg").write_text(
+        'sites = [site-1, site-2]\nserver = server\naddress = "127.0.0.1:0"\n'
+    )
+    assert main([
+        "provision", "--roster", str(workspace / "roster.cfg"),
+        "--out", str(workspace), "--key-seed", "7",
+    ]) == 0
+    assert main([
+        "partition", "--config", str(workspace / "exp.cfg"),
+        "--out", str(workspace / "shards"),
+    ]) == 0
 
 
 class TestGenCorpus:
@@ -109,7 +127,103 @@ class TestReportCommand:
         assert main([
             "report", "--rows", str(out / "report.rows"), "--out", str(re_out),
         ]) == 0
-        assert "per-configuration metrics" in (re_out / "report.txt").read_text()
+        text = (re_out / "report.txt").read_text()
+        assert "per-configuration metrics" in text
+        # Everything but simulate's wall-clock line and config echo comes back.
+        simulated = (out / "report.txt").read_text()
+        assert simulated.startswith(text + "\nwall-clock runtime: ")
+        echo = simulated.split("\n== config echo ==\n")[1]
+        assert parse_doc(echo)["rounds"] == 3
+
+    def test_rows_without_a_federated_run_are_refused(self, workspace, capsys):
+        (workspace / "empty.rows").write_text("")
+        assert main([
+            "report", "--rows", str(workspace / "empty.rows"), "--out", str(workspace / "re"),
+        ]) == 1
+        assert "no federated configuration row" in capsys.readouterr().err
+
+
+class TestOneSpecForBothTransports:
+    @pytest.mark.parametrize("clients,lines,n", [
+        (2, "experiment.kind = client-sweep\nexperiment.client_counts = [2, 4]", 4),
+        (3, "quorum.k = 2", 3),
+        (2, "policy.site-2.clip_norm = 1.0\nadversary.client = site-1\n"
+            "adversary.magnitude = 10.0\nretry_on_abort = false", 2),
+    ], ids=["sweep-cell-above-clients", "quorum-2-of-3", "site-2-policy"])
+    def test_simulator_and_tcp_specs_agree(self, workspace, clients, lines, n):
+        text = CONFIG_TEMPLATE.replace("clients = 2", f"clients = {clients}") + lines + "\n"
+        config = parse_experiment(text, base_dir=workspace)
+        train = load_conll(config.train_path)
+        test = load_conll(config.test_path)
+        sim = build_spec(config, train, test, n)
+        ids = [f"site-{i}" for i in range(1, n + 1)]
+        kits = provision([("server", "server")] + [(cid, "client") for cid in ids],
+                         server_address="127.0.0.1:0", key_seed=5)
+        tcp = _tcp_spec(config, kits["server"])
+        for spec in (sim, tcp):
+            assert spec.client_ids() == ids
+        for field in ("k", "m", "policies", "strategy", "train", "rounds", "seeds",
+                      "adversary", "retry_on_abort", "deadline_ms"):
+            assert getattr(sim, field) == getattr(tcp, field), field
+
+    def test_a_policy_applies_only_to_the_cells_that_hold_its_site(self, workspace):
+        (workspace / "sweep.cfg").write_text(
+            CONFIG_TEMPLATE + "experiment.kind = client-sweep\n"
+            "experiment.client_counts = [2, 4]\npolicy.site-4.clip_norm = 1.0\n"
+        )
+        out = workspace / "out"
+        assert main(["simulate", "--config", str(workspace / "sweep.cfg"),
+                     "--out", str(out)]) == 0
+        assert "PolicyApplied" not in (out / "audit-n2.log").read_text()
+        assert (out / "audit-n4.log").read_text().count("PolicyApplied") == 1
+
+
+class TestRefusedBeforeRunning:
+    """A config no run of this federation can honour stops every command with
+    exit 1 before it binds, registers or trains."""
+
+    MISSPELT = CONFIG_TEMPLATE + "policy.site1.masking_enabled = true\n"
+    UNSAFE = CONFIG_TEMPLATE + "train.learning_rate = 1000.0\n"
+
+    def test_simulate_refuses_a_policy_for_no_site(self, workspace, capsys):
+        (workspace / "bad.cfg").write_text(self.MISSPELT)
+        out = workspace / "never"
+        assert main(["simulate", "--config", str(workspace / "bad.cfg"),
+                     "--out", str(out)]) == 1
+        assert "policy.site1" in capsys.readouterr().err
+        assert not (out / "report.rows").exists()
+
+    def test_serve_refuses_before_binding(self, workspace, capsys):
+        _provision(workspace)
+        (workspace / "bad.cfg").write_text(self.MISSPELT)
+        port_file = workspace / "port.txt"
+        assert main([
+            "serve", "--kit", str(workspace / "kits" / "server"),
+            "--config", str(workspace / "bad.cfg"), "--out", str(workspace / "srv"),
+            "--port-file", str(port_file), "--timeout", "1",
+        ]) == 1
+        assert "policy.site1" in capsys.readouterr().err
+        assert not port_file.exists()
+
+    @pytest.mark.parametrize("text,reason", [
+        (MISSPELT, "policy.site1"),
+        (UNSAFE, "learning_rate"),
+    ], ids=["misspelt-site", "unsafe-rate"])
+    def test_client_refuses_before_registering(self, workspace, capsys, text, reason):
+        _provision(workspace)
+        (workspace / "bad.cfg").write_text(text)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(0.2)
+            port = listener.getsockname()[1]
+            assert main([
+                "client", "--kit", str(workspace / "kits" / "site-1"),
+                "--config", str(workspace / "bad.cfg"),
+                "--shard", str(workspace / "shards" / "shard-site-1.conll"),
+                "--server", f"127.0.0.1:{port}", "--timeout", "1",
+            ]) == 1
+            with pytest.raises(TimeoutError):
+                listener.accept()
+        assert reason in capsys.readouterr().err
 
 
 class TestAuditVerifyCommand:
@@ -142,21 +256,8 @@ class TestProvisionCommand:
 
 @pytest.mark.slow
 class TestTcpFederation:
-    def _provision(self, workspace):
-        (workspace / "roster.cfg").write_text(
-            'sites = [site-1, site-2]\nserver = server\naddress = "127.0.0.1:0"\n'
-        )
-        assert main([
-            "provision", "--roster", str(workspace / "roster.cfg"),
-            "--out", str(workspace), "--key-seed", "7",
-        ]) == 0
-        assert main([
-            "partition", "--config", str(workspace / "exp.cfg"),
-            "--out", str(workspace / "shards"),
-        ]) == 0
-
     def test_tcp_matches_sim_final_model(self, workspace):
-        self._provision(workspace)
+        _provision(workspace)
         sim_out = workspace / "sim"
         assert main([
             "simulate", "--config", str(workspace / "exp.cfg"), "--out", str(sim_out),
@@ -212,7 +313,7 @@ class TestTcpFederation:
         assert main(["audit-verify", "--log", str(srv_out / "audit.log")]) == 0
 
     def test_client_with_wrong_key_is_rejected(self, workspace):
-        self._provision(workspace)
+        _provision(workspace)
         # re-provision site-1 only, giving it keys the server roster lacks
         other = workspace / "rogue"
         (workspace / "roster2.cfg").write_text(

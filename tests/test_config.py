@@ -209,6 +209,12 @@ class TestExperimentConfig:
         ("experiment.kind = client-sweep\nexperiment.client_counts = 4",
          "experiment.client_counts"),
         ("partition.ratios = [50, 50, 0, 0, 0, 0]", "partition.ratios"),
+        ("experiment.client_counts = [4, 8]", "experiment.client_counts"),
+        ('experiment.ratios = ["50/50"]', "experiment.ratios"),
+        ('experiment.kind = client-sweep\nexperiment.client_counts = [2]\n'
+         'experiment.ratios = ["50/50"]', "experiment.ratios"),
+        ('experiment.kind = imbalance-sweep\nexperiment.ratios = ["50/50"]\n'
+         "experiment.client_counts = [2]", "experiment.client_counts"),
     ])
     def test_refused_naming_the_key(self, lines, key):
         with pytest.raises(ConfigError, match=re.escape(key)):

@@ -399,17 +399,6 @@ class TestSimNetwork:
         net.run()
         assert got == [5.0, 105.0]
 
-    def test_partition_window_blocks_directionally(self):
-        config = SimNetConfig((1.0, 1.0), 0.0, 1, partitions=(("a", "b", 0.0, 50.0),))
-        net = SimNetwork(config)
-        a, b = net.endpoint("a"), net.endpoint("b")
-        got = []
-        b.set_receive_handler(lambda src, msg_type, payload: got.append((net.now_ms, payload)))
-        a.send("b", encode_frame(1, b"blocked"))
-        net.schedule(60.0, lambda: a.send("b", encode_frame(1, b"open")))
-        net.run()
-        assert got == [(61.0, b"open")]
-
     def test_only_a_datagram_of_exactly_one_valid_frame_is_handed_on(self):
         net = SimNetwork(SimNetConfig())
         a, b = net.endpoint("a"), net.endpoint("b")
