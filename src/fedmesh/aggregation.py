@@ -2,8 +2,9 @@
 
 All aggregators canonicalize update order (sort by client id) before any
 floating-point work, so the result is invariant to arrival order.  The
-coordinator applies the result as ``global += aggregate(deltas)``.  A
-SparseVector delta gives exactly the bytes its dense form would.
+coordinator applies the result as ``global = add_vectors(global,
+aggregate(deltas))``.  A SparseVector delta gives exactly the bytes its dense
+form would, and FedAvg over sparse deltas is itself a SparseVector.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ class SparseVector:
 
 
 Vector = np.ndarray | SparseVector
+
+
+def sparse_fits(stored: int, dims: int) -> bool:
+    """The one density rule: a vector of *dims* words stays sparse, in memory
+    and on the wire, while fewer than a third of its words are stored."""
+    return 3 * stored < dims
 
 
 def as_dense(vector: Vector) -> np.ndarray:
@@ -118,15 +125,38 @@ def _sorted_updates(updates: list[ClientUpdate]) -> list[ClientUpdate]:
     return updates
 
 
-def fedavg(updates: list[ClientUpdate]) -> np.ndarray:
-    """Weight-averaged delta, summed in client-id order."""
+def add_vectors(base: Vector, delta: Vector) -> Vector:
+    """``as_dense(base) + as_dense(delta)``, bit for bit.  Two sparse sides add
+    on the union of their stored words, where the other side reads +0.0 as its
+    dense form does, and stay sparse while that union ``sparse_fits``; every
+    other case returns a dense array."""
+    if isinstance(base, SparseVector) and isinstance(delta, SparseVector):
+        cols = np.union1d(base.indices, delta.indices)
+        if sparse_fits(len(cols), base.dims):
+            return SparseVector(base.dims, cols, take(base, cols) + take(delta, cols))
+    return as_dense(base) + as_dense(delta)
+
+
+def fedavg(updates: list[ClientUpdate]) -> Vector:
+    """Weight-averaged delta, summed in client-id order.
+
+    When every row is sparse, the sum runs on the union of their indices and
+    the result is a SparseVector over it: the same per-word adds from +0.0
+    and the same division, so its dense form is the dense path's bytes.
+    """
     updates = _sorted_updates(updates)
-    total = np.zeros(len(updates[0].delta))
+    rows = [u.delta for u in updates]
+    cols = None
+    if all(isinstance(r, SparseVector) for r in rows):
+        cols = np.unique(np.concatenate([r.indices for r in rows]))
+        rows = [SparseVector(len(cols), np.searchsorted(cols, r.indices), r.values) for r in rows]
+    total = np.zeros(len(rows[0]))
     weight_sum = 0.0
-    for u in updates:
-        add_scaled(total, u.delta, u.weight)
+    for u, row in zip(updates, rows):
+        add_scaled(total, row, u.weight)
         weight_sum += u.weight
-    return total / weight_sum
+    total = total / weight_sum
+    return total if cols is None else SparseVector(len(updates[0].delta), cols, total)
 
 
 def coordinate_median(updates: list[ClientUpdate]) -> np.ndarray:
@@ -295,7 +325,7 @@ def aggregate(
     updates: list[ClientUpdate],
     strategy: AggregationStrategy,
     trust_reference: np.ndarray | None = None,
-) -> np.ndarray:
+) -> Vector:
     """Dispatch on strategy kind; normalization (when configured) runs first.
 
     fedavg-trust weights deltas by ReLU-clipped cosine against

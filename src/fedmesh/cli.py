@@ -25,11 +25,11 @@ from .trustops import (
     AuditLog,
     UnsafeComponentError,
     audit_verify,
-    canonical_param_bytes,
     load_audit_log,
     load_kit,
     provision,
     write_kits,
+    write_params,
 )
 
 log = logging.getLogger("fedmesh")
@@ -94,9 +94,7 @@ def cmd_simulate(args) -> int:
     rows_path, txt_path = report_mod.write_report(out_dir, rows, text)
     for label, result in output.results.items():
         safe = label.replace("/", "-")
-        (out_dir / f"model-{safe}.params").write_bytes(
-            canonical_param_bytes(result.final_params)
-        )
+        write_params(out_dir / f"model-{safe}.params", result.final_params)
         if result.model_signature is not None:
             (out_dir / f"model-{safe}.sig").write_text(result.model_signature.hex() + "\n")
     print(f"wrote {rows_path} and {txt_path}")
@@ -182,7 +180,7 @@ def cmd_serve(args) -> int:
         if server.state.failed:
             log.error("federation failed: round aborted with no retry left")
             return EXIT_RUNTIME
-        (out / "model.params").write_bytes(canonical_param_bytes(server.global_params))
+        write_params(out / "model.params", server.global_params)
         (out / "model.sig").write_text(server.model_signature.hex() + "\n")
         for rec in server.state.history:
             print(f"round {rec.round}: responded={len(rec.responded)} "

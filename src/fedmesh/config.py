@@ -87,6 +87,15 @@ def _check(kind: Any, value: Any, path: str) -> Any:
     return value
 
 
+def _parse(text: str, where: str) -> dict[str, Any]:
+    """kvdoc.parse_doc, with a malformed line or a key set twice refused as a
+    ConfigError naming *where*."""
+    try:
+        return kvdoc.parse_doc(text)
+    except kvdoc.DocError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _read(doc: Any, table: dict[str, tuple], path: str = "") -> dict[str, Any]:
     """The section *doc*'s value for every key of *table*, defaults filled in.
 
@@ -228,7 +237,7 @@ _EXPERIMENT_KEYS = {
 
 def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     # Each entry of v left after the pops below is an ExperimentConfig field.
-    v = _read(kvdoc.parse_doc(text), _EXPERIMENT_KEYS)
+    v = _read(_parse(text, "experiment"), _EXPERIMENT_KEYS)
     base, clients = Path(base_dir), v["clients"]
     if v["rounds"] < 0 or clients < 1:
         raise ConfigError("rounds must be >= 0 and clients >= 1")
@@ -261,7 +270,7 @@ def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         if not pdir.is_dir():
             raise ConfigError(f"policy_dir: {pdir} is not a directory")
         for path in sorted(pdir.glob("*.policy")):
-            doc = kvdoc.parse_doc(path.read_text(encoding="utf-8"))
+            doc = _parse(path.read_text(encoding="utf-8"), str(path))
             policies[path.stem] = policy_from_doc(path.stem, doc, f"policy.{path.stem}")
     policies.update(v.pop("policy"))
 
@@ -309,7 +318,7 @@ _ROSTER_KEYS = {
 
 def load_roster(path: str | Path) -> tuple[tuple[str, ...], str, str]:
     """A provisioning roster's (site ids, server id, server address)."""
-    doc = kvdoc.parse_doc(Path(path).read_text(encoding="utf-8"))
+    doc = _parse(Path(path).read_text(encoding="utf-8"), str(path))
     sites, server_id, address = _read(doc, _ROSTER_KEYS).values()
     if not sites:
         raise ConfigError("sites: needs at least one site")

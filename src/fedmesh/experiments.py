@@ -64,11 +64,14 @@ def components_of(config: ExperimentConfig) -> list[dict[str, dict[str, float]]]
 
 
 def vet_config(config: ExperimentConfig, sites: list[str], audit_path: Path | None) -> None:
-    """Refuse, before any round, a policy naming none of *sites* (every site of
-    every run) and an unsafe component, audited to *audit_path* if one is given."""
-    stray = sorted(set(config.policies) - set(sites))
+    """Refuse, before any round, a policy or an adversary naming none of *sites*
+    (every site of every run) and an unsafe component, audited to *audit_path*
+    if one is given."""
+    stray = [f"policy.{site}" for site in sorted(set(config.policies) - set(sites))]
+    if config.adversary is not None and config.adversary.client_id not in sites:
+        stray.append("adversary.client")
     if stray:
-        raise ConfigError(f"policy.{stray[0]}: names no site of any run ({', '.join(sites)})")
+        raise ConfigError(f"{stray[0]}: names no site of any run ({', '.join(sites)})")
     try:
         for job in components_of(config):
             check_components(job)

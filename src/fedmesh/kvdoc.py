@@ -15,7 +15,7 @@ Grammar
 -------
 * A document is a sequence of lines.  Blank lines and lines whose first
   non-space character is ``#`` are ignored.
-* Every other line is ``<key-path> = <value>``.
+* Every other line is ``<key-path> = <value>``; a key path is set at most once.
 * A key path is one or more segments joined by ``.``; a segment matches
   ``[A-Za-z0-9_-]+``.  Paths address nested mappings.
 * A value is one of:
@@ -175,6 +175,8 @@ def parse_doc(text: str) -> dict[str, Any]:
         leaf = path[-1]
         if isinstance(node.get(leaf), dict):
             raise DocError(f"key {leaf!r} is both a value and a section", lineno)
+        if leaf in node:
+            raise DocError(f"key {key.strip()!r} is set twice", lineno)
         node[leaf] = value
     return root
 

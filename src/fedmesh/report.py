@@ -120,8 +120,30 @@ def round_table(rows: list[Row]) -> str:
     return _table(header, body)
 
 
+# The fields render_text reads from each row kind; a cross-site row that is
+# not absent also carries its scores.
+_FIELDS = {
+    "config": ("config", "kind", "rounds", "strategy",
+               "ent_precision", "ent_recall", "ent_f1", "tok_f1"),
+    "cross-site": ("site",),
+    "round": ("config", "round", "responded", "late", "attempts", "aggregate_norm",
+              "duration_ms"),
+}
+_SCORES = ("ent_f1", "tok_f1", "ent_tp", "ent_fp", "ent_fn")
+
+
+def _check_fields(rows: list[Row]) -> None:
+    for n, row in enumerate(rows, start=1):
+        kind = row.get("row")
+        need = _FIELDS.get(kind, ()) + (() if row.get("absent", True) else _SCORES)
+        for key in need:
+            if key not in row:
+                raise ConfigError(f"report rows: record {n} (row={kind}) has no {key}")
+
+
 def render_text(rows: list[Row]) -> str:
     """The tables of ``report.txt``, from ``report.rows`` alone."""
+    _check_fields(rows)
     config_rows = [r for r in rows if r.get("row") == "config"]
     fed_rows = [r for r in config_rows if r.get("kind") != "baseline"]
     if not fed_rows:

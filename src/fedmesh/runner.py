@@ -22,8 +22,8 @@ import numpy as np
 
 from . import kvdoc, protocol, transport
 from .aggregation import (
-    AggregationStrategy, ClientUpdate, SparseVector, Vector, add_scaled, aggregate, as_dense,
-    l2_norm,
+    AggregationStrategy, ClientUpdate, SparseVector, Vector, add_scaled, add_vectors, aggregate,
+    as_dense, l2_norm,
 )
 from .errors import ConfigError
 from .model import (
@@ -276,7 +276,11 @@ class ServerNode(_Node):
             masked_cohort=spec.masked_cohort(),
         )
         self.state = ServerState()
-        self.global_params = zero_params(spec.train)
+        # Sparse until the aggregates' union of stored words outgrows
+        # sparse_fits; _finish densifies it once.
+        self.global_params: Vector = SparseVector(
+            spec.train.dims, np.empty(0, np.intp), np.empty(0)
+        )
         self.trust_reference: np.ndarray | None = None
         # (round, client) -> vector as it arrived; written before the state
         # machine sees the update so aggregation can read it synchronously.
@@ -375,9 +379,9 @@ class ServerNode(_Node):
             "invited": list(action.invited),
             "masked": masked,
         }
-        payload = _signed(doc, self.global_params, self.kit)
-        for client in action.invited:
-            self.rel.send(client, MSG_TASK_ASSIGN, payload)
+        self.rel.broadcast(
+            action.invited, MSG_TASK_ASSIGN, _signed(doc, self.global_params, self.kit)
+        )
 
     def _aggregate(self, action: StartAggregation) -> None:
         weights = dict(action.weights)
@@ -394,29 +398,30 @@ class ServerNode(_Node):
                 for cid in sorted(action.responded)
             ]
             delta = aggregate(updates, self.spec.strategy, self.trust_reference)
-        self.global_params = self.global_params + delta
-        if self.spec.strategy.kind == "fedavg-trust" and np.any(delta):
-            self.trust_reference = delta
+        self.global_params = add_vectors(self.global_params, delta)
+        if self.spec.strategy.kind == "fedavg-trust" and np.any(reference := as_dense(delta)):
+            self.trust_reference = reference
         if self.spec.track_params:
-            self.params_per_round.append(self.global_params.copy())
+            self.params_per_round.append(as_dense(self.global_params).copy())
         self.vectors = {key: v for key, v in self.vectors.items() if key[0] > action.round}
         self.dispatch(RoundAggregated(action.round, l2_norm(delta), self._now()))
 
     # -- completion and cross-site evaluation --------------------------------------
 
     def _finish(self) -> None:
+        self.global_params = as_dense(self.global_params)
         self.model_signature = sign_model(self.global_params, self.kit.private_key())
         self._audit("ModelSigned", {
             "rounds": self.state.round,
-            "sha256": hashlib.sha256(self.global_params.tobytes()).hexdigest(),
+            "sha256": hashlib.sha256(self.global_params.data).hexdigest(),
         })
         if not self.expected:
             self.done = True
             return
         doc = {"rounds": self.state.round}
-        payload = _signed(doc, self.global_params, self.kit)
-        for client in sorted(self.expected):
-            self.rel.send(client, MSG_EVAL_REQUEST, payload)
+        self.rel.broadcast(
+            sorted(self.expected), MSG_EVAL_REQUEST, _signed(doc, self.global_params, self.kit)
+        )
         self._eval_timer = self.rel.raw.schedule(
             self.spec.deadline_ms * _EVAL_TIMEOUT_FACTOR, self._finish_eval
         )
@@ -441,8 +446,7 @@ class ServerNode(_Node):
             return
         if self._eval_timer is not None:
             self.rel.raw.cancel(self._eval_timer)
-        for client in sorted(self.expected):
-            self.rel.send(client, MSG_ACK, _signed({"done": True}, None, self.kit))
+        self.rel.broadcast(sorted(self.expected), MSG_ACK, _signed({"done": True}, None, self.kit))
         # Last: a TCP host closes its sockets as soon as it sees done, and a
         # client that never gets this ack waits out its whole timeout.
         self.done = True

@@ -35,11 +35,12 @@ senders retransmit on an exponential backoff until acked or retries run out.
 
 A message costs one build on send and one check on receive.  encode_frame
 takes the envelope head and the payload as separate parts, allocates the
-frame once and chains the CRC over the parts.  The raw endpoint (the TCP
-reader, or the simulator on delivery) runs decode_frame once per frame and
-hands the receive handler (src, msg_type, payload view), src being the node
-the frame came from; the envelope's inner payload is a view as well, and
-decode_payload makes the one owned copy.
+frame once and chains the CRC over the parts; a payload broadcast to many
+nodes has its CRC computed once and combined with each head's.  The raw
+endpoint (the TCP reader, or the simulator on delivery) runs decode_frame
+once per frame and hands the receive handler (src, msg_type, payload view),
+src being the node the frame came from; the envelope's inner payload is a
+view as well, and decode_payload makes the one owned copy.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ import heapq
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Protocol
+from typing import Any, Callable, Iterator, NamedTuple, Protocol
 
 import numpy as np
 
 from . import kvdoc
-from .aggregation import SparseVector, Vector
+from .aggregation import SparseVector, Vector, sparse_fits
 
 MAGIC = b"FHN1"
 VERSION = 0x01
@@ -85,22 +86,71 @@ class CorruptFrame(ValueError):
     """Bad magic, version, length bound, or checksum."""
 
 
+_CRC_POLY = 0xEDB88320  # CRC-32, bit-reflected
+
+
+def _multmodp(a: int, b: int) -> int:
+    """a * b modulo the CRC-32 polynomial, in zlib's reflected bit order."""
+    product = 0
+    for bit in range(31, -1, -1):
+        if a >> bit & 1:
+            product ^= b
+        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
+    return product
+
+
+_X2N = [1 << 30]  # x^(2^k) modulo the polynomial, k = 0..31
+for _ in range(31):
+    _X2N.append(_multmodp(_X2N[-1], _X2N[-1]))
+
+
+def crc32_combine_gen(len2: int) -> int:
+    """x^(8 * len2) modulo the polynomial (zlib's crc32_combine_gen): the
+    operator crc32_combine_op needs to append *len2* bytes, at any CRCs."""
+    op, k = 1 << 31, 3  # x^0; bit i of len2 contributes x^(2^(i+3))
+    while len2:
+        if len2 & 1:
+            op = _multmodp(_X2N[k & 31], op)
+        len2 >>= 1
+        k += 1
+    return op
+
+
+def crc32_combine_op(crc1: int, crc2: int, op: int) -> int:
+    """``zlib.crc32(a + b)`` from ``zlib.crc32(a)``, ``zlib.crc32(b)`` and
+    ``crc32_combine_gen(len(b))`` (zlib's crc32_combine_op)."""
+    return _multmodp(op, crc1) ^ crc2
+
+
+class Checksummed(NamedTuple):
+    """A frame part with its CRC-32 and its crc32_combine_gen operator."""
+
+    data: bytes
+    crc: int
+    op: int
+
+
 def encode_frame(msg_type: int, *parts) -> bytes:
     """One frame whose payload is the concatenation of *parts*.
 
     The frame is allocated once and each part copied into it once; the CRC
     is chained over the parts, which equals the CRC of their concatenation.
+    A Checksummed part's CRC is combined in, not recomputed.
     """
     if not 0 <= msg_type <= 0xFF:
         raise ValueError(f"msg_type out of range: {msg_type}")
-    length = sum(memoryview(part).nbytes for part in parts)
+    buffers = [part.data if isinstance(part, Checksummed) else part for part in parts]
+    length = sum(memoryview(buf).nbytes for buf in buffers)
     if length > MAX_PAYLOAD:
         raise ValueError(f"payload of {length} bytes exceeds 64 MiB bound")
     crc = 0
     for part in parts:
-        crc = zlib.crc32(part, crc)
+        if isinstance(part, Checksummed):
+            crc = crc32_combine_op(crc, part.crc, part.op)
+        else:
+            crc = zlib.crc32(part, crc)
     header = MAGIC + bytes((VERSION, msg_type)) + struct.pack(">I", length)
-    return b"".join((header, *parts, struct.pack(">I", crc)))
+    return b"".join((header, *buffers, struct.pack(">I", crc)))
 
 
 def _payload_length(header: memoryview) -> int:
@@ -206,7 +256,7 @@ def _f64_frame(vector: Vector) -> list:
     sparse = isinstance(vector, SparseVector)
     values = np.ascontiguousarray(vector.values if sparse else vector, dtype="<f8")
     live = values.view(np.uint64) != 0
-    if 3 * np.count_nonzero(live) >= len(vector):
+    if not sparse_fits(np.count_nonzero(live), len(vector)):
         dense = np.ascontiguousarray(vector.to_dense(), dtype="<f8") if sparse else values
         return [struct.pack(">BI", VECTOR_F64, len(dense)), dense.data]
     indices = vector.indices[live] if sparse else np.flatnonzero(live)
@@ -379,6 +429,7 @@ class ReliableEndpoint:
         self._next_seq: dict[str, int] = {}  # destination -> its next seq
         self._pending: dict[tuple[str, int], _Pending] = {}
         self._seen: dict[str, tuple[int, int]] = {}  # sender -> (mark, window bitmap)
+        self._broadcasting: Checksummed | None = None
         raw.set_receive_handler(self._on_raw)
 
     def send(
@@ -391,10 +442,25 @@ class ReliableEndpoint:
         """Queue a reliable send; the receipt callback fires on ack or failure."""
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
-        frame = encode_frame(msg_type, _pack_envelope(self.name, seq), payload)
+        shared = self._broadcasting
+        part = shared if shared is not None and shared.data is payload else payload
+        frame = encode_frame(msg_type, _pack_envelope(self.name, seq), part)
         self._pending[dst, seq] = _Pending(dst, msg_type, frame, 0, None, on_result)
         self._transmit((dst, seq))
         return seq
+
+    def broadcast(self, dsts, msg_type: int, payload: bytes) -> None:
+        """``send`` one payload to each of *dsts* in order.  The payload's CRC-32
+        is computed once, and each frame's CRC is combined from it and the CRC
+        of that frame's envelope head."""
+        self._broadcasting = Checksummed(
+            payload, zlib.crc32(payload), crc32_combine_gen(len(payload))
+        )
+        try:
+            for dst in dsts:
+                self.send(dst, msg_type, payload)
+        finally:
+            self._broadcasting = None
 
     def _transmit(self, key: tuple[str, int]) -> None:
         pending = self._pending.get(key)

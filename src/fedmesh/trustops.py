@@ -190,10 +190,29 @@ def load_kit(kit_dir: str | Path) -> StartupKit:
 # --- signatures ---------------------------------------------------------------
 
 
+def _canonical_parts(params: np.ndarray) -> tuple[bytes, memoryview]:
+    """The 4-byte count prefix and the little-endian float64 body; the body is
+    the array's own buffer when the array already is contiguous ``<f8``."""
+    return len(params).to_bytes(4, "big"), np.ascontiguousarray(params, dtype="<f8").data
+
+
 def canonical_param_bytes(params: np.ndarray) -> bytes:
     """Count-prefixed little-endian float64 serialization used for signing."""
-    body = np.ascontiguousarray(params, dtype="<f8").tobytes()
-    return len(params).to_bytes(4, "big") + body
+    return b"".join(_canonical_parts(params))
+
+
+def model_digest(params: np.ndarray) -> bytes:
+    """``sha256(canonical_param_bytes(params))``, hashed part by part, in place."""
+    digest = hashlib.sha256()
+    for part in _canonical_parts(params):
+        digest.update(part)
+    return digest.digest()
+
+
+def write_params(path: str | Path, params: np.ndarray) -> None:
+    """Write ``canonical_param_bytes(params)`` part by part, with no joined copy."""
+    with open(path, "wb") as fh:
+        fh.writelines(_canonical_parts(params))
 
 
 def sign_digest(digest: bytes, private_key: Ed25519PrivateKey) -> bytes:
@@ -209,12 +228,11 @@ def verify_digest(digest: bytes, signature: bytes, public_key: bytes) -> bool:
 
 
 def sign_model(params: np.ndarray, private_key: Ed25519PrivateKey) -> bytes:
-    return sign_digest(hashlib.sha256(canonical_param_bytes(params)).digest(), private_key)
+    return sign_digest(model_digest(params), private_key)
 
 
 def verify_model(params: np.ndarray, signature: bytes, identity: Identity) -> bool:
-    digest = hashlib.sha256(canonical_param_bytes(params)).digest()
-    return verify_digest(digest, signature, identity.public_key)
+    return verify_digest(model_digest(params), signature, identity.public_key)
 
 
 # --- audit log ----------------------------------------------------------------

@@ -71,13 +71,13 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
-def _base_config(corpus_dir, extra=""):
+def _base_config(corpus_dir, extra="", clients=6):
     return parse_experiment(
         f"""
 corpus.train = "{corpus_dir / 'train.conll'}"
 corpus.test = "{corpus_dir / 'test.conll'}"
 rounds = 20
-clients = 6
+clients = {clients}
 train.feature_dim = 262144
 train.learning_rate = 0.5
 train.batch_size = 32
@@ -122,8 +122,8 @@ class TestCriterion2ImbalanceInvariance:
         config = _base_config(
             corpus_dir,
             "experiment.kind = imbalance-sweep\n"
-            'experiment.ratios = ["50/50", "75/25", "90/10"]\n'
-            "clients = 2\n",
+            'experiment.ratios = ["50/50", "75/25", "90/10"]\n',
+            clients=2,
         )
         output = run_simulation(config)
         f1s = {

@@ -8,7 +8,9 @@ from fedmesh.aggregation import (
     AggregationStrategy,
     ClientUpdate,
     SparseVector,
+    add_vectors,
     aggregate,
+    as_dense,
     clip_to_norm,
     coordinate_median,
     distance_sum,
@@ -16,6 +18,7 @@ from fedmesh.aggregation import (
     geometric_median,
     l2_norm,
     normalize_updates,
+    sparse_fits,
     take,
     trust_weights,
 )
@@ -293,6 +296,9 @@ class TestSparseRowsBitIdentity:
         points, weights, rows = case
         got = fedavg(updates_from(rows, weights))
         want = _reference_fedavg(updates_from(list(points), weights))
+        # All-sparse rows give a SparseVector; any dense row, the dense path.
+        assert isinstance(got, SparseVector) == all(isinstance(r, SparseVector) for r in rows)
+        got = as_dense(got)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -320,7 +326,7 @@ class TestSparseRowsBitIdentity:
         reference = points.sum(axis=0) + 1.0
         got = aggregate(updates_from(rows, weights), strategy, reference)
         want = aggregate(updates_from(list(points), weights), strategy, reference)
-        assert got.tobytes() == want.tobytes()
+        assert as_dense(got).tobytes() == want.tobytes()
 
     def test_clip_and_trust_use_the_dense_norm(self):
         # Pairwise summation groups its partial sums by position, so the norm
@@ -357,7 +363,7 @@ class TestSparseRowsBitIdentity:
         weights = list(rng.uniform(1, 100, size=n))
         dense_ups = updates_from(list(points), weights)
         ups = updates_from(rows, weights)
-        assert fedavg(ups).tobytes() == _reference_fedavg(dense_ups).tobytes()
+        assert as_dense(fedavg(ups)).tobytes() == _reference_fedavg(dense_ups).tobytes()
         assert coordinate_median(ups).tobytes() == \
             _reference_coordinate_median(dense_ups).tobytes()
         assert geometric_median(ups).tobytes() == \
@@ -380,6 +386,49 @@ class TestSparseRowsBitIdentity:
         got = geometric_median(updates_from(rows))
         assert got.tobytes() == _reference_geometric_median(updates_from(list(pts))).tobytes()
         assert got.tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
+
+
+@st.composite
+def _addends(draw):
+    """Two vectors of one length, each dense or sparse (with stored +0.0 and
+    -0.0 words), their stored counts on both sides of the one-third rule."""
+    dims = draw(st.integers(1, 30))
+    out = []
+    for _ in range(2):
+        row = draw(hnp.arrays(np.float64, dims, elements=_COORD, fill=st.nothing()))
+        row[draw(hnp.arrays(np.bool_, dims, fill=st.nothing()))] = 0.0
+        extra = draw(hnp.arrays(np.bool_, dims, fill=st.nothing()))
+        out.append(_sparse_form(row, extra) if draw(st.booleans()) else row)
+    return out
+
+
+class TestAddVectors:
+    @settings(max_examples=500, deadline=None)
+    @given(pair=_addends())
+    def test_is_the_dense_sum_bytes(self, pair):
+        base, delta = pair
+        got = add_vectors(base, delta)
+        want = as_dense(base) + as_dense(delta)
+        assert as_dense(got).dtype == want.dtype and as_dense(got).tobytes() == want.tobytes()
+        both = isinstance(base, SparseVector) and isinstance(delta, SparseVector)
+        stored = len(np.union1d(base.indices, delta.indices)) if both else None
+        assert isinstance(got, SparseVector) == (both and sparse_fits(stored, len(want)))
+
+    def test_switches_to_dense_at_a_third(self):
+        def sv(indices, values):
+            return SparseVector(9, np.array(indices), np.array(values))
+        # -0.0 + +0.0 is +0.0 on every dense word, stored or not.
+        below = add_vectors(sv([1], [-0.0]), sv([4], [2.0]))
+        assert isinstance(below, SparseVector) and list(below.indices) == [1, 4]
+        assert below.to_dense().tobytes() == np.array([0, 0, 0, 0, 2.0, 0, 0, 0, 0]).tobytes()
+        at = add_vectors(sv([1, 4], [-0.0, 1.0]), sv([4, 7], [2.0, -3.0]))
+        assert type(at) is np.ndarray
+        assert at.tobytes() == np.array([0, 0, 0, 0, 3.0, 0, 0, -3.0, 0]).tobytes()
+
+    def test_dense_base_turns_negative_zero_as_the_dense_sum_does(self):
+        base = np.array([-0.0, -0.0, 1.0])
+        got = add_vectors(base, SparseVector(3, np.array([1]), np.array([-0.0])))
+        assert got.tobytes() == np.array([0.0, -0.0, 1.0]).tobytes()
 
 
 _NORM_COORD = st.one_of(

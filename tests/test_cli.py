@@ -101,7 +101,7 @@ class TestSimulateCommand:
 
     def test_unsafe_config_rejected_before_running(self, workspace):
         (workspace / "bad.cfg").write_text(
-            CONFIG_TEMPLATE + "train.learning_rate = 1000.0\n"
+            CONFIG_TEMPLATE.replace("learning_rate = 0.5", "learning_rate = 1000.0")
         )
         out = workspace / "never"
         assert main([
@@ -141,6 +141,15 @@ class TestReportCommand:
             "report", "--rows", str(workspace / "empty.rows"), "--out", str(workspace / "re"),
         ]) == 1
         assert "no federated configuration row" in capsys.readouterr().err
+
+    def test_a_config_row_without_a_metric_is_refused(self, workspace, capsys):
+        (workspace / "cut.rows").write_text(
+            "config=n2 kind=single rounds=1 row=config strategy=fedavg\n"
+        )
+        assert main([
+            "report", "--rows", str(workspace / "cut.rows"), "--out", str(workspace / "re"),
+        ]) == 1
+        assert "record 1 (row=config) has no ent_precision" in capsys.readouterr().err
 
 
 class TestOneSpecForBothTransports:
@@ -183,32 +192,46 @@ class TestRefusedBeforeRunning:
     exit 1 before it binds, registers or trains."""
 
     MISSPELT = CONFIG_TEMPLATE + "policy.site1.masking_enabled = true\n"
-    UNSAFE = CONFIG_TEMPLATE + "train.learning_rate = 1000.0\n"
+    UNSAFE = CONFIG_TEMPLATE.replace("learning_rate = 0.5", "learning_rate = 1000.0")
+    STRAY_ADVERSARY = CONFIG_TEMPLATE + "adversary.client = site-9\nadversary.magnitude = 50.0\n"
 
-    def test_simulate_refuses_a_policy_for_no_site(self, workspace, capsys):
-        (workspace / "bad.cfg").write_text(self.MISSPELT)
+    def _simulate_refuses(self, workspace, capsys, text, reason):
+        (workspace / "bad.cfg").write_text(text)
         out = workspace / "never"
         assert main(["simulate", "--config", str(workspace / "bad.cfg"),
                      "--out", str(out)]) == 1
-        assert "policy.site1" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
         assert not (out / "report.rows").exists()
 
-    def test_serve_refuses_before_binding(self, workspace, capsys):
+    def _serve_refuses(self, workspace, capsys, text, reason):
         _provision(workspace)
-        (workspace / "bad.cfg").write_text(self.MISSPELT)
+        (workspace / "bad.cfg").write_text(text)
         port_file = workspace / "port.txt"
         assert main([
             "serve", "--kit", str(workspace / "kits" / "server"),
             "--config", str(workspace / "bad.cfg"), "--out", str(workspace / "srv"),
             "--port-file", str(port_file), "--timeout", "1",
         ]) == 1
-        assert "policy.site1" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
         assert not port_file.exists()
+
+    def test_simulate_refuses_a_policy_for_no_site(self, workspace, capsys):
+        self._simulate_refuses(workspace, capsys, self.MISSPELT, "policy.site1")
+
+    def test_simulate_refuses_an_adversary_for_no_site(self, workspace, capsys):
+        self._simulate_refuses(workspace, capsys, self.STRAY_ADVERSARY, "adversary.client")
+
+    def test_serve_refuses_before_binding(self, workspace, capsys):
+        self._serve_refuses(workspace, capsys, self.MISSPELT, "policy.site1")
+
+    def test_serve_refuses_an_adversary_for_no_site(self, workspace, capsys):
+        self._serve_refuses(workspace, capsys, self.STRAY_ADVERSARY, "adversary.client")
 
     @pytest.mark.parametrize("text,reason", [
         (MISSPELT, "policy.site1"),
+        (STRAY_ADVERSARY, "adversary.client"),
         (UNSAFE, "learning_rate"),
-    ], ids=["misspelt-site", "unsafe-rate"])
+    ], ids=["misspelt-site", "stray-adversary", "unsafe-rate"])
     def test_client_refuses_before_registering(self, workspace, capsys, text, reason):
         _provision(workspace)
         (workspace / "bad.cfg").write_text(text)

@@ -45,6 +45,12 @@ class TestKvdoc:
         with pytest.raises(kvdoc.DocError):
             kvdoc.parse_doc("a = 1\na.b = 2\n")
 
+    @pytest.mark.parametrize("text", ["a = 1\na = 3\n", "x.y = 1\nz = 2\nx.y = 1\n"])
+    def test_a_key_set_twice_is_refused(self, text):
+        with pytest.raises(kvdoc.DocError, match=r"key '(a|x\.y)' is set twice") as err:
+            kvdoc.parse_doc(text)
+        assert err.value.line == len(text.splitlines())
+
     def test_string_escapes(self):
         doc = kvdoc.parse_doc('s = "tab\\there \\"quoted\\" \\\\ end"\n')
         assert doc["s"] == 'tab\there "quoted" \\ end'
@@ -250,6 +256,19 @@ class TestExperimentConfig:
         roster = tmp_path / "roster.cfg"
         roster.write_text("sites = [site-1, site-2]\n")
         assert load_roster(roster) == (("site-1", "site-2"), "server", "127.0.0.1:7761")
+
+    def test_a_key_set_twice_is_refused_in_every_config_document(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^experiment: line 6: key 'clients' is set twice"):
+            parse_experiment(MINIMAL + "clients = 3\n")
+        pdir = tmp_path / "policies"
+        pdir.mkdir()
+        (pdir / "site-1.policy").write_text("clip_norm = 1.0\nclip_norm = 2.0\n")
+        with pytest.raises(ConfigError, match=r"site-1\.policy: line 2: key 'clip_norm'"):
+            parse_experiment(MINIMAL + 'policy_dir = "policies"\n', base_dir=tmp_path)
+        roster = tmp_path / "roster.cfg"
+        roster.write_text("sites = [site-1]\nserver = hub\nserver = hub\n")
+        with pytest.raises(ConfigError, match=r"roster\.cfg: line 3: key 'server'"):
+            load_roster(roster)
 
     def test_with_seeds_updates_sim_seed(self):
         config = parse_experiment(MINIMAL)

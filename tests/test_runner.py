@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedmesh.aggregation import AggregationStrategy
+from fedmesh import runner
+from fedmesh.aggregation import AggregationStrategy, SparseVector
 from fedmesh.data import PartitionPlan, partition, synthetic_corpus
 from fedmesh.errors import ConfigError
 from fedmesh.model import Metrics, TrainConfig, encode_sentences, evaluate, zero_params
@@ -102,6 +103,30 @@ class TestFederationBasics:
         spec.train = replace(CFG, fedprox_mu=0.1)
         res = run_federation(spec, SimNetConfig(seed=5))
         assert len(res.history) == 3
+
+    @pytest.mark.parametrize("feature_dim,sparse", [(1 << 16, True), (1 << 10, False)])
+    def test_global_model_is_sparse_while_it_fits_and_dense_when_done(
+        self, monkeypatch, feature_dim, sparse
+    ):
+        kinds = []
+
+        def recording(base, delta):
+            out = add_vectors(base, delta)
+            kinds.append((type(delta), type(out)))
+            return out
+
+        add_vectors = runner.add_vectors
+        monkeypatch.setattr(runner, "add_vectors", recording)
+        spec = make_spec(n_clients=3, train=replace(CFG, feature_dim=feature_dim))
+        res = run_federation(spec, SimNetConfig(seed=7))
+        # On the wide model every update arrives sparse, so each fedavg
+        # aggregate and the global model stay sparse; on the narrow one the
+        # updates arrive dense and so does everything after them.
+        kind = SparseVector if sparse else np.ndarray
+        assert kinds == [(kind, kind)] * 3
+        assert type(res.final_params) is np.ndarray
+        assert verify_model(res.final_params, res.model_signature,
+                            spec.kits["server"].identity())
 
     def test_validation_rejects_bad_quorum(self):
         with pytest.raises(ConfigError):

@@ -29,7 +29,10 @@ from fedmesh.transport import (
     VECTOR_F64,
     VECTOR_SPARSE_F64,
     VECTOR_U64,
+    Checksummed,
     _pack_envelope,
+    crc32_combine_gen,
+    crc32_combine_op,
     decode_frame,
     decode_payload,
     encode_frame,
@@ -179,6 +182,65 @@ class TestFrameCodec:
         assert frame == _one_buffer_frame(9, b"head" + words.tobytes())
 
 
+# A dense model's payload size; drawn once, since hypothesis shrinks poorly at 6.3 MB.
+_MODEL_BYTES = np.random.default_rng(5).bytes(6_300_000)
+
+
+class TestCrcCombine:
+    @given(head=st.binary(max_size=64),
+           payload=st.sampled_from([b"", b"\x00", b"\xff"]) | st.binary(max_size=3000)
+           | st.just(_MODEL_BYTES))
+    @settings(max_examples=120, deadline=None)
+    def test_combined_crc_is_the_crc_of_the_concatenation(self, head, payload):
+        op = crc32_combine_gen(len(payload))
+        assert crc32_combine_op(zlib.crc32(head), zlib.crc32(payload), op) == \
+            zlib.crc32(head + payload)
+        part = Checksummed(payload, zlib.crc32(payload), op)
+        assert encode_frame(7, head, part) == _one_buffer_frame(7, head + payload)
+
+    @pytest.mark.parametrize("payload", [b"", b"x", _MODEL_BYTES], ids=["empty", "1B", "6.3MB"])
+    def test_a_broadcast_sends_the_frames_single_sends_do(self, payload):
+        frames = {}
+        for how in ("send", "broadcast"):
+            raw = _RecordingRaw()
+            rel = ReliableEndpoint(raw)
+            rel.send("site-2", MSG_TASK_ASSIGN, b"earlier")  # seqs differ per destination
+            if how == "send":
+                for dst in ("site-1", "site-2", "site-3"):
+                    rel.send(dst, MSG_TASK_ASSIGN, payload)
+            else:
+                rel.broadcast(["site-1", "site-2", "site-3"], MSG_TASK_ASSIGN, payload)
+            rel.send("site-1", MSG_TASK_ASSIGN, b"later")  # no CRC left over
+            frames[how] = raw.sent
+        assert frames["send"] == frames["broadcast"]
+        for _, frame in frames["broadcast"]:
+            decode_frame(frame)  # the CRC checks
+
+
+class _RecordingRaw:
+    """A raw endpoint that keeps what it is asked to send and never delivers."""
+
+    name = "server"
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dst, data):
+        self.sent.append((dst, data))
+
+    def schedule(self, delay_ms, fn):
+        return None
+
+    def cancel(self, handle):
+        pass
+
+    def now_ms(self):
+        return 0.0
+
+    def set_receive_handler(self, fn):
+        pass
+
+
 def _one_buffer_frame(msg_type: int, payload: bytes) -> bytes:
     """The earlier encode_frame, verbatim: one payload buffer, one CRC over it."""
     header = b"FHN1" + bytes((0x01, msg_type)) + struct.pack(">I", len(payload))
@@ -207,6 +269,12 @@ class TestPayloadEnvelope:
     def test_malformed_rejected(self):
         with pytest.raises(CorruptFrame):
             decode_payload(b"\x00\x00\x00\xffjunk")
+
+    def test_a_key_set_twice_is_a_corrupt_payload(self):
+        doc = b"round = 1\nround = 2\n"
+        payload = struct.pack(">I", len(doc)) + doc + struct.pack(">BI", 0, 0)
+        with pytest.raises(CorruptFrame, match="key 'round' is set twice"):
+            decode_payload(payload)
 
 
 def vector_kind(payload: bytes) -> int:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,18 @@ from fedmesh.trustops import (
     GENESIS_HASH,
     UnsafeComponentError,
     audit_verify,
+    canonical_param_bytes,
     check_components,
     format_entry,
     load_audit_log,
     load_kit,
+    model_digest,
     parse_audit_line,
     provision,
     sign_model,
     verify_model,
     write_kits,
+    write_params,
 )
 
 SIX_SITES = [("server", "server")] + [(f"site-{i}", "client") for i in range(1, 7)]
@@ -97,6 +102,19 @@ class TestModelSignatures:
         params = np.ones(4)
         sig = sign_model(params, kits["server"].private_key())
         assert not verify_model(params, sig, kits["site-1"].identity())
+
+    @pytest.mark.parametrize("layout", ["contiguous", "sliced", "big-endian", "empty"])
+    def test_in_place_digest_and_write_are_the_canonical_bytes(self, layout, tmp_path):
+        base = np.random.default_rng(3).normal(size=2001)
+        base[[4, 9]] = -0.0, np.nan
+        params = {"contiguous": base, "sliced": base[::3], "empty": base[:0],
+                  "big-endian": base.astype(">f8")}[layout]
+        canonical = canonical_param_bytes(params)
+        assert canonical[:4] == len(params).to_bytes(4, "big")
+        assert canonical[4:] == np.asarray(params, dtype="<f8").tobytes()
+        assert model_digest(params) == hashlib.sha256(canonical).digest()
+        write_params(tmp_path / "model.params", params)
+        assert (tmp_path / "model.params").read_bytes() == canonical
 
     def test_garbage_signature_returns_false(self):
         kits = provision(SIX_SITES, key_seed=2)
