@@ -130,6 +130,8 @@ _FIELDS = {
               "duration_ms"),
 }
 _SCORES = ("ent_f1", "tok_f1", "ent_tp", "ent_fp", "ent_fn")
+# The fields render_text formats as numbers.
+_NUMBERS = {"ent_precision", "ent_recall", "ent_f1", "tok_f1", "aggregate_norm", "duration_ms"}
 
 
 def _check_fields(rows: list[Row]) -> None:
@@ -139,6 +141,9 @@ def _check_fields(rows: list[Row]) -> None:
         for key in need:
             if key not in row:
                 raise ConfigError(f"report rows: record {n} (row={kind}) has no {key}")
+            if key in _NUMBERS and isinstance(row[key], (bool, str)):
+                raise ConfigError(f"report rows: record {n} (row={kind}) has a "
+                                  f"non-numeric {key}={_format_value(row[key])}")
 
 
 def render_text(rows: list[Row]) -> str:

@@ -16,6 +16,7 @@ import hashlib
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -558,23 +559,20 @@ class ClientNode(_Node):
             # Refuse instead of uploading a fabricated update.
             self._drop(round_no, "no data")
             return
-        if self.encoded is None:
-            self.encoded = encode_sentences(
-                self.shard, self.spec.train.feature_dim, self.spec.train.hash_seed
-            )
-        cfg = replace(
-            self.spec.train,
-            seed=derive_seed(self.spec.seeds.model, "shuffle", self.kit.site_id, round_no),
-        )
-        cols, before, after = local_train(start, self.encoded, cfg)
-        delta: Vector = SparseVector(cfg.dims, cols, after - before)
         adversary = self.spec.adversary
         if adversary is not None and adversary.client_id == self.kit.site_id:
-            sign_rng = np.random.Generator(np.random.PCG64(
-                derive_seed("byzantine", self.kit.site_id)
-            ))
-            signs = sign_rng.choice([-1.0, 1.0], size=len(delta))
-            delta = adversary.magnitude * signs / np.sqrt(len(delta))
+            delta: Vector = self._attack
+        else:
+            if self.encoded is None:
+                self.encoded = encode_sentences(
+                    self.shard, self.spec.train.feature_dim, self.spec.train.hash_seed
+                )
+            cfg = replace(
+                self.spec.train,
+                seed=derive_seed(self.spec.seeds.model, "shuffle", self.kit.site_id, round_no),
+            )
+            cols, before, after = local_train(start, self.encoded, cfg)
+            delta = SparseVector(cfg.dims, cols, after - before)
         rng = np.random.Generator(np.random.PCG64(
             derive_seed(self.spec.seeds.net, "privacy", self.kit.site_id, round_no)
         ))
@@ -582,6 +580,17 @@ class ClientNode(_Node):
         self._pending_delta = delta
         self._pending_masked_peers = masked
         self.dispatch(TrainingDone(round_no))
+
+    @cached_property
+    def _attack(self) -> np.ndarray:
+        """The Byzantine site's update in place of training: random signs
+        scaled to norm *magnitude*, the same vector every round."""
+        dims = self.spec.train.dims
+        sign_rng = np.random.Generator(np.random.PCG64(derive_seed("byzantine", self.kit.site_id)))
+        signs = sign_rng.choice([-1.0, 1.0], size=dims)
+        attack = self.spec.adversary.magnitude * signs / np.sqrt(dims)
+        attack.setflags(write=False)  # every round uploads this one array
+        return attack
 
     def _submit(self, round_no: int) -> None:
         delta = self._pending_delta

@@ -151,6 +151,19 @@ class TestReportCommand:
         ]) == 1
         assert "record 1 (row=config) has no ent_precision" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "true"])
+    def test_a_config_row_with_a_non_numeric_metric_is_refused(self, workspace, capsys, value):
+        (workspace / "bad.rows").write_text(
+            f"config=n2 ent_f1={value} ent_precision=0.5 ent_recall=0.5 kind=single"
+            " rounds=1 row=config strategy=fedavg tok_f1=0.5\n"
+        )
+        assert main([
+            "report", "--rows", str(workspace / "bad.rows"), "--out", str(workspace / "re"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"record 1 (row=config) has a non-numeric ent_f1={value}" in err
+        assert "Traceback" not in err
+
 
 class TestOneSpecForBothTransports:
     @pytest.mark.parametrize("clients,lines,n", [

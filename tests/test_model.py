@@ -337,6 +337,40 @@ class TestLossAndGrad:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+def _sentence_key(batch, j):
+    """Sentence j of *batch* as bytes: its feature ids and labels."""
+    t0, t1 = batch.sent_ptr[j], batch.sent_ptr[j + 1]
+    f0, f1 = batch.token_ptr[t0], batch.token_ptr[t1]
+    return batch.feats[f0:f1].tobytes() + batch.labels[t0:t1].tobytes()
+
+
+def _spied_steps(start, shard, cfg):
+    """local_train's result and, per SGD step, its batch and whether it
+    sorted the batch's columns."""
+    steps = []
+    real = model._sgd_step
+    with mock.patch.object(model.np, "unique", wraps=np.unique) as unique:
+        def spy(weights, batch, *rest):
+            calls = unique.call_count
+            real(weights, batch, *rest)
+            steps.append((batch, unique.call_count > calls))
+
+        with mock.patch.object(model, "_sgd_step", spy):
+            out = local_train(start, shard, cfg)
+    return out, steps
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["learning_rate", "fedprox_mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_negative_zero_learning_rate_accepted(self):
+        assert np.signbit(TrainConfig(learning_rate=-0.0).learning_rate)
+
+
 class TestLocalTrain:
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(5)
@@ -358,22 +392,53 @@ class TestLocalTrain:
         np.testing.assert_allclose(trained, expected, rtol=0, atol=1e-14)
 
     def test_examples_seen(self):
-        # Each epoch visits every one of the n sentences once, batch_size at a time.
-        rng = np.random.default_rng(7)
-        shard = random_corpus(rng, n_sentences=9)
+        # Each epoch visits every one of the n sentences once, batch_size at a
+        # time: read off the batches the SGD steps receive.
+        shard = encode_sentences(
+            [sentence([f"s{i}"] * (1 + i % 3), ["O"] * (1 + i % 3)) for i in range(9)],
+            SMALL.feature_dim,
+        )
+        _, local = shard.compact
+        signature = {_sentence_key(local, i): i for i in range(9)}
+        assert len(signature) == 9  # every sentence is recognisable by its bytes
         cfg = replace(SMALL, local_epochs=3, batch_size=4)
-        real = EncodedBatch.sentence_slice
-        batches = []
-
-        def spy(batch, order):
-            batches.append(np.asarray(order))
-            return real(batch, order)
-
-        with mock.patch.object(EncodedBatch, "sentence_slice", spy):
-            local_train(zero_params(cfg), shard, cfg)
-        assert [len(b) for b in batches] == [4, 4, 1] * 3
-        for epoch in np.concatenate(batches).reshape(3, 9):
+        _, steps = _spied_steps(zero_params(cfg), shard, cfg)
+        batches = [batch for batch, _ in steps]
+        assert [b.n_sentences for b in batches] == [4, 4, 1] * 3
+        seen = [signature[_sentence_key(b, j)] for b in batches for j in range(b.n_sentences)]
+        for epoch in np.reshape(seen, (3, 9)):
             assert sorted(epoch) == list(range(9))
+
+    def test_batches_are_the_per_batch_slices(self):
+        # A step's batch has the arrays sentence_slice gives for its sentences.
+        rng = np.random.default_rng(7)
+        shard = encode_sentences(random_corpus(rng, n_sentences=11), SMALL.feature_dim)
+        cfg = replace(SMALL, local_epochs=2, batch_size=3)
+        _, steps = _spied_steps(zero_params(cfg), shard, cfg)
+        order_rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        _, local = shard.compact
+        want = []
+        for _ in range(cfg.local_epochs):
+            order = order_rng.permutation(11)
+            want += [local.sentence_slice(order[lo:lo + 3]) for lo in range(0, 11, 3)]
+        assert len(steps) == len(want)
+        for (got, _), expected in zip(steps, want):
+            assert_same_batch(got, expected)
+
+    def test_negative_zero_learning_rate_keeps_untouched_negative_zeros(self):
+        # These batches are below the size switch, but lr = -0.0 must not
+        # turn the -0.0 weights of columns a batch does not touch into +0.0.
+        rng = np.random.default_rng(14)
+        shard = random_corpus(rng, n_sentences=12)
+        cfg = replace(SMALL, learning_rate=-0.0, batch_size=2, local_epochs=2)
+        start = np.full(cfg.dims, -0.0)
+        _, steps = _spied_steps(start, shard, replace(cfg, learning_rate=0.0))
+        assert not any(sorted_ for _, sorted_ in steps)
+        cols, _, after = local_train(start, shard, cfg)
+        trained, _ = _reference_local_train(start, shard, cfg)
+        assert after.tobytes() == trained[cols].tobytes()
+        # Touched words do become +0.0, in the reference as here; the rest stay.
+        assert 0 < np.signbit(after).sum() < len(after)
 
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(8)
@@ -475,13 +540,16 @@ def _reference_local_train(start, shard, config, global_reference=None):
 def _training_cases(draw):
     """(start, its dense form, shard, config): starts with +-0.0 words and, at
     random, given as a SparseVector that also stores some +0.0 words."""
-    # No empty sentences: an SGD step on a batch with no tokens raises.
-    shard = draw(st.lists(_sentences().filter(len), min_size=1, max_size=8))
+    # No empty sentences: an SGD step on a batch with no tokens raises.  A
+    # wide shard in small batches lands above local_train's size switch
+    # (columns > 8x a batch's feature ids), a whole-shard batch below it.
+    wide = draw(st.booleans())
+    shard = draw(st.lists(_sentences().filter(len), min_size=1, max_size=40 if wide else 8))
     cfg = replace(
         SMALL,
-        learning_rate=draw(st.sampled_from([0.0, 0.3, 0.5])),
+        learning_rate=draw(st.sampled_from([0.0, -0.0, 0.3, 0.5])),
         local_epochs=draw(st.integers(1, 3)),
-        batch_size=draw(st.integers(1, len(shard) + 2)),
+        batch_size=draw(st.integers(1, 2) if wide else st.integers(1, len(shard) + 2)),
         fedprox_mu=draw(st.sampled_from([0.0, 0.3, 1.0])),
         seed=draw(st.integers(0, 2**32)),
     )
@@ -499,14 +567,29 @@ class TestCompactTrainingBitIdentity:
     """The sparse delta over the shard's columns has the bytes of the dense
     ``trained - start`` that training the whole vector gave."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(case=_training_cases())
-    def test_delta_matches_dense_training(self, case):
-        start, dense, shard, cfg = case
-        cols, before, after = local_train(start, shard, cfg)
-        got = SparseVector(cfg.dims, cols, after - before).to_dense()
-        trained, _ = _reference_local_train(dense, shard, cfg, global_reference=dense)
-        assert got.tobytes() == (trained - dense).tobytes()
+    def test_delta_matches_dense_training(self):
+        # Whether each step with a sign-clear learning rate sorted its columns;
+        # the draws must reach both sides of the size switch.
+        paths = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(case=_training_cases())
+        def check(case):
+            start, dense, shard, cfg = case
+            (cols, before, after), steps = _spied_steps(start, shard, cfg)
+            got = SparseVector(cfg.dims, cols, after - before).to_dense()
+            trained, _ = _reference_local_train(dense, shard, cfg, global_reference=dense)
+            assert got.tobytes() == (trained - dense).tobytes()
+            # The delta cannot tell -0.0 from +0.0; the trained words can.
+            assert after.tobytes() == trained[cols].tobytes()
+            sorted_steps = [sorted_ for _, sorted_ in steps]
+            if np.signbit(cfg.learning_rate):
+                assert all(sorted_steps)
+            else:
+                paths.update(sorted_steps)
+
+        check()
+        assert paths == {False, True}
 
     def test_run_centralized_params_match_dense_training(self):
         rng = np.random.default_rng(12)
@@ -528,8 +611,8 @@ class TestCompactTrainingBitIdentity:
             local_train(zero_params(SMALL), shard, SMALL)
             calls = unique.call_count
             local_train(zero_params(SMALL), shard, SMALL)
-        # The second call re-runs only the per-step np.unique, not the remap.
-        assert unique.call_count - calls == calls - 1
+        # The first call sorts once, for the remap; the second not at all.
+        assert (calls, unique.call_count) == (1, 1)
 
 
 class TestDecode:

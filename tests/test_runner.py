@@ -19,6 +19,7 @@ from fedmesh.runner import (
     run_centralized,
     run_federation,
 )
+from fedmesh.seeding import derive_seed
 from fedmesh.simnet import SimNetConfig
 from fedmesh.transport import (
     MSG_EVAL_REPORT,
@@ -301,6 +302,31 @@ class TestByzantine:
         assert final_f1("fedavg", adversary) < clean * 0.5
         assert final_f1("coord-median", adversary) >= clean - 0.1
         assert final_f1("geo-median", adversary) >= clean - 0.1
+
+    def test_adversary_uploads_one_vector_without_training(self, monkeypatch):
+        trained, policed = [], []
+        real_train, real_policy = runner.local_train, runner.apply_policy
+
+        def counting_train(*args):
+            trained.append(args)
+            return real_train(*args)
+
+        def recording_policy(delta, *args):
+            policed.append(delta)
+            return real_policy(delta, *args)
+
+        monkeypatch.setattr(runner, "local_train", counting_train)
+        monkeypatch.setattr(runner, "apply_policy", recording_policy)
+        spec = make_spec(n_clients=3, rounds=3, adversary=Adversary("site-2", 50.0))
+        run_federation(spec, SimNetConfig(seed=4))
+        # Only the two honest sites train; the adversary's one array serves
+        # every round.
+        assert len(trained) == 2 * 3
+        attacks = [d for d in policed if not isinstance(d, SparseVector)]
+        assert len(attacks) == 3 and all(a is attacks[0] for a in attacks)
+        rng = np.random.Generator(np.random.PCG64(derive_seed("byzantine", "site-2")))
+        want = 50.0 * rng.choice([-1.0, 1.0], size=CFG.dims) / np.sqrt(CFG.dims)
+        assert attacks[0].tobytes() == want.tobytes()
 
 
 def cross_site_evaluate(params, site_holdouts, config):
