@@ -114,11 +114,6 @@ class Metrics:
 _METRIC_FIELDS = ("precision", "recall", "f1", "tp", "fp", "fn")
 
 
-def fnv1a64(data: bytes, seed: int = 0) -> int:
-    """64-bit FNV-1a over the seed's 8 little-endian bytes then *data*."""
-    return _fnv1a64_extend(_fnv1a64_extend(_FNV_OFFSET, seed.to_bytes(8, "little")), data)
-
-
 def _fnv1a64_extend(h: int, data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _U64

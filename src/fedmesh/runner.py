@@ -380,9 +380,9 @@ class ServerNode(_Node):
             "invited": list(action.invited),
             "masked": masked,
         }
-        self.rel.broadcast(
-            action.invited, MSG_TASK_ASSIGN, _signed(doc, self.global_params, self.kit)
-        )
+        payload = _signed(doc, self.global_params, self.kit)
+        for client in action.invited:
+            self.rel.send(client, MSG_TASK_ASSIGN, payload)
 
     def _aggregate(self, action: StartAggregation) -> None:
         weights = dict(action.weights)
@@ -420,9 +420,9 @@ class ServerNode(_Node):
             self.done = True
             return
         doc = {"rounds": self.state.round}
-        self.rel.broadcast(
-            sorted(self.expected), MSG_EVAL_REQUEST, _signed(doc, self.global_params, self.kit)
-        )
+        payload = _signed(doc, self.global_params, self.kit)
+        for client in sorted(self.expected):
+            self.rel.send(client, MSG_EVAL_REQUEST, payload)
         self._eval_timer = self.rel.raw.schedule(
             self.spec.deadline_ms * _EVAL_TIMEOUT_FACTOR, self._finish_eval
         )
@@ -447,7 +447,9 @@ class ServerNode(_Node):
             return
         if self._eval_timer is not None:
             self.rel.raw.cancel(self._eval_timer)
-        self.rel.broadcast(sorted(self.expected), MSG_ACK, _signed({"done": True}, None, self.kit))
+        payload = _signed({"done": True}, None, self.kit)
+        for client in sorted(self.expected):
+            self.rel.send(client, MSG_ACK, payload)
         # Last: a TCP host closes its sockets as soon as it sees done, and a
         # client that never gets this ack waits out its whole timeout.
         self.done = True

@@ -186,7 +186,7 @@ class TcpNode:
                     if msg_type == MSG_TRANSPORT_ACK:
                         continue  # nothing was sent over an unrouted connection
                     try:
-                        sender, _, _ = unpack_envelope(payload)
+                        sender, _, _ = unpack_envelope(msg_type, payload)
                     except CorruptFrame:
                         continue
                     if self._conns.setdefault(sender, sock) is not sock:

@@ -3,11 +3,21 @@
 Wire frame layout (big-endian lengths):
 
     magic    4 bytes  "FHN1"
-    version  1 byte   0x01
+    version  1 byte   0x02
     msg_type 1 byte
     length   4 bytes  payload byte count (<= 64 MiB)
-    payload  `length` bytes
-    checksum 4 bytes  CRC32 of payload
+    payload  `length` bytes: an envelope
+
+An envelope is a head, then the inner payload (empty in a transport ack):
+
+    sender_len 2 bytes | sender UTF-8 | seq 8 bytes | crc 4 bytes
+
+Each byte has one integrity check, made by the layer that writes it.  The
+frame codec checks the header's form (magic, version, length bound); the
+envelope's CRC-32 covers the msg_type byte and the rest of the head; nothing
+in the transport checks the inner payload.  Every payload handed to
+ReliableEndpoint must therefore carry its own check: the runner signs them
+all, and a payload whose signature fails is acked, then rejected by the node.
 
 Control payloads are a key/value document plus an optional vector:
 
@@ -28,19 +38,18 @@ signed payload (runner._signed) is the encoded payload followed by a 64-byte
 Ed25519 signature over its SHA-256, so the receiver hashes the bytes it got
 and never re-encodes.
 
-Reliable delivery wraps application payloads in an envelope carrying the
-sender id and a sequence number, counted per destination from 0; receivers
-ack every data frame inside their window and deduplicate by (sender, seq),
-senders retransmit on an exponential backoff until acked or retries run out.
+Reliable delivery numbers each sender's messages per destination from 0;
+receivers ack every data frame inside their window whose envelope checks
+and deduplicate by (sender, seq), senders retransmit on an exponential
+backoff until acked or retries run out.
 
-A message costs one build on send and one check on receive.  encode_frame
-takes the envelope head and the payload as separate parts, allocates the
-frame once and chains the CRC over the parts; a payload broadcast to many
-nodes has its CRC computed once and combined with each head's.  The raw
-endpoint (the TCP reader, or the simulator on delivery) runs decode_frame
-once per frame and hands the receive handler (src, msg_type, payload view),
-src being the node the frame came from; the envelope's inner payload is a
-view as well, and decode_payload makes the one owned copy.
+A message costs one build on send and one split on receive.  encode_frame
+takes the envelope head and the payload as separate parts and allocates the
+frame once.  The raw endpoint (the TCP reader, or the simulator on delivery)
+runs decode_frame once per frame and hands the receive handler (src,
+msg_type, payload view), src being the node the frame came from; the
+envelope's inner payload is a view as well, and decode_payload makes the
+one owned copy.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ import heapq
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple, Protocol
+from typing import Any, Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -57,10 +66,9 @@ from . import kvdoc
 from .aggregation import SparseVector, Vector, sparse_fits
 
 MAGIC = b"FHN1"
-VERSION = 0x01
+VERSION = 0x02
 MAX_PAYLOAD = 64 * 1024 * 1024
 HEADER_LEN = len(MAGIC) + 1 + 1 + 4
-TRAILER_LEN = 4
 
 # Application message types; 0x00 is reserved for transport-level acks.
 MSG_TRANSPORT_ACK = 0x00
@@ -83,74 +91,19 @@ class NeedMoreBytes(Exception):
 
 
 class CorruptFrame(ValueError):
-    """Bad magic, version, length bound, or checksum."""
-
-
-_CRC_POLY = 0xEDB88320  # CRC-32, bit-reflected
-
-
-def _multmodp(a: int, b: int) -> int:
-    """a * b modulo the CRC-32 polynomial, in zlib's reflected bit order."""
-    product = 0
-    for bit in range(31, -1, -1):
-        if a >> bit & 1:
-            product ^= b
-        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
-    return product
-
-
-_X2N = [1 << 30]  # x^(2^k) modulo the polynomial, k = 0..31
-for _ in range(31):
-    _X2N.append(_multmodp(_X2N[-1], _X2N[-1]))
-
-
-def crc32_combine_gen(len2: int) -> int:
-    """x^(8 * len2) modulo the polynomial (zlib's crc32_combine_gen): the
-    operator crc32_combine_op needs to append *len2* bytes, at any CRCs."""
-    op, k = 1 << 31, 3  # x^0; bit i of len2 contributes x^(2^(i+3))
-    while len2:
-        if len2 & 1:
-            op = _multmodp(_X2N[k & 31], op)
-        len2 >>= 1
-        k += 1
-    return op
-
-
-def crc32_combine_op(crc1: int, crc2: int, op: int) -> int:
-    """``zlib.crc32(a + b)`` from ``zlib.crc32(a)``, ``zlib.crc32(b)`` and
-    ``crc32_combine_gen(len(b))`` (zlib's crc32_combine_op)."""
-    return _multmodp(op, crc1) ^ crc2
-
-
-class Checksummed(NamedTuple):
-    """A frame part with its CRC-32 and its crc32_combine_gen operator."""
-
-    data: bytes
-    crc: int
-    op: int
+    """A malformed frame header (magic, version, length bound), envelope or
+    payload, or an envelope whose CRC-32 does not match."""
 
 
 def encode_frame(msg_type: int, *parts) -> bytes:
-    """One frame whose payload is the concatenation of *parts*.
-
-    The frame is allocated once and each part copied into it once; the CRC
-    is chained over the parts, which equals the CRC of their concatenation.
-    A Checksummed part's CRC is combined in, not recomputed.
-    """
+    """One frame whose payload is the concatenation of *parts*, allocated once
+    with each part copied into it once."""
     if not 0 <= msg_type <= 0xFF:
         raise ValueError(f"msg_type out of range: {msg_type}")
-    buffers = [part.data if isinstance(part, Checksummed) else part for part in parts]
-    length = sum(memoryview(buf).nbytes for buf in buffers)
+    length = sum(memoryview(part).nbytes for part in parts)
     if length > MAX_PAYLOAD:
         raise ValueError(f"payload of {length} bytes exceeds 64 MiB bound")
-    crc = 0
-    for part in parts:
-        if isinstance(part, Checksummed):
-            crc = crc32_combine_op(crc, part.crc, part.op)
-        else:
-            crc = zlib.crc32(part, crc)
-    header = MAGIC + bytes((VERSION, msg_type)) + struct.pack(">I", length)
-    return b"".join((header, *buffers, struct.pack(">I", crc)))
+    return b"".join((MAGIC, bytes((VERSION, msg_type)), struct.pack(">I", length), *parts))
 
 
 def _payload_length(header: memoryview) -> int:
@@ -169,24 +122,18 @@ def decode_frame(data: bytes | bytearray | memoryview) -> tuple[int, memoryview,
     """Decode one frame from the head of *data*: (msg_type, payload, consumed).
 
     The payload is a view into *data*, not a copy.  Raises NeedMoreBytes when
-    the buffer is a strict prefix of a valid frame and CorruptFrame on any
-    malformed header or checksum mismatch.  Never reads past the declared
-    length.
+    the buffer is a strict prefix of a valid frame and CorruptFrame on a
+    malformed header.  Never reads past the declared length.
     """
     data = memoryview(data)
     if len(data) < HEADER_LEN:
         if bytes(data[:len(MAGIC)]) != MAGIC[:len(data)]:
             raise CorruptFrame("bad magic")
         raise NeedMoreBytes
-    length = _payload_length(data)
-    total = HEADER_LEN + length + TRAILER_LEN
+    total = HEADER_LEN + _payload_length(data)
     if len(data) < total:
         raise NeedMoreBytes
-    payload = data[HEADER_LEN:HEADER_LEN + length]
-    (checksum,) = struct.unpack(">I", data[HEADER_LEN + length:total])
-    if checksum != zlib.crc32(payload):
-        raise CorruptFrame("checksum mismatch")
-    return data[5], payload, total
+    return data[5], data[HEADER_LEN:total], total
 
 
 def read_frames(recv_into: Callable[[memoryview], int]) -> Iterator[tuple[int, memoryview]]:
@@ -195,14 +142,14 @@ def read_frames(recv_into: Callable[[memoryview], int]) -> Iterator[tuple[int, m
     *recv_into(view)* writes up to len(view) bytes at the head of *view* and
     returns how many, 0 at the end of the stream.  Each header is parsed
     once and the frame's one buffer is filled straight from the stream, then
-    decode_frame checks it once.  The buffer holds at most _FIRST_READ bytes
+    decode_frame splits it once.  The buffer holds at most _FIRST_READ bytes
     more than have arrived and doubles as they do, so a header declaring a
     large frame costs memory only as its bytes come.  Ends quietly at the end
     of the stream, dropping a cut-off frame; CorruptFrame on a bad frame.
     """
     header = memoryview(bytearray(HEADER_LEN))
     while _fill(recv_into, header):
-        total = HEADER_LEN + _payload_length(header) + TRAILER_LEN
+        total = HEADER_LEN + _payload_length(header)
         frame = bytearray(header)
         while len(frame) < total:
             have = len(frame)
@@ -305,10 +252,10 @@ def _decode_sparse(dims: int, body: bytes | memoryview) -> SparseVector:
 class RawEndpoint(Protocol):
     """What a transport backend must provide to host reliable messaging.
 
-    `send` takes one whole frame.  The backend checks each received frame
-    once, where it arrives, drops anything that is not exactly one valid
-    frame, and calls the receive handler with (src, msg_type, payload view),
-    where src names the node the frame came from.
+    `send` takes one whole frame.  The backend checks each received frame's
+    header once, where it arrives, drops anything that is not exactly one
+    well-formed frame, and calls the receive handler with (src, msg_type,
+    payload view), where src names the node the frame came from.
     Implementations must invoke the receive handler and scheduled callbacks
     on a single logical thread.
     """
@@ -369,22 +316,27 @@ class DeliveryReceipt:
     error: str | None = None
 
 
-def _pack_envelope(sender: str, seq: int) -> bytes:
-    """The envelope head; the inner payload follows it in the frame."""
+def _pack_envelope(msg_type: int, sender: str, seq: int) -> bytes:
+    """The envelope head, ending in the CRC-32 of the message type and the rest
+    of the head; the inner payload follows it in the frame."""
     sender_bytes = sender.encode("utf-8")
-    return struct.pack(">H", len(sender_bytes)) + sender_bytes + struct.pack(">Q", seq)
+    head = struct.pack(">H", len(sender_bytes)) + sender_bytes + struct.pack(">Q", seq)
+    return head + struct.pack(">I", zlib.crc32(bytes((msg_type,)) + head))
 
 
-def unpack_envelope(data: bytes | memoryview) -> tuple[str, int, memoryview]:
-    """Split an envelope into (sender, seq, inner view); CorruptFrame if malformed."""
+def unpack_envelope(msg_type: int, data: bytes | memoryview) -> tuple[str, int, memoryview]:
+    """Split a frame's envelope into (sender, seq, inner view); CorruptFrame if
+    it is malformed or its CRC-32 does not match *msg_type* and its head."""
     data = memoryview(data)
     try:
         (n,) = struct.unpack(">H", data[:2])
+        seq, crc = struct.unpack(">QI", data[2 + n:14 + n])
         sender = str(data[2:2 + n], "utf-8")
-        (seq,) = struct.unpack(">Q", data[2 + n:10 + n])
     except (struct.error, UnicodeDecodeError) as exc:
         raise CorruptFrame(f"malformed envelope: {exc}") from exc
-    return sender, seq, data[10 + n:]
+    if crc != zlib.crc32(bytes((msg_type,)) + data[:10 + n]):
+        raise CorruptFrame("envelope checksum mismatch")
+    return sender, seq, data[14 + n:]
 
 
 @dataclass
@@ -403,7 +355,9 @@ class ReliableEndpoint:
     Outgoing messages are retransmitted on a backoff of base * 2^attempt
     until the peer's transport ack arrives or max_retries retransmissions
     are spent.  Incoming data frames inside the window are acked and
-    delivered to the application at most once per (sender, seq).
+    delivered to the application at most once per (sender, seq); a frame
+    whose envelope fails its CRC is dropped un-acked, and the sender
+    retransmits it.
 
     A sender numbers its messages to each destination from 0, so the seqs
     one receiver gets from a sender have no gaps that stay open.  Per sender,
@@ -429,7 +383,6 @@ class ReliableEndpoint:
         self._next_seq: dict[str, int] = {}  # destination -> its next seq
         self._pending: dict[tuple[str, int], _Pending] = {}
         self._seen: dict[str, tuple[int, int]] = {}  # sender -> (mark, window bitmap)
-        self._broadcasting: Checksummed | None = None
         raw.set_receive_handler(self._on_raw)
 
     def send(
@@ -442,25 +395,10 @@ class ReliableEndpoint:
         """Queue a reliable send; the receipt callback fires on ack or failure."""
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
-        shared = self._broadcasting
-        part = shared if shared is not None and shared.data is payload else payload
-        frame = encode_frame(msg_type, _pack_envelope(self.name, seq), part)
+        frame = encode_frame(msg_type, _pack_envelope(msg_type, self.name, seq), payload)
         self._pending[dst, seq] = _Pending(dst, msg_type, frame, 0, None, on_result)
         self._transmit((dst, seq))
         return seq
-
-    def broadcast(self, dsts, msg_type: int, payload: bytes) -> None:
-        """``send`` one payload to each of *dsts* in order.  The payload's CRC-32
-        is computed once, and each frame's CRC is combined from it and the CRC
-        of that frame's envelope head."""
-        self._broadcasting = Checksummed(
-            payload, zlib.crc32(payload), crc32_combine_gen(len(payload))
-        )
-        try:
-            for dst in dsts:
-                self.send(dst, msg_type, payload)
-        finally:
-            self._broadcasting = None
 
     def _transmit(self, key: tuple[str, int]) -> None:
         pending = self._pending.get(key)
@@ -487,7 +425,7 @@ class ReliableEndpoint:
 
     def _on_raw(self, src: str, msg_type: int, payload: memoryview) -> None:
         try:
-            sender, seq, inner = unpack_envelope(payload)
+            sender, seq, inner = unpack_envelope(msg_type, payload)
         except CorruptFrame:
             return
         if msg_type == MSG_TRANSPORT_ACK:
@@ -511,7 +449,8 @@ class ReliableEndpoint:
         mark, bits = self._seen.get(sender, (0, 0))
         if seq >= mark + DEDUP_WINDOW:
             return  # past the window: not acked, so the sender retransmits it
-        self.raw.send(sender, encode_frame(MSG_TRANSPORT_ACK, _pack_envelope(sender, seq)))
+        ack = _pack_envelope(MSG_TRANSPORT_ACK, sender, seq)
+        self.raw.send(sender, encode_frame(MSG_TRANSPORT_ACK, ack))
         bit = 1 << (seq - mark) if seq >= mark else 0
         if not bit or bits & bit:
             return  # seen before: acked again, delivered once

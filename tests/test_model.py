@@ -22,7 +22,6 @@ from fedmesh.model import (
     decode_entities,
     encode_sentences,
     evaluate,
-    fnv1a64,
     local_train,
     loss_and_grad,
     repair_tags,
@@ -128,6 +127,14 @@ def _reference_feature_strings(tokens, position):
     for i in range(len(padded) - 2):
         feats.append(f"g={padded[i:i + 3]}")
     return feats
+
+
+def fnv1a64(data: bytes, seed: int = 0) -> int:
+    """64-bit FNV-1a over the seed's 8 little-endian bytes then *data*."""
+    h = 0xCBF29CE484222325
+    for byte in seed.to_bytes(8, "little") + data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def _reference_featurize(sentence, feature_dim, hash_seed=0):

@@ -1,3 +1,4 @@
+import functools
 import logging
 import random
 import socket
@@ -6,20 +7,24 @@ import sys
 import threading
 import time
 import tracemalloc
-import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmesh.aggregation import SparseVector, as_dense
+from fedmesh import runner, tcpnet, transport
+from fedmesh.aggregation import AggregationStrategy, SparseVector, as_dense
+from fedmesh.data import PartitionPlan, partition, synthetic_corpus
+from fedmesh.model import TrainConfig
+from fedmesh.runner import SIGNATURE_LEN, FederationSpec, ServerNode, _signed
 from fedmesh.simnet import SimNetConfig, SimNetwork
-from fedmesh import tcpnet, transport
 from fedmesh.tcpnet import TcpNode
 from fedmesh.transport import (
     DEDUP_WINDOW,
     CorruptFrame,
+    MSG_REGISTER,
     MSG_TASK_ASSIGN,
     MSG_TRANSPORT_ACK,
     MSG_UPDATE_SUBMIT,
@@ -29,16 +34,16 @@ from fedmesh.transport import (
     VECTOR_F64,
     VECTOR_SPARSE_F64,
     VECTOR_U64,
-    Checksummed,
+    HEADER_LEN,
     _pack_envelope,
-    crc32_combine_gen,
-    crc32_combine_op,
     decode_frame,
     decode_payload,
     encode_frame,
     encode_payload,
     read_frames,
+    unpack_envelope,
 )
+from fedmesh.trustops import AuditLog, provision
 
 
 def _chunked_recv(blob: bytes, lo: int, hi: int, seed: int):
@@ -59,9 +64,9 @@ def _chunked_recv(blob: bytes, lo: int, hi: int, seed: int):
 class TestFrameCodec:
     def test_empty_payload_layout(self):
         frame = encode_frame(0x01, b"")
-        assert len(frame) == 14
+        assert len(frame) == 10
         assert frame[:4] == b"FHN1"
-        assert frame[4] == 0x01  # version
+        assert frame[4] == 0x02  # version
         assert frame[5] == 0x01  # msg_type
         assert frame[6:10] == b"\x00\x00\x00\x00"
 
@@ -72,18 +77,7 @@ class TestFrameCodec:
             payload = rng.randbytes(rng.randrange(0, 64))
             msg_type2, payload2, consumed = decode_frame(encode_frame(msg_type, payload))
             assert (msg_type2, payload2) == (msg_type, payload)
-            assert consumed == 14 + len(payload)
-
-    def test_every_payload_bit_flip_detected(self):
-        payload = b"exhaustive"
-        frame = bytearray(encode_frame(0x03, payload))
-        start = 10  # payload offset
-        for byte_idx in range(start, start + len(payload)):
-            for bit in range(8):
-                corrupted = bytearray(frame)
-                corrupted[byte_idx] ^= 1 << bit
-                with pytest.raises(CorruptFrame):
-                    decode_frame(bytes(corrupted))
+            assert consumed == 10 + len(payload)
 
     def test_truncated_needs_more(self):
         frame = encode_frame(0x02, b"hello")
@@ -102,7 +96,7 @@ class TestFrameCodec:
         wrong_magic = b"XXXX" + bytes(frame[4:])
         with pytest.raises(CorruptFrame):
             decode_frame(wrong_magic)
-        frame[4] = 0x02
+        frame[4] = 0x01  # the earlier layout, which ended in a CRC trailer
         with pytest.raises(CorruptFrame):
             decode_frame(bytes(frame))
 
@@ -142,7 +136,7 @@ class TestFrameCodec:
 
     def test_stream_reader_stops_at_a_corrupt_frame(self):
         bad = bytearray(encode_frame(2, b"two"))
-        bad[11] ^= 0x01
+        bad[4] ^= 0x01  # the version byte
         blob = encode_frame(1, b"one") + bytes(bad) + encode_frame(3, b"three")
         frames = read_frames(_chunked_recv(blob, 1, 5, seed=3))
         assert next(frames) == (1, b"one")
@@ -161,7 +155,7 @@ class TestFrameCodec:
     def test_a_header_alone_does_not_commit_its_declared_size(self):
         # A peer that declares the largest frame and then stalls holds memory
         # in proportion to what it sent, not to what it declared.
-        header = b"FHN1" + bytes((0x01, 3)) + struct.pack(">I", transport.MAX_PAYLOAD)
+        header = b"FHN1" + bytes((transport.VERSION, 3)) + struct.pack(">I", transport.MAX_PAYLOAD)
         tracemalloc.start()
         try:
             frames = read_frames(_chunked_recv(header + bytes(5000), 1, 4096, seed=6))
@@ -182,69 +176,10 @@ class TestFrameCodec:
         assert frame == _one_buffer_frame(9, b"head" + words.tobytes())
 
 
-# A dense model's payload size; drawn once, since hypothesis shrinks poorly at 6.3 MB.
-_MODEL_BYTES = np.random.default_rng(5).bytes(6_300_000)
-
-
-class TestCrcCombine:
-    @given(head=st.binary(max_size=64),
-           payload=st.sampled_from([b"", b"\x00", b"\xff"]) | st.binary(max_size=3000)
-           | st.just(_MODEL_BYTES))
-    @settings(max_examples=120, deadline=None)
-    def test_combined_crc_is_the_crc_of_the_concatenation(self, head, payload):
-        op = crc32_combine_gen(len(payload))
-        assert crc32_combine_op(zlib.crc32(head), zlib.crc32(payload), op) == \
-            zlib.crc32(head + payload)
-        part = Checksummed(payload, zlib.crc32(payload), op)
-        assert encode_frame(7, head, part) == _one_buffer_frame(7, head + payload)
-
-    @pytest.mark.parametrize("payload", [b"", b"x", _MODEL_BYTES], ids=["empty", "1B", "6.3MB"])
-    def test_a_broadcast_sends_the_frames_single_sends_do(self, payload):
-        frames = {}
-        for how in ("send", "broadcast"):
-            raw = _RecordingRaw()
-            rel = ReliableEndpoint(raw)
-            rel.send("site-2", MSG_TASK_ASSIGN, b"earlier")  # seqs differ per destination
-            if how == "send":
-                for dst in ("site-1", "site-2", "site-3"):
-                    rel.send(dst, MSG_TASK_ASSIGN, payload)
-            else:
-                rel.broadcast(["site-1", "site-2", "site-3"], MSG_TASK_ASSIGN, payload)
-            rel.send("site-1", MSG_TASK_ASSIGN, b"later")  # no CRC left over
-            frames[how] = raw.sent
-        assert frames["send"] == frames["broadcast"]
-        for _, frame in frames["broadcast"]:
-            decode_frame(frame)  # the CRC checks
-
-
-class _RecordingRaw:
-    """A raw endpoint that keeps what it is asked to send and never delivers."""
-
-    name = "server"
-
-    def __init__(self):
-        self.sent = []
-
-    def send(self, dst, data):
-        self.sent.append((dst, data))
-
-    def schedule(self, delay_ms, fn):
-        return None
-
-    def cancel(self, handle):
-        pass
-
-    def now_ms(self):
-        return 0.0
-
-    def set_receive_handler(self, fn):
-        pass
-
-
 def _one_buffer_frame(msg_type: int, payload: bytes) -> bytes:
-    """The earlier encode_frame, verbatim: one payload buffer, one CRC over it."""
-    header = b"FHN1" + bytes((0x01, msg_type)) + struct.pack(">I", len(payload))
-    return header + payload + struct.pack(">I", zlib.crc32(payload) & 0xFFFFFFFF)
+    """The frame layout written out: the header, then one payload buffer."""
+    header = b"FHN1" + bytes((transport.VERSION, msg_type)) + struct.pack(">I", len(payload))
+    return header + payload
 
 
 class TestPayloadEnvelope:
@@ -475,8 +410,8 @@ class TestSimNetwork:
             lambda src, msg_type, payload: got.append((src, msg_type, bytes(payload)))
         )
         frame = encode_frame(4, b"ok")
-        flipped = frame[:-1] + bytes([frame[-1] ^ 1])
-        for data in (b"x", frame[:-1], frame + b"\x00", flipped, frame):
+        bad_version = frame[:4] + bytes([frame[4] ^ 1]) + frame[5:]
+        for data in (b"x", frame[:-1], frame + b"\x00", bad_version, frame):
             a.send("b", data)
         net.run()
         assert got == [("a", 4, b"ok")]
@@ -568,7 +503,7 @@ class TestReliableDelivery:
         # came from is neither acked nor delivered.
         net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 4))
         receipts = []
-        eps["a"].raw.send("b", encode_frame(3, _pack_envelope("ghost", 0)))
+        eps["a"].raw.send("b", encode_frame(3, _pack_envelope(3, "ghost", 0)))
         eps["a"].send("b", MSG_TASK_ASSIGN, b"after", receipts.append)
         net.run()
         assert inboxes["b"] == [("a", MSG_TASK_ASSIGN, b"after")]
@@ -658,47 +593,187 @@ class TestDedupState:
         assert eps["b"]._seen["a"] == (total, 0)
 
 
+class TestEnvelope:
+    def test_round_trip(self):
+        for msg_type in (MSG_TRANSPORT_ACK, MSG_UPDATE_SUBMIT):
+            for sender, seq in (("a", 0), ("site-12", 2**64 - 1), ("\u00e9", 7)):
+                envelope = _pack_envelope(msg_type, sender, seq) + b"inner"
+                got_sender, got_seq, inner = unpack_envelope(msg_type, envelope)
+                assert (got_sender, got_seq, bytes(inner)) == (sender, seq, b"inner")
+
+    def test_every_bit_flip_of_the_head_or_the_type_is_detected(self):
+        head = _pack_envelope(MSG_UPDATE_SUBMIT, "site-1", 12345)
+        envelope = head + b"inner payload"
+        for byte_idx in range(len(head)):
+            for bit in range(8):
+                flipped = bytearray(envelope)
+                flipped[byte_idx] ^= 1 << bit
+                with pytest.raises(CorruptFrame):
+                    unpack_envelope(MSG_UPDATE_SUBMIT, bytes(flipped))
+        for bit in range(8):
+            with pytest.raises(CorruptFrame):
+                unpack_envelope(MSG_UPDATE_SUBMIT ^ 1 << bit, envelope)
+
+    @pytest.mark.parametrize("corrupted,trace", [
+        ("a", [("a", "b"), ("a", "b"), ("b", "a")]),  # the data frame: not acked
+        ("b", [("a", "b"), ("b", "a"), ("a", "b"), ("b", "a")]),  # its ack: not counted
+    ], ids=["data", "ack"])
+    def test_a_flipped_head_or_type_is_dropped_and_the_retransmit_delivered_once(
+        self, corrupted, trace
+    ):
+        head_len = len(_pack_envelope(MSG_TASK_ASSIGN, "a", 0))
+        for offset in (5, *range(HEADER_LEN, HEADER_LEN + head_len)):  # type byte, then head
+            for bit in range(8):
+                net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 4), backoff_base_ms=10.0)
+                _corrupt_first_send(eps[corrupted].raw, offset, 1 << bit)
+                receipts = []
+                eps["a"].send("b", MSG_TASK_ASSIGN, b"body", receipts.append)
+                net.run()
+                assert inboxes["b"] == [("a", MSG_TASK_ASSIGN, b"body")]
+                assert len(receipts) == 1 and receipts[0].ok and receipts[0].attempts == 2
+                assert [(src, dst) for _, src, dst, _ in net.delivery_trace] == trace
+
+
+def _corrupt_first_send(raw, offset: int, xor: int) -> None:
+    """XOR one byte of the next frame *raw* sends; later sends go out as given."""
+    send, sent = raw.send, []
+
+    def corrupting(dst, data):
+        if not sent:
+            data = bytearray(data)
+            data[offset] ^= xor
+            data = bytes(data)
+        sent.append(data)
+        send(dst, data)
+
+    raw.send = corrupting
+
+
+@functools.cache
+def _federation() -> FederationSpec:
+    """A two-site federation for tests through a real ServerNode; kits made once."""
+    shards = partition(synthetic_corpus(40, seed=21), PartitionPlan("equal-n", 2, seed=1))
+    return FederationSpec(
+        shards={"site-1": shards[0], "site-2": shards[1]},
+        train=TrainConfig(feature_dim=1 << 10),
+        strategy=AggregationStrategy("fedavg"),
+        rounds=1, k=2, m=2, deadline_ms=30_000.0,
+        kits=provision([("server", "server"), ("site-1", "client"), ("site-2", "client")],
+                       key_seed=5),
+        server_id="server",
+    )
+
+
+@functools.cache
+def _signed_update(round_no: int) -> bytes:
+    spec = _federation()
+    delta = np.zeros(spec.train.dims)
+    delta[[1, 7, 300]] = [0.5, -1.25, 3.0]
+    doc = {"client_id": "site-1", "round": round_no, "weight": 5.0, "masked": False}
+    return _signed(doc, delta, spec.kits["site-1"])
+
+
+def _server_and_site_1(server_raw, site_raw, **site_kwargs):
+    """A coordinator on *server_raw* and a bare endpoint for site-1 that has
+    sent its registration; the coordinator waits for site-2, so no round starts."""
+    spec = _federation()
+    audit = AuditLog()
+    server = ServerNode(ReliableEndpoint(server_raw), spec.kits["server"], spec, audit)
+    site = ReliableEndpoint(site_raw, **site_kwargs)
+    register = _signed({"site_id": "site-1", "role": "client"}, None, spec.kits["site-1"])
+    site.send("server", MSG_REGISTER, register)
+    return server, audit, site
+
+
+def _update_rejections(audit: AuditLog) -> list[str]:
+    return [e.payload for e in audit.entries if e.event_type == "UpdateRejected"]
+
+
+class TestNodeBoundary:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_flipped_byte_of_a_signed_update_is_dropped_or_audited_never_raised(self, data):
+        net = SimNetwork(SimNetConfig((1.0, 1.0), 0.0, 11))
+        server, audit, site = _server_and_site_1(net.endpoint("server"), net.endpoint("site-1"))
+        net.run()
+        update = _signed_update(1)
+        body_start = HEADER_LEN + len(_pack_envelope(MSG_UPDATE_SUBMIT, "site-1", 1))
+        offset = data.draw(st.integers(0, body_start + len(update) - 1), label="offset")
+        _corrupt_first_send(site.raw, offset, data.draw(st.integers(1, 255), label="xor"))
+        receipts = []
+        site.send("server", MSG_UPDATE_SUBMIT, update, receipts.append)
+        net.run()
+        assert len(receipts) == 1 and receipts[0].ok
+        [reason] = _update_rejections(audit)
+        if offset < body_start:
+            # Header or envelope: dropped un-acked; the retransmit opens and
+            # reaches the machine, which has no round running.
+            assert receipts[0].attempts == 2
+            assert "no active round" in reason
+            assert list(server.vectors) == [(1, "site-1")]
+        else:
+            # Signed body: acked, then rejected once, and never resent.
+            assert receipts[0].attempts == 1
+            assert "bad signature" in reason
+            assert server.vectors == {}
+
+
 class TestCheckOnce:
-    """Each received frame's payload goes through CRC-32 exactly once."""
+    """Each byte is checked once: the envelope head by CRC-32, the signed body by SHA-256."""
 
     @staticmethod
-    def _crc_inputs(monkeypatch) -> list[bytes]:
+    def _recording(monkeypatch, owner, module_name: str, fn_name: str) -> list[bytes]:
+        """Record the input of each call *owner* makes to module_name.fn_name."""
         seen = []
-        crc32 = zlib.crc32
+        real = getattr(getattr(owner, module_name), fn_name)
 
-        def counting(data, value=0):
+        def recording(data, *args):
             seen.append(bytes(data))
-            return crc32(data, value)
+            return real(data, *args)
 
-        monkeypatch.setattr(transport.zlib, "crc32", counting)
+        monkeypatch.setattr(owner, module_name, SimpleNamespace(**{fn_name: recording}))
         return seen
 
+    def _check_each_byte_once(self, monkeypatch, server_raw, site_raw, run_until):
+        # The registration goes first; over TCP its envelope is also read to
+        # route the connection.  The site's loop runs only after the
+        # coordinator's, so a long backoff keeps it from resending meanwhile.
+        server, audit, site = _server_and_site_1(server_raw, site_raw, backoff_base_ms=10_000.0)
+        assert run_until(server_raw, lambda: "site-1" in server.state.registry)
+        assert run_until(site_raw, lambda: "server" in site._seen)  # the reply, acked
+        assert run_until(server_raw, lambda: not server.rel._pending)
+        updates = [_signed_update(round_no) for round_no in (1, 2, 3)]
+        crc_inputs = self._recording(monkeypatch, transport, "zlib", "crc32")
+        sha_inputs = self._recording(monkeypatch, runner, "hashlib", "sha256")
+        receipts = []
+        seqs = [site.send("server", MSG_UPDATE_SUBMIT, update, receipts.append)
+                for update in updates]
+        assert run_until(server_raw, lambda: len(server.vectors) == 3)
+        assert run_until(site_raw, lambda: len(receipts) == 3)
+        assert all(r.ok and r.attempts == 1 for r in receipts)
+        crc_inputs = sorted(crc_inputs)  # before the heads below add their own
+        # Each data and ack head is packed once by its writer and checked
+        # once by its reader; no payload byte reaches CRC-32.
+        heads = [_pack_envelope(MSG_UPDATE_SUBMIT, "site-1", seq)[:-4] for seq in seqs]
+        expected = [bytes((t,)) + head for head in heads
+                    for t in (MSG_UPDATE_SUBMIT, MSG_TRANSPORT_ACK)]
+        assert crc_inputs == sorted(2 * expected)
+        # The coordinator hashes each signed body once, and nothing else.
+        assert sha_inputs == [update[:-SIGNATURE_LEN] for update in updates]
+        assert len(_update_rejections(audit)) == 3
+
     def test_on_the_simulator(self, monkeypatch):
-        net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 8))
-        seen = self._crc_inputs(monkeypatch)
-        for i in range(5):
-            eps["a"].send("b", MSG_TASK_ASSIGN, b"body-%d" % i)
-        net.run()
-        assert len(inboxes["b"]) == 5
-        for seq in range(5):
-            assert seen.count(_pack_envelope("a", seq) + b"body-%d" % seq) == 1
+        net = SimNetwork(SimNetConfig((1.0, 1.0), 0.0, 8))
+        self._check_each_byte_once(monkeypatch, net.endpoint("server"), net.endpoint("site-1"),
+                                   lambda raw, done: net.run() or done())
 
     def test_over_loopback_tcp(self, tcp_nodes, monkeypatch):
-        server = ReliableEndpoint(tcp_nodes("server", bind=("127.0.0.1", 0)))
-        client = ReliableEndpoint(tcp_nodes(
-            "site-1", server_addr=("127.0.0.1", server.raw.port), server_id="server"
-        ))
-        inbox, receipts = [], []
-        server.on_message = lambda src, mt, payload: inbox.append(bytes(payload))
-        seen = self._crc_inputs(monkeypatch)
-        for i in range(5):
-            client.send("server", MSG_TASK_ASSIGN, b"body-%d" % i, receipts.append)
-        assert server.raw.run_until(lambda: len(inbox) == 5, timeout_s=5.0)
-        assert client.raw.run_until(lambda: len(receipts) == 5, timeout_s=5.0)
-        assert inbox == [b"body-%d" % i for i in range(5)]
-        assert all(r.ok for r in receipts)
-        for seq in range(5):
-            assert seen.count(_pack_envelope("site-1", seq) + b"body-%d" % seq) == 1
+        server_raw = tcp_nodes("server", bind=("127.0.0.1", 0))
+        site_raw = tcp_nodes(
+            "site-1", server_addr=("127.0.0.1", server_raw.port), server_id="server"
+        )
+        self._check_each_byte_once(monkeypatch, server_raw, site_raw,
+                                   lambda raw, done: raw.run_until(done, timeout_s=5.0))
 
 
 class TestTimers:
@@ -723,7 +798,11 @@ class TestTimers:
 
 
 def _frame(sender: str, seq: int, body: bytes) -> bytes:
-    return encode_frame(MSG_TASK_ASSIGN, _pack_envelope(sender, seq), body)
+    return encode_frame(MSG_TASK_ASSIGN, _pack_envelope(MSG_TASK_ASSIGN, sender, seq), body)
+
+
+def _ack_frame(sender: str, seq: int) -> bytes:
+    return encode_frame(MSG_TRANSPORT_ACK, _pack_envelope(MSG_TRANSPORT_ACK, sender, seq))
 
 
 def _frames_into(got: list):
@@ -867,9 +946,9 @@ class TestTcpNode:
             rogue.sendall(_frame("rogue", 0, b"hello"))
             assert server.raw.run_until(lambda: len(inbox) == 2, timeout_s=5.0)
             seq = server.send("site-1", MSG_TASK_ASSIGN, b"task", receipts.append)
-            rogue.sendall(encode_frame(MSG_TRANSPORT_ACK, _pack_envelope("server", seq)))
+            rogue.sendall(_ack_frame("server", seq))
             assert not server.raw.run_until(lambda: receipts, timeout_s=0.3)
-            site.sendall(encode_frame(MSG_TRANSPORT_ACK, _pack_envelope("server", seq)))
+            site.sendall(_ack_frame("server", seq))
             assert server.raw.run_until(lambda: receipts, timeout_s=5.0)
             assert receipts[0].ok and receipts[0].dst == "site-1"
         finally:
