@@ -74,6 +74,7 @@ from .transport import (
     MSG_REGISTER,
     MSG_TASK_ASSIGN,
     MSG_UPDATE_SUBMIT,
+    Payload,
     ReliableEndpoint,
     decode_payload,
     encode_payload,
@@ -174,10 +175,15 @@ class FederationResult:
     params_per_round: list[np.ndarray] = field(default_factory=list)
 
 
-def _signed(doc: dict, vector: np.ndarray | None, kit: StartupKit) -> bytes:
-    """Encode once and append a signature over the SHA-256 of the encoding."""
-    body = encode_payload(doc, vector)
-    return body + sign_digest(hashlib.sha256(body).digest(), kit.private_key())
+def _signed(doc: dict, vector: Vector | None, kit: StartupKit) -> Payload:
+    """Encode once, hash the buffers with one incremental SHA-256 and append
+    the digest's signature as one more buffer.  Nothing is joined, so a dense
+    vector must not change until the payload's last send returns."""
+    parts = encode_payload(doc, vector).parts
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return Payload(*parts, sign_digest(digest.digest(), kit.private_key()))
 
 
 # A verified payload: its document and its vector, if it carries one.

@@ -47,10 +47,13 @@ def parse_address(text: str) -> tuple[str, int]:
 
 
 def _blocking(sock: socket.socket) -> socket.socket:
-    """Blocking mode for a connection, with each send bounded by SEND_STALL_S."""
+    """Blocking mode for a connection, with each send bounded by SEND_STALL_S,
+    and no Nagle delay: a small frame such as an ack is not held back until
+    the peer's delayed ACK (40 ms on Linux) arrives."""
     sock.settimeout(None)
     stall = divmod(round(SEND_STALL_S * 1e6), 1_000_000)  # struct timeval
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack("ll", *stall))
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
 
 
@@ -123,26 +126,36 @@ class TcpNode:
     def run_until(self, predicate: Callable[[], bool], timeout_s: float = 600.0) -> bool:
         """Run the event loop on the calling thread until the predicate holds.
 
-        Each pass runs one due timer, or else waits on the frame queue until
-        the next timer or the deadline and hands a frame to the receive
-        handler.  An exception from a handler or timer is logged and the
-        loop goes on.  False when the deadline passes first.
+        Each pass hands one frame to the receive handler or runs one due
+        timer.  A due timer waits for the frames queued when it was found
+        due, and no more: an ack already queued cancels its retransmit, and a
+        flooding peer cannot starve deadlines.  With no timer due, a pass
+        waits on the queue until the next timer or the deadline.  An
+        exception from a handler or timer is logged and the loop goes on.
+        False when the deadline passes first.
         """
         deadline = self.now_ms() + timeout_s * 1000.0
+        backlog = None  # frames to hand on before the due timer runs
         while not predicate():
             now = self.now_ms()
             if now >= deadline:
                 return False
             due = self._timers.next_time()
             try:
-                if due <= now:
-                    self._timers.pop()[1]()
+                if due > now:
+                    backlog = None
+                    frame = self._frames.get(timeout=(min(due, deadline) - now) / 1000.0)
                 else:
-                    src, msg_type, payload = self._frames.get(
-                        timeout=(min(due, deadline) - now) / 1000.0
-                    )
-                    if self._handler is not None:
-                        self._handler(src, msg_type, payload)
+                    if backlog is None:
+                        backlog = self._frames.qsize()
+                    if not backlog:
+                        backlog = None
+                        self._timers.pop()[1]()
+                        continue
+                    backlog -= 1
+                    frame = self._frames.get_nowait()
+                if self._handler is not None:
+                    self._handler(*frame)
             except queue.Empty:
                 pass
             except Exception:

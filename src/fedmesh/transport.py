@@ -33,23 +33,28 @@ A float64 vector goes sparse when fewer than a third of its words have a
 nonzero bit pattern, so -0.0 is kept as a live word and decoding is
 bit-exact; u64 vectors always go dense.  Kind 3 decodes to an
 aggregation.SparseVector; that type encodes as its dense form would, from
-its live entries without densifying unless the dense kind wins.  A
-signed payload (runner._signed) is the encoded payload followed by a 64-byte
-Ed25519 signature over its SHA-256, so the receiver hashes the bytes it got
-and never re-encodes.
+its live entries without densifying unless the dense kind wins.
+
+On the send side a payload is a Payload: its buffers in wire order, never
+joined.  They are the doc head, the doc, the vector head and the vector's
+own memory (a sparse vector's index and value arrays).  A signed payload
+(runner._signed) appends a 64-byte Ed25519 signature over the SHA-256 of
+those buffers, taken with one incremental hash, so the receiver hashes the
+bytes it got and never re-encodes.  A buffer may be a view of a live array,
+which must not change until the payload's last send returns.
 
 Reliable delivery numbers each sender's messages per destination from 0;
 receivers ack every data frame inside their window whose envelope checks
 and deduplicate by (sender, seq), senders retransmit on an exponential
 backoff until acked or retries run out.
 
-A message costs one build on send and one split on receive.  encode_frame
-takes the envelope head and the payload as separate parts and allocates the
-frame once.  The raw endpoint (the TCP reader, or the simulator on delivery)
-runs decode_frame once per frame and hands the receive handler (src,
-msg_type, payload view), src being the node the frame came from; the
-envelope's inner payload is a view as well, and decode_payload makes the
-one owned copy.
+A message costs one copy on send and one split on receive.  encode_frame
+takes the envelope head and the payload's buffers as separate parts and
+copies them once, into the one frame.  The raw endpoint (the TCP reader,
+or the simulator on delivery) runs decode_frame once per frame and hands
+the receive handler (src, msg_type, payload view), src being the node the
+frame came from; the envelope's inner payload is a view as well, and
+decode_payload makes the one owned copy.
 """
 
 from __future__ import annotations
@@ -180,7 +185,25 @@ VECTOR_SPARSE_F64 = 3
 _MAX_DIMS = MAX_PAYLOAD // 8
 
 
-def encode_payload(doc: dict[str, Any], vector: Vector | None = None) -> bytes:
+class Payload:
+    """An encoded payload's buffers in wire order, ``parts``; len() is their
+    byte count and bytes() their join.  Not iterable on purpose: list() and
+    star unpacking take len() as an item count and would preallocate eight
+    bytes per payload byte."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, *parts):
+        self.parts = parts
+
+    def __len__(self) -> int:
+        return sum(memoryview(part).nbytes for part in self.parts)
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.parts)
+
+
+def encode_payload(doc: dict[str, Any], vector: Vector | None = None) -> Payload:
     """Serialize a control document plus an optional 64-bit word vector."""
     doc_bytes = kvdoc.emit_doc(doc).encode("utf-8")
     parts = [struct.pack(">I", len(doc_bytes)), doc_bytes]
@@ -193,7 +216,7 @@ def encode_payload(doc: dict[str, Any], vector: Vector | None = None) -> bytes:
         parts.append(np.ascontiguousarray(vector, dtype="<u8").data)
     else:
         raise ValueError(f"unsupported vector dtype {vector.dtype}")
-    return b"".join(parts)
+    return Payload(*parts)
 
 
 def _f64_frame(vector: Vector) -> list:
@@ -208,10 +231,14 @@ def _f64_frame(vector: Vector) -> list:
         return [struct.pack(">BI", VECTOR_F64, len(dense)), dense.data]
     indices = vector.indices[live] if sparse else np.flatnonzero(live)
     head = struct.pack(">BII", VECTOR_SPARSE_F64, len(vector), len(indices))
-    return [head, indices.astype("<u4").tobytes(), values[live].tobytes()]
+    return [head, indices.astype("<u4").data, values[live].data]
 
 
 def decode_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], Vector | None]:
+    """The document and vector of one joined payload.  A vector is copied
+    out of *payload* once, on purpose: the body need not be 8-byte aligned,
+    and an add.reduce over an unaligned float64 view of 786k words took
+    0.46 ms against 0.25 ms aligned (numpy 2.4, 2-vCPU Xeon VM)."""
     try:
         (doc_len,) = struct.unpack(">I", payload[:4])
         doc = kvdoc.parse_doc(str(payload[4:4 + doc_len], "utf-8"))
@@ -389,13 +416,13 @@ class ReliableEndpoint:
         self,
         dst: str,
         msg_type: int,
-        payload: bytes,
+        payload: Payload,
         on_result: Callable[[DeliveryReceipt], None] | None = None,
     ) -> int:
         """Queue a reliable send; the receipt callback fires on ack or failure."""
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
-        frame = encode_frame(msg_type, _pack_envelope(msg_type, self.name, seq), payload)
+        frame = encode_frame(msg_type, _pack_envelope(msg_type, self.name, seq), *payload.parts)
         self._pending[dst, seq] = _Pending(dst, msg_type, frame, 0, None, on_result)
         self._transmit((dst, seq))
         return seq

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from fedmesh import runner
 from fedmesh.aggregation import AggregationStrategy
 from fedmesh.data import PartitionPlan, partition, synthetic_corpus
 from fedmesh.model import TrainConfig
@@ -21,7 +22,15 @@ from fedmesh.privacy import SitePolicy
 from fedmesh.runner import FederationSpec, run_federation
 from fedmesh.simnet import SimEndpoint, SimNetConfig, SimNetwork
 from fedmesh.tcpnet import TcpNode
-from fedmesh.transport import MSG_TASK_ASSIGN, MSG_UPDATE_SUBMIT, ReliableEndpoint, decode_frame
+from fedmesh.transport import (
+    HEADER_LEN,
+    MSG_TASK_ASSIGN,
+    MSG_UPDATE_SUBMIT,
+    Payload,
+    ReliableEndpoint,
+    _pack_envelope,
+    decode_frame,
+)
 from fedmesh.trustops import provision
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -99,6 +108,37 @@ def test_every_runner_site_is_called_through_its_patched_name(harness, monkeypat
     assert [attr for _, attr in sites if not calls[attr]] == []
 
 
+def test_payload_lengths_the_harness_reads_are_byte_counts(monkeypatch):
+    # tracing.py counts len() of what encode_payload returns and of the
+    # payload ReliableEndpoint.send is given: both must be byte counts, and
+    # the payload's bytes must be the tail of its frame.
+    checked = Counter()
+    encode_payload, send = runner.encode_payload, ReliableEndpoint.send
+
+    def checked_encode(doc, vector=None):
+        payload = encode_payload(doc, vector)
+        assert len(payload) == len(bytes(payload))
+        checked["encode_payload"] += 1
+        return payload
+
+    def checked_send(rel, dst, msg_type, payload, **kwargs):
+        seq = send(rel, dst, msg_type, payload, **kwargs)
+        frame = rel._pending[dst, seq].frame
+        head = _pack_envelope(msg_type, rel.name, seq)
+        assert len(frame) == HEADER_LEN + len(head) + len(payload)
+        assert frame[HEADER_LEN + len(head):] == bytes(payload)
+        checked["send"] += 1
+        return seq
+
+    monkeypatch.setattr(runner, "encode_payload", checked_encode)
+    monkeypatch.setattr(ReliableEndpoint, "send", checked_send)
+    run_federation(_tiny_spec({}))
+    run_federation(_tiny_spec({  # masked updates are dense u64 words
+        cid: SitePolicy(site_id=cid, masking_enabled=True) for cid in ("site-1", "site-2")
+    }))
+    assert checked["send"] >= checked["encode_payload"] > 0  # a broadcast sends one payload
+
+
 @pytest.mark.parametrize("method,params", [
     (ReliableEndpoint.send, ["self", "dst", "msg_type", "payload"]),
     (TcpNode.send, ["self", "dst", "data"]),
@@ -122,8 +162,8 @@ def test_raw_sends_get_whole_frames_on_the_simulator(monkeypatch):
                                                                      send(ep, dst, data)))
     net = SimNetwork(SimNetConfig())
     a, b = ReliableEndpoint(net.endpoint("a")), ReliableEndpoint(net.endpoint("b"))
-    a.send("b", MSG_TASK_ASSIGN, b"task")
-    b.send("a", MSG_UPDATE_SUBMIT, b"update")
+    a.send("b", MSG_TASK_ASSIGN, Payload(b"task"))
+    b.send("a", MSG_UPDATE_SUBMIT, Payload(b"update"))
     net.run()
     _check_whole_frames(sent)
     assert sorted(data[5] for data in sent) == [0, 0, MSG_TASK_ASSIGN, MSG_UPDATE_SUBMIT]
@@ -140,7 +180,7 @@ def test_raw_sends_get_whole_frames_over_tcp(monkeypatch):
     )
     receipts = []
     try:
-        client.send("server", MSG_UPDATE_SUBMIT, b"update", receipts.append)
+        client.send("server", MSG_UPDATE_SUBMIT, Payload(b"update"), receipts.append)
         assert server.raw.run_until(lambda: len(sent) == 2, timeout_s=5.0)
         assert client.raw.run_until(lambda: receipts, timeout_s=5.0)
     finally:

@@ -26,6 +26,7 @@ from fedmesh.transport import (
     MSG_REGISTER,
     MSG_UPDATE_SUBMIT,
     VECTOR_SPARSE_F64,
+    Payload,
     ReliableEndpoint,
     encode_payload,
 )
@@ -442,17 +443,17 @@ class TestServerAuthentication:
             _signed({"site_id": "site-1", "role": "client"}, None, spec.kits["site-1"]),
         )
         net.run()
-        good = _signed(
+        good = bytes(_signed(
             {"client_id": "site-1", "round": 1, "weight": 5.0, "masked": False},
             np.zeros(CFG.dims),
             spec.kits["site-1"],
-        )
+        ))
         rng = pyrandom.Random(0)
         for _ in range(60):
             blob = bytearray(good)
             for _ in range(rng.randrange(1, 4)):
                 blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
-            honest.send("server", MSG_UPDATE_SUBMIT, bytes(blob))
+            honest.send("server", MSG_UPDATE_SUBMIT, Payload(bytes(blob)))
         net.run()
         assert server.state.responded == ()
 
@@ -521,8 +522,8 @@ class TestServerAuthentication:
         delta = np.zeros(CFG.dims)
         delta[[3, 77, 500, 4000]] = [0.25, -0.0, 5e-324, -3.5]
         doc = {"client_id": "site-1", "round": 1, "weight": 5.0, "masked": False}
-        signed = _signed(doc, delta, kit)
-        body = encode_payload(doc, delta)
+        signed = bytes(_signed(doc, delta, kit))
+        body = bytes(encode_payload(doc, delta))
         assert signed[:-SIGNATURE_LEN] == body
         assert len(signed) == len(body) + SIGNATURE_LEN
         got_doc, got = _opened(signed, kit.identity().public_key)
@@ -536,10 +537,10 @@ class TestServerAuthentication:
         pub = kit.identity().public_key
         delta = np.zeros(CFG.dims)
         delta[[0, 3, 77, 500, CFG.dims - 1]] = [1.0, 0.25, -0.0, 5e-324, -3.5]
-        good = _signed(
+        good = bytes(_signed(
             {"client_id": "site-1", "round": 1, "weight": 5.0, "masked": False},
             delta, kit,
-        )
+        ))
         doc_len = int.from_bytes(good[:4], "big")
         assert good[4 + doc_len] == VECTOR_SPARSE_F64
         flips = 0
@@ -559,7 +560,7 @@ class TestServerAuthentication:
         for _ in range(40):
             blob = bytearray(good)
             blob[rng.integers(len(blob))] ^= 1 << int(rng.integers(8))
-            site.send("server", MSG_UPDATE_SUBMIT, bytes(blob))
+            site.send("server", MSG_UPDATE_SUBMIT, Payload(bytes(blob)))
         net.run()
         assert server.state.responded == ()
         assert sum(e.event_type == "UpdateRejected" for e in audit.entries) == 40

@@ -29,6 +29,7 @@ from fedmesh.transport import (
     MSG_TRANSPORT_ACK,
     MSG_UPDATE_SUBMIT,
     NeedMoreBytes,
+    Payload,
     ReliableEndpoint,
     Timers,
     VECTOR_F64,
@@ -185,19 +186,19 @@ def _one_buffer_frame(msg_type: int, payload: bytes) -> bytes:
 class TestPayloadEnvelope:
     def test_doc_only(self):
         doc = {"round": 3, "invited": ["a", "b"], "ok": True}
-        got_doc, got_vec = decode_payload(encode_payload(doc))
+        got_doc, got_vec = decode_payload(bytes(encode_payload(doc)))
         assert got_doc == doc and got_vec is None
 
     def test_float_vector(self):
         vec = np.linspace(-1, 1, 9)
-        doc, got = decode_payload(encode_payload({"round": 1}, vec))
+        doc, got = decode_payload(bytes(encode_payload({"round": 1}, vec)))
         assert doc == {"round": 1}
         np.testing.assert_array_equal(got, vec)
         assert got.dtype == np.float64
 
     def test_word_vector(self):
         vec = np.arange(5, dtype=np.uint64) * np.uint64(2**60)
-        _, got = decode_payload(encode_payload({}, vec))
+        _, got = decode_payload(bytes(encode_payload({}, vec)))
         np.testing.assert_array_equal(got, vec)
         assert got.dtype == np.uint64
 
@@ -210,6 +211,41 @@ class TestPayloadEnvelope:
         payload = struct.pack(">I", len(doc)) + doc + struct.pack(">BI", 0, 0)
         with pytest.raises(CorruptFrame, match="key 'round' is set twice"):
             decode_payload(payload)
+
+
+# One vector of each kind a payload carries: kinds 0, 1, 3 (from an array and
+# from a SparseVector) and 2.
+PAYLOAD_VECTORS = {
+    "none": None,
+    "dense-f64": np.linspace(-1.0, 1.0, 300),
+    "sparse-f64": np.where(np.arange(300) % 7 == 0, 0.5, 0.0),
+    "sparse-type": SparseVector(300, np.array([3, 77, 299]), np.array([0.5, -0.0, 5e-324])),
+    "u64": np.arange(300, dtype=np.uint64) * np.uint64(2**55),
+}
+
+
+@pytest.mark.parametrize("kind", PAYLOAD_VECTORS)
+def test_a_signed_payload_sends_and_opens_as_its_join(kind):
+    vector = PAYLOAD_VECTORS[kind]
+    kit = _federation().kits["site-1"]
+    doc = {"client_id": "site-1", "round": 1}
+    signed = _signed(doc, vector, kit)
+    joined = bytes(signed)
+    assert len(signed) == len(joined)
+    assert joined[:-SIGNATURE_LEN] == bytes(encode_payload(doc, vector))
+    net = SimNetwork(SimNetConfig())
+    frames = []
+    server = net.endpoint("server")
+    server.set_receive_handler(lambda src, msg_type, payload: frames.append(bytes(payload)))
+    ReliableEndpoint(net.endpoint("site-1")).send("server", MSG_UPDATE_SUBMIT, signed)
+    net.run()
+    head = _pack_envelope(MSG_UPDATE_SUBMIT, "site-1", 0)
+    assert set(frames) == {head + joined}  # the first send and its resends, never acked
+    assert encode_frame(MSG_UPDATE_SUBMIT, head, *signed.parts) == encode_frame(
+        MSG_UPDATE_SUBMIT, head, joined)
+    opened_doc, opened = runner._opened(memoryview(joined), kit.identity().public_key)
+    assert opened_doc == doc
+    assert (opened is None) if vector is None else same_bits(as_dense(opened), as_dense(vector))
 
 
 def vector_kind(payload: bytes) -> int:
@@ -244,7 +280,7 @@ def float_vectors(draw):
 
 def sparse_payload(dims: int, indices, values, nnz: int | None = None) -> bytes:
     """A hand-built kind-3 payload; nnz defaults to the true entry count."""
-    head = encode_payload({"round": 1})[:-5]  # drop the kind-0 vector header
+    head = bytes(encode_payload({"round": 1}))[:-5]  # drop the kind-0 vector header
     nnz = len(indices) if nnz is None else nnz
     return (head + struct.pack(">BII", VECTOR_SPARSE_F64, dims, nnz)
             + np.asarray(indices, dtype="<u4").tobytes()
@@ -255,7 +291,7 @@ class TestSparseVectors:
     @given(float_vectors())
     @settings(max_examples=200, deadline=None)
     def test_round_trip_is_bit_exact_and_picks_the_smaller_kind(self, vector):
-        payload = encode_payload({"round": 2}, vector)
+        payload = bytes(encode_payload({"round": 2}, vector))
         doc, got = decode_payload(payload)
         assert doc == {"round": 2}
         live = int(np.count_nonzero(vector.view(np.uint64)))
@@ -268,20 +304,20 @@ class TestSparseVectors:
         below, at = np.zeros(300), np.zeros(300)
         below[:99] = 1.5
         at[:100] = 1.5
-        assert vector_kind(encode_payload({}, below)) == VECTOR_SPARSE_F64
-        assert vector_kind(encode_payload({}, at)) == VECTOR_F64
+        assert vector_kind(bytes(encode_payload({}, below))) == VECTOR_SPARSE_F64
+        assert vector_kind(bytes(encode_payload({}, at))) == VECTOR_F64
 
     def test_negative_zero_is_a_live_coordinate(self):
         vector = np.zeros(64)
         vector[7] = -0.0
-        payload = encode_payload({}, vector)
+        payload = bytes(encode_payload({}, vector))
         assert vector_kind(payload) == VECTOR_SPARSE_F64
         _, got = decode_payload(payload)
         assert list(got.indices) == [7] and np.signbit(got.values[0])
         assert same_bits(got.to_dense(), vector)
 
     def test_all_zero_vector_carries_no_entries(self):
-        payload = encode_payload({}, np.zeros(3 * 2**18))
+        payload = bytes(encode_payload({}, np.zeros(3 * 2**18)))
         assert vector_kind(payload) == VECTOR_SPARSE_F64
         assert payload.endswith(struct.pack(">I", 0))
         assert len(payload) < 64
@@ -289,7 +325,7 @@ class TestSparseVectors:
     def test_non_contiguous_input(self):
         vector = np.zeros(40)
         vector[::4] = np.arange(10.0)
-        _, got = decode_payload(encode_payload({}, vector[::2]))
+        _, got = decode_payload(bytes(encode_payload({}, vector[::2])))
         assert same_bits(got, np.ascontiguousarray(vector[::2]))
 
     @pytest.mark.parametrize("fill", ["zeros", "one-word", "dense"])
@@ -299,7 +335,7 @@ class TestSparseVectors:
             vector[3] = np.uint64(2**63 + 5)
         elif fill == "dense":
             vector[:] = np.arange(90, dtype=np.uint64) * np.uint64(2**57)
-        payload = encode_payload({}, vector)
+        payload = bytes(encode_payload({}, vector))
         assert vector_kind(payload) == VECTOR_U64
         _, got = decode_payload(payload)
         assert same_bits(got, vector)
@@ -310,14 +346,14 @@ class TestSparseVectors:
         indices = np.arange(0, dims, 2)[:dims // 3 + offset]
         values = np.linspace(-2.0, 2.0, len(indices))
         sparse = SparseVector(dims, indices, values)
-        payload = encode_payload({"round": 4}, sparse)
-        assert payload == encode_payload({"round": 4}, sparse.to_dense())
+        payload = bytes(encode_payload({"round": 4}, sparse))
+        assert payload == bytes(encode_payload({"round": 4}, sparse.to_dense()))
         assert vector_kind(payload) == (VECTOR_SPARSE_F64 if offset < 0 else VECTOR_F64)
 
     def test_sparse_type_drops_stored_zero_words_but_keeps_negative_zero(self):
         sparse = SparseVector(12, np.array([0, 2, 5, 11]), np.array([0.0, -0.0, 1.5, 0.0]))
-        payload = encode_payload({}, sparse)
-        assert payload == encode_payload({}, sparse.to_dense())
+        payload = bytes(encode_payload({}, sparse))
+        assert payload == bytes(encode_payload({}, sparse.to_dense()))
         _, got = decode_payload(payload)
         assert list(got.indices) == [2, 5] and same_bits(got.values, np.array([-0.0, 1.5]))
 
@@ -325,19 +361,19 @@ class TestSparseVectors:
         values = np.zeros(150)
         values[::3] = np.linspace(1.0, 2.0, 50)
         sparse = SparseVector(300, np.arange(0, 300, 2), values)
-        payload = encode_payload({}, sparse)
+        payload = bytes(encode_payload({}, sparse))
         assert vector_kind(payload) == VECTOR_SPARSE_F64
-        assert payload == encode_payload({}, sparse.to_dense())
+        assert payload == bytes(encode_payload({}, sparse.to_dense()))
 
     @given(float_vectors())
     @settings(max_examples=100, deadline=None)
     def test_sparse_type_round_trips_bytes(self, vector):
         (indices,) = np.nonzero(vector.view(np.uint64))
         sparse = SparseVector(len(vector), indices, vector[indices])
-        payload = encode_payload({}, sparse)
-        assert payload == encode_payload({}, vector)
+        payload = bytes(encode_payload({}, sparse))
+        assert payload == bytes(encode_payload({}, vector))
         _, got = decode_payload(payload)
-        assert encode_payload({}, got) == payload
+        assert bytes(encode_payload({}, got)) == payload
 
     def test_hand_built_body_decodes(self):
         _, got = decode_payload(sparse_payload(10, [1, 4, 9], [-0.0, 2.5, 5e-324]))
@@ -362,7 +398,7 @@ class TestSparseVectors:
 
     def test_trailing_bytes_after_empty_vector_rejected(self):
         with pytest.raises(CorruptFrame):
-            decode_payload(encode_payload({"round": 1}) + b"\x00")
+            decode_payload(bytes(encode_payload({"round": 1})) + b"\x00")
 
 
 def _pair(config, names=("a", "b"), **rel_kwargs):
@@ -385,7 +421,7 @@ class TestSimNetwork:
         def run(seed):
             net, eps, inboxes = _pair(SimNetConfig((1.0, 9.0), 0.3, seed))
             for i in range(25):
-                eps["a"].send("b", 0x01, bytes([i]))
+                eps["a"].send("b", 0x01, Payload(bytes([i])))
             net.run()
             return net.delivery_trace, [p for _, _, p in inboxes["b"]]
 
@@ -427,7 +463,7 @@ class TestReliableDelivery:
     def test_no_loss_single_transmission(self):
         net, eps, inboxes = _pair(SimNetConfig((2.0, 2.0), 0.0, 5))
         receipts = []
-        eps["a"].send("b", MSG_TASK_ASSIGN, b"payload", receipts.append)
+        eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"payload"), receipts.append)
         net.run()
         assert len(inboxes["b"]) == 1
         assert receipts[0].ok and receipts[0].attempts == 1
@@ -446,7 +482,7 @@ class TestReliableDelivery:
             SimNetConfig((2.0, 2.0), 0.6, 34), max_retries=5, backoff_base_ms=10.0
         )
         receipts = []
-        eps["a"].send("b", MSG_TASK_ASSIGN, b"x", receipts.append)
+        eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"x"), receipts.append)
         net.run()
         assert receipts and receipts[0].ok
         assert receipts[0].attempts == 3
@@ -457,7 +493,7 @@ class TestReliableDelivery:
             SimNetConfig((1.0, 1.0), 0.999999, 9), max_retries=3, backoff_base_ms=5.0
         )
         receipts = []
-        eps["a"].send("b", MSG_TASK_ASSIGN, b"x", receipts.append)
+        eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"x"), receipts.append)
         net.run()
         assert receipts and not receipts[0].ok
         assert receipts[0].attempts == 4  # 1 try + 3 retries
@@ -477,7 +513,7 @@ class TestReliableDelivery:
             SimNetConfig((2.0, 2.0), 0.45, seed), max_retries=5, backoff_base_ms=10.0
         )
         receipts = []
-        eps["a"].send("b", MSG_TASK_ASSIGN, b"x", receipts.append)
+        eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"x"), receipts.append)
         net.run()
         assert receipts and receipts[0].ok
         assert receipts[0].attempts == 2
@@ -493,7 +529,7 @@ class TestReliableDelivery:
         net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 4))
         receipts = []
         eps["a"].raw.send("b", frame)
-        eps["a"].send("b", MSG_TASK_ASSIGN, b"after", receipts.append)
+        eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"after"), receipts.append)
         net.run()
         assert inboxes["b"] == [("a", MSG_TASK_ASSIGN, b"after")]
         assert receipts and receipts[0].ok
@@ -504,7 +540,7 @@ class TestReliableDelivery:
         net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 4))
         receipts = []
         eps["a"].raw.send("b", encode_frame(3, _pack_envelope(3, "ghost", 0)))
-        eps["a"].send("b", MSG_TASK_ASSIGN, b"after", receipts.append)
+        eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"after"), receipts.append)
         net.run()
         assert inboxes["b"] == [("a", MSG_TASK_ASSIGN, b"after")]
         assert receipts and receipts[0].ok
@@ -519,7 +555,7 @@ class TestReliableDelivery:
         sends = []
         raw_send = eps["a"].raw.send
         eps["a"].raw.send = lambda dst, data: (sends.append(net.now_ms), raw_send(dst, data))
-        eps["a"].send("b", MSG_TASK_ASSIGN, b"x")
+        eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"x"))
         net.run()
         gaps = [b - a for a, b in zip(sends, sends[1:])]
         assert gaps == [50.0, 100.0, 200.0]
@@ -529,7 +565,7 @@ class TestDedupState:
     def test_ten_thousand_in_order_messages_leave_two_integers(self):
         net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 6))
         for i in range(10_000):
-            eps["a"].send("b", MSG_TASK_ASSIGN, b"m")
+            eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"m"))
         net.run()
         assert len(inboxes["b"]) == 10_000
         assert eps["b"]._seen == {"a": (10_000, 0)}
@@ -542,7 +578,8 @@ class TestDedupState:
 
     def test_each_receiver_gets_its_own_seqs_from_zero(self):
         net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 7), names=("a", "b", "c"))
-        seqs = [eps["a"].send("bc"[i % 2], MSG_TASK_ASSIGN, b"%d" % i) for i in range(10_000)]
+        seqs = [eps["a"].send("bc"[i % 2], MSG_TASK_ASSIGN, Payload(b"%d" % i))
+                for i in range(10_000)]
         net.run()
         assert seqs == [i // 2 for i in range(10_000)]
         assert [bytes(p) for _, _, p in inboxes["b"]] == [b"%d" % i for i in range(0, 10_000, 2)]
@@ -583,7 +620,7 @@ class TestDedupState:
         receipts = []
         total = DEDUP_WINDOW + 5
         for i in range(total):
-            eps["a"].send("b", MSG_TASK_ASSIGN, b"%d" % i, receipts.append)
+            eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"%d" % i), receipts.append)
         net.run()
         assert len(lost) == 1
         assert sorted(int(p) for _, _, p in inboxes["b"]) == list(range(total))
@@ -627,7 +664,7 @@ class TestEnvelope:
                 net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 4), backoff_base_ms=10.0)
                 _corrupt_first_send(eps[corrupted].raw, offset, 1 << bit)
                 receipts = []
-                eps["a"].send("b", MSG_TASK_ASSIGN, b"body", receipts.append)
+                eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"body"), receipts.append)
                 net.run()
                 assert inboxes["b"] == [("a", MSG_TASK_ASSIGN, b"body")]
                 assert len(receipts) == 1 and receipts[0].ok and receipts[0].attempts == 2
@@ -665,7 +702,7 @@ def _federation() -> FederationSpec:
 
 
 @functools.cache
-def _signed_update(round_no: int) -> bytes:
+def _signed_update(round_no: int) -> Payload:
     spec = _federation()
     delta = np.zeros(spec.train.dims)
     delta[[1, 7, 300]] = [0.5, -1.25, 3.0]
@@ -673,13 +710,13 @@ def _signed_update(round_no: int) -> bytes:
     return _signed(doc, delta, spec.kits["site-1"])
 
 
-def _server_and_site_1(server_raw, site_raw, **site_kwargs):
+def _server_and_site_1(server_raw, site_raw):
     """A coordinator on *server_raw* and a bare endpoint for site-1 that has
     sent its registration; the coordinator waits for site-2, so no round starts."""
     spec = _federation()
     audit = AuditLog()
     server = ServerNode(ReliableEndpoint(server_raw), spec.kits["server"], spec, audit)
-    site = ReliableEndpoint(site_raw, **site_kwargs)
+    site = ReliableEndpoint(site_raw)
     register = _signed({"site_id": "site-1", "role": "client"}, None, spec.kits["site-1"])
     site.send("server", MSG_REGISTER, register)
     return server, audit, site
@@ -736,9 +773,8 @@ class TestCheckOnce:
 
     def _check_each_byte_once(self, monkeypatch, server_raw, site_raw, run_until):
         # The registration goes first; over TCP its envelope is also read to
-        # route the connection.  The site's loop runs only after the
-        # coordinator's, so a long backoff keeps it from resending meanwhile.
-        server, audit, site = _server_and_site_1(server_raw, site_raw, backoff_base_ms=10_000.0)
+        # route the connection.
+        server, audit, site = _server_and_site_1(server_raw, site_raw)
         assert run_until(server_raw, lambda: "site-1" in server.state.registry)
         assert run_until(site_raw, lambda: "server" in site._seen)  # the reply, acked
         assert run_until(server_raw, lambda: not server.rel._pending)
@@ -759,7 +795,7 @@ class TestCheckOnce:
                     for t in (MSG_UPDATE_SUBMIT, MSG_TRANSPORT_ACK)]
         assert crc_inputs == sorted(2 * expected)
         # The coordinator hashes each signed body once, and nothing else.
-        assert sha_inputs == [update[:-SIGNATURE_LEN] for update in updates]
+        assert sha_inputs == [bytes(update)[:-SIGNATURE_LEN] for update in updates]
         assert len(_update_rejections(audit)) == 3
 
     def test_on_the_simulator(self, monkeypatch):
@@ -859,16 +895,30 @@ class TestTcpNode:
         assert node.run_until(lambda: False, timeout_s=0.1) is False
         assert 0.1 <= time.monotonic() - started < 2.0
 
+    def test_a_queued_ack_goes_before_the_retransmit_it_cancels(self, tcp_nodes):
+        node = tcp_nodes("server", bind=("127.0.0.1", 0))
+        sent = []
+        node._conns["site-1"] = SimpleNamespace(sendall=sent.append, close=lambda: None)
+        rel = ReliableEndpoint(node, backoff_base_ms=0.0)  # the retransmit falls due at once
+        receipts = []
+        seq = rel.send("site-1", MSG_TASK_ASSIGN, Payload(b"task"), receipts.append)
+        _, ack, _ = decode_frame(_ack_frame("server", seq))
+        node._frames.put(("site-1", MSG_TRANSPORT_ACK, ack))
+        assert node.run_until(lambda: receipts, timeout_s=5.0)
+        assert receipts[0].ok and receipts[0].attempts == 1
+        assert [data[5] for data in sent] == [MSG_TASK_ASSIGN]
+
     def test_raising_handler_and_timer_are_logged_and_loop_goes_on(self, tcp_nodes, caplog):
         server = tcp_nodes("server", bind=("127.0.0.1", 0))
         client = tcp_nodes("site-1", server_addr=("127.0.0.1", server.port), server_id="server")
-        got = []
+        got, fired = [], []
 
         def handler(src, msg_type, payload):
             got.append(encode_frame(msg_type, payload))
             raise RuntimeError("handler fault")
 
         def timer():
+            fired.append(True)
             raise RuntimeError("timer fault")
 
         server.set_receive_handler(handler)
@@ -876,7 +926,8 @@ class TestTcpNode:
         with caplog.at_level(logging.ERROR, logger="fedmesh.tcpnet"):
             client.send("server", _frame("site-1", 0, b"one"))
             client.send("server", _frame("site-1", 1, b"two"))
-            assert server.run_until(lambda: len(got) == 2, timeout_s=5.0)
+            # Frames queued before the timer falls due may go first.
+            assert server.run_until(lambda: len(got) == 2 and fired, timeout_s=5.0)
         assert got == [_frame("site-1", 0, b"one"), _frame("site-1", 1, b"two")]
         errors = [r for r in caplog.records if r.getMessage() == "error in dispatch"]
         assert len(errors) == 3
@@ -927,7 +978,7 @@ class TestTcpNode:
             assert server.raw.run_until(lambda: inbox, timeout_s=5.0)
             rogue.sendall(_frame("site-1", 0, b"forged"))
             assert not server.raw.run_until(lambda: False, timeout_s=0.3)
-            client.send("server", MSG_TASK_ASSIGN, b"real")
+            client.send("server", MSG_TASK_ASSIGN, Payload(b"real"))
             assert server.raw.run_until(lambda: ("site-1", b"real") in inbox, timeout_s=5.0)
             assert inbox == [("rogue", b"hello"), ("site-1", b"real")]
         finally:
@@ -945,7 +996,7 @@ class TestTcpNode:
             site.sendall(_frame("site-1", 0, b"hello"))
             rogue.sendall(_frame("rogue", 0, b"hello"))
             assert server.raw.run_until(lambda: len(inbox) == 2, timeout_s=5.0)
-            seq = server.send("site-1", MSG_TASK_ASSIGN, b"task", receipts.append)
+            seq = server.send("site-1", MSG_TASK_ASSIGN, Payload(b"task"), receipts.append)
             rogue.sendall(_ack_frame("server", seq))
             assert not server.raw.run_until(lambda: receipts, timeout_s=0.3)
             site.sendall(_ack_frame("server", seq))
