@@ -618,7 +618,7 @@ class ClientNode(_Node):
             try:
                 vector = mask_update(delta, pairing, self.kit.site_id, self.weight)
             except (ConfigError, KeyError) as exc:  # past the fixed-point bound, or no peer
-                self._drop(round_no, str(exc))
+                self._drop(round_no, exc.args[0])  # str() of a KeyError is its repr
                 return
         payload = _signed(doc, vector, self.kit)
         self.rel.send(

@@ -17,8 +17,9 @@ from fedmesh import protocol
 from fedmesh.aggregation import (
     AggregationStrategy,
     ClientUpdate,
-    distance_sum,
+    as_dense,
     geometric_median,
+    l2_norm,
 )
 from fedmesh.cli import main
 from fedmesh.config import parse_experiment
@@ -69,6 +70,11 @@ def corpus_dir(tmp_path_factory):
     save_conll(synthetic_corpus(TRAIN_SENTENCES, seed=11), out / "train.conll")
     save_conll(synthetic_corpus(TEST_SENTENCES, seed=12), out / "test.conll")
     return out
+
+
+def distance_sum(x: np.ndarray, updates: list[ClientUpdate]) -> float:
+    """The geometric-median objective at *x*."""
+    return float(sum(l2_norm(as_dense(u.delta) - x) for u in updates))
 
 
 def _base_config(corpus_dir, extra="", clients=6):

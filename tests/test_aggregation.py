@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,17 +15,23 @@ from fedmesh.aggregation import (
     as_dense,
     clip_to_norm,
     coordinate_median,
-    distance_sum,
     fedavg,
     geometric_median,
     l2_norm,
     normalize_updates,
     sparse_fits,
     take,
+    tree_spans,
+    tree_sum,
     trust_weights,
 )
 from fedmesh.aggregation import STRATEGY_KINDS, _WEISZFELD_SNAP, _sorted_updates
 from fedmesh.errors import ConfigError
+
+
+def distance_sum(x: np.ndarray, updates: list[ClientUpdate]) -> float:
+    """The geometric-median objective at *x*."""
+    return float(sum(l2_norm(as_dense(u.delta) - x) for u in updates))
 
 
 def updates_from(deltas, weights=None, round_no=1):
@@ -388,6 +396,58 @@ class TestSparseRowsBitIdentity:
         assert got.tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
 
 
+def _benchmark_rows(dims, seed):
+    """Eight rows laid out as a robust benchmark round's: two DP sites' and a
+    Byzantine site's dense rows around five sparse rows of about 4,000 live
+    words, some of them stored as -0.0."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.normal(size=dims) * 0.05 for _ in range(2)]
+    for _ in range(5):
+        indices = np.sort(rng.choice(dims, 4000, replace=False))
+        values = rng.normal(size=4000) * 0.1
+        values[rng.random(4000) < 0.05] = -0.0
+        rows.append(SparseVector(dims, indices, values))
+    rows.append(rng.normal(size=dims) * 1000.0)
+    return rows
+
+
+class TestBlockedSweep:
+    """Lengths past the 2**16-word sweep blocks, where the norms are cut at
+    pairwise-tree nodes and their block sums added back in the tree's order."""
+
+    @pytest.mark.parametrize("dims", [3 * 2**18, 196_613])
+    def test_benchmark_layout_matches_dense_formula_bytes(self, dims):
+        rows = _benchmark_rows(dims, seed=dims)
+        got = geometric_median(updates_from(rows))
+        want = _reference_geometric_median(updates_from([as_dense(r) for r in rows]))
+        assert got.tobytes() == want.tobytes()
+
+    def test_coincident_branch_past_one_block(self):
+        # Row 0 is the median of the others, so it is the start point too.
+        dims = 131_073
+        rows = _benchmark_rows(dims, seed=3)[3:7]
+        rows.insert(0, np.median(np.stack([as_dense(r) for r in rows]), axis=0))
+        ups = updates_from(rows)
+        assert coordinate_median(ups).tobytes() == rows[0].tobytes()
+        got = geometric_median(ups)
+        want = _reference_geometric_median(updates_from([as_dense(r) for r in rows]))
+        assert got.tobytes() == want.tobytes() and got.tobytes() != rows[0].tobytes()
+
+    def test_scratch_is_block_sized(self):
+        # The iterate moves in place and the sweep's scratch is three blocks,
+        # so one call holds about 1.5 vectors; a fresh vector per iteration
+        # (or n x dims temporaries) would pass 2.
+        rows = _benchmark_rows(3 * 2**18, seed=1)
+        ups = updates_from(rows)
+        tracemalloc.start()
+        try:
+            geometric_median(ups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * rows[0].nbytes, peak / rows[0].nbytes
+
+
 @st.composite
 def _addends(draw):
     """Two vectors of one length, each dense or sparse (with stored +0.0 and
@@ -441,6 +501,40 @@ _NORM_COORD = st.one_of(
 
 def _bits(value: float) -> bytes:
     return np.float64(value).tobytes()
+
+
+# numpy's pairwise sum unrolls by 8 words, sums a run of up to 128 in one
+# leaf and halves longer runs; the sweep cuts at 2**16 words; the model has
+# 3 * 2**18.
+_TREE_LENGTHS = sorted({max(0, m + d) for m in [8, 1 << 16, 3 * 2**18, *(128 << k for k in range(13))]
+                        for d in (-1, 0, 1)})
+_SUM_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-100, -1e-100, 1e100, -1e100])
+
+
+class TestTreeSpans:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.one_of(st.sampled_from(_TREE_LENGTHS), st.integers(0, 3000)),
+           width=st.sampled_from([128, 1024, 1 << 16]), edges=st.sampled_from([0.0, 0.1, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_span_sums_add_up_to_the_pairwise_sum(self, n, width, edges, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        pick = rng.random(n) < edges
+        x[pick] = rng.choice(_SUM_EDGES, size=int(pick.sum()))
+        spans, tree = tree_spans(n, width)
+        assert [a for a, _ in spans] == [0, *(b for _, b in spans[:-1])] and spans[-1][1] == n
+        assert all(b - a <= width for a, b in spans)
+        got = tree_sum(tree, [np.add.reduce(x[a:b]) for a, b in spans])
+        assert _bits(got) == _bits(np.add.reduce(x)), \
+            f"numpy {np.__version__} no longer sums {n} words in tree_spans' order"
+
+    def test_the_bits_pin_the_split(self):
+        # Moving the one split by 8 words changes the sum's bits, so the test
+        # above fails if numpy's tree and tree_spans disagree.
+        x = np.random.default_rng(0).normal(size=1 << 17)
+        assert tree_spans(len(x), 1 << 16)[0] == ((0, 1 << 16), (1 << 16, 1 << 17))
+        moved = np.add.reduce(x[:(1 << 16) - 8]) + np.add.reduce(x[(1 << 16) - 8:])
+        assert _bits(moved) != _bits(np.add.reduce(x))
 
 
 class TestL2Norm:

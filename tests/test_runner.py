@@ -250,11 +250,17 @@ class TestPrivacyIntegration:
         }
         with pytest.raises(RoundFailedError):
             run_federation(spec, SimNetConfig(seed=1))
-        refusals = [r.getMessage() for r in caplog.records if "TaskRefused" in r.getMessage()]
+        records = [r for r in caplog.records if "TaskRefused" in r.getMessage()]
+        refusals = [r.getMessage() for r in records]
         # The refusal frees site-1, so it takes the retry and refuses it for the same reason.
         assert len(refusals) == 2
         assert all(m.startswith("client site-1:") and reason in m for m in refusals)
         assert not any("busy in" in m for m in refusals)
+        # The reason is the message itself, not a KeyError's quoted repr of it.
+        logged = [r.args[-1]["reason"] for r in records]
+        assert all(reason in text and '"' not in text for text in logged)
+        if spoil == "no-peer":
+            assert logged == ["'site-1' not in the masked cohort"] * 2
 
     def test_masking_requires_fedavg(self):
         spec = make_spec(strategy="coord-median")
