@@ -58,11 +58,11 @@ def as_dense(vector: Vector) -> np.ndarray:
     return vector.to_dense() if isinstance(vector, SparseVector) else vector
 
 
-def l2_norm(vector: Vector, scratch=None) -> float:
+def l2_norm(vector: Vector) -> float:
     """``sqrt(add.reduce(w * w))`` over the dense form: pairwise-summed, never
-    BLAS, so the same bits on any thread count.  The squares go to *scratch*
-    (which may be *vector* itself) when given, else to a new array (for a
-    sparse vector, its dense copy)."""
+    BLAS, so the same bits on any thread count.  The squares go to a new
+    array, or for a sparse vector to its dense copy."""
+    scratch = None
     if isinstance(vector, SparseVector):
         vector = scratch = vector.to_dense()
     return float(np.sqrt(np.add.reduce(np.multiply(vector, vector, out=scratch))))
@@ -327,21 +327,13 @@ def geometric_median(
     return x
 
 
-@dataclass(frozen=True)
-class TrustWeights:
-    """Per-client trust scores plus whether the uniform fallback engaged."""
-
-    weights: dict[str, float]
-    uniform_fallback: bool
-
-
 def trust_weights(
     updates: list[ClientUpdate], server_reference: np.ndarray
-) -> TrustWeights:
+) -> dict[str, float]:
     """ReLU-clipped cosine similarity of each delta against a reference.
 
     A zero-norm delta scores 0.  When every score is 0 the weights fall back
-    to uniform so the aggregate stays defined, and the result says so.
+    to uniform (all 1.0) so the aggregate stays defined.
     """
     ref_norm = l2_norm(server_reference)
     if ref_norm == 0.0:
@@ -357,8 +349,8 @@ def trust_weights(
             cos = float(np.add.reduce(delta * server_reference)) / (norm * ref_norm)
             scores[u.client_id] = max(0.0, cos)
     if all(v == 0.0 for v in scores.values()):
-        return TrustWeights({cid: 1.0 for cid in scores}, uniform_fallback=True)
-    return TrustWeights(scores, uniform_fallback=False)
+        return {cid: 1.0 for cid in scores}
+    return scores
 
 
 def clip_to_norm(delta: Vector, target_norm: float) -> Vector:
@@ -407,7 +399,7 @@ def aggregate(
             return fedavg(updates)
         trust = trust_weights(updates, trust_reference)
         reweighted = [
-            ClientUpdate(u.client_id, u.round, max(trust.weights[u.client_id], 1e-12), u.delta)
+            ClientUpdate(u.client_id, u.round, max(trust[u.client_id], 1e-12), u.delta)
             for u in _sorted_updates(updates)
         ]
         return fedavg(reweighted)

@@ -145,15 +145,17 @@ def cmd_audit_verify(args) -> int:
     return EXIT_VALIDATION
 
 
-def _tcp_spec(config: ExperimentConfig, kit, shard=None) -> FederationSpec:
+def _tcp_spec(config: ExperimentConfig, kit, shard=None, holdout=None) -> FederationSpec:
     """One TCP node's view of the federation; the kit's roster names the sites.
 
-    Only a client passes its *shard*; every other shard is empty here.
+    Only a client passes its *shard* and *holdout*; every other shard is
+    empty here, and no other site has a holdout.
     """
     shards = {i.site_id: shard if i.site_id == kit.site_id else []
               for i in kit.roster if i.role == "client"}
+    holdouts = {kit.site_id: holdout} if holdout else {}
     server_id = next(i.site_id for i in kit.roster if i.role == "server")
-    return federation_spec(config, shards, {}, {kit.site_id: kit}, server_id)
+    return federation_spec(config, shards, holdouts, {kit.site_id: kit}, server_id)
 
 
 def cmd_serve(args) -> int:
@@ -195,13 +197,13 @@ def cmd_client(args) -> int:
     kit = load_kit(args.kit)
     shard = load_conll(args.shard).sentences
     holdout = load_conll(args.holdout).sentences if args.holdout else []
-    spec = _tcp_spec(config, kit, shard)
+    spec = _tcp_spec(config, kit, shard, holdout)
     vet_config(config, list(spec.shards), None)
     address = args.server or kit.server_address
     node = TcpNode(kit.site_id, server_addr=parse_address(address), server_id=spec.server_id)
     try:
         rel = ReliableEndpoint(node, backoff_base_ms=args.backoff_ms)
-        client = ClientNode(rel, kit, shard, spec, holdout)
+        client = ClientNode(rel, kit, spec)
         node.schedule(0.0, client.register)
         if not node.run_until(lambda: client.done, timeout_s=args.timeout):
             log.error("client timed out waiting for federation to finish")

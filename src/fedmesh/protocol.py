@@ -11,6 +11,13 @@ deadline fires, aggregates when at least m responded (aborting otherwise,
 with one optional retry), and repeats for the configured number of rounds.
 Updates for the wrong round or from uninvited clients never enter a round;
 updates arriving after aggregation are audited as late and discarded.
+
+A site runs each task it accepts as one action (RunTask: train, apply its
+policy, mask, sign and send, or refuse its own round), and no event can
+arrive in the middle of it.  So its machine has two phases, WAITING and BUSY
+with one round, and two events: a task arrives, or the held round settles
+(its upload was acked or given up, or the site refused the round).  A site
+refuses a re-sent task for the round it holds.
 """
 
 from __future__ import annotations
@@ -73,7 +80,6 @@ def plan_round(
 # --- server machine -------------------------------------------------------------
 
 IDLE = "idle"
-SCATTERING = "scattering"
 GATHERING = "gathering"
 AGGREGATING = "aggregating"
 FINISHED = "finished"
@@ -197,7 +203,7 @@ def _begin_round(
     )
     new = replace(
         state,
-        phase=SCATTERING,
+        phase=GATHERING,
         round=round_no,
         plan=plan,
         responded=() if attempt == 0 else state.responded,
@@ -213,7 +219,7 @@ def _begin_round(
     return new, actions
 
 
-def _maybe_aggregate(state: ServerState, config: ServerConfig) -> tuple[ServerState, list]:
+def _maybe_aggregate(state: ServerState) -> tuple[ServerState, list]:
     new = replace(state, phase=AGGREGATING)
     action = StartAggregation(state.round, state.responded, state.weights)
     return new, [action]
@@ -301,13 +307,12 @@ def _on_update(
                               reason="duplicate update")]
     new = replace(
         state,
-        phase=GATHERING,
         responded=state.responded + (cid,),
         weights=state.weights + ((cid, event.weight),),
     )
     actions: list = [_audit("UpdateAccepted", client=cid, round=rnd)]
     if len(new.responded) == len(state.plan.invited):
-        new, agg_actions = _maybe_aggregate(new, config)
+        new, agg_actions = _maybe_aggregate(new)
         actions.extend(agg_actions)
     return new, actions
 
@@ -318,14 +323,14 @@ def _on_deadline(
     plan = state.plan
     if (
         plan is None
-        or state.phase not in (SCATTERING, GATHERING)
+        or state.phase != GATHERING
         or event.round != state.round
         or event.attempt != plan.attempt
     ):
         return state, []
     missing_masked = _masked_missing(state, config)
     if len(state.responded) >= plan.min_responses and not missing_masked:
-        return _maybe_aggregate(state, config)
+        return _maybe_aggregate(state)
     if missing_masked and len(state.responded) >= plan.min_responses:
         reason = f"masked clients missing: {','.join(missing_masked)}"
     else:
@@ -382,15 +387,13 @@ def _on_aggregated(
 
 # --- client machine --------------------------------------------------------------
 
-REGISTERED = "registered"
 WAITING = "waiting"
-TRAINING = "training"
-UPLOADING = "uploading"
+BUSY = "busy"
 
 
 @dataclass(frozen=True)
 class ClientState:
-    phase: str = REGISTERED
+    phase: str = WAITING
     round: int = 0
 
 
@@ -401,34 +404,15 @@ class TaskReceived:
 
 
 @dataclass(frozen=True)
-class TrainingDone:
-    round: int
-
-
-@dataclass(frozen=True)
-class UploadAcked:
-    round: int
-
-
-@dataclass(frozen=True)
-class UploadFailed:
-    round: int
-
-
-@dataclass(frozen=True)
-class TaskDropped:
-    """The site refused its own round (no data, or it cannot mask the update)."""
+class TaskSettled:
+    """The site is done with its round: the upload was acked or given up, or
+    the site refused the round (no data, or it cannot mask the update)."""
 
     round: int
 
 
 @dataclass(frozen=True)
-class StartLocalTrain:
-    round: int
-
-
-@dataclass(frozen=True)
-class SubmitUpdate:
+class RunTask:
     round: int
 
 
@@ -441,30 +425,17 @@ class RefuseTask:
 def client_step(state: ClientState, event: object) -> tuple[ClientState, list]:
     """Advance the site machine by one event; one task at a time.
 
-    A task for a different round arriving while the previous upload's ack
+    A task for a different round arriving while the held round's upload ack
     is still in flight is accepted: the assignment itself proves the
-    coordinator moved on, and the stale ack is ignored later.
+    coordinator moved on, and the stale settlement is ignored later.
     """
     if isinstance(event, TaskReceived):
         if event.malformed:
             return state, [_audit("UpdateRejected", round=event.round,
                                   reason="malformed task")]
-        acceptable = state.phase in (REGISTERED, WAITING) or (
-            state.phase == UPLOADING and event.round != state.round
-        )
-        if acceptable:
-            return ClientState(TRAINING, event.round), [StartLocalTrain(event.round)]
-        return state, [RefuseTask(event.round, f"busy in {state.phase}")]
-    if isinstance(event, TrainingDone):
-        if state.phase == TRAINING and state.round == event.round:
-            return ClientState(UPLOADING, event.round), [SubmitUpdate(event.round)]
-        return state, []
-    if isinstance(event, (UploadAcked, UploadFailed)):
-        if state.phase == UPLOADING and state.round == event.round:
-            return ClientState(WAITING, state.round), []
-        return state, []
-    if isinstance(event, TaskDropped):
-        if state.phase in (TRAINING, UPLOADING) and state.round == event.round:
-            return ClientState(WAITING, state.round), []
-        return state, []
+        if state.phase == WAITING or event.round != state.round:
+            return ClientState(BUSY, event.round), [RunTask(event.round)]
+        return state, [RefuseTask(event.round, f"busy in round {state.round}")]
+    if isinstance(event, TaskSettled) and state == ClientState(BUSY, event.round):
+        return ClientState(WAITING, event.round), []
     return state, []

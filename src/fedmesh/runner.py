@@ -48,19 +48,15 @@ from .protocol import (
     FederationComplete,
     RoundAggregated,
     RoundRecord,
+    RunTask,
     ScheduleDeadline,
     ServerConfig,
     ServerState,
     Start,
     StartAggregation,
-    StartLocalTrain,
-    SubmitUpdate,
-    TaskDropped,
     TaskReceived,
-    TrainingDone,
+    TaskSettled,
     UpdateReceived,
-    UploadAcked,
-    UploadFailed,
     client_step,
     server_step,
 )
@@ -462,33 +458,33 @@ class ServerNode(_Node):
 
 
 class ClientNode(_Node):
-    """Site runtime: trains locally, applies its policy, uploads signed updates.
+    """Site runtime: one action per task, built from the spec alone.
+
+    Its shard and holdout are ``spec.shards`` and ``spec.holdouts`` under its
+    kit's site id.  A task the machine accepts runs as one call,
+    ``_run_task``: train, apply the site policy, mask, sign and send.  The
+    round settles when the upload is acked or given up.  A site with no
+    data, or one that cannot mask its update, refuses its own round instead:
+    it sends nothing, the round goes on (or aborts) without it, and the
+    round settles at once.
 
     It hears only the coordinator.  Its audits and refusals have no audit
     log of their own and go to the ``fedmesh.runner`` log as warnings.
     """
 
-    def __init__(
-        self,
-        rel: ReliableEndpoint,
-        kit: StartupKit,
-        shard: list[TaggedSentence],
-        spec: FederationSpec,
-        holdout: list[TaggedSentence] | None = None,
-    ):
+    def __init__(self, rel: ReliableEndpoint, kit: StartupKit, spec: FederationSpec):
         super().__init__(rel, kit, spec, {
             MSG_TASK_ASSIGN: self._on_task,
             MSG_ACK: self._on_ack,
             MSG_EVAL_REQUEST: self._on_eval_request,
             MSG_ABORT: self._on_abort,
         }, only_from=spec.server_id)
-        self.shard = shard
-        self.holdout = holdout if holdout is not None else []
+        self.shard = spec.shards[kit.site_id]
+        self.holdout = spec.holdouts.get(kit.site_id, [])
         self.policy = spec.policy_for(kit.site_id)
         self.state = protocol.ClientState()
-        self.server_id = spec.server_id
         self.encoded: EncodedBatch | None = None
-        self.weight = float(token_count(shard)) if shard else 0.0
+        self.weight = float(token_count(self.shard)) if self.shard else 0.0
         self.current_task: tuple[int, Vector, tuple[str, ...]] | None = None
         self.registered = False
         self._register_attempts = 0
@@ -497,7 +493,7 @@ class ClientNode(_Node):
         self._register_attempts += 1
         doc = {"site_id": self.kit.site_id, "role": self.kit.role}
         self.rel.send(
-            self.server_id, MSG_REGISTER, _signed(doc, None, self.kit),
+            self.spec.server_id, MSG_REGISTER, _signed(doc, None, self.kit),
             on_result=self._register_receipt,
         )
 
@@ -522,13 +518,11 @@ class ClientNode(_Node):
     def _drop(self, round_no: int, reason: str) -> None:
         """Refuse the round this site holds and wait for the next task."""
         self._refuse(round_no, reason)
-        self.dispatch(TaskDropped(round_no))
+        self.dispatch(TaskSettled(round_no))
 
     def _execute(self, action) -> None:
-        if isinstance(action, StartLocalTrain):
-            self._train(action.round)
-        elif isinstance(action, SubmitUpdate):
-            self._submit(action.round)
+        if isinstance(action, RunTask):
+            self._run_task(action.round)
         elif isinstance(action, protocol.RefuseTask):
             self._refuse(action.round, action.reason)
 
@@ -540,7 +534,7 @@ class ClientNode(_Node):
             self.dispatch(TaskReceived(round=-1, malformed=True))
             return
         self.registered = True
-        # Staged before dispatch; consumed synchronously by _train if the
+        # Staged before dispatch; consumed synchronously by _run_task if the
         # machine accepts this round.
         self.current_task = task
         self.dispatch(TaskReceived(task[0]))
@@ -560,9 +554,9 @@ class ClientNode(_Node):
 
     # -- local work ------------------------------------------------------------
 
-    def _train(self, round_no: int) -> None:
+    def _run_task(self, round_no: int) -> None:
         assert self.current_task is not None and self.current_task[0] == round_no
-        _, start, masked = self.current_task
+        _, start, masked_peers = self.current_task
         if not self.weight:
             # Refuse instead of uploading a fabricated update.
             self._drop(round_no, "no data")
@@ -584,10 +578,28 @@ class ClientNode(_Node):
         rng = np.random.Generator(np.random.PCG64(
             derive_seed(self.spec.seeds.net, "privacy", self.kit.site_id, round_no)
         ))
-        delta = apply_policy(delta, self.policy, rng)
-        self._pending_delta = delta
-        self._pending_masked_peers = masked
-        self.dispatch(TrainingDone(round_no))
+        vector = delta = apply_policy(delta, self.policy, rng)
+        doc = {
+            "client_id": self.kit.site_id,
+            "round": round_no,
+            "weight": self.weight,
+            "masked": self.policy.masking_enabled,
+        }
+        if self.policy.masking_enabled:
+            if self.kit.mask_root is None:
+                self._drop(round_no, "no mask root in kit")
+                return
+            root = int.from_bytes(self.kit.mask_root[:8], "big")
+            pairing = make_pairing(list(masked_peers), round_no, root)
+            try:
+                vector = mask_update(delta, pairing, self.kit.site_id, self.weight)
+            except (ConfigError, KeyError) as exc:  # past the fixed-point bound, or no peer
+                self._drop(round_no, exc.args[0])  # str() of a KeyError is its repr
+                return
+        self.rel.send(
+            self.spec.server_id, MSG_UPDATE_SUBMIT, _signed(doc, vector, self.kit),
+            on_result=lambda receipt: self.dispatch(TaskSettled(round_no)),
+        )
 
     @cached_property
     def _attack(self) -> np.ndarray:
@@ -600,41 +612,13 @@ class ClientNode(_Node):
         attack.setflags(write=False)  # every round uploads this one array
         return attack
 
-    def _submit(self, round_no: int) -> None:
-        delta = self._pending_delta
-        doc = {
-            "client_id": self.kit.site_id,
-            "round": round_no,
-            "weight": self.weight,
-            "masked": self.policy.masking_enabled,
-        }
-        vector: Vector = delta
-        if self.policy.masking_enabled:
-            if self.kit.mask_root is None:
-                self._drop(round_no, "no mask root in kit")
-                return
-            root = int.from_bytes(self.kit.mask_root[:8], "big")
-            pairing = make_pairing(list(self._pending_masked_peers), round_no, root)
-            try:
-                vector = mask_update(delta, pairing, self.kit.site_id, self.weight)
-            except (ConfigError, KeyError) as exc:  # past the fixed-point bound, or no peer
-                self._drop(round_no, exc.args[0])  # str() of a KeyError is its repr
-                return
-        payload = _signed(doc, vector, self.kit)
-        self.rel.send(
-            self.server_id, MSG_UPDATE_SUBMIT, payload,
-            on_result=lambda receipt: self.dispatch(
-                UploadAcked(round_no) if receipt.ok else UploadFailed(round_no)
-            ),
-        )
-
     def _report_eval(self, params: np.ndarray) -> None:
         doc: dict = {"site_id": self.kit.site_id, "has_data": bool(self.holdout)}
         if self.holdout:
             ent, tok = evaluate(params, self.holdout, self.spec.train)
             doc.update(ent.fields("ent"))
             doc.update(tok.fields("tok"))
-        self.rel.send(self.server_id, MSG_EVAL_REPORT, _signed(doc, None, self.kit))
+        self.rel.send(self.spec.server_id, MSG_EVAL_REPORT, _signed(doc, None, self.kit))
 
 
 def run_federation(
@@ -661,10 +645,7 @@ def run_federation(
 
     clients: dict[str, ClientNode] = {}
     for cid in spec.client_ids():
-        clients[cid] = ClientNode(
-            ReliableEndpoint(net.endpoint(cid)), spec.kits[cid], spec.shards[cid], spec,
-            spec.holdouts.get(cid),
-        )
+        clients[cid] = ClientNode(ReliableEndpoint(net.endpoint(cid)), spec.kits[cid], spec)
     for cid in spec.client_ids():
         net.schedule(0.0, clients[cid].register)
 
@@ -684,23 +665,17 @@ def run_federation(
 
 
 def run_centralized(
-    shards: dict[str, list[TaggedSentence]] | list[TaggedSentence],
+    pooled: list[TaggedSentence],
     train: TrainConfig,
     rounds: int,
     seeds: Seeds,
 ) -> np.ndarray:
-    """Budget-parity baseline: pool all shards, train rounds*local_epochs epochs.
+    """Budget-parity baseline: train on the pooled sentences for rounds*local_epochs epochs.
 
     Uses the same per-round seed derivation as a single pooled 'site' so the
     two-client/one-full-batch configuration reproduces the federated
     trajectory exactly.
     """
-    if isinstance(shards, dict):
-        pooled: list[TaggedSentence] = []
-        for cid in sorted(shards):
-            pooled.extend(shards[cid])
-    else:
-        pooled = list(shards)
     params = zero_params(train)
     encoded = encode_sentences(pooled, train.feature_dim, train.hash_seed)
     for round_no in range(1, rounds + 1):

@@ -556,9 +556,6 @@ class TestL2Norm:
         want = _bits(np.sqrt(np.add.reduce(x * x)))
         got = l2_norm(x)
         assert type(got) is float and _bits(got) == want
-        assert _bits(l2_norm(x, np.empty_like(x))) == want
-        in_place = x.copy()
-        assert _bits(l2_norm(in_place, in_place)) == want
 
     @pytest.mark.parametrize("zero", [np.zeros(5), np.full(5, -0.0),
                                       SparseVector(5, np.array([2]), np.array([-0.0]))])
@@ -566,7 +563,7 @@ class TestL2Norm:
         assert _bits(l2_norm(zero)) == _bits(0.0)
         assert clip_to_norm(zero, 1.0) is zero
         tw = trust_weights(updates_from([zero, np.ones(5)]), np.ones(5))
-        assert tw.weights["site-0"] == 0.0 and not tw.uniform_fallback
+        assert tw["site-0"] == 0.0 and tw["site-1"] == pytest.approx(1.0)
 
 
 class TestTake:
@@ -587,29 +584,27 @@ class TestTrustWeights:
     def test_aligned_scores_one(self):
         ref = np.array([1.0, 2.0, 3.0])
         tw = trust_weights(updates_from([ref]), ref)
-        assert tw.weights["site-0"] == pytest.approx(1.0)
-        assert not tw.uniform_fallback
+        assert tw == {"site-0": pytest.approx(1.0)}
 
     def test_opposed_clipped_to_zero(self):
         ref = np.array([1.0, 2.0, 3.0])
         tw = trust_weights(updates_from([-ref, ref]), ref)
-        assert tw.weights["site-0"] == 0.0
+        assert tw["site-0"] == 0.0
 
     def test_orthogonal_scores_zero(self):
         ref = np.array([1.0, 0.0])
         tw = trust_weights(updates_from([[0.0, 1.0], [1.0, 0.0]]), ref)
-        assert tw.weights["site-0"] == 0.0
+        assert tw["site-0"] == 0.0
 
     def test_zero_norm_delta_scores_zero(self):
         ref = np.array([1.0, 0.0])
         tw = trust_weights(updates_from([[0.0, 0.0], [1.0, 0.0]]), ref)
-        assert tw.weights["site-0"] == 0.0
+        assert tw["site-0"] == 0.0
 
     def test_all_zero_falls_back_to_uniform(self):
         ref = np.array([1.0, 0.0])
         tw = trust_weights(updates_from([[-1.0, 0.0], [0.0, 1.0]]), ref)
-        assert tw.uniform_fallback
-        assert set(tw.weights.values()) == {1.0}
+        assert tw == {"site-0": 1.0, "site-1": 1.0}
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ConfigError):

@@ -188,6 +188,23 @@ class TestOneSpecForBothTransports:
                       "adversary", "retry_on_abort", "deadline_ms"):
             assert getattr(sim, field) == getattr(tcp, field), field
 
+    def test_a_tcp_site_is_built_from_its_spec_alone(self, workspace):
+        from fedmesh.runner import ClientNode
+        from fedmesh.simnet import SimNetConfig, SimNetwork
+        from fedmesh.transport import ReliableEndpoint
+
+        config = parse_experiment(CONFIG_TEMPLATE, base_dir=workspace)
+        shard = load_conll(config.train_path).sentences[:40]
+        holdout = load_conll(config.test_path).sentences[:20]
+        kits = provision([("server", "server"), ("site-1", "client"), ("site-2", "client")],
+                         server_address="127.0.0.1:0", key_seed=5)
+        spec = _tcp_spec(config, kits["site-1"], shard, holdout)
+        assert spec.holdouts == {"site-1": holdout}
+        assert _tcp_spec(config, kits["server"]).holdouts == {}
+        rel = ReliableEndpoint(SimNetwork(SimNetConfig()).endpoint("site-1"))
+        site = ClientNode(rel, kits["site-1"], spec)
+        assert site.shard is shard and site.holdout is holdout
+
     def test_a_policy_applies_only_to_the_cells_that_hold_its_site(self, workspace):
         (workspace / "sweep.cfg").write_text(
             CONFIG_TEMPLATE + "experiment.kind = client-sweep\n"

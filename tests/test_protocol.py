@@ -5,6 +5,7 @@ import pytest
 from fedmesh.errors import ConfigError
 from fedmesh.protocol import (
     AGGREGATING,
+    BUSY,
     AbortRound,
     Audit,
     BroadcastTask,
@@ -15,23 +16,16 @@ from fedmesh.protocol import (
     FederationComplete,
     GATHERING,
     RoundAggregated,
-    SCATTERING,
+    RunTask,
     ScheduleDeadline,
     ServerConfig,
     ServerState,
     Start,
     StartAggregation,
-    StartLocalTrain,
-    SubmitUpdate,
     RefuseTask,
-    TRAINING,
-    TaskDropped,
     TaskReceived,
-    TrainingDone,
-    UPLOADING,
+    TaskSettled,
     UpdateReceived,
-    UploadAcked,
-    UploadFailed,
     WAITING,
     client_step,
     plan_round,
@@ -89,7 +83,7 @@ class TestServerHappyPath:
     def test_start_scatters_and_schedules_deadline(self):
         cfg = config()
         state, actions = started(cfg)
-        assert state.phase == SCATTERING
+        assert state.phase == GATHERING
         (task,) = pick(actions, BroadcastTask)
         assert task.round == 1 and len(task.invited) == 6
         (deadline,) = pick(actions, ScheduleDeadline)
@@ -200,7 +194,7 @@ class TestServerAbort:
         state, actions = server_step(state, DeadlineFired(1, 0, now_ms=1000.0), cfg)
         (abort,) = pick(actions, AbortRound)
         assert abort.retry
-        assert state.phase == SCATTERING and state.plan.attempt == 1
+        assert state.phase == GATHERING and state.plan.attempt == 1
         assert pick(actions, BroadcastTask)
         # same cohort is re-invited so earlier responses stay valid
         assert len(state.responded) == 2
@@ -245,65 +239,40 @@ class TestServerAbort:
 
 
 class TestClientMachine:
-    def test_task_starts_training(self):
-        state, actions = client_step(ClientState(WAITING, 0), TaskReceived(3))
-        assert state == ClientState(TRAINING, 3)
-        assert actions == [StartLocalTrain(3)]
+    def test_a_site_starts_waiting(self):
+        assert ClientState() == ClientState(WAITING, 0)
 
-    def test_first_task_from_registered(self):
-        state, actions = client_step(ClientState(), TaskReceived(1))
-        assert state.phase == TRAINING and actions == [StartLocalTrain(1)]
+    @pytest.mark.parametrize("phase", [WAITING, BUSY])
+    @pytest.mark.parametrize("held", range(4))
+    def test_every_phase_held_round_and_event(self, phase, held):
+        before = ClientState(phase, held)
+        for r in range(4):
+            for event in (TaskReceived(r), TaskReceived(r, malformed=True), TaskSettled(r)):
+                state, actions = client_step(before, event)
+                if isinstance(event, TaskReceived) and not event.malformed:
+                    if phase == WAITING or r != held:
+                        assert (state, actions) == (ClientState(BUSY, r), [RunTask(r)])
+                    else:
+                        (refusal,) = actions
+                        assert isinstance(refusal, RefuseTask) and refusal.round == r
+                        assert refusal.reason.startswith("busy in")
+                        assert state == before
+                elif isinstance(event, TaskReceived):
+                    (audit,) = actions
+                    assert audit.event_type == "UpdateRejected" and state == before
+                elif r == held:
+                    assert (state, actions) == (ClientState(WAITING, held), [])
+                else:
+                    assert (state, actions) == (before, [])
 
-    def test_busy_client_refuses_second_task(self):
-        before = ClientState(TRAINING, 2)
-        state, actions = client_step(before, TaskReceived(3))
-        assert state == before
-        assert isinstance(actions[0], RefuseTask)
-
-    def test_uploading_accepts_task_for_new_round(self):
+    def test_next_round_overtakes_the_held_rounds_settlement(self):
         # The next round's assignment can overtake the upload ack; the
         # assignment itself implies the server moved on.
-        state, actions = client_step(ClientState(UPLOADING, 2), TaskReceived(3))
-        assert state == ClientState(TRAINING, 3)
-        assert actions == [StartLocalTrain(3)]
-
-    def test_uploading_refuses_same_round_rebroadcast(self):
-        before = ClientState(UPLOADING, 2)
-        state, actions = client_step(before, TaskReceived(2))
-        assert state == before
-        assert isinstance(actions[0], RefuseTask)
-
-    def test_training_done_uploads(self):
-        state, actions = client_step(ClientState(TRAINING, 2), TrainingDone(2))
-        assert state == ClientState(UPLOADING, 2)
-        assert actions == [SubmitUpdate(2)]
-
-    def test_upload_ack_returns_to_waiting(self):
-        state, actions = client_step(ClientState(UPLOADING, 2), UploadAcked(2))
-        assert state == ClientState(WAITING, 2) and actions == []
-
-    def test_upload_failure_also_returns_to_waiting(self):
-        state, _ = client_step(ClientState(UPLOADING, 2), UploadFailed(2))
-        assert state.phase == WAITING
-
-    def test_dropped_task_returns_to_waiting(self):
-        for phase in (TRAINING, UPLOADING):
-            state, actions = client_step(ClientState(phase, 2), TaskDropped(2))
-            assert state == ClientState(WAITING, 2) and actions == []
-        state, _ = client_step(ClientState(UPLOADING, 3), TaskDropped(2))
-        assert state == ClientState(UPLOADING, 3)
-
-    def test_malformed_task_audited(self):
-        before = ClientState(WAITING, 1)
-        state, actions = client_step(before, TaskReceived(9, malformed=True))
-        assert state == before
-        assert actions[0].event_type == "UpdateRejected"
-
-    def test_stale_events_ignored(self):
-        state, actions = client_step(ClientState(WAITING, 1), TrainingDone(1))
-        assert state.phase == WAITING and actions == []
-        state, actions = client_step(ClientState(TRAINING, 2), UploadAcked(2))
-        assert state.phase == TRAINING
+        state, _ = client_step(ClientState(BUSY, 2), TaskReceived(3))
+        state, actions = client_step(state, TaskSettled(2))
+        assert (state, actions) == (ClientState(BUSY, 3), [])
+        state, _ = client_step(state, TaskSettled(3))
+        assert state == ClientState(WAITING, 3)
 
 
 class TestFuzzInvariants:

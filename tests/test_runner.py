@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedmesh import runner
+from fedmesh import protocol, runner
 from fedmesh.aggregation import AggregationStrategy, SparseVector
 from fedmesh.data import PartitionPlan, partition, synthetic_corpus
 from fedmesh.errors import ConfigError
@@ -26,6 +26,7 @@ from fedmesh.transport import (
     MSG_REGISTER,
     MSG_UPDATE_SUBMIT,
     VECTOR_SPARSE_F64,
+    DeliveryReceipt,
     Payload,
     ReliableEndpoint,
     encode_payload,
@@ -202,6 +203,51 @@ class TestLossyNetwork:
         spec_tolerant.shards["site-1"] = []
         res = run_federation(spec_tolerant, SimNetConfig(seed=1))
         assert all(rec.responded == ("site-2",) for rec in res.history)
+
+    @pytest.mark.parametrize("settle", ["no-data", "no-mask-root", "upload-given-up"])
+    def test_a_settled_site_waits_and_runs_its_next_task(self, settle, monkeypatch):
+        # site-1 refuses its round for no data or for a kit it cannot mask
+        # with, or its upload is given up.  Either way the round settles, the
+        # site is WAITING again and runs the next task it is sent: round 2
+        # when m = 1 lets round 1 go on without it, or the retry of round 1
+        # when the masked round aborts.
+        spec = make_spec(n_clients=3, rounds=2, m=1)
+        if settle == "no-data":
+            spec.shards["site-1"] = []
+        elif settle == "no-mask-root":
+            spec.kits["site-1"] = replace(spec.kits["site-1"], mask_root=None)
+            spec.policies = {
+                cid: SitePolicy(site_id=cid, masking_enabled=True) for cid in ("site-1", "site-2")
+            }
+        else:
+            send = ReliableEndpoint.send
+
+            def lose_updates(rel, dst, msg_type, payload, on_result=None):
+                if rel.name != "site-1" or msg_type != MSG_UPDATE_SUBMIT:
+                    return send(rel, dst, msg_type, payload, on_result)
+                rel.raw.schedule(1.0, lambda: on_result(DeliveryReceipt(
+                    ok=False, dst=dst, msg_type=msg_type, attempts=6, error="retries exhausted",
+                )))
+                return 0
+
+            monkeypatch.setattr(ReliableEndpoint, "send", lose_updates)
+        run_task, ran = runner.ClientNode._run_task, []
+
+        def spy(node, round_no):
+            ran.append((node, round_no))
+            run_task(node, round_no)
+
+        monkeypatch.setattr(runner.ClientNode, "_run_task", spy)
+        if settle == "no-mask-root":
+            with pytest.raises(RoundFailedError):
+                run_federation(spec, SimNetConfig(seed=1))
+        else:
+            res = run_federation(spec, SimNetConfig(seed=1))
+            assert all("site-1" not in rec.responded for rec in res.history)
+        site_1 = [(node, rnd) for node, rnd in ran if node.kit.site_id == "site-1"]
+        assert [rnd for _, rnd in site_1] == ([1, 1] if settle == "no-mask-root" else [1, 2])
+        node, last = site_1[-1]
+        assert node.state == protocol.ClientState(protocol.WAITING, last)
 
 
 class TestPrivacyIntegration:
@@ -584,8 +630,7 @@ class TestClientTaskValidation:
         spec = make_spec()
         net = SimNetwork(SimNetConfig(seed=13))
         server = ReliableEndpoint(net.endpoint("server"))
-        client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"],
-                            spec.shards["site-1"], spec)
+        client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"], spec)
         doc = {"round": 1, "invited": ["site-1"], "masked": []}
         if value is None:
             del doc[field]
@@ -611,8 +656,7 @@ class TestClientTaskValidation:
         sent = []
         server.on_message = lambda src, msg_type, payload: sent.append(msg_type)
         shard = spec.shards["site-1"]
-        client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"],
-                            shard, spec)
+        client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"], spec)
         # The bad word sits outside the shard's features, where no step reads it.
         used = encode_sentences(shard, CFG.feature_dim, CFG.hash_seed).feats
         params = np.full(CFG.dims, fill)
@@ -632,8 +676,7 @@ class TestClientTaskValidation:
         spec = make_spec()
         net = SimNetwork(SimNetConfig(seed=13))
         server = ReliableEndpoint(net.endpoint("server"))
-        client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"],
-                            spec.shards["site-1"], spec)
+        client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"], spec)
         doc = {"round": 1, "invited": ["site-1"], "masked": []}
         words = np.ones(CFG.dims, dtype=np.uint64)
         server.send("site-1", MSG_TASK_ASSIGN, _signed(doc, words, spec.kits["server"]))
