@@ -355,8 +355,6 @@ def trust_weights(
 
 def clip_to_norm(delta: Vector, target_norm: float) -> Vector:
     """Rescale to exactly target_norm when larger; otherwise unchanged."""
-    if target_norm <= 0:
-        raise ConfigError("target norm must be positive")
     norm = l2_norm(delta)
     if norm <= target_norm:
         return delta

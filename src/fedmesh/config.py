@@ -252,6 +252,8 @@ def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     m = k if m is None else m
     if not (1 <= m <= k <= clients):
         raise ConfigError(f"quorum: need 1 <= m <= k <= clients, got m={m} k={k}")
+    if deadline_ms <= 0:
+        raise ConfigError(f"quorum.deadline_ms: must be > 0, got {deadline_ms}")
 
     kind, client_counts, sweep_ratios = v.pop("experiment").values()
     # Each sweep kind reads its own list, and no other kind reads it.

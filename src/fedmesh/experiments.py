@@ -34,13 +34,13 @@ from .trustops import (
 )
 
 
-# The manifest's component kind of each policy key; a key missing here is
-# vetted under its own name, which the manifest does not allow.
+# The vetted component kind of each policy key; a key missing here is vetted
+# under its own name, which trustops.COMPONENT_BOUNDS does not list.
 _COMPONENT = {"clip_norm": "clip", "dp": "dp-gaussian", "svt": "svt", "masking_enabled": "masking"}
 
 
 def components_of(config: ExperimentConfig) -> list[dict[str, dict[str, float]]]:
-    """Component/parameter sets a job would execute, for manifest vetting;
+    """Component/parameter sets a job would execute, for check_components;
     a site's job is read from its policy document, key by key."""
     jobs: list[dict[str, dict[str, float]]] = [
         {

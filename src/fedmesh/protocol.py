@@ -71,8 +71,6 @@ def plan_round(
     """Invite a seeded size-k sample (without replacement) of the registry."""
     if k > len(registry):
         raise ConfigError(f"cannot invite {k} of {len(registry)} registered clients")
-    if not (1 <= m <= k):
-        raise ConfigError("need 1 <= m <= k")
     invited = tuple(sorted(rng.sample(sorted(registry), k)))
     return RoundPlan(round_no, invited, m, deadline_ms, attempt)
 

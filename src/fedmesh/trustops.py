@@ -10,7 +10,7 @@ entry is detectable by a linear re-verification.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,11 +28,12 @@ from cryptography.hazmat.primitives.serialization import (
 )
 
 from . import kvdoc
+from .aggregation import STRATEGY_KINDS
 from .errors import ConfigError
 
 GENESIS_HASH = "0" * 64
 
-ROLES = ("server", "client", "admin")
+ROLES = ("server", "client")
 
 AUDIT_EVENT_TYPES = (
     "Register",
@@ -49,7 +50,7 @@ AUDIT_EVENT_TYPES = (
 
 
 class UnsafeComponentError(Exception):
-    """A job references a component or parameter outside the manifest."""
+    """A job names an unknown component kind or a parameter out of its bounds."""
 
     def __init__(self, component: str, reason: str):
         self.component = component
@@ -113,9 +114,7 @@ def provision(
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate site_id in roster")
     seeds: dict[str, bytes] = {}
-    for site_id, role in roster_spec:
-        if role not in ROLES:
-            raise ConfigError(f"unknown role {role!r} for {site_id}")
+    for site_id in ids:
         if key_seed is None:
             seeds[site_id] = Ed25519PrivateKey.generate().private_bytes(
                 Encoding.Raw, PrivateFormat.Raw, NoEncryption()
@@ -365,73 +364,34 @@ def audit_verify(entries: list[AuditEntry]) -> int | None:
 # --- component vetting ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentManifest:
-    """Allowlist of component kinds plus numeric parameter bounds per kind.
-
-    Bounds map parameter name -> (min, max); both ends inclusive, either may
-    be None for open-ended.
-    """
-
-    allowed_kinds: frozenset[str]
-    bounds: dict[str, dict[str, tuple[float | None, float | None]]] = field(
-        default_factory=dict
-    )
-
-    def __post_init__(self):
-        if not self.allowed_kinds:
-            raise ConfigError("manifest must allow at least one component kind")
-
-
-DEFAULT_MANIFEST = ComponentManifest(
-    allowed_kinds=frozenset(
-        {
-            "fedavg",
-            "coord-median",
-            "geo-median",
-            "fedavg-trust",
-            "clip",
-            "dp-gaussian",
-            "svt",
-            "masking",
-            "sgd",
-        }
-    ),
-    bounds={
-        "dp-gaussian": {"epsilon": (1e-6, None), "delta": (0.0, 1.0)},
-        "svt": {
-            "epsilon": (1e-6, None),
-            "threshold_fraction": (0.0, 1.0),
-            "budget_c": (1.0, None),
-        },
-        "clip": {"clip_norm": (0.0, None)},
-        "sgd": {
-            "learning_rate": (0.0, 100.0),
-            "local_epochs": (1.0, 1000.0),
-            "fedprox_mu": (0.0, 100.0),
-        },
+# Every component kind the runtime can run, with the bounds that no config
+# type enforces: parameter name -> (min, max), both inclusive, either None for
+# open.  Every other range is checked when the config is parsed.
+COMPONENT_BOUNDS: dict[str, dict[str, tuple[float | None, float | None]]] = {
+    **{kind: {} for kind in STRATEGY_KINDS},
+    "clip": {},
+    "dp-gaussian": {"epsilon": (1e-6, None)},
+    "svt": {"epsilon": (1e-6, None)},
+    "masking": {},
+    "sgd": {
+        "learning_rate": (None, 100.0),
+        "local_epochs": (None, 1000.0),
+        "fedprox_mu": (None, 100.0),
     },
-)
+}
 
 
-def check_components(
-    job_components: dict[str, dict[str, float]],
-    manifest: ComponentManifest = DEFAULT_MANIFEST,
-) -> None:
-    """Vet a job's components against the manifest before any round starts.
+def check_components(job_components: dict[str, dict[str, float]]) -> None:
+    """Vet a job's components against COMPONENT_BOUNDS before any round starts.
 
     *job_components* maps component kind -> numeric parameters.  Raises
     UnsafeComponentError on the first unknown kind or out-of-bounds value.
     """
     for kind in sorted(job_components):
-        if kind not in manifest.allowed_kinds:
+        if kind not in COMPONENT_BOUNDS:
             raise UnsafeComponentError(kind, "component kind not in allowlist")
-        limits = manifest.bounds.get(kind, {})
         for name, value in sorted(job_components[kind].items()):
-            lo_hi = limits.get(name)
-            if lo_hi is None:
-                continue
-            lo, hi = lo_hi
+            lo, hi = COMPONENT_BOUNDS[kind].get(name, (None, None))
             if lo is not None and value < lo:
                 raise UnsafeComponentError(kind, f"{name}={value} below bound {lo}")
             if hi is not None and value > hi:

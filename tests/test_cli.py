@@ -111,6 +111,17 @@ class TestSimulateCommand:
         rejected = (out / "audit-rejected.log").read_text()
         assert "ComponentRejected" in rejected
 
+    @pytest.mark.parametrize("deadline_ms", ["-5.0", "0.0"])
+    def test_non_positive_deadline_refused(self, workspace, capsys, deadline_ms):
+        (workspace / "bad.cfg").write_text(CONFIG_TEMPLATE + f"quorum.deadline_ms = {deadline_ms}\n")
+        out = workspace / "never"
+        assert main([
+            "simulate", "--config", str(workspace / "bad.cfg"), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "quorum.deadline_ms" in err and "Traceback" not in err
+        assert not (out / "report.rows").exists()
+
     def test_invalid_config_exit_code(self, workspace):
         (workspace / "broken.cfg").write_text("corpus.train = \"missing.conll\"\n")
         assert main([

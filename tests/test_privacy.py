@@ -64,11 +64,11 @@ class TestGaussianMechanism:
         assert np.max(np.abs(noisy - delta)) < 1e-6
 
     def test_parameter_validation(self):
-        rng = np.random.default_rng(0)
+        # The mechanism's parameters are checked once, where DpParams is built.
         with pytest.raises(ConfigError):
-            gaussian_mechanism(np.zeros(2), 1.0, -1.0, 1e-5, rng)
+            DpParams(epsilon=-1.0, delta=1e-5)
         with pytest.raises(ConfigError):
-            gaussian_mechanism(np.zeros(2), 1.0, 1.0, 1.5, rng)
+            DpParams(epsilon=1.0, delta=1.5)
         with pytest.raises(ConfigError):
             DpParams(epsilon=1.0, delta=0.0)
 
@@ -103,11 +103,11 @@ class TestSvt:
         np.testing.assert_array_equal(out.values, delta[out.indices])
 
     def test_validation(self):
-        rng = np.random.default_rng(0)
+        # The filter's parameters are checked once, where SvtParams is built.
         with pytest.raises(ConfigError):
-            svt_filter(np.zeros(3), 0.5, 0, 1.0, rng)
+            SvtParams(threshold_fraction=0.5, budget_c=0, epsilon=1.0)
         with pytest.raises(ConfigError):
-            svt_filter(np.zeros(3), 1.5, 1, 1.0, rng)
+            SvtParams(threshold_fraction=1.5, budget_c=1, epsilon=1.0)
         with pytest.raises(ConfigError):
             SvtParams(threshold_fraction=0.5, budget_c=2, epsilon=-1.0)
 

@@ -3,11 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from fedmesh.aggregation import STRATEGY_KINDS
+from fedmesh.config import parse_experiment
 from fedmesh.errors import ConfigError
+from fedmesh.experiments import _COMPONENT, vet_config
 from fedmesh.trustops import (
+    COMPONENT_BOUNDS,
     AuditLog,
-    ComponentManifest,
-    DEFAULT_MANIFEST,
     GENESIS_HASH,
     UnsafeComponentError,
     audit_verify,
@@ -76,6 +78,15 @@ class TestProvision:
             assert loaded.roster == kit.roster
             assert loaded.server_address == "10.0.0.1:7761"
             assert loaded.mask_root == kit.mask_root
+
+    def test_admin_role_refused(self, tmp_path):
+        with pytest.raises(ConfigError):
+            provision([("server", "server"), ("boss", "admin")], key_seed=1)
+        write_kits(provision(SIX_SITES, key_seed=3), tmp_path)
+        roster = tmp_path / "kits" / "site-1" / "roster"
+        roster.write_text(roster.read_text() + f"boss admin {'00' * 32}\n")
+        with pytest.raises(ConfigError):
+            load_kit(tmp_path / "kits" / "site-1")
 
 
 class TestModelSignatures:
@@ -201,10 +212,10 @@ class TestAuditChain:
 
 class TestComponentVetting:
     def test_disallowed_kind(self):
-        manifest = ComponentManifest(frozenset({"fedavg", "geo-median", "dp-gaussian"}))
         with pytest.raises(UnsafeComponentError) as err:
-            check_components({"shell-exec": {}}, manifest)
+            check_components({"shell-exec": {}})
         assert err.value.component == "shell-exec"
+        assert err.value.reason == "component kind not in allowlist"
 
     def test_out_of_bounds_parameter(self):
         with pytest.raises(UnsafeComponentError) as err:
@@ -221,11 +232,38 @@ class TestComponentVetting:
             }
         )
 
-    def test_default_manifest_covers_shipped_components(self):
-        for kind in ("fedavg", "coord-median", "geo-median", "fedavg-trust",
-                     "clip", "dp-gaussian", "svt", "masking", "sgd"):
-            assert kind in DEFAULT_MANIFEST.allowed_kinds
+    def test_table_lists_every_kind_the_runtime_runs(self):
+        assert set(COMPONENT_BOUNDS) == set(STRATEGY_KINDS) | set(_COMPONENT.values()) | {"sgd"}
 
-    def test_empty_manifest_rejected(self):
-        with pytest.raises(ConfigError):
-            ComponentManifest(frozenset())
+    # Each bound no config type enforces: the value at the bound is accepted,
+    # and the value just past it is refused with the audited payload below.
+    @pytest.mark.parametrize("setting, at_bound, past_bound, payload", [
+        ("policy.site-1.clip_norm = 1.0\npolicy.site-1.dp.delta = 1e-5\n"
+         "policy.site-1.dp.epsilon = {}", "1e-6", "9.9e-7",
+         'component = dp-gaussian\nreason = "epsilon=9.9e-07 below bound 1e-06"\n'),
+        ("policy.site-1.svt.threshold_fraction = 0.5\npolicy.site-1.svt.budget_c = 2\n"
+         "policy.site-1.svt.epsilon = {}", "1e-6", "9.9e-7",
+         'component = svt\nreason = "epsilon=9.9e-07 below bound 1e-06"\n'),
+        ("train.learning_rate = {}", "100.0", "100.5",
+         'component = sgd\nreason = "learning_rate=100.5 above bound 100.0"\n'),
+        ("train.local_epochs = {}", "1000", "1001",
+         'component = sgd\nreason = "local_epochs=1001.0 above bound 1000.0"\n'),
+        ("train.fedprox_mu = {}", "100.0", "100.5",
+         'component = sgd\nreason = "fedprox_mu=100.5 above bound 100.0"\n'),
+    ])
+    def test_vetting_bounds_at_their_edges(self, tmp_path, setting, at_bound, past_bound, payload):
+        def config(value):
+            return parse_experiment(
+                'corpus.train = "a"\ncorpus.test = "b"\nrounds = 1\nclients = 2\n'
+                + setting.format(value) + "\n"
+            )
+
+        ok = config(at_bound)
+        vet_config(ok, ok.site_ids(), tmp_path / "accepted.log")
+        assert not (tmp_path / "accepted.log").exists()
+        bad = config(past_bound)
+        with pytest.raises(UnsafeComponentError):
+            vet_config(bad, bad.site_ids(), tmp_path / "refused.log")
+        (entry,) = load_audit_log(tmp_path / "refused.log")
+        assert entry.event_type == "ComponentRejected"
+        assert entry.payload == payload
