@@ -173,8 +173,10 @@ class FederationResult:
 
 def _signed(doc: dict, vector: Vector | None, kit: StartupKit) -> Payload:
     """Encode once, hash the buffers with one incremental SHA-256 and append
-    the digest's signature as one more buffer.  Nothing is joined, so a dense
-    vector must not change until the payload's last send returns."""
+    the digest's signature as one more buffer.  Nothing is joined, and a
+    pending message keeps these buffers for its retransmissions, so a dense
+    vector must not change until every message carrying it is acked or
+    given up."""
     parts = encode_payload(doc, vector).parts
     digest = hashlib.sha256()
     for part in parts:
@@ -248,6 +250,9 @@ class _Node:
 
     def dispatch(self, event) -> None:
         self.state, actions = self._step(event)
+        self._run(actions)
+
+    def _run(self, actions: list) -> None:
         for action in actions:
             if isinstance(action, Audit):
                 self._audit(action.event_type, dict(action.detail))
@@ -285,8 +290,8 @@ class ServerNode(_Node):
             spec.train.dims, np.empty(0, np.intp), np.empty(0)
         )
         self.trust_reference: np.ndarray | None = None
-        # (round, client) -> vector as it arrived; written before the state
-        # machine sees the update so aggregation can read it synchronously.
+        # (round, client) -> the round's accepted updates, kept from the step
+        # that accepts one until that round is aggregated.
         self.vectors: dict[tuple[int, str], Vector] = {}
         self.params_per_round: list[np.ndarray] = []
         self.eval_reports: dict[str, tuple[Metrics, Metrics] | None] = {}
@@ -370,8 +375,11 @@ class ServerNode(_Node):
         ):
             self._reject_update(src, "bad vector")
             return
-        self.vectors.setdefault((round_no, src), vector)
-        self.dispatch(UpdateReceived(src, round_no, weight, self._now()))
+        # Kept before the accepting step's actions run: one may aggregate.
+        self.state, actions = self._step(UpdateReceived(src, round_no, weight, self._now()))
+        if any(isinstance(a, Audit) and a.event_type == "UpdateAccepted" for a in actions):
+            self.vectors[round_no, src] = vector
+        self._run(actions)
 
     # -- round mechanics ---------------------------------------------------------
 
@@ -387,17 +395,24 @@ class ServerNode(_Node):
             self.rel.send(client, MSG_TASK_ASSIGN, payload)
 
     def _aggregate(self, action: StartAggregation) -> None:
+        norm = self._fold_round(action)  # the round's vectors are gone when it returns
+        self.dispatch(RoundAggregated(action.round, norm, self._now()))
+
+    def _fold_round(self, action: StartAggregation) -> float:
+        """Add the round's aggregate to the global model and drop its updates;
+        the aggregate's norm."""
+        vectors, self.vectors = self.vectors, {}
         weights = dict(action.weights)
         masked_ids = sorted(set(action.responded) & self.config.masked_cohort)
         plain_ids = sorted(set(action.responded) - self.config.masked_cohort)
         if masked_ids:
-            total = sum_masked([self.vectors[(action.round, c)] for c in masked_ids])
+            total = sum_masked([vectors[action.round, c] for c in masked_ids])
             for cid in plain_ids:
-                add_scaled(total, self.vectors[(action.round, cid)], weights[cid])
+                add_scaled(total, vectors[action.round, cid], weights[cid])
             delta = total / sum(weights.values())
         else:
             updates = [
-                ClientUpdate(cid, action.round, weights[cid], self.vectors[(action.round, cid)])
+                ClientUpdate(cid, action.round, weights[cid], vectors[action.round, cid])
                 for cid in sorted(action.responded)
             ]
             delta = aggregate(updates, self.spec.strategy, self.trust_reference)
@@ -406,8 +421,7 @@ class ServerNode(_Node):
             self.trust_reference = reference
         if self.spec.track_params:
             self.params_per_round.append(as_dense(self.global_params).copy())
-        self.vectors = {key: v for key, v in self.vectors.items() if key[0] > action.round}
-        self.dispatch(RoundAggregated(action.round, l2_norm(delta), self._now()))
+        return l2_norm(delta)
 
     # -- completion and cross-site evaluation --------------------------------------
 
@@ -555,8 +569,9 @@ class ClientNode(_Node):
     # -- local work ------------------------------------------------------------
 
     def _run_task(self, round_no: int) -> None:
-        assert self.current_task is not None and self.current_task[0] == round_no
-        _, start, masked_peers = self.current_task
+        task, self.current_task = self.current_task, None  # not held past the round
+        assert task is not None and task[0] == round_no
+        _, start, masked_peers = task
         if not self.weight:
             # Refuse instead of uploading a fabricated update.
             self._drop(round_no, "no data")

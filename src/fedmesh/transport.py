@@ -41,20 +41,22 @@ own memory (a sparse vector's index and value arrays).  A signed payload
 (runner._signed) appends a 64-byte Ed25519 signature over the SHA-256 of
 those buffers, taken with one incremental hash, so the receiver hashes the
 bytes it got and never re-encodes.  A buffer may be a view of a live array,
-which must not change until the payload's last send returns.
+which must not change until its message is acked or given up: a pending
+message keeps the payload's buffers, and a retransmission re-reads them.
 
 Reliable delivery numbers each sender's messages per destination from 0;
 receivers ack every data frame inside their window whose envelope checks
 and deduplicate by (sender, seq), senders retransmit on an exponential
 backoff until acked or retries run out.
 
-A message costs one copy on send and one split on receive.  encode_frame
-takes the envelope head and the payload's buffers as separate parts and
-copies them once, into the one frame.  The raw endpoint (the TCP reader,
-or the simulator on delivery) runs decode_frame once per frame and hands
-the receive handler (src, msg_type, payload view), src being the node the
-frame came from; the envelope's inner payload is a view as well, and
-decode_payload makes the one owned copy.
+A transmission costs one copy on send and one split on receive.  A pending
+message keeps its envelope head and the payload's buffers, not a frame, so a
+broadcast to k sites holds one payload; each transmission (a retransmission
+too) has encode_frame copy those parts once, into the one frame it sends.
+The raw endpoint (the TCP reader, or the simulator on delivery) runs
+decode_frame once per frame and hands the receive handler (src, msg_type,
+payload view), src being the node the frame came from; the envelope's inner
+payload is a view as well, and decode_payload makes the one owned copy.
 """
 
 from __future__ import annotations
@@ -370,7 +372,7 @@ def unpack_envelope(msg_type: int, data: bytes | memoryview) -> tuple[str, int, 
 class _Pending:
     dst: str
     msg_type: int
-    frame: bytes
+    parts: tuple  # the envelope head, then the payload's buffers
     attempts: int
     timer: object | None
     on_result: Callable[[DeliveryReceipt], None] | None
@@ -422,8 +424,8 @@ class ReliableEndpoint:
         """Queue a reliable send; the receipt callback fires on ack or failure."""
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
-        frame = encode_frame(msg_type, _pack_envelope(msg_type, self.name, seq), *payload.parts)
-        self._pending[dst, seq] = _Pending(dst, msg_type, frame, 0, None, on_result)
+        parts = (_pack_envelope(msg_type, self.name, seq), *payload.parts)
+        self._pending[dst, seq] = _Pending(dst, msg_type, parts, 0, None, on_result)
         self._transmit((dst, seq))
         return seq
 
@@ -432,7 +434,7 @@ class ReliableEndpoint:
         if pending is None:
             return
         pending.attempts += 1
-        self.raw.send(pending.dst, pending.frame)
+        self.raw.send(pending.dst, encode_frame(pending.msg_type, *pending.parts))
         delay = self.backoff_base_ms * (2 ** (pending.attempts - 1))
         pending.timer = self.raw.schedule(delay, lambda: self._on_timeout(key))
 

@@ -111,9 +111,15 @@ def test_every_runner_site_is_called_through_its_patched_name(harness, monkeypat
 def test_payload_lengths_the_harness_reads_are_byte_counts(monkeypatch):
     # tracing.py counts len() of what encode_payload returns and of the
     # payload ReliableEndpoint.send is given: both must be byte counts, and
-    # the payload's bytes must be the tail of its frame.
+    # the payload's bytes must be the tail of its frame, read where the frame
+    # reaches the raw send (the first transmission goes out within send).
     checked = Counter()
-    encode_payload, send = runner.encode_payload, ReliableEndpoint.send
+    encode_payload, send, raw_send = runner.encode_payload, ReliableEndpoint.send, SimEndpoint.send
+    frames = []
+
+    def capturing_raw_send(ep, dst, data):
+        frames.append(data)
+        raw_send(ep, dst, data)
 
     def checked_encode(doc, vector=None):
         payload = encode_payload(doc, vector)
@@ -122,8 +128,9 @@ def test_payload_lengths_the_harness_reads_are_byte_counts(monkeypatch):
         return payload
 
     def checked_send(rel, dst, msg_type, payload, **kwargs):
+        frames.clear()
         seq = send(rel, dst, msg_type, payload, **kwargs)
-        frame = rel._pending[dst, seq].frame
+        (frame,) = frames
         head = _pack_envelope(msg_type, rel.name, seq)
         assert len(frame) == HEADER_LEN + len(head) + len(payload)
         assert frame[HEADER_LEN + len(head):] == bytes(payload)
@@ -132,6 +139,7 @@ def test_payload_lengths_the_harness_reads_are_byte_counts(monkeypatch):
 
     monkeypatch.setattr(runner, "encode_payload", checked_encode)
     monkeypatch.setattr(ReliableEndpoint, "send", checked_send)
+    monkeypatch.setattr(SimEndpoint, "send", capturing_raw_send)
     run_federation(_tiny_spec({}))
     run_federation(_tiny_spec({  # masked updates are dense u64 words
         cid: SitePolicy(site_id=cid, masking_enabled=True) for cid in ("site-1", "site-2")

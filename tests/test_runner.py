@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -134,6 +136,40 @@ class TestFederationBasics:
     def test_validation_rejects_bad_quorum(self):
         with pytest.raises(ConfigError):
             make_spec(n_clients=2, k=3, m=3).validate()
+
+
+class TestVectorLifetimes:
+    def test_no_node_keeps_a_rounds_vectors_into_the_next(self, monkeypatch):
+        # Every decoded task and update, tagged with its round.  When the
+        # coordinator broadcasts round r, the only vector of an earlier round
+        # still alive is the update whose arrival closed round r - 1: it is on
+        # the update handler's stack.  Sites drop their task once trained and
+        # the coordinator drops the updates once aggregated.
+        decoded = []
+
+        def tracking(payload):
+            doc, vector = decode_payload(payload)
+            if vector is not None and "round" in doc:
+                decoded.append((int(doc["round"]), weakref.ref(vector)))
+            return doc, vector
+
+        live = []
+
+        def counting(server, action):
+            gc.collect()
+            live.append(sum(r < action.round and ref() is not None for r, ref in decoded))
+            broadcast(server, action)
+
+        decode_payload, broadcast = runner.decode_payload, runner.ServerNode._broadcast_task
+        monkeypatch.setattr(runner, "decode_payload", tracking)
+        monkeypatch.setattr(runner.ServerNode, "_broadcast_task", counting)
+        spec = make_spec(n_clients=3, strategy="geo-median")
+        spec.policies = {
+            "site-1": SitePolicy(site_id="site-1", clip_norm=1.0, dp=DpParams(5.0, 1e-5)),
+        }
+        res = run_federation(spec, SimNetConfig(seed=4))
+        assert len(res.history) == 3
+        assert len(live) == 3 and max(live) <= 1, live
 
 
 class TestCentralizedEquivalence:
@@ -521,6 +557,51 @@ class TestServerAuthentication:
         net.run()
         assert "site-1" in server.state.registry
         return net, server, audit, site
+
+    def _started(self, spec):
+        """A coordinator that both sites registered with: round 1 has begun,
+        or with no rounds to run the federation has finished."""
+        from fedmesh.runner import _signed
+
+        net, server, audit = self._server_net(spec)
+        sites = {cid: ReliableEndpoint(net.endpoint(cid)) for cid in ("site-1", "site-2")}
+        for cid, site in sites.items():
+            site.send("server", MSG_REGISTER,
+                      _signed({"site_id": cid, "role": "client"}, None, spec.kits[cid]))
+        net.run(until=lambda: server.state.phase != protocol.IDLE)
+        return net, server, audit, sites["site-1"]
+
+    @staticmethod
+    def _run_until_audited(net, audit, reason):
+        net.run(until=lambda: any(reason in e.payload for e in audit.entries))
+        assert any(e.event_type == "UpdateRejected" and reason in e.payload
+                   for e in audit.entries)
+
+    def _update(self, spec, round_no, fill):
+        from fedmesh.runner import _signed
+
+        doc = {"client_id": "site-1", "round": round_no, "weight": 5.0, "masked": False}
+        return _signed(doc, np.full(CFG.dims, fill), spec.kits["site-1"])
+
+    @pytest.mark.parametrize("rounds,round_no,reason", [
+        (3, 10**6, "wrong round"), (0, 1, "federation finished"),
+    ])
+    def test_a_rejected_update_is_not_kept(self, rounds, round_no, reason):
+        spec = make_spec(rounds=rounds)
+        net, server, audit, site = self._started(spec)
+        site.send("server", MSG_UPDATE_SUBMIT, self._update(spec, round_no, 1.0))
+        self._run_until_audited(net, audit, reason)
+        assert (round_no, "site-1") not in server.vectors
+
+    def test_a_duplicate_update_leaves_the_accepted_one(self):
+        spec = make_spec()
+        net, server, audit, site = self._started(spec)
+        site.send("server", MSG_UPDATE_SUBMIT, self._update(spec, 1, 1.0))
+        site.send("server", MSG_UPDATE_SUBMIT, self._update(spec, 1, 2.0))
+        self._run_until_audited(net, audit, "duplicate update")
+        assert server.state.phase == protocol.GATHERING
+        assert server.state.responded == ("site-1",)
+        assert (server.vectors[1, "site-1"] == 1.0).all()
 
     @pytest.mark.parametrize("field,value", [
         ("round", "x"), ("round", [1, 2]), ("weight", "heavy"), ("round", None),
