@@ -187,6 +187,10 @@ def cmd_serve(args) -> int:
         for rec in server.state.history:
             print(f"round {rec.round}: responded={len(rec.responded)} "
                   f"late={len(rec.late_discarded)} norm={rec.aggregate_norm:.6f}")
+        for site in sorted(server.expected):
+            pair = server.eval_reports.get(site)
+            print(f"site {site}: absent" if pair is None else
+                  f"site {site}: entity-f1={pair[0].f1:.4f} token-f1={pair[1].f1:.4f}")
         return EXIT_OK
     finally:
         node.close()

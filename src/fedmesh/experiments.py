@@ -151,19 +151,21 @@ class SimulationOutput:
         return rows
 
 
-def _sweep_cells(config: ExperimentConfig) -> list[tuple[str, int | None, tuple[int, ...] | None]]:
+def _cell(n: int, ratios: tuple[int, ...] | None) -> tuple[str, int, tuple[int, ...] | None]:
+    """A cell's label is a bare report.rows scalar: ``70/30`` or ``n4``. A
+    one-site ratio is ``n1``, since ``100`` would read back as a number."""
+    label = "/".join(map(str, ratios)) if ratios and len(ratios) > 1 else f"n{n}"
+    return label, n, ratios
+
+
+def _sweep_cells(config: ExperimentConfig) -> list[tuple[str, int, tuple[int, ...] | None]]:
     if config.experiment_kind == "client-sweep":
-        return [(f"n{n}", n, None) for n in config.client_counts]
+        return [_cell(n, None) for n in config.client_counts]
     if config.experiment_kind == "imbalance-sweep":
         # A ratio list fixes its own client count (the paper's two-way
         # splits imply 2 clients; longer lists scale accordingly).
-        return [
-            ("/".join(map(str, ratios)), len(ratios), ratios)
-            for ratios in config.sweep_ratios
-        ]
-    ratios = config.ratios or None
-    label = "/".join(map(str, ratios)) if ratios else f"n{config.clients}"
-    return [(label, config.clients, ratios)]
+        return [_cell(len(ratios), ratios) for ratios in config.sweep_ratios]
+    return [_cell(config.clients, config.ratios or None)]
 
 
 def run_simulation(

@@ -9,8 +9,13 @@ Round flow: the coordinator scatters the global model to an invited sample
 of k registered clients, gathers updates until all k respond or the
 deadline fires, aggregates when at least m responded (aborting otherwise,
 with one optional retry), and repeats for the configured number of rounds.
+A round's plan is two state fields, ``invited`` and ``attempt``; who
+answered is ``weights``, in arrival order.  A round's record joins the
+history when the round closes: when its aggregation starts, or when its
+last attempt aborts, which finishes the run with ``failed`` set.
 Updates for the wrong round or from uninvited clients never enter a round;
-updates arriving after aggregation are audited as late and discarded.
+an update for a closed round it was invited to is audited as late, noted
+on that round's record and discarded.
 
 A site runs each task it accepts as one action (RunTask: train, apply its
 policy, mask, sign and send, or refuse its own round), and no event can
@@ -27,21 +32,6 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
-# --- shared plan/record types -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RoundPlan:
-    round: int
-    invited: tuple[str, ...]
-    min_responses: int
-    deadline_ms: float
-    attempt: int = 0
-
-    def __post_init__(self):
-        if not (1 <= self.min_responses <= len(self.invited)):
-            raise ConfigError("need 1 <= m <= k")
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -49,7 +39,6 @@ class RoundRecord:
     invited: tuple[str, ...]
     responded: tuple[str, ...]
     late_discarded: tuple[str, ...]
-    strategy: str
     aggregate_norm: float
     duration_ms: float
     attempts: int = 1
@@ -57,22 +46,6 @@ class RoundRecord:
     def __post_init__(self):
         if set(self.responded) & set(self.late_discarded):
             raise ConfigError("responded and late_discarded must be disjoint")
-
-
-def plan_round(
-    registry: frozenset[str] | set[str],
-    k: int,
-    m: int,
-    deadline_ms: float,
-    rng: random.Random,
-    round_no: int = 1,
-    attempt: int = 0,
-) -> RoundPlan:
-    """Invite a seeded size-k sample (without replacement) of the registry."""
-    if k > len(registry):
-        raise ConfigError(f"cannot invite {k} of {len(registry)} registered clients")
-    invited = tuple(sorted(rng.sample(sorted(registry), k)))
-    return RoundPlan(round_no, invited, m, deadline_ms, attempt)
 
 
 # --- server machine -------------------------------------------------------------
@@ -90,9 +63,12 @@ class ServerConfig:
     m: int
     deadline_ms: float
     plan_seed: int
-    strategy_kind: str = "fedavg"
     retry_on_abort: bool = True
     masked_cohort: frozenset[str] = frozenset()
+
+
+# Who answered, in arrival order: the clients of the (client, weight) pairs.
+_RESPONDED = property(lambda self: tuple(client for client, _ in self.weights))
 
 
 @dataclass(frozen=True)
@@ -100,13 +76,14 @@ class ServerState:
     phase: str = IDLE
     round: int = 0
     registry: frozenset[str] = frozenset()
-    plan: RoundPlan | None = None
-    responded: tuple[str, ...] = ()
+    invited: tuple[str, ...] = ()
+    attempt: int = 0
     weights: tuple[tuple[str, float], ...] = ()
-    late: tuple[str, ...] = ()
     round_start_ms: float = 0.0
     history: tuple[RoundRecord, ...] = ()
     failed: bool = False
+
+    responded = _RESPONDED
 
 
 # Server events.
@@ -120,7 +97,6 @@ class Start:
 @dataclass(frozen=True)
 class ClientRegistered:
     client_id: str
-    now_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -128,7 +104,6 @@ class UpdateReceived:
     client_id: str
     round: int
     weight: float
-    now_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -164,20 +139,14 @@ class ScheduleDeadline:
 @dataclass(frozen=True)
 class StartAggregation:
     round: int
-    responded: tuple[str, ...]
     weights: tuple[tuple[str, float], ...]
 
-
-@dataclass(frozen=True)
-class AbortRound:
-    round: int
-    reason: str
-    retry: bool
+    responded = _RESPONDED
 
 
 @dataclass(frozen=True)
 class FederationComplete:
-    rounds: int
+    pass
 
 
 @dataclass(frozen=True)
@@ -196,38 +165,36 @@ def _begin_round(
     # A retry re-invites the same cohort: updates already received in the
     # first attempt stay valid, and responded-subset-of-invited holds.
     rng = random.Random(config.plan_seed ^ (round_no << 16))
-    plan = plan_round(
-        state.registry, config.k, config.m, config.deadline_ms, rng, round_no, attempt
-    )
+    invited = tuple(sorted(rng.sample(sorted(state.registry), config.k)))
     new = replace(
         state,
         phase=GATHERING,
         round=round_no,
-        plan=plan,
-        responded=() if attempt == 0 else state.responded,
+        invited=invited,
+        attempt=attempt,
         weights=() if attempt == 0 else state.weights,
-        late=() if attempt == 0 else state.late,
         round_start_ms=now_ms if attempt == 0 else state.round_start_ms,
     )
     actions = [
-        _audit("TaskAssign", round=round_no, attempt=attempt, invited=",".join(plan.invited)),
-        BroadcastTask(round_no, plan.invited),
+        _audit("TaskAssign", round=round_no, attempt=attempt, invited=",".join(invited)),
+        BroadcastTask(round_no, invited),
         ScheduleDeadline(round_no, attempt, config.deadline_ms),
     ]
     return new, actions
 
 
-def _maybe_aggregate(state: ServerState) -> tuple[ServerState, list]:
-    new = replace(state, phase=AGGREGATING)
-    action = StartAggregation(state.round, state.responded, state.weights)
-    return new, [action]
-
-
-def _masked_missing(state: ServerState, config: ServerConfig) -> tuple[str, ...]:
-    if state.plan is None:
-        return ()
-    cohort = config.masked_cohort & set(state.plan.invited)
-    return tuple(sorted(cohort - set(state.responded)))
+def _closed(state: ServerState, phase: str, duration_ms: float = 0.0) -> ServerState:
+    """Close the current round: its record joins the history, and *phase* follows."""
+    record = RoundRecord(
+        round=state.round,
+        invited=state.invited,
+        responded=state.responded,
+        late_discarded=(),
+        aggregate_norm=0.0,
+        duration_ms=duration_ms,
+        attempts=state.attempt + 1,
+    )
+    return replace(state, phase=phase, history=state.history + (record,))
 
 
 def server_step(
@@ -252,12 +219,11 @@ def server_step(
     if isinstance(event, Start):
         if state.phase != IDLE:
             return state, []
-        if len(state.registry) < config.k:
-            raise ConfigError(
-                f"{len(state.registry)} registered clients but k={config.k}"
-            )
+        if not 1 <= config.m <= config.k <= len(state.registry):
+            raise ConfigError(f"need 1 <= m <= k <= registered clients, got "
+                              f"m={config.m} k={config.k} registered={len(state.registry)}")
         if config.rounds == 0:
-            return replace(state, phase=FINISHED), [FederationComplete(0)]
+            return replace(state, phase=FINISHED), [FederationComplete()]
         return _begin_round(state, config, 1, 0, event.now_ms)
 
     if isinstance(event, UpdateReceived):
@@ -276,111 +242,67 @@ def _on_update(
     state: ServerState, event: UpdateReceived, config: ServerConfig
 ) -> tuple[ServerState, list]:
     cid, rnd = event.client_id, event.round
-    if state.phase == IDLE or state.plan is None:
+    if state.phase == IDLE:
         return state, [_audit("UpdateRejected", client=cid, round=rnd,
                               reason="no active round")]
-    current = state.round
-    if rnd != current or state.phase == AGGREGATING:
-        was_invited_then = any(
-            rec.round == rnd and cid in rec.invited for rec in state.history
-        ) or (rnd == current and cid in state.plan.invited)
-        if rnd <= current and was_invited_then:
+    if rnd != state.round or state.phase == AGGREGATING:
+        if any(rec.round == rnd and cid in rec.invited for rec in state.history):
             new_history = tuple(
                 replace(rec, late_discarded=tuple(sorted(set(rec.late_discarded) | {cid})))
                 if rec.round == rnd and cid not in rec.responded
                 else rec
                 for rec in state.history
             )
-            new = replace(state, history=new_history)
-            if rnd == current and state.phase == AGGREGATING and cid not in state.responded:
-                new = replace(new, late=tuple(sorted(set(state.late) | {cid})))
-            return new, [_audit("UpdateLate", client=cid, round=rnd)]
+            return replace(state, history=new_history), [
+                _audit("UpdateLate", client=cid, round=rnd)]
         return state, [_audit("UpdateRejected", client=cid, round=rnd,
                               reason="wrong round")]
-    if cid not in state.plan.invited:
+    if cid not in state.invited:
         return state, [_audit("UpdateRejected", client=cid, round=rnd,
                               reason="not invited")]
     if cid in state.responded:
         return state, [_audit("UpdateRejected", client=cid, round=rnd,
                               reason="duplicate update")]
-    new = replace(
-        state,
-        responded=state.responded + (cid,),
-        weights=state.weights + ((cid, event.weight),),
-    )
+    new = replace(state, weights=state.weights + ((cid, event.weight),))
     actions: list = [_audit("UpdateAccepted", client=cid, round=rnd)]
-    if len(new.responded) == len(state.plan.invited):
-        new, agg_actions = _maybe_aggregate(new)
-        actions.extend(agg_actions)
+    if len(new.weights) == len(state.invited):
+        return _closed(new, AGGREGATING), actions + [StartAggregation(rnd, new.weights)]
     return new, actions
 
 
 def _on_deadline(
     state: ServerState, event: DeadlineFired, config: ServerConfig
 ) -> tuple[ServerState, list]:
-    plan = state.plan
-    if (
-        plan is None
-        or state.phase != GATHERING
-        or event.round != state.round
-        or event.attempt != plan.attempt
-    ):
+    if state.phase != GATHERING or (event.round, event.attempt) != (state.round, state.attempt):
         return state, []
-    missing_masked = _masked_missing(state, config)
-    if len(state.responded) >= plan.min_responses and not missing_masked:
-        return _maybe_aggregate(state)
-    if missing_masked and len(state.responded) >= plan.min_responses:
+    missing_masked = sorted(config.masked_cohort.intersection(state.invited)
+                            - set(state.responded))
+    quorum = len(state.weights) >= config.m
+    if quorum and not missing_masked:
+        return _closed(state, AGGREGATING), [StartAggregation(state.round, state.weights)]
+    if quorum:
         reason = f"masked clients missing: {','.join(missing_masked)}"
     else:
-        reason = f"quorum failure: {len(state.responded)}/{plan.min_responses}"
-    retry = config.retry_on_abort and plan.attempt == 0
-    actions: list = [
-        _audit("RoundAborted", round=state.round, attempt=plan.attempt, reason=reason),
-        AbortRound(state.round, reason, retry),
-    ]
-    if retry:
-        new, more = _begin_round(state, config, state.round, plan.attempt + 1, event.now_ms)
-        return new, actions + more
-    record = RoundRecord(
-        round=state.round,
-        invited=plan.invited,
-        responded=state.responded,
-        late_discarded=state.late,
-        strategy=config.strategy_kind,
-        aggregate_norm=0.0,
-        duration_ms=event.now_ms - state.round_start_ms,
-        attempts=plan.attempt + 1,
-    )
-    new = replace(state, phase=FINISHED, failed=True, history=state.history + (record,))
-    return new, actions
+        reason = f"quorum failure: {len(state.weights)}/{config.m}"
+    aborted = _audit("RoundAborted", round=state.round, attempt=state.attempt, reason=reason)
+    if config.retry_on_abort and state.attempt == 0:
+        new, actions = _begin_round(state, config, state.round, 1, event.now_ms)
+        return new, [aborted] + actions
+    closed = _closed(state, FINISHED, event.now_ms - state.round_start_ms)
+    return replace(closed, failed=True), [aborted]
 
 
 def _on_aggregated(
     state: ServerState, event: RoundAggregated, config: ServerConfig
 ) -> tuple[ServerState, list]:
-    if state.phase != AGGREGATING or event.round != state.round or state.plan is None:
+    if state.phase != AGGREGATING or event.round != state.round:
         return state, []
-    record = RoundRecord(
-        round=state.round,
-        invited=state.plan.invited,
-        responded=state.responded,
-        late_discarded=state.late,
-        strategy=config.strategy_kind,
-        aggregate_norm=event.aggregate_norm,
-        duration_ms=event.now_ms - state.round_start_ms,
-        attempts=state.plan.attempt + 1,
-    )
-    new = replace(
-        state,
-        history=state.history + (record,),
-        responded=(),
-        weights=(),
-        late=(),
-    )
+    record = replace(state.history[-1], aggregate_norm=event.aggregate_norm,
+                     duration_ms=event.now_ms - state.round_start_ms)
+    new = replace(state, history=state.history[:-1] + (record,), weights=())
     if state.round >= config.rounds:
-        return replace(new, phase=FINISHED, plan=None), [FederationComplete(state.round)]
-    begun, actions = _begin_round(new, config, state.round + 1, 0, event.now_ms)
-    return begun, actions
+        return replace(new, phase=FINISHED), [FederationComplete()]
+    return _begin_round(new, config, state.round + 1, 0, event.now_ms)
 
 
 # --- client machine --------------------------------------------------------------

@@ -12,21 +12,16 @@ import math
 from pathlib import Path
 
 from .errors import ConfigError
-from .kvdoc import Scalar
+from .kvdoc import Scalar, emit_scalar, parse_scalar
 
 Row = dict[str, Scalar]
 
 
 def _format_value(value: Scalar) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value in report row: {value!r}")
-        return repr(value)
-    text = str(value)
-    if " " in text or "=" in text or "\n" in text:
-        raise ValueError(f"row values must be atom-like, got {text!r}")
+    """kvdoc's scalar text; a value it would quote has no place in a row."""
+    text = emit_scalar(value)
+    if text.startswith('"'):
+        raise ValueError(f"row values must be bare kvdoc scalars, got {value!r}")
     return text
 
 
@@ -38,31 +33,14 @@ def render_rows(rows: list[Row]) -> str:
 
 
 def parse_rows(text: str) -> list[Row]:
+    """Read rows back with kvdoc's scalar grammar; a bad value is a DocError
+    that names its line."""
     rows: list[Row] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        row: Row = {}
-        for token in line.split():
-            key, _, raw = token.partition("=")
-            row[key] = _parse_value(raw)
-        rows.append(row)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = [token.partition("=") for token in line.split()]
+        if tokens:
+            rows.append({key: parse_scalar(raw, lineno) for key, _, raw in tokens})
     return rows
-
-
-def _parse_value(raw: str) -> Scalar:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
 
 
 def _table(header: list[str], body: list[list[str]]) -> str:

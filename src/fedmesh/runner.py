@@ -40,7 +40,6 @@ from .model import (
 )
 from .privacy import SitePolicy, apply_policy, make_pairing, mask_update, sum_masked
 from .protocol import (
-    AbortRound,
     Audit,
     BroadcastTask,
     ClientRegistered,
@@ -279,7 +278,6 @@ class ServerNode(_Node):
             m=spec.m,
             deadline_ms=spec.deadline_ms,
             plan_seed=derive_seed(spec.seeds.net, "plan"),
-            strategy_kind=spec.strategy.kind,
             retry_on_abort=spec.retry_on_abort,
             masked_cohort=spec.masked_cohort(),
         )
@@ -290,9 +288,9 @@ class ServerNode(_Node):
             spec.train.dims, np.empty(0, np.intp), np.empty(0)
         )
         self.trust_reference: np.ndarray | None = None
-        # (round, client) -> the round's accepted updates, kept from the step
-        # that accepts one until that round is aggregated.
-        self.vectors: dict[tuple[int, str], Vector] = {}
+        # client -> its accepted update for the current round, kept from the
+        # step that accepts it until the round is aggregated.
+        self.vectors: dict[str, Vector] = {}
         self.params_per_round: list[np.ndarray] = []
         self.eval_reports: dict[str, tuple[Metrics, Metrics] | None] = {}
         self.model_signature: bytes | None = None
@@ -310,7 +308,9 @@ class ServerNode(_Node):
     # -- the machine and its actions ---------------------------------------------
 
     def _step(self, event) -> tuple[ServerState, list]:
-        return server_step(self.state, event, self.config)
+        state, actions = server_step(self.state, event, self.config)
+        self.done |= state.failed  # a round aborted with no retry left
+        return state, actions
 
     def _audit(self, event_type: str, detail: dict) -> None:
         self.audit.append(event_type, kvdoc.emit_doc(detail))
@@ -327,8 +327,6 @@ class ServerNode(_Node):
             )
         elif isinstance(action, StartAggregation):
             self._aggregate(action)
-        elif isinstance(action, AbortRound) and not action.retry:
-            self.done = True
         elif isinstance(action, FederationComplete):
             self._finish()
 
@@ -340,7 +338,7 @@ class ServerNode(_Node):
             self.rel.send(src, MSG_ABORT,
                           _signed({"reason": "registration rejected"}, None, self.kit))
             return
-        self.dispatch(ClientRegistered(src, self._now()))
+        self.dispatch(ClientRegistered(src))
         self.rel.send(src, MSG_ACK, _signed({"registered": True}, None, self.kit))
         if self.state.phase == protocol.IDLE and self.state.registry >= self.expected:
             self.dispatch(Start(self._now()))
@@ -376,9 +374,9 @@ class ServerNode(_Node):
             self._reject_update(src, "bad vector")
             return
         # Kept before the accepting step's actions run: one may aggregate.
-        self.state, actions = self._step(UpdateReceived(src, round_no, weight, self._now()))
+        self.state, actions = self._step(UpdateReceived(src, round_no, weight))
         if any(isinstance(a, Audit) and a.event_type == "UpdateAccepted" for a in actions):
-            self.vectors[round_no, src] = vector
+            self.vectors[src] = vector
         self._run(actions)
 
     # -- round mechanics ---------------------------------------------------------
@@ -406,13 +404,13 @@ class ServerNode(_Node):
         masked_ids = sorted(set(action.responded) & self.config.masked_cohort)
         plain_ids = sorted(set(action.responded) - self.config.masked_cohort)
         if masked_ids:
-            total = sum_masked([vectors[action.round, c] for c in masked_ids])
+            total = sum_masked([vectors[c] for c in masked_ids])
             for cid in plain_ids:
-                add_scaled(total, vectors[action.round, cid], weights[cid])
+                add_scaled(total, vectors[cid], weights[cid])
             delta = total / sum(weights.values())
         else:
             updates = [
-                ClientUpdate(cid, action.round, weights[cid], vectors[action.round, cid])
+                ClientUpdate(cid, action.round, weights[cid], vectors[cid])
                 for cid in sorted(action.responded)
             ]
             delta = aggregate(updates, self.spec.strategy, self.trust_reference)

@@ -392,8 +392,7 @@ class TestCriterion8ProtocolLivenessSafety:
                 steps += 1
                 event = _random_event(rng, clients, step_no)
                 state, actions = protocol.server_step(state, event, config)
-                if state.plan is not None:
-                    assert set(state.responded) <= set(state.plan.invited)
+                assert set(state.responded) <= set(state.invited)
                 for action in actions:
                     if isinstance(action, protocol.StartAggregation):
                         assert len(action.responded) >= config.m
@@ -415,14 +414,14 @@ def _random_event(rng, clients, now):
     cid = rng.choice(clients + ["intruder"])
     rnd = rng.randint(0, 4)
     if kind == 0:
-        return protocol.UpdateReceived(cid, rnd, 1.0, float(now))
+        return protocol.UpdateReceived(cid, rnd, 1.0)
     if kind == 1:
         return protocol.DeadlineFired(rnd, rng.randint(0, 1), float(now))
     if kind == 2:
         return protocol.RoundAggregated(rnd, rng.random(), float(now))
     if kind == 3:
-        return protocol.ClientRegistered(cid, float(now))
-    return protocol.UpdateReceived(cid, rnd, 5.0, float(now))
+        return protocol.ClientRegistered(cid)
+    return protocol.UpdateReceived(cid, rnd, 5.0)
 
 
 class TestCriterion9GradientCheck:

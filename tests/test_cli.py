@@ -10,6 +10,7 @@ from fedmesh.config import parse_experiment
 from fedmesh.data import load_conll
 from fedmesh.experiments import build_spec
 from fedmesh.kvdoc import parse_doc
+from fedmesh.model import evaluate
 from fedmesh.trustops import load_kit, provision, verify_model
 
 CONFIG_TEMPLATE = """
@@ -122,6 +123,19 @@ class TestSimulateCommand:
         assert "quorum.deadline_ms" in err and "Traceback" not in err
         assert not (out / "report.rows").exists()
 
+    def test_a_one_site_ratio_cell_is_labelled_n1(self, workspace):
+        (workspace / "one.cfg").write_text(
+            CONFIG_TEMPLATE.replace("clients = 2", "clients = 1")
+            + 'partition.mode = ratio\npartition.ratios = "100"\n'
+        )
+        out = workspace / "out"
+        assert main([
+            "simulate", "--config", str(workspace / "one.cfg"), "--out", str(out),
+        ]) == 0
+        assert (out / "model-n1.params").is_file()
+        rows = (out / "report.rows").read_text().splitlines()
+        assert rows[0].startswith("config=n1 ") and "config=100 " not in "\n".join(rows)
+
     def test_invalid_config_exit_code(self, workspace):
         (workspace / "broken.cfg").write_text("corpus.train = \"missing.conll\"\n")
         assert main([
@@ -174,6 +188,18 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert f"record 1 (row=config) has a non-numeric ent_f1={value}" in err
         assert "Traceback" not in err
+
+    def test_a_non_finite_metric_is_refused(self, workspace, capsys):
+        (workspace / "nan.rows").write_text(
+            "config=n2 ent_f1=nan ent_precision=0.5 ent_recall=0.5 kind=single"
+            " rounds=1 row=config strategy=fedavg tok_f1=0.5\n"
+        )
+        assert main([
+            "report", "--rows", str(workspace / "nan.rows"), "--out", str(workspace / "re"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "line 1: non-finite number 'nan'" in err and "Traceback" not in err
+        assert not (workspace / "re" / "report.txt").exists()
 
 
 class TestOneSpecForBothTransports:
@@ -320,7 +346,7 @@ class TestProvisionCommand:
 
 @pytest.mark.slow
 class TestTcpFederation:
-    def test_tcp_matches_sim_final_model(self, workspace):
+    def test_tcp_matches_sim_final_model(self, workspace, capsys):
         _provision(workspace)
         sim_out = workspace / "sim"
         assert main([
@@ -339,6 +365,8 @@ class TestTcpFederation:
                 "--backoff-ms", "100",
             ])
 
+        holdout = workspace / "data" / "test.conll"
+
         def client(site):
             port = port_file.read_text().strip()
             results[site] = main([
@@ -347,7 +375,7 @@ class TestTcpFederation:
                 "--shard", str(workspace / "shards" / f"shard-{site}.conll"),
                 "--server", f"127.0.0.1:{port}", "--timeout", "120",
                 "--backoff-ms", "100",
-            ])
+            ] + (["--holdout", str(holdout)] if site == "site-1" else []))
 
         server_thread = threading.Thread(target=serve)
         server_thread.start()
@@ -375,6 +403,16 @@ class TestTcpFederation:
         server_identity = load_kit(workspace / "kits" / "server").identity()
         assert verify_model(tcp_params, signature, server_identity)
         assert main(["audit-verify", "--log", str(srv_out / "audit.log")]) == 0
+        # serve reports the cross-site evaluation it waited for, one line per site
+        config = parse_experiment(CONFIG_TEMPLATE, base_dir=workspace)
+        train = _tcp_spec(config, load_kit(workspace / "kits" / "server")).train
+        ent, tok = evaluate(tcp_params, load_conll(holdout).sentences, train)
+        site_lines = [line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("site ")]
+        assert site_lines == [
+            f"site site-1: entity-f1={ent.f1:.4f} token-f1={tok.f1:.4f}",
+            "site site-2: absent",
+        ]
 
     def test_client_with_wrong_key_is_rejected(self, workspace):
         _provision(workspace)

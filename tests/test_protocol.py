@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from fedmesh.errors import ConfigError
 from fedmesh.protocol import (
     AGGREGATING,
     BUSY,
-    AbortRound,
     Audit,
     BroadcastTask,
     ClientRegistered,
@@ -28,7 +31,6 @@ from fedmesh.protocol import (
     UpdateReceived,
     WAITING,
     client_step,
-    plan_round,
     server_step,
 )
 
@@ -59,24 +61,42 @@ def pick(actions, kind):
     return found
 
 
+def aborted(actions):
+    (audit,) = [a for a in pick(actions, Audit) if a.event_type == "RoundAborted"]
+    return dict(audit.detail)
+
+
 class TestPlanRound:
+    """The plan is the state's invited and attempt, drawn by Start."""
+
     def test_full_sample(self):
-        plan = plan_round(set(CLIENTS), 6, 4, 100.0, random.Random(0))
-        assert sorted(plan.invited) == sorted(CLIENTS)
-        assert plan.min_responses == 4
+        state, _ = started(config(k=6, m=4))
+        assert sorted(state.invited) == sorted(CLIENTS)
+        assert state.attempt == 0
 
     def test_k_equals_m_boundary(self):
-        plan = plan_round(set(CLIENTS), 4, 4, 100.0, random.Random(0))
-        assert len(plan.invited) == 4
+        state, _ = started(config(k=4, m=4))
+        assert len(state.invited) == 4
 
     def test_seed_determinism(self):
-        a = plan_round(set(CLIENTS), 3, 2, 100.0, random.Random(9))
-        b = plan_round(set(CLIENTS), 3, 2, 100.0, random.Random(9))
-        assert a == b
+        cfg = config(k=3, m=2, plan_seed=9)
+        a, b = (server_step(registered_state(cfg, n=6), Start(), cfg)[0] for _ in range(2))
+        assert a.invited == b.invited
+        # round r's invitations come from random.Random(plan_seed ^ (r << 16))
+        rng = random.Random(9 ^ (1 << 16))
+        assert a.invited == tuple(sorted(rng.sample(sorted(CLIENTS), 3)))
 
     def test_oversubscription_rejected(self):
+        cfg = config(k=2, m=1)
+        state, _ = server_step(ServerState(), ClientRegistered("a"), cfg)
         with pytest.raises(ConfigError):
-            plan_round({"a"}, 2, 1, 100.0, random.Random(0))
+            server_step(state, Start(), cfg)
+
+    @pytest.mark.parametrize("m,k", [(0, 3), (4, 3)])
+    def test_quorum_out_of_range_rejected(self, m, k):
+        cfg = config(k=k, m=m)
+        with pytest.raises(ConfigError):
+            server_step(registered_state(cfg, n=6), Start(), cfg)
 
 
 class TestServerHappyPath:
@@ -92,18 +112,16 @@ class TestServerHappyPath:
     def test_all_k_updates_trigger_aggregation(self):
         cfg = config()
         state, _ = started(cfg)
-        for i, cid in enumerate(state.plan.invited):
-            state, actions = server_step(
-                state, UpdateReceived(cid, 1, 10.0, now_ms=float(i)), cfg
-            )
+        for cid in state.invited:
+            state, actions = server_step(state, UpdateReceived(cid, 1, 10.0), cfg)
         assert state.phase == AGGREGATING
         (agg,) = pick(actions, StartAggregation)
-        assert sorted(agg.responded) == sorted(state.plan.invited)
+        assert sorted(agg.responded) == sorted(state.invited)
 
     def test_quorum_at_deadline(self):
         cfg = config()
         state, _ = started(cfg)
-        for cid in state.plan.invited[:4]:
+        for cid in state.invited[:4]:
             state, _ = server_step(state, UpdateReceived(cid, 1, 1.0), cfg)
         assert state.phase == GATHERING
         state, actions = server_step(state, DeadlineFired(1, 0, now_ms=1000.0), cfg)
@@ -114,7 +132,7 @@ class TestServerHappyPath:
         cfg = config(rounds=2)
         state, _ = started(cfg)
         for rnd in (1, 2):
-            for cid in state.plan.invited:
+            for cid in state.invited:
                 state, _ = server_step(state, UpdateReceived(cid, rnd, 1.0), cfg)
             state, actions = server_step(
                 state, RoundAggregated(rnd, 0.5, now_ms=10.0 * rnd), cfg
@@ -135,7 +153,7 @@ class TestServerRejections:
     def test_uninvited_client_rejected(self):
         cfg = config(k=4, m=2)
         state, _ = started(cfg)
-        outsider = next(c for c in CLIENTS if c not in state.plan.invited)
+        outsider = next(c for c in CLIENTS if c not in state.invited)
         before = state
         state, actions = server_step(state, UpdateReceived(outsider, 1, 1.0), cfg)
         assert state == before
@@ -145,7 +163,7 @@ class TestServerRejections:
     def test_wrong_round_rejected(self):
         cfg = config()
         state, _ = started(cfg)
-        cid = state.plan.invited[0]
+        cid = state.invited[0]
         state, actions = server_step(state, UpdateReceived(cid, 7, 1.0), cfg)
         (audit,) = pick(actions, Audit)
         assert audit.event_type == "UpdateRejected"
@@ -153,7 +171,7 @@ class TestServerRejections:
     def test_duplicate_rejected(self):
         cfg = config()
         state, _ = started(cfg)
-        cid = state.plan.invited[0]
+        cid = state.invited[0]
         state, _ = server_step(state, UpdateReceived(cid, 1, 1.0), cfg)
         state, actions = server_step(state, UpdateReceived(cid, 1, 1.0), cfg)
         (audit,) = pick(actions, Audit)
@@ -163,8 +181,8 @@ class TestServerRejections:
     def test_late_update_audited_and_discarded(self):
         cfg = config()
         state, _ = started(cfg)
-        straggler = state.plan.invited[-1]
-        for cid in state.plan.invited[:4]:
+        straggler = state.invited[-1]
+        for cid in state.invited[:4]:
             state, _ = server_step(state, UpdateReceived(cid, 1, 1.0), cfg)
         state, _ = server_step(state, DeadlineFired(1, 0, now_ms=1000.0), cfg)
         assert state.phase == AGGREGATING
@@ -172,9 +190,13 @@ class TestServerRejections:
         (audit,) = pick(actions, Audit)
         assert audit.event_type == "UpdateLate"
         assert straggler not in state.responded
-        # after the record is written the straggler shows up in it
+        # the round's record joined the history when aggregation started
+        (record,) = state.history
+        assert straggler in record.late_discarded and straggler not in record.responded
         state, _ = server_step(state, RoundAggregated(1, 0.1, now_ms=1010.0), cfg)
-        assert straggler in state.history[0].late_discarded
+        (record,) = state.history[:1]
+        assert straggler in record.late_discarded
+        assert (record.aggregate_norm, record.duration_ms) == (0.1, 1010.0)
 
     def test_registration_after_start_rejected(self):
         cfg = config()
@@ -189,12 +211,11 @@ class TestServerAbort:
     def test_deadline_below_quorum_retries_once(self):
         cfg = config()
         state, _ = started(cfg)
-        for cid in state.plan.invited[:2]:
+        for cid in state.invited[:2]:
             state, _ = server_step(state, UpdateReceived(cid, 1, 1.0), cfg)
         state, actions = server_step(state, DeadlineFired(1, 0, now_ms=1000.0), cfg)
-        (abort,) = pick(actions, AbortRound)
-        assert abort.retry
-        assert state.phase == GATHERING and state.plan.attempt == 1
+        assert aborted(actions)["attempt"] == "0"
+        assert state.phase == GATHERING and state.attempt == 1 and not state.failed
         assert pick(actions, BroadcastTask)
         # same cohort is re-invited so earlier responses stay valid
         assert len(state.responded) == 2
@@ -204,16 +225,17 @@ class TestServerAbort:
         state, _ = started(cfg)
         state, _ = server_step(state, DeadlineFired(1, 0, now_ms=1000.0), cfg)
         state, actions = server_step(state, DeadlineFired(1, 1, now_ms=2000.0), cfg)
-        (abort,) = pick(actions, AbortRound)
-        assert not abort.retry
+        assert aborted(actions)["attempt"] == "1" and not pick(actions, BroadcastTask)
         assert state.phase == FINISHED and state.failed
+        (record,) = state.history
+        assert (record.attempts, record.duration_ms) == (2, 2000.0)
 
     def test_retry_disabled_fails_immediately(self):
         cfg = config(retry_on_abort=False)
         state, _ = started(cfg)
         state, actions = server_step(state, DeadlineFired(1, 0, now_ms=1000.0), cfg)
-        (abort,) = pick(actions, AbortRound)
-        assert not abort.retry and state.failed
+        assert aborted(actions)["attempt"] == "0" and not pick(actions, BroadcastTask)
+        assert state.failed
 
     def test_stale_deadline_ignored(self):
         cfg = config()
@@ -225,11 +247,10 @@ class TestServerAbort:
     def test_masked_cohort_missing_aborts_despite_quorum(self):
         cfg = config(masked_cohort=frozenset(CLIENTS))
         state, _ = started(cfg)
-        for cid in state.plan.invited[:5]:
+        for cid in state.invited[:5]:
             state, _ = server_step(state, UpdateReceived(cid, 1, 1.0), cfg)
         state, actions = server_step(state, DeadlineFired(1, 0, now_ms=1000.0), cfg)
-        (abort,) = pick(actions, AbortRound)
-        assert "masked" in abort.reason
+        assert "masked" in aborted(actions)["reason"]
 
     def test_start_without_enough_clients_is_config_error(self):
         cfg = config()
@@ -275,57 +296,107 @@ class TestClientMachine:
         assert state == ClientState(WAITING, 3)
 
 
-class TestFuzzInvariants:
-    def test_random_event_sequences_preserve_invariants(self):
-        rng = random.Random(2024)
-        total_steps = 0
-        for trial in range(400):
-            cfg = config(
-                rounds=rng.randint(1, 3),
-                k=rng.randint(1, 6),
-                m=1,
-                masked_cohort=frozenset(rng.sample(CLIENTS, rng.randint(0, 3))),
-            )
-            cfg = ServerConfig(
-                rounds=cfg.rounds, k=cfg.k, m=rng.randint(1, cfg.k),
-                deadline_ms=cfg.deadline_ms, plan_seed=trial,
-                masked_cohort=cfg.masked_cohort,
-            )
-            state = registered_state(cfg, n=6)
-            state, _ = server_step(state, Start(now_ms=0.0), cfg)
-            for step_no in range(40):
-                total_steps += 1
-                event = self._random_event(rng, step_no)
-                state, actions = server_step(state, event, cfg)
-                self._check(state, actions, cfg)
-                if state.phase == FINISHED:
-                    break
-        assert total_steps >= 10_000
+class ServerSafety(RuleBasedStateMachine):
+    """Safety of the coordinator machine under any interleaving of updates
+    (on time, late, duplicate, wrong round, intruder), deadlines,
+    aggregations and late registrations."""
 
-    def _random_event(self, rng, now):
-        kind = rng.randrange(6)
-        cid = rng.choice(CLIENTS + ["intruder"])
-        rnd = rng.randint(0, 4)
-        if kind == 0:
-            return UpdateReceived(cid, rnd, rng.choice([1.0, 5.0]), float(now))
-        if kind == 1:
-            return DeadlineFired(rnd, rng.randint(0, 1), float(now))
-        if kind == 2:
-            return RoundAggregated(rnd, rng.random(), float(now))
-        if kind == 3:
-            return ClientRegistered(cid, float(now))
-        if kind == 4:
-            return UpdateReceived(cid, rng.randint(0, 4), 1.0, float(now))
-        return DeadlineFired(rnd, 0, float(now))
+    @initialize(data=st.data())
+    def start(self, data):
+        k = data.draw(st.integers(1, 6), label="k")
+        self.cfg = ServerConfig(
+            rounds=data.draw(st.integers(1, 3), label="rounds"),
+            k=k,
+            m=data.draw(st.integers(1, k), label="m"),
+            deadline_ms=1000.0,
+            plan_seed=data.draw(st.integers(0, 2**16), label="plan_seed"),
+            retry_on_abort=data.draw(st.booleans(), label="retry"),
+            masked_cohort=data.draw(st.frozensets(st.sampled_from(CLIENTS), max_size=4),
+                                    label="masked"),
+        )
+        self.state = registered_state(self.cfg, n=len(CLIENTS))
+        self.now = 0.0
+        self.assigned = Counter()
+        self.step(Start())
 
-    def _check(self, state, actions, cfg):
-        if state.plan is not None:
-            assert set(state.responded) <= set(state.plan.invited)
-            assert len(set(state.responded)) == len(state.responded)
+    def step(self, event):
+        before = self.state
+        self.state, actions = server_step(before, event, self.cfg)
+        if before.phase == FINISHED:
+            assert self.state is before
+            assert all(isinstance(a, Audit) and a.event_type == "UpdateRejected"
+                       for a in actions)
         for action in actions:
+            if isinstance(action, Audit) and action.event_type == "TaskAssign":
+                self.assigned[dict(action.detail)["round"]] += 1
             if isinstance(action, StartAggregation):
-                assert len(action.responded) >= cfg.m
-                assert action.round == state.round
-        for rec in state.history:
-            assert set(rec.responded) <= set(rec.invited)
-            assert not (set(rec.responded) & set(rec.late_discarded))
+                assert len(action.weights) >= self.cfg.m
+                masked = self.cfg.masked_cohort.intersection(self.state.invited)
+                assert masked <= set(action.responded)
+                assert action.round == self.state.round
+
+    # -- updates (i picks from a list that depends on the state) ---------------
+
+    @rule(i=st.integers(0, 63))
+    def on_time_update(self, i):
+        waiting = [c for c in self.state.invited if c not in self.state.responded] or CLIENTS
+        self.step(UpdateReceived(waiting[i % len(waiting)], self.state.round, 1.0 + i))
+
+    @rule(i=st.integers(0, 63))
+    def duplicate_update(self, i):
+        responded = self.state.responded or tuple(CLIENTS)
+        self.step(UpdateReceived(responded[i % len(responded)], self.state.round, 1.0))
+
+    @rule(i=st.integers(0, 63))
+    def late_update(self, i):
+        pairs = [(rec.round, c) for rec in self.state.history for c in rec.invited]
+        rnd, cid = pairs[i % len(pairs)] if pairs else (0, CLIENTS[0])
+        self.step(UpdateReceived(cid, rnd, 1.0))
+
+    @rule(cid=st.sampled_from(CLIENTS), offset=st.sampled_from([-2, -1, 1, 2]))
+    def wrong_round_update(self, cid, offset):
+        self.step(UpdateReceived(cid, self.state.round + offset, 1.0))
+
+    @rule(rnd=st.integers(0, 4))
+    def intruder_update(self, rnd):
+        self.step(UpdateReceived("intruder", rnd, 1.0))
+
+    # -- timers, aggregation and registration ----------------------------------
+
+    @rule(elapsed=st.sampled_from([0.0, 500.0, 1000.0]))
+    def deadline(self, elapsed):
+        self.now += elapsed
+        self.step(DeadlineFired(self.state.round, self.state.attempt, self.now))
+
+    @rule(rnd=st.integers(0, 4), attempt=st.integers(0, 2))
+    def stale_deadline(self, rnd, attempt):
+        self.step(DeadlineFired(rnd, attempt, self.now))
+
+    @rule(norm=st.sampled_from([0.0, 0.5, 3.0]))
+    def aggregated(self, norm):
+        self.now += 10.0
+        self.step(RoundAggregated(self.state.round, norm, self.now))
+
+    @rule(rnd=st.integers(0, 4))
+    def stale_aggregated(self, rnd):
+        self.step(RoundAggregated(rnd, 1.0, self.now))
+
+    @rule(cid=st.sampled_from(CLIENTS + ["late-joiner"]))
+    def late_registration(self, cid):
+        self.step(ClientRegistered(cid))
+
+    # -- invariants ------------------------------------------------------------
+
+    @invariant()
+    def safe(self):
+        responded = self.state.responded
+        assert set(responded) <= set(self.state.invited)
+        assert len(set(responded)) == len(responded)
+        rounds = [rec.round for rec in self.state.history]
+        assert rounds == sorted(set(rounds))  # history rounds strictly increase
+        assert all(set(rec.responded) <= set(rec.invited) for rec in self.state.history)
+        assert max(self.assigned.values(), default=0) <= 2  # no round runs three times
+
+
+TestServerSafety = ServerSafety.TestCase
+TestServerSafety.settings = settings(max_examples=300, stateful_step_count=40, deadline=None)

@@ -1,5 +1,6 @@
 import pytest
 
+from fedmesh.kvdoc import DocError
 from fedmesh.report import (
     cross_site_table,
     metrics_table,
@@ -38,6 +39,16 @@ class TestRows:
     def test_spacey_values_rejected(self):
         with pytest.raises(ValueError):
             render_rows([{"x": "two words"}])
+
+    @pytest.mark.parametrize("text", ["true", "false", "1", "0.5", "1e-3", "", "a=b"])
+    def test_a_string_that_would_read_back_as_another_value_is_refused(self, text):
+        with pytest.raises(ValueError, match="bare kvdoc scalars"):
+            render_rows([{"x": text}])
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1.2.3", "two\"quotes"])
+    def test_a_value_outside_kvdocs_scalar_grammar_is_refused(self, raw):
+        with pytest.raises(DocError, match="line 2"):
+            parse_rows(f"x=1\nx={raw}\n")
 
     def test_empty(self):
         assert render_rows([]) == ""
