@@ -172,10 +172,10 @@ class FederationResult:
 
 def _signed(doc: dict, vector: Vector | None, kit: StartupKit) -> Payload:
     """Encode once, hash the buffers with one incremental SHA-256 and append
-    the digest's signature as one more buffer.  Nothing is joined, and a
-    pending message keeps these buffers for its retransmissions, so a dense
-    vector must not change until every message carrying it is acked or
-    given up."""
+    the digest's signature as one more buffer.  Nothing is joined until a
+    backend reads a frame of them (the simulator on delivery), so a dense
+    vector must not change until every frame carrying it is delivered or
+    dropped."""
     parts = encode_payload(doc, vector).parts
     digest = hashlib.sha256()
     for part in parts:

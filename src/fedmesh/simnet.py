@@ -1,11 +1,12 @@
 """Seeded in-process network simulator with a virtual clock.
 
 Datagrams between named endpoints are delayed by a uniform latency draw and
-dropped with a configured probability.  A delivered datagram is checked as a
-frame once, on arrival, and the receive handler gets its (src, msg_type,
-payload).  All deliveries and timers run through one `transport.Timers` heap
-ordered by (virtual time, insertion sequence), the same heap the TCP backend
-runs on wall-clock time, so a run is a pure function of the seed.
+dropped with a configured probability.  A datagram stays the Frame it was
+sent as until it is delivered, then is joined and checked once, and the
+receive handler gets its (src, msg_type, payload).  All deliveries and
+timers run through one `transport.Timers` heap ordered by (virtual time,
+insertion sequence), the same heap the TCP backend runs on wall-clock time,
+so a run is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class SimEndpoint:
         self.name = name
         self._handler: Callable[[str, int, memoryview], None] | None = None
 
-    def send(self, dst: str, data: bytes) -> None:
+    def send(self, dst: str, data: transport.Frame | bytes) -> None:
         self._net._send(self.name, dst, data)
 
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> object:
@@ -55,11 +56,12 @@ class SimEndpoint:
     def set_receive_handler(self, fn: Callable[[str, int, memoryview], None]) -> None:
         self._handler = fn
 
-    def _deliver(self, src: str, data: bytes) -> None:
-        """Check the frame once; the handler gets (src, msg_type, payload view)
-        of exactly one valid frame, and anything else is dropped."""
+    def _deliver(self, src: str, data: transport.Frame | bytes) -> None:
+        """Join and check the frame once; the handler gets (src, msg_type,
+        payload view) of exactly one valid frame, and anything else is dropped."""
         if self._handler is None:
             return
+        data = bytes(data)
         try:
             msg_type, payload, consumed = transport.decode_frame(data)
         except (transport.NeedMoreBytes, transport.CorruptFrame):
@@ -92,7 +94,7 @@ class SimNetwork:
     def cancel(self, handle: object) -> None:
         self._timers.cancel(handle)
 
-    def _send(self, src: str, dst: str, data: bytes) -> None:
+    def _send(self, src: str, dst: str, data: transport.Frame | bytes) -> None:
         if dst not in self._endpoints:
             raise KeyError(f"unknown endpoint {dst!r}")
         if self.config.drop_prob > 0 and self._rng.random() < self.config.drop_prob:

@@ -25,7 +25,7 @@ import threading
 import time
 from typing import Callable
 
-from .transport import MSG_TRANSPORT_ACK, CorruptFrame, Timers, read_frames, unpack_envelope
+from .transport import MSG_TRANSPORT_ACK, CorruptFrame, Frame, Timers, read_frames, unpack_envelope
 
 # Not called here, but perfbench/tracing.py patches this name, so the import stays.
 from .transport import encode_frame  # noqa: F401
@@ -97,14 +97,14 @@ class TcpNode:
 
     # -- RawEndpoint interface -------------------------------------------------
 
-    def send(self, dst: str, data: bytes) -> None:
+    def send(self, dst: str, data: Frame | bytes) -> None:
         sock = self._conns.get(dst)
         if sock is None:
             # No route (peer not yet connected or gone): behave like a drop,
             # the reliability layer's retries own recovery.
             return
         try:
-            sock.sendall(data)
+            sock.sendall(bytes(data))
         except OSError:
             with contextlib.suppress(OSError):  # wakes the reader to drop the route
                 sock.shutdown(socket.SHUT_RDWR)

@@ -41,18 +41,20 @@ own memory (a sparse vector's index and value arrays).  A signed payload
 (runner._signed) appends a 64-byte Ed25519 signature over the SHA-256 of
 those buffers, taken with one incremental hash, so the receiver hashes the
 bytes it got and never re-encodes.  A buffer may be a view of a live array,
-which must not change until its message is acked or given up: a pending
-message keeps the payload's buffers, and a retransmission re-reads them.
+which must not change until every frame carrying it is delivered or
+dropped: a frame keeps the payload's buffers until a backend joins it, and
+a retransmission sends the same frame again.
 
 Reliable delivery numbers each sender's messages per destination from 0;
 receivers ack every data frame inside their window whose envelope checks
 and deduplicate by (sender, seq), senders retransmit on an exponential
 backoff until acked or retries run out.
 
-A transmission costs one copy on send and one split on receive.  A pending
-message keeps its envelope head and the payload's buffers, not a frame, so a
-broadcast to k sites holds one payload; each transmission (a retransmission
-too) has encode_frame copy those parts once, into the one frame it sends.
+A transmission costs one join and one split.  A pending message keeps one
+unjoined Frame (its envelope head and the payload's buffers), handed to the
+raw endpoint on every transmission.  The backend joins it where it reads the
+bytes (TCP as it sends, the simulator on delivery), so a dropped frame is
+never joined and a broadcast to k sites holds one payload, not k frames.
 The raw endpoint (the TCP reader, or the simulator on delivery) runs
 decode_frame once per frame and hands the receive handler (src, msg_type,
 payload view), src being the node the frame came from; the envelope's inner
@@ -105,12 +107,42 @@ class CorruptFrame(ValueError):
 def encode_frame(msg_type: int, *parts) -> bytes:
     """One frame whose payload is the concatenation of *parts*, allocated once
     with each part copied into it once."""
-    if not 0 <= msg_type <= 0xFF:
-        raise ValueError(f"msg_type out of range: {msg_type}")
-    length = sum(memoryview(part).nbytes for part in parts)
-    if length > MAX_PAYLOAD:
-        raise ValueError(f"payload of {length} bytes exceeds 64 MiB bound")
-    return b"".join((MAGIC, bytes((VERSION, msg_type)), struct.pack(">I", length), *parts))
+    return b"".join((Frame(msg_type, *parts).header, *parts))
+
+
+class Frame:
+    """A frame not yet joined: its msg_type, header and payload ``parts``.
+
+    Building it checks the msg_type and the 64 MiB bound.  len() is the
+    frame's byte count and frame[i] its byte i, read without joining;
+    bytes() is encode_frame's one join, made by the backend where it reads
+    the bytes.  Not iterable, like Payload."""
+
+    __slots__ = ("msg_type", "parts", "header")
+    __iter__ = None
+
+    def __init__(self, msg_type: int, *parts):
+        if not 0 <= msg_type <= 0xFF:
+            raise ValueError(f"msg_type out of range: {msg_type}")
+        length = sum(memoryview(part).nbytes for part in parts)
+        if length > MAX_PAYLOAD:
+            raise ValueError(f"payload of {length} bytes exceeds 64 MiB bound")
+        self.msg_type, self.parts = msg_type, parts
+        self.header = MAGIC + bytes((VERSION, msg_type)) + struct.pack(">I", length)
+
+    def __len__(self) -> int:
+        return HEADER_LEN + int.from_bytes(self.header[6:], "big")
+
+    def __getitem__(self, i: int) -> int:
+        for part in (self.header, *self.parts):
+            view = memoryview(part).cast("B")
+            if 0 <= i < len(view):
+                return view[i]
+            i -= len(view)
+        raise IndexError("frame index out of range")
+
+    def __bytes__(self) -> bytes:
+        return encode_frame(self.msg_type, *self.parts)
 
 
 def _payload_length(header: memoryview) -> int:
@@ -281,8 +313,9 @@ def _decode_sparse(dims: int, body: bytes | memoryview) -> SparseVector:
 class RawEndpoint(Protocol):
     """What a transport backend must provide to host reliable messaging.
 
-    `send` takes one whole frame.  The backend checks each received frame's
-    header once, where it arrives, drops anything that is not exactly one
+    `send` takes a Frame, or its bytes, and joins it once (bytes(data)) where
+    it reads the bytes.  The backend checks each received frame's header
+    once, where it arrives, drops anything that is not exactly one
     well-formed frame, and calls the receive handler with (src, msg_type,
     payload view), where src names the node the frame came from.
     Implementations must invoke the receive handler and scheduled callbacks
@@ -291,7 +324,7 @@ class RawEndpoint(Protocol):
 
     name: str
 
-    def send(self, dst: str, data: bytes) -> None: ...
+    def send(self, dst: str, data: Frame | bytes) -> None: ...
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> object: ...
     def cancel(self, handle: object) -> None: ...
     def now_ms(self) -> float: ...
@@ -371,8 +404,7 @@ def unpack_envelope(msg_type: int, data: bytes | memoryview) -> tuple[str, int, 
 @dataclass
 class _Pending:
     dst: str
-    msg_type: int
-    parts: tuple  # the envelope head, then the payload's buffers
+    frame: Frame  # unjoined: the envelope head, then the payload's buffers
     attempts: int
     timer: object | None
     on_result: Callable[[DeliveryReceipt], None] | None
@@ -423,9 +455,9 @@ class ReliableEndpoint:
     ) -> int:
         """Queue a reliable send; the receipt callback fires on ack or failure."""
         seq = self._next_seq.get(dst, 0)
+        frame = Frame(msg_type, _pack_envelope(msg_type, self.name, seq), *payload.parts)
         self._next_seq[dst] = seq + 1
-        parts = (_pack_envelope(msg_type, self.name, seq), *payload.parts)
-        self._pending[dst, seq] = _Pending(dst, msg_type, parts, 0, None, on_result)
+        self._pending[dst, seq] = _Pending(dst, frame, 0, None, on_result)
         self._transmit((dst, seq))
         return seq
 
@@ -434,7 +466,7 @@ class ReliableEndpoint:
         if pending is None:
             return
         pending.attempts += 1
-        self.raw.send(pending.dst, encode_frame(pending.msg_type, *pending.parts))
+        self.raw.send(pending.dst, pending.frame)
         delay = self.backoff_base_ms * (2 ** (pending.attempts - 1))
         pending.timer = self.raw.schedule(delay, lambda: self._on_timeout(key))
 
@@ -446,7 +478,7 @@ class ReliableEndpoint:
             del self._pending[key]
             if pending.on_result is not None:
                 pending.on_result(DeliveryReceipt(
-                    ok=False, dst=pending.dst, msg_type=pending.msg_type,
+                    ok=False, dst=pending.dst, msg_type=pending.frame.msg_type,
                     attempts=pending.attempts, error="retries exhausted",
                 ))
             return
@@ -469,7 +501,7 @@ class ReliableEndpoint:
                 self.raw.cancel(pending.timer)
             if pending.on_result is not None:
                 pending.on_result(DeliveryReceipt(
-                    ok=True, dst=pending.dst, msg_type=pending.msg_type,
+                    ok=True, dst=pending.dst, msg_type=pending.frame.msg_type,
                     attempts=pending.attempts,
                 ))
             return
@@ -479,7 +511,7 @@ class ReliableEndpoint:
         if seq >= mark + DEDUP_WINDOW:
             return  # past the window: not acked, so the sender retransmits it
         ack = _pack_envelope(MSG_TRANSPORT_ACK, sender, seq)
-        self.raw.send(sender, encode_frame(MSG_TRANSPORT_ACK, ack))
+        self.raw.send(sender, Frame(MSG_TRANSPORT_ACK, ack))
         bit = 1 << (seq - mark) if seq >= mark else 0
         if not bit or bits & bit:
             return  # seen before: acked again, delivered once

@@ -113,6 +113,7 @@ def test_payload_lengths_the_harness_reads_are_byte_counts(monkeypatch):
     # payload ReliableEndpoint.send is given: both must be byte counts, and
     # the payload's bytes must be the tail of its frame, read where the frame
     # reaches the raw send (the first transmission goes out within send).
+    # The probe there reads len() and byte 5 of the frame it is given.
     checked = Counter()
     encode_payload, send, raw_send = runner.encode_payload, ReliableEndpoint.send, SimEndpoint.send
     frames = []
@@ -132,8 +133,8 @@ def test_payload_lengths_the_harness_reads_are_byte_counts(monkeypatch):
         seq = send(rel, dst, msg_type, payload, **kwargs)
         (frame,) = frames
         head = _pack_envelope(msg_type, rel.name, seq)
-        assert len(frame) == HEADER_LEN + len(head) + len(payload)
-        assert frame[HEADER_LEN + len(head):] == bytes(payload)
+        assert len(frame) == HEADER_LEN + len(head) + len(payload) and frame[5] == msg_type
+        assert bytes(frame)[HEADER_LEN + len(head):] == bytes(payload)
         checked["send"] += 1
         return seq
 
@@ -156,10 +157,12 @@ def test_wrapped_methods_keep_their_leading_parameters(method, params):
     assert list(inspect.signature(method).parameters)[:len(params)] == params
 
 
-def _check_whole_frames(sent: list[bytes]) -> None:
+def _check_whole_frames(sent: list) -> None:
+    # The probe reads len() and byte 5 of what the raw send is given, which
+    # may be a Frame the backend joins later: both must read the joined frame.
     assert sent
     for data in sent:
-        msg_type, _, consumed = decode_frame(data)
+        msg_type, _, consumed = decode_frame(bytes(data))
         assert consumed == len(data) and data[5] == msg_type
 
 

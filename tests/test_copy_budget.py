@@ -1,30 +1,37 @@
 """A signed dense vector is copied once between its array and the frame,
-and a message waiting for its ack holds no copy of it.
+and a broadcast in flight holds no copy of it.
 
 ``encode_payload`` hands on a dense vector's own memory, ``_signed`` hashes
 the payload's buffers with one incremental SHA-256 and appends the signature
-as one more buffer, and ``ReliableEndpoint.send`` copies them once, into the
-frame.  Joining the encoded payload, or the body and its signature, would
-double the peak: a 6.3 MB model or masked update then makes a fresh 6.3 MB
-temporary per message, and in the threaded TCP process each one page-faults
-anew.  tracemalloc pins the budget: signing and sending a dense vector
+as one more buffer, and ``ReliableEndpoint.send`` wraps them in an unjoined
+``transport.Frame``, which the simulator joins once, on delivery.  Joining
+the encoded payload, or the body and its signature, would double the peak: a
+6.3 MB model or masked update then makes a fresh 6.3 MB temporary per
+message, and in the threaded TCP process each one page-faults anew.
+tracemalloc pins the budget: signing, sending and delivering a dense vector
 allocates at most 1.25 times the vector's size.
 
-A pending message keeps the payload's buffers, not its frame, so a model
-broadcast to k sites holds one vector until every site acks, not k frames.
+A pending message and a frame in flight keep the payload's buffers, so a
+model broadcast to k sites holds one vector until it is delivered, not k
+frames.  Since the bytes are read only on delivery, a sent vector must not
+change until then; the stamped golden runs check that the runner keeps to it.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from test_golden import GOLDEN_CASES, _run_golden
+
 from fedmesh import runner, transport
 from fedmesh.runner import _signed
-from fedmesh.simnet import SimNetConfig, SimNetwork
+from fedmesh.simnet import SimEndpoint, SimNetConfig, SimNetwork
 from fedmesh.transport import (
     MSG_TASK_ASSIGN,
     MSG_UPDATE_SUBMIT,
+    Frame,
     Payload,
     ReliableEndpoint,
     encode_payload,
@@ -41,18 +48,23 @@ VECTORS = {
 
 
 def peak_share(vector: np.ndarray) -> float:
-    """Peak bytes allocated by signing and sending *vector*, over its size."""
+    """Peak bytes allocated by signing and sending *vector* and delivering it
+    to a receiving handler, over its size."""
     kit = provision([("site-1", "client")], key_seed=3)["site-1"]
     net = SimNetwork(SimNetConfig())
-    net.endpoint("server")
+    server = ReliableEndpoint(net.endpoint("server"))
+    received = []
+    server.on_message = lambda src, msg_type, payload: received.append(len(payload))
     site = ReliableEndpoint(net.endpoint("site-1"))
     doc = {"client_id": "site-1", "round": 1, "weight": 1.0, "masked": False}
     tracemalloc.start()
     try:
         site.send("server", MSG_UPDATE_SUBMIT, _signed(doc, vector, kit))
+        net.run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(received) == 1 and received[0] > vector.nbytes
     return peak / vector.nbytes
 
 
@@ -73,32 +85,14 @@ def test_the_budget_catches_either_join(kind, join, monkeypatch):
     assert peak_share(VECTORS[kind]()) > 1.9
 
 
-class _Drop:
-    """A raw endpoint that keeps nothing it is given: no frame, no timer."""
-
-    name = "server"
-
-    def send(self, dst, data):
-        pass
-
-    def schedule(self, delay_ms, fn):
-        return None
-
-    def cancel(self, handle):
-        pass
-
-    def now_ms(self):
-        return 0.0
-
-    def set_receive_handler(self, fn):
-        pass
-
-
 def held_share(vector: np.ndarray) -> float:
-    """Bytes still held after one signed *vector* is sent to eight sites and
-    none has acked, over the vector's size."""
+    """Bytes still held after one signed *vector* is sent to eight simulator
+    endpoints and before any frame is delivered, over the vector's size."""
     kit = provision([("server", "server")], key_seed=3)["server"]
-    server = ReliableEndpoint(_Drop())
+    net = SimNetwork(SimNetConfig())
+    server = ReliableEndpoint(net.endpoint("server"))
+    for site in SITES:
+        net.endpoint(site)
     doc = {"round": 1, "invited": SITES, "masked": []}
     tracemalloc.start()
     try:
@@ -119,7 +113,53 @@ def test_a_pending_broadcast_holds_one_payload(kind):
 
 @pytest.mark.parametrize("kind", sorted(VECTORS))
 def test_the_held_budget_catches_kept_frames(kind, monkeypatch):
-    pending = transport._Pending
-    monkeypatch.setattr(transport, "_Pending", lambda dst, msg_type, parts, *rest: pending(
-        dst, msg_type, (b"".join(parts),), *rest))
+    # Each message's frame joined at send and kept whole until delivered.
+    monkeypatch.setattr(transport, "Frame",
+                        lambda msg_type, *parts: Frame(msg_type, b"".join(parts)))
     assert held_share(VECTORS[kind]()) > 7.0
+
+
+class _Stamped:
+    """A frame and the SHA-256 of its bytes when sent.  Joining it, as the
+    simulator does on delivery, logs whether its bytes are still those."""
+
+    def __init__(self, frame, log: list[bool]):
+        self.frame, self.log = frame, log
+        self.digest = hashlib.sha256(bytes(frame)).digest()
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __bytes__(self) -> bytes:
+        data = bytes(self.frame)
+        self.log.append(hashlib.sha256(data).digest() == self.digest)
+        return data
+
+
+def stamp_sends(monkeypatch) -> list[bool]:
+    """Stamp every frame at SimEndpoint.send; the log of their deliveries."""
+    log: list[bool] = []
+    send = SimEndpoint.send
+    monkeypatch.setattr(SimEndpoint, "send",
+                        lambda ep, dst, data: send(ep, dst, _Stamped(data, log)))
+    return log
+
+
+@pytest.mark.parametrize("case", ["fedavg", "geo-median"])
+def test_the_bytes_delivered_are_the_bytes_sent(case, tmp_path, monkeypatch):
+    delivered = stamp_sends(monkeypatch)
+    config_text, corpus_seeds, rows, params = GOLDEN_CASES[case]
+    assert _run_golden(tmp_path, config_text, corpus_seeds) == (rows, params)
+    assert delivered and all(delivered)
+
+
+def test_the_stamp_catches_a_vector_changed_in_flight(monkeypatch):
+    delivered = stamp_sends(monkeypatch)
+    net = SimNetwork(SimNetConfig())
+    ReliableEndpoint(net.endpoint("server"))
+    site = ReliableEndpoint(net.endpoint("site-1"))
+    vector = np.linspace(1.0, 2.0, 8)
+    site.send("server", MSG_UPDATE_SUBMIT, encode_payload({"round": 1}, vector))
+    vector[3] = -1.0
+    net.run()
+    assert delivered == [False, True]  # the update, then its ack

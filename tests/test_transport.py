@@ -177,6 +177,40 @@ class TestFrameCodec:
         assert frame == _one_buffer_frame(9, b"head" + words.tobytes())
 
 
+class TestFrame:
+    PARTS = (b"head", np.arange(5, dtype=np.float64).data, b"", b"tail")
+
+    def test_a_frame_reads_as_its_join_without_joining(self, monkeypatch):
+        frame = transport.Frame(9, *self.PARTS)
+        joins = []
+        encode = transport.encode_frame
+        monkeypatch.setattr(transport, "encode_frame",
+                            lambda *args: joins.append(args) or encode(*args))
+        assert len(frame) == len(encode_frame(9, *self.PARTS))
+        assert [frame[i] for i in range(len(frame))] == list(encode_frame(9, *self.PARTS))
+        assert joins == []
+        assert bytes(frame) == encode_frame(9, *self.PARTS)
+        assert joins == [(9, *self.PARTS)]  # through the module global a tracer patches
+        with pytest.raises(IndexError):
+            frame[len(frame)]
+
+    def test_a_frame_is_not_iterable(self):
+        with pytest.raises(TypeError):
+            list(transport.Frame(9, *self.PARTS))
+
+    def test_a_frame_checks_its_type_when_built(self):
+        with pytest.raises(ValueError, match="msg_type"):
+            transport.Frame(256, b"x")
+
+    def test_an_oversized_payload_raises_in_send_and_leaves_no_trace(self):
+        net, eps, _ = _pair(SimNetConfig())
+        big = np.broadcast_to(np.uint8(0), (transport.MAX_PAYLOAD,))  # no memory behind it
+        with pytest.raises(ValueError, match="64 MiB"):
+            eps["a"].send("b", MSG_TASK_ASSIGN, Payload(big.data))
+        assert eps["a"]._pending == {} and not net.step()
+        assert eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"x")) == 0
+
+
 def _one_buffer_frame(msg_type: int, payload: bytes) -> bytes:
     """The frame layout written out: the header, then one payload buffer."""
     header = b"FHN1" + bytes((transport.VERSION, msg_type)) + struct.pack(">I", len(payload))
@@ -677,7 +711,7 @@ def _corrupt_first_send(raw, offset: int, xor: int) -> None:
 
     def corrupting(dst, data):
         if not sent:
-            data = bytearray(data)
+            data = bytearray(bytes(data))
             data[offset] ^= xor
             data = bytes(data)
         sent.append(data)
