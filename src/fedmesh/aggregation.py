@@ -199,14 +199,18 @@ def coordinate_median(updates: list[ClientUpdate]) -> np.ndarray:
 
     With a majority of sparse rows, only columns that a sparse row stores or
     a dense row holds as +-0.0 or NaN can differ from +0.0, so only they run.
+    Those are the words that * inf makes NaN, found in cache-sized blocks.
     """
     rows = [u.delta for u in _sorted_updates(updates)]
     sparse = [r for r in rows if isinstance(r, SparseVector)]
     if len(sparse) <= len(rows) // 2:
         return np.median(np.stack([as_dense(r) for r in rows]), axis=0)
-    cols = np.unique(np.concatenate([r.indices for r in sparse] + [
-        np.flatnonzero((r == 0) | np.isnan(r)) for r in rows if not isinstance(r, SparseVector)
-    ]))
+    with np.errstate(invalid="ignore"):
+        cols = np.unique(np.concatenate([r.indices for r in sparse] + [
+            np.flatnonzero(np.isnan(r[s:s + _SWEEP_WORDS] * np.inf)) + s
+            for r in rows if not isinstance(r, SparseVector)
+            for s in range(0, len(r), _SWEEP_WORDS)
+        ]))
     out = np.zeros(len(rows[0]))
     out[cols] = np.median(np.stack([
         SparseVector(len(cols), np.searchsorted(cols, r.indices), r.values).to_dense()

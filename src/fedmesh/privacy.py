@@ -229,13 +229,17 @@ def sum_masked(masked_words: list[np.ndarray]) -> np.ndarray:
 
     Exact up to the 2^-32 encoding grid; only valid when every cohort member
     contributed, otherwise an uncancelled mask corrupts every coordinate.
+    The sum is the one new vector, decoded in place as decode_fixed decodes
+    (copyto casts in place, where np.divide would copy its int64 view first).
     """
     if not masked_words:
         raise ValueError("cannot sum zero masked updates")
     total = masked_words[0].copy()
     for words in masked_words[1:]:
         total += words
-    return decode_fixed(total)
+    values = total.view(np.float64)
+    np.copyto(values, total.view(np.int64), casting="unsafe")
+    return np.divide(values, _FIXED_SCALE, out=values)
 
 
 def apply_policy(

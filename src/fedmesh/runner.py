@@ -404,10 +404,10 @@ class ServerNode(_Node):
         masked_ids = sorted(set(action.responded) & self.config.masked_cohort)
         plain_ids = sorted(set(action.responded) - self.config.masked_cohort)
         if masked_ids:
-            total = sum_masked([vectors[c] for c in masked_ids])
+            delta = sum_masked([vectors.pop(c) for c in masked_ids])  # freed once summed
             for cid in plain_ids:
-                add_scaled(total, vectors[cid], weights[cid])
-            delta = total / sum(weights.values())
+                add_scaled(delta, vectors[cid], weights[cid])
+            delta /= sum(weights.values())
         else:
             updates = [
                 ClientUpdate(cid, action.round, weights[cid], vectors[cid])

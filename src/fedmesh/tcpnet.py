@@ -10,7 +10,9 @@ its own (transport.read_frames), checks it once and queues its
 send waits out a slow peer.  A connection is routed by the sender id in the
 envelope of its first data frame, which is then the src of every frame it
 carries; a claim on a sender routed to a live connection is refused, and
-frames before the first data frame are dropped.
+frames before the first data frame are dropped.  A send writes a Frame's
+header and parts with sendmsg, never joined, and resends what a partial
+call left.
 """
 
 from __future__ import annotations
@@ -103,8 +105,15 @@ class TcpNode:
             # No route (peer not yet connected or gone): behave like a drop,
             # the reliability layer's retries own recovery.
             return
+        parts = (data.header, *data.parts) if isinstance(data, Frame) else (data,)
+        views = [memoryview(part).cast("B") for part in parts]
         try:
-            sock.sendall(bytes(data))
+            while views:  # sendmsg moves what the socket takes, so resend the rest
+                sent = sock.sendmsg(views)
+                while views and sent >= len(views[0]):
+                    sent -= len(views.pop(0))
+                if sent:
+                    views[0] = views[0][sent:]
         except OSError:
             with contextlib.suppress(OSError):  # wakes the reader to drop the route
                 sock.shutdown(socket.SHUT_RDWR)

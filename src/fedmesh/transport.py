@@ -42,7 +42,7 @@ own memory (a sparse vector's index and value arrays).  A signed payload
 those buffers, taken with one incremental hash, so the receiver hashes the
 bytes it got and never re-encodes.  A buffer may be a view of a live array,
 which must not change until every frame carrying it is delivered or
-dropped: a frame keeps the payload's buffers until a backend joins it, and
+dropped: a frame keeps the payload's buffers until a backend reads it, and
 a retransmission sends the same frame again.
 
 Reliable delivery numbers each sender's messages per destination from 0;
@@ -50,11 +50,12 @@ receivers ack every data frame inside their window whose envelope checks
 and deduplicate by (sender, seq), senders retransmit on an exponential
 backoff until acked or retries run out.
 
-A transmission costs one join and one split.  A pending message keeps one
-unjoined Frame (its envelope head and the payload's buffers), handed to the
-raw endpoint on every transmission.  The backend joins it where it reads the
-bytes (TCP as it sends, the simulator on delivery), so a dropped frame is
-never joined and a broadcast to k sites holds one payload, not k frames.
+A transmission costs at most one join and one split.  A pending message
+keeps one unjoined Frame (its envelope head and the payload's buffers),
+handed to the raw endpoint on every transmission.  TCP writes its buffers
+with sendmsg and never joins it; the simulator joins it on delivery, so a
+dropped frame is never joined and a broadcast to k sites holds one
+payload, not k frames.
 The raw endpoint (the TCP reader, or the simulator on delivery) runs
 decode_frame once per frame and hands the receive handler (src, msg_type,
 payload view), src being the node the frame came from; the envelope's inner
@@ -313,11 +314,12 @@ def _decode_sparse(dims: int, body: bytes | memoryview) -> SparseVector:
 class RawEndpoint(Protocol):
     """What a transport backend must provide to host reliable messaging.
 
-    `send` takes a Frame, or its bytes, and joins it once (bytes(data)) where
-    it reads the bytes.  The backend checks each received frame's header
-    once, where it arrives, drops anything that is not exactly one
-    well-formed frame, and calls the receive handler with (src, msg_type,
-    payload view), where src names the node the frame came from.
+    `send` takes a Frame, or its bytes, and reads them once: TCP writes the
+    Frame's buffers as they are, the simulator joins it (bytes(data)) on
+    delivery.  The backend checks each received frame's header once, where
+    it arrives, drops anything that is not exactly one well-formed frame,
+    and calls the receive handler with (src, msg_type, payload view), where
+    src names the node the frame came from.
     Implementations must invoke the receive handler and scheduled callbacks
     on a single logical thread.
     """

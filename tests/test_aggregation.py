@@ -25,7 +25,7 @@ from fedmesh.aggregation import (
     tree_sum,
     trust_weights,
 )
-from fedmesh.aggregation import STRATEGY_KINDS, _WEISZFELD_SNAP, _sorted_updates
+from fedmesh.aggregation import STRATEGY_KINDS, _SWEEP_WORDS, _WEISZFELD_SNAP, _sorted_updates
 from fedmesh.errors import ConfigError
 
 
@@ -386,6 +386,22 @@ class TestSparseRowsBitIdentity:
         got = coordinate_median(updates_from(rows))
         want = _reference_coordinate_median(updates_from(list(pts)))
         assert np.isnan(got[0]) and got.tobytes() == want.tobytes()
+
+    def test_coordinate_median_finds_blank_words_in_every_block(self):
+        # Dense rows longer than one scan block, with +-0.0 and NaN on both
+        # sides of each block edge, next to inf and a subnormal that are live.
+        dims = 2 * _SWEEP_WORDS + 5
+        rng = np.random.default_rng(4)
+        points = rng.normal(size=(5, dims))
+        points[:3] = 0.0
+        points[0, [1, _SWEEP_WORDS + 2]] = [2.0, -3.0]
+        for i, col in enumerate((0, _SWEEP_WORDS - 1, _SWEEP_WORDS, 2 * _SWEEP_WORDS, dims - 1)):
+            points[3, col] = (0.0, -0.0, np.nan, np.inf, 5e-324)[i]
+            points[4, col] = (np.nan, 0.0, -0.0, -np.inf, -0.0)[i]
+        rows = [_sparse_form(p, np.zeros(dims, bool)) for p in points[:3]] + list(points[3:])
+        got = coordinate_median(updates_from(rows))
+        want = _reference_coordinate_median(updates_from(list(points)))
+        assert got.tobytes() == want.tobytes()
 
     def test_coincident_branch(self):
         pts = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [5.0, -3.0, 0.0],

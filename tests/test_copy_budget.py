@@ -15,10 +15,19 @@ A pending message and a frame in flight keep the payload's buffers, so a
 model broadcast to k sites holds one vector until it is delivered, not k
 frames.  Since the bytes are read only on delivery, a sent vector must not
 change until then; the stamped golden runs check that the runner keeps to it.
+
+Over TCP a frame is never joined: ``TcpNode.send`` hands its header and
+buffers to ``sendmsg``, so a send allocates almost nothing; joining the
+frame would allocate the whole vector again.  The coordinator's masked fold
+sums the cohort's words into one copy and decodes it in place, so it makes
+one vector; decoding into a new array would make two.
 """
 
 import hashlib
+import socket
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,14 +35,18 @@ import pytest
 from test_golden import GOLDEN_CASES, _run_golden
 
 from fedmesh import runner, transport
+from fedmesh.privacy import sum_masked
 from fedmesh.runner import _signed
 from fedmesh.simnet import SimEndpoint, SimNetConfig, SimNetwork
+from fedmesh.tcpnet import TcpNode
 from fedmesh.transport import (
     MSG_TASK_ASSIGN,
     MSG_UPDATE_SUBMIT,
     Frame,
     Payload,
     ReliableEndpoint,
+    _pack_envelope,
+    encode_frame,
     encode_payload,
 )
 from fedmesh.trustops import provision
@@ -117,6 +130,70 @@ def test_the_held_budget_catches_kept_frames(kind, monkeypatch):
     monkeypatch.setattr(transport, "Frame",
                         lambda msg_type, *parts: Frame(msg_type, b"".join(parts)))
     assert held_share(VECTORS[kind]()) > 7.0
+
+
+def tcp_send_share(vector: np.ndarray, join: bool = False) -> float:
+    """Peak bytes allocated by one TcpNode.send of a signed frame of *vector*
+    to a loopback peer that drains it, over the vector's size.  *join* makes
+    the socket join the buffers it is handed, the copy a joined send makes."""
+    kit = provision([("server", "server")], key_seed=3)["server"]
+    frame = Frame(MSG_TASK_ASSIGN, _pack_envelope(MSG_TASK_ASSIGN, "server", 0),
+                  *_signed({"round": 1}, vector, kit).parts)
+    node = TcpNode("server", bind=("127.0.0.1", 0))
+    peer = socket.create_connection(("127.0.0.1", node.port), timeout=10.0)
+    try:
+        routed = []
+        node.set_receive_handler(lambda *frame: routed.append(frame))
+        peer.sendall(encode_frame(MSG_UPDATE_SUBMIT, _pack_envelope(
+            MSG_UPDATE_SUBMIT, "site-1", 0), b"hello"))
+        assert node.run_until(lambda: routed, timeout_s=5.0)
+        if join:
+            sock = node._conns["site-1"]
+            node._conns["site-1"] = SimpleNamespace(
+                sendmsg=lambda buffers: sock.send(b"".join(buffers)),
+                shutdown=sock.shutdown, close=sock.close)
+        sink, drained = memoryview(bytearray(1 << 16)), [0]
+
+        def drain():  # into one buffer, so the peer allocates nothing per read
+            while drained[0] < len(frame) and (got := peer.recv_into(sink)):
+                drained[0] += got
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        tracemalloc.start()
+        try:
+            node.send("site-1", frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        reader.join(timeout=10.0)
+        assert drained[0] == len(frame)
+    finally:
+        peer.close()
+        node.close()
+    return peak / vector.nbytes
+
+
+@pytest.mark.parametrize("kind", sorted(VECTORS))
+def test_a_tcp_send_copies_no_dense_vector(kind):
+    assert tcp_send_share(VECTORS[kind]()) < 0.1
+
+
+def test_the_tcp_send_budget_catches_a_joined_frame():
+    assert tcp_send_share(VECTORS["u64"](), join=True) >= 1.0
+
+
+def test_the_masked_fold_makes_one_vector():
+    rng = np.random.default_rng(7)
+    masked = [rng.integers(0, 2**64, size=WORDS, dtype=np.uint64) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        total = sum_masked(masked)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total.dtype == np.float64
+    assert 1.0 <= peak / total.nbytes < 1.5  # decoding into a new array makes 2.0
 
 
 class _Stamped:

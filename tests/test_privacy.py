@@ -283,6 +283,17 @@ class TestFusedMasking:
         want = total.view(np.int64).astype(np.float64) / float(1 << 32)
         assert sum_masked(masked).tobytes() == want.tobytes()
 
+    def test_sum_masked_decodes_words_past_2_53_as_decode_fixed_does(self):
+        # Such int64 sums round when cast to float64, so a decode in place must
+        # make decode_fixed's cast before its division.
+        rng = np.random.default_rng(9)
+        masked = [rng.integers(0, 2**64, size=1000, dtype=np.uint64) for _ in range(3)]
+        for words in masked[1:]:
+            words[:4] = 0
+        masked[0][:4] = [2**53 + 1, 2**63 - 1, 2**63, 2**64 - 2**53 - 3]
+        total = masked[0] + masked[1] + masked[2]  # wraps mod 2^64
+        assert sum_masked(masked).tobytes() == decode_fixed(total).tobytes()
+
     def test_sum_masked_leaves_its_inputs_alone(self):
         pairing = make_pairing(["a", "b"], round_no=1, root_seed=8)
         masked = [mask_update(np.full(6, 0.25), pairing, cid) for cid in ("a", "b")]

@@ -24,6 +24,7 @@ from fedmesh.tcpnet import TcpNode
 from fedmesh.transport import (
     DEDUP_WINDOW,
     CorruptFrame,
+    Frame,
     MSG_REGISTER,
     MSG_TASK_ASSIGN,
     MSG_TRANSPORT_ACK,
@@ -931,7 +932,12 @@ class TestTcpNode:
     def test_a_queued_ack_goes_before_the_retransmit_it_cancels(self, tcp_nodes):
         node = tcp_nodes("server", bind=("127.0.0.1", 0))
         sent = []
-        node._conns["site-1"] = SimpleNamespace(sendall=sent.append, close=lambda: None)
+
+        def sendmsg(buffers):  # records the joined bytes of each call
+            sent.append(b"".join(buffers))
+            return len(sent[-1])
+
+        node._conns["site-1"] = SimpleNamespace(sendmsg=sendmsg, close=lambda: None)
         rel = ReliableEndpoint(node, backoff_base_ms=0.0)  # the retransmit falls due at once
         receipts = []
         seq = rel.send("site-1", MSG_TASK_ASSIGN, Payload(b"task"), receipts.append)
@@ -1065,6 +1071,58 @@ class TestTcpNode:
             assert bytes(received) == big
             server.send("site-1", _frame("server", 1, b"after"))
             assert _read_frame(peer) == _frame("server", 1, b"after")
+        finally:
+            peer.close()
+
+    def test_partial_sends_deliver_a_frame_byte_for_byte(self, tcp_nodes, monkeypatch):
+        # The peer's receive buffer is small and it reads 1 KiB a millisecond,
+        # so a 2 MB frame takes seconds and each sendmsg, bounded by the short
+        # send stall, moves part of it and ends inside one of its buffers.
+        monkeypatch.setattr(tcpnet, "SEND_STALL_S", 0.5)
+        server = tcp_nodes("server", bind=("127.0.0.1", 0))
+        got = []
+        server.set_receive_handler(_frames_into(got))
+        peer = socket.socket()
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        peer.settimeout(5.0)
+        peer.connect(("127.0.0.1", server.port))
+        words = np.arange(125_001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        parts = (_pack_envelope(MSG_TASK_ASSIGN, "server", 0), bytes(range(256)) * 3907,
+                 words.data, memoryview(b"tail"))
+        frame = Frame(MSG_TASK_ASSIGN, *parts)
+        plain = _frame("server", 1, bytes(range(7)) * 40_001)
+        want = bytes(frame) + plain
+        received = bytearray()
+
+        def read_slowly():
+            while len(received) < len(want) and (chunk := peer.recv(1024)):
+                received.extend(chunk)
+                time.sleep(0.001)
+
+        try:
+            peer.sendall(_frame("site-1", 0, b"hello"))
+            assert server.run_until(lambda: got, timeout_s=5.0)
+            sock = server._conns["site-1"]
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+            moved = []  # bytes each sendmsg call moved
+
+            def sendmsg(buffers):
+                moved.append(sock.sendmsg(buffers))
+                return moved[-1]
+
+            server._conns["site-1"] = SimpleNamespace(
+                sendmsg=sendmsg, shutdown=sock.shutdown, close=sock.close)
+            reader = threading.Thread(target=read_slowly)
+            reader.start()
+            server.send("site-1", frame)
+            frame_calls = len(moved)
+            server.send("site-1", plain)
+            reader.join(timeout=30.0)
+            assert not reader.is_alive()
+            assert bytes(received) == want
+            sizes = [len(frame.header)] + [memoryview(part).nbytes for part in parts]
+            ends, bounds = (set(np.cumsum(n).tolist()) for n in (moved[:frame_calls], sizes))
+            assert sum(moved) == len(want) and ends - bounds  # a call ended mid-buffer
         finally:
             peer.close()
 
