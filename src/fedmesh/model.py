@@ -5,7 +5,7 @@ trained with plain SGD (optionally with a proximal pull toward a reference
 vector).  Features are FNV-1a hashes of the lowercase token, its character
 3-grams, and the neighbouring tokens, folded into a power-of-two table.
 Everything here is a pure function of its inputs; parameter vectors are
-flat float64 numpy arrays of length ``num_classes * feature_dim``.
+flat float64 numpy arrays of length ``NUM_CLASSES * feature_dim``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .aggregation import SparseVector, Vector, take
 from .errors import ConfigError
 
 TAGS = ("O", "B", "I")
+NUM_CLASSES = len(TAGS)
 _TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -58,7 +59,6 @@ class TrainConfig:
     fedprox_mu: float = 0.0
     seed: int = 0
     feature_dim: int = 1 << 18
-    num_classes: int = 3
     hash_seed: int = 0
 
     def __post_init__(self):
@@ -73,12 +73,10 @@ class TrainConfig:
             raise ConfigError("fedprox_mu must be >= 0")
         if self.feature_dim < (1 << 10) or self.feature_dim & (self.feature_dim - 1):
             raise ConfigError("feature_dim must be a power of two >= 2^10")
-        if self.num_classes != len(TAGS):
-            raise ConfigError(f"num_classes must be {len(TAGS)}")
 
     @property
     def dims(self) -> int:
-        return self.num_classes * self.feature_dim
+        return NUM_CLASSES * self.feature_dim
 
 
 @dataclass(frozen=True)
@@ -320,7 +318,7 @@ def loss_and_grad(
         batch = encode_sentences(batch, config.feature_dim, config.hash_seed)
     if batch.n_tokens == 0:
         raise EmptyShardError("batch contains no tokens")
-    weights = params.reshape(config.num_classes, config.feature_dim)
+    weights = params.reshape(NUM_CLASSES, config.feature_dim)
     probs = _softmax(_token_scores(weights, batch))
     n = batch.n_tokens
     token_idx = np.arange(n)
@@ -330,7 +328,7 @@ def loss_and_grad(
     err[batch.labels, token_idx] -= 1.0
     counts = np.diff(batch.token_ptr)
     grad = np.zeros_like(weights)
-    for cls in range(config.num_classes):
+    for cls in range(NUM_CLASSES):
         per_feat = np.repeat(err[cls], counts)
         grad[cls] = np.bincount(
             batch.feats, weights=per_feat, minlength=config.feature_dim
@@ -410,9 +408,9 @@ def local_train(
     if shard.n_tokens == 0:
         raise EmptyShardError("client shard has no tokens; report 'no data' instead")
     vocab, local = shard.compact
-    cols = (np.arange(config.num_classes)[:, None] * config.feature_dim + vocab).reshape(-1)
+    cols = (np.arange(NUM_CLASSES)[:, None] * config.feature_dim + vocab).reshape(-1)
     before = take(start, cols)
-    weights = before.reshape(config.num_classes, len(vocab)).copy()
+    weights = before.reshape(NUM_CLASSES, len(vocab)).copy()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = shard.n_sentences
     for _ in range(config.local_epochs):
@@ -474,7 +472,7 @@ def evaluate(
     if corpus.n_tokens == 0:
         zero = Metrics.from_counts(0, 0, 0, "entity-strict")
         return zero, Metrics.from_counts(0, 0, 0, "token")
-    weights = params.reshape(config.num_classes, config.feature_dim)
+    weights = params.reshape(NUM_CLASSES, config.feature_dim)
     pred_idx = _token_scores(weights, corpus).argmax(axis=0)
     gold_idx = corpus.labels
 

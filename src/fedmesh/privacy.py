@@ -11,12 +11,17 @@ coordinator only ever sees masked words.  The price is that a masked round
 recovers the *sum* of updates (FedAvg only) and requires every masked client
 to respond; a missing client leaves an uncancelled mask, so the round must
 be aborted.
+
+Each masked site derives only its own pairs' seeds (make_masks), from the
+first 8 bytes of its kit's 32-byte mask root; every client kit holds the
+same root, so masking hides an update from the coordinator, not from a site.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 
@@ -124,62 +129,35 @@ def svt_filter(
 # --- pairwise masking -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaskPairing:
-    """Seeds for every unordered client pair in one round's masked cohort."""
-
-    round: int
-    pair_seeds: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    @staticmethod
-    def key(a: str, b: str) -> tuple[str, str]:
-        if a == b:
-            raise ConfigError("a client does not pair with itself")
-        return (a, b) if a < b else (b, a)
-
-    def seed_for(self, a: str, b: str) -> int:
-        key = self.key(a, b)
-        if key not in self.pair_seeds:
-            raise KeyError(f"no mask seed for pair {key} in round {self.round}")
-        return self.pair_seeds[key]
-
-    def cohort(self) -> list[str]:
-        return sorted({c for pair in self.pair_seeds for c in pair})
-
-
-def make_pairing(cohort: list[str], round_no: int, root_seed: int) -> MaskPairing:
-    """Derive one seed per unordered pair of cohort members."""
-    ordered = sorted(cohort)
-    seeds = {}
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            seeds[(a, b)] = derive_seed(root_seed, "mask", round_no, a, b)
-    return MaskPairing(round=round_no, pair_seeds=seeds)
-
-
 def _pair_words(seed: int, dims: int) -> np.ndarray:
     # Word for word what Generator.integers draws over the full u64 range.
     return np.random.PCG64(seed).random_raw(dims)
 
 
-def make_masks(pairing: MaskPairing, client_id: str, dims: int) -> np.ndarray:
-    """This client's additive mask: sum over peers of +-PRG(pair seed).
+def make_masks(
+    client_id: str, cohort: Collection[str], round_no: int, root: bytes, dims: int
+) -> np.ndarray:
+    """This client's additive mask: the sum over its peers of +-PRG(pair seed).
 
-    The sign is +1 toward lexicographically larger peers and -1 toward
-    smaller ones, so summing all cohort members' masks cancels to zero
-    word-for-word.  The first peer's words become the mask, and every other
-    peer's are added or subtracted in place (mod 2^64, in any order).
+    Only this client's n-1 pair seeds are derived, derive_seed(first 8 bytes
+    of *root*, "mask", round_no, a, b) for the pair a < b.  The sign is +1
+    toward larger peers and -1 toward smaller ones, so the cohort's masks
+    cancel word for word; the first peer's words become the mask and every
+    other peer's are added or subtracted in place (mod 2^64, in any order).
     """
-    cohort = pairing.cohort()
     if client_id not in cohort:
-        raise KeyError(f"{client_id!r} not in the masked cohort")
-    first, *rest = [peer for peer in cohort if peer != client_id]
-    mask = _pair_words(pairing.seed_for(client_id, first), dims)
-    if client_id > first:
-        np.negative(mask, out=mask)
-    for peer in rest:
-        words = _pair_words(pairing.seed_for(client_id, peer), dims)
-        if client_id < peer:
+        raise ConfigError(f"{client_id!r} not in the masked cohort")
+    peers = sorted(set(cohort) - {client_id})
+    if not peers:
+        raise ConfigError(f"{client_id!r} has no peer in the masked cohort")
+    root_seed = int.from_bytes(root[:8], "big")
+    mask = None
+    for peer in peers:
+        a, b = sorted((client_id, peer))
+        words = _pair_words(derive_seed(root_seed, "mask", round_no, a, b), dims)
+        if mask is None:
+            mask = words if client_id < peer else np.negative(words, out=words)
+        elif client_id < peer:
             mask += words
         else:
             mask -= words
@@ -206,17 +184,22 @@ def decode_fixed(words: np.ndarray) -> np.ndarray:
 
 
 def mask_update(
-    delta: Vector, pairing: MaskPairing, client_id: str, weight: float = 1.0
+    delta: Vector, client_id: str, cohort: Collection[str], round_no: int,
+    root: bytes | None, weight: float = 1.0,
 ) -> np.ndarray:
     """Fixed-point encode weight * delta, then add it into this client's mask
     (mod 2^64).
 
     A sparse delta's words are added at its indices only: every other word
-    encodes weight * +-0.0, which is word 0.
+    encodes weight * +-0.0, which is word 0.  ConfigError when there is no
+    root, a value past encode_fixed's bound, or no such client or peer.
     """
+    if root is None:
+        raise ConfigError("no mask root in kit")
+    cohort = set(cohort)
     sparse = isinstance(delta, SparseVector)
-    words = encode_fixed(weight * (delta.values if sparse else delta), len(pairing.cohort()))
-    mask = make_masks(pairing, client_id, len(delta))
+    words = encode_fixed(weight * (delta.values if sparse else delta), len(cohort))
+    mask = make_masks(client_id, cohort, round_no, root, len(delta))
     if sparse:
         mask[delta.indices] += words
     else:
@@ -250,7 +233,7 @@ def apply_policy(
     """Run the clip -> (dp | svt) part of the policy pipeline on one delta.
 
     A DP site densifies a sparse delta once, as noise fills it; others keep
-    it sparse.  Masking is applied at submit time: it needs the round's pairing.
+    it sparse.  Masking is applied at submit time: it needs the round's cohort.
     """
     out = as_dense(delta) if policy.dp is not None else delta
     if policy.clip_norm is not None:

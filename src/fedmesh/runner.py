@@ -38,7 +38,7 @@ from .model import (
     token_count,
     zero_params,
 )
-from .privacy import SitePolicy, apply_policy, make_pairing, mask_update, sum_masked
+from .privacy import SitePolicy, apply_policy, mask_update, sum_masked
 from .protocol import (
     Audit,
     BroadcastTask,
@@ -201,7 +201,7 @@ def _opened(payload: memoryview, sender_pub: bytes) -> Opened | None:
 
 
 def _task_fields(opened: Opened | None) -> tuple[int, Vector, tuple[str, ...]] | None:
-    """(round, params, masked peers) of an opened task; None if malformed or non-finite."""
+    """(round, params, masked cohort) of an opened task; None if malformed or non-finite."""
     if opened is None or opened[1] is None:
         return None
     doc, params = opened
@@ -569,7 +569,7 @@ class ClientNode(_Node):
     def _run_task(self, round_no: int) -> None:
         task, self.current_task = self.current_task, None  # not held past the round
         assert task is not None and task[0] == round_no
-        _, start, masked_peers = task
+        _, start, masked = task
         if not self.weight:
             # Refuse instead of uploading a fabricated update.
             self._drop(round_no, "no data")
@@ -599,15 +599,12 @@ class ClientNode(_Node):
             "masked": self.policy.masking_enabled,
         }
         if self.policy.masking_enabled:
-            if self.kit.mask_root is None:
-                self._drop(round_no, "no mask root in kit")
-                return
-            root = int.from_bytes(self.kit.mask_root[:8], "big")
-            pairing = make_pairing(list(masked_peers), round_no, root)
             try:
-                vector = mask_update(delta, pairing, self.kit.site_id, self.weight)
-            except (ConfigError, KeyError) as exc:  # past the fixed-point bound, or no peer
-                self._drop(round_no, exc.args[0])  # str() of a KeyError is its repr
+                vector = mask_update(
+                    delta, self.kit.site_id, masked, round_no, self.kit.mask_root, self.weight
+                )
+            except ConfigError as exc:  # no root, past the fixed-point bound, or no peer
+                self._drop(round_no, str(exc))
                 return
         self.rel.send(
             self.spec.server_id, MSG_UPDATE_SUBMIT, _signed(doc, vector, self.kit),

@@ -61,13 +61,11 @@ class SimEndpoint:
         payload view) of exactly one valid frame, and anything else is dropped."""
         if self._handler is None:
             return
-        data = bytes(data)
         try:
-            msg_type, payload, consumed = transport.decode_frame(data)
-        except (transport.NeedMoreBytes, transport.CorruptFrame):
+            msg_type, payload = transport.decode_frame(bytes(data))
+        except transport.CorruptFrame:
             return
-        if consumed == len(data):
-            self._handler(src, msg_type, payload)
+        self._handler(src, msg_type, payload)
 
 
 class SimNetwork:

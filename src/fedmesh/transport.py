@@ -92,12 +92,10 @@ MSG_EVAL_REPORT = 0x07
 
 # Seqs per sender that a receiver accepts past its mark (see ReliableEndpoint).
 DEDUP_WINDOW = 1024
-# A frame's buffer starts at most this large and doubles as its bytes arrive.
-_FIRST_READ = 1 << 20
-
-
-class NeedMoreBytes(Exception):
-    """The buffer ends before the frame does; feed more bytes and retry."""
+# A frame's buffer grows by this much at a time as its bytes arrive, or by all
+# the rest under two steps: CPython over-allocates a bytearray grown by < 1/8.
+_READ_STEP = 1 << 20
+_ZEROS = memoryview(bytes(2 * _READ_STEP))
 
 
 class CorruptFrame(ValueError):
@@ -158,22 +156,14 @@ def _payload_length(header: memoryview) -> int:
     return length
 
 
-def decode_frame(data: bytes | bytearray | memoryview) -> tuple[int, memoryview, int]:
-    """Decode one frame from the head of *data*: (msg_type, payload, consumed).
-
-    The payload is a view into *data*, not a copy.  Raises NeedMoreBytes when
-    the buffer is a strict prefix of a valid frame and CorruptFrame on a
-    malformed header.  Never reads past the declared length.
-    """
+def decode_frame(data: bytes | bytearray | memoryview) -> tuple[int, memoryview]:
+    """Decode exactly one frame: (msg_type, payload view into *data*, not a
+    copy).  CorruptFrame on a malformed header or on any length but the
+    header's."""
     data = memoryview(data)
-    if len(data) < HEADER_LEN:
-        if bytes(data[:len(MAGIC)]) != MAGIC[:len(data)]:
-            raise CorruptFrame("bad magic")
-        raise NeedMoreBytes
-    total = HEADER_LEN + _payload_length(data)
-    if len(data) < total:
-        raise NeedMoreBytes
-    return data[5], data[HEADER_LEN:total], total
+    if len(data) < HEADER_LEN or len(data) != HEADER_LEN + _payload_length(data):
+        raise CorruptFrame(f"{len(data)} bytes are not one whole frame")
+    return data[5], data[HEADER_LEN:]
 
 
 def read_frames(recv_into: Callable[[memoryview], int]) -> Iterator[tuple[int, memoryview]]:
@@ -182,22 +172,21 @@ def read_frames(recv_into: Callable[[memoryview], int]) -> Iterator[tuple[int, m
     *recv_into(view)* writes up to len(view) bytes at the head of *view* and
     returns how many, 0 at the end of the stream.  Each header is parsed
     once and the frame's one buffer is filled straight from the stream, then
-    decode_frame splits it once.  The buffer holds at most _FIRST_READ bytes
-    more than have arrived and doubles as they do, so a header declaring a
-    large frame costs memory only as its bytes come.  Ends quietly at the end
-    of the stream, dropping a cut-off frame; CorruptFrame on a bad frame.
+    decode_frame splits it once.  The buffer holds under 2 * _READ_STEP bytes
+    more than have arrived and grows in place, so a header declaring a large
+    frame costs memory only as its bytes come.  Ends quietly at the end of the
+    stream, dropping a cut-off frame; CorruptFrame on a bad frame.
     """
     header = memoryview(bytearray(HEADER_LEN))
     while _fill(recv_into, header):
         total = HEADER_LEN + _payload_length(header)
         frame = bytearray(header)
         while len(frame) < total:
-            have = len(frame)
-            frame += bytes(min(max(have, _FIRST_READ), total - have))
+            have, left = len(frame), total - len(frame)
+            frame += _ZEROS[:left if left < 2 * _READ_STEP else _READ_STEP]
             if not _fill(recv_into, memoryview(frame)[have:]):
                 return
-        msg_type, payload, _ = decode_frame(frame)
-        yield msg_type, payload
+        yield decode_frame(frame)
 
 
 def _fill(recv_into: Callable[[memoryview], int], view: memoryview) -> bool:

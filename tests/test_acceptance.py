@@ -37,7 +37,6 @@ from fedmesh.privacy import (
     encode_fixed,
     gaussian_mechanism,
     gaussian_sigma,
-    make_pairing,
     mask_update,
     sum_masked,
     svt_filter,
@@ -278,9 +277,9 @@ class TestCriterion6MaskCancellation:
         for n in range(2, 7):
             cohort = [f"site-{i}" for i in range(n)]
             for seed in range(100):
-                pairing = make_pairing(cohort, round_no=seed, root_seed=seed * 977 + n)
+                root = (seed * 977 + n).to_bytes(8, "big") + bytes(24)
                 deltas = {cid: rng.normal(size=64) for cid in cohort}
-                masked = [mask_update(deltas[c], pairing, c) for c in sorted(cohort)]
+                masked = [mask_update(deltas[c], c, cohort, seed, root) for c in sorted(cohort)]
                 expected_words = np.zeros(64, dtype=np.uint64)
                 for cid in sorted(cohort):
                     expected_words += encode_fixed(deltas[cid])

@@ -16,6 +16,7 @@ from fedmesh.model import (
     EmptyShardError,
     EncodedBatch,
     Metrics,
+    NUM_CLASSES,
     TAGS,
     TaggedSentence,
     TrainConfig,
@@ -52,7 +53,7 @@ def featurize(sent, feature_dim, hash_seed=0):
 def predict_tags(params, sent, cfg):
     """Per-token argmax tags, scored the way evaluate scores them."""
     batch = encode_sentences([sent], cfg.feature_dim, cfg.hash_seed)
-    weights = params.reshape(cfg.num_classes, cfg.feature_dim)
+    weights = params.reshape(NUM_CLASSES, cfg.feature_dim)
     return [TAGS[i] for i in model._token_scores(weights, batch).argmax(axis=0)]
 
 
@@ -532,7 +533,7 @@ def _reference_local_train(start, shard, config, global_reference=None):
     reference = None
     if mu > 0:
         reference = global_reference if global_reference is not None else start.copy()
-    weights = start.reshape(config.num_classes, config.feature_dim).copy()
+    weights = start.reshape(NUM_CLASSES, config.feature_dim).copy()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = shard.n_sentences
     for _ in range(config.local_epochs):

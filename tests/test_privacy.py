@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmesh import privacy
 from fedmesh.aggregation import SparseVector, as_dense, clip_to_norm
 from fedmesh.config import policy_from_doc, policy_to_doc
 from fedmesh.errors import ConfigError
 from fedmesh.kvdoc import parse_doc
 from fedmesh.privacy import (
     DpParams,
-    MaskPairing,
     SitePolicy,
     SvtParams,
     apply_policy,
@@ -22,11 +22,11 @@ from fedmesh.privacy import (
     gaussian_sigma,
     _pair_words,
     make_masks,
-    make_pairing,
     mask_update,
     sum_masked,
     svt_filter,
 )
+from fedmesh.seeding import derive_seed
 
 
 class TestGaussianMechanism:
@@ -136,22 +136,20 @@ class TestFixedPoint:
         # Eight clients at +2^28 sum to 2^63 on the fixed-point grid, which
         # wraps to -2^63 and decodes to -2^31; the bound is strict.
         cohort = [f"site-{i}" for i in range(8)]
-        pairing = make_pairing(cohort, round_no=1, root_seed=4)
         with pytest.raises(ConfigError):
-            mask_update(np.full(2, 2.0 ** 28), pairing, "site-0")
+            mask_update(np.full(2, 2.0 ** 28), "site-0", cohort, 1, _root(4))
         below = np.nextafter(2.0 ** 28, 0.0)
-        total = sum_masked([mask_update(np.full(2, below), pairing, c) for c in cohort])
+        total = sum_masked([mask_update(np.full(2, below), c, cohort, 1, _root(4)) for c in cohort])
         np.testing.assert_array_equal(total, np.full(2, 8 * below))
 
     def test_large_cohort_bound_keeps_the_masked_sum_unwrapped(self):
         # Nine clients at 0.99 * 2^28 sum past 2^63 on the fixed-point grid,
         # which wraps and decodes to about -1.9e9; the bound is 2^31 / 9.
         cohort = [f"site-{i}" for i in range(9)]
-        pairing = make_pairing(cohort, round_no=1, root_seed=4)
         with pytest.raises(ConfigError):
-            mask_update(np.full(3, 0.99 * 2.0 ** 28), pairing, "site-0")
+            mask_update(np.full(3, 0.99 * 2.0 ** 28), "site-0", cohort, 1, _root(4))
         value = 0.99 * 2.0 ** 31 / 9
-        total = sum_masked([mask_update(np.full(3, value), pairing, cid) for cid in cohort])
+        total = sum_masked([mask_update(np.full(3, value), c, cohort, 1, _root(4)) for c in cohort])
         np.testing.assert_allclose(total, 9 * value, rtol=1e-12)
 
 
@@ -163,6 +161,11 @@ class TestPairWords:
         want = gen.integers(0, 2**64 - 1, size=dims, dtype=np.uint64, endpoint=True)
         got = _pair_words(seed, dims)
         assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
+
+
+def _root(seed: int) -> bytes:
+    """A 32-byte mask root whose first 8 bytes, all that masking reads, are *seed*."""
+    return seed.to_bytes(8, "big") + bytes(24)
 
 
 # SHA-256 of _golden_masks(n).  Masks cancel whatever the pair seeds are, so
@@ -182,13 +185,12 @@ def _golden_masks(n: int) -> str:
     root = hashlib.sha256(f"mask root {n}".encode()).digest()
     digest = hashlib.sha256()
     for round_no in (1, 2):
-        pairing = make_pairing(cohort, round_no, int.from_bytes(root[:8], "big"))
         rng = np.random.default_rng([n, round_no])
         for cid in cohort:
             dense = rng.normal(size=40)
             idx = np.sort(rng.choice(40, size=6, replace=False))
             for delta in (dense, SparseVector(40, idx, dense[idx])):
-                digest.update(mask_update(delta, pairing, cid, 0.75).tobytes())
+                digest.update(mask_update(delta, cid, cohort, round_no, root, 0.75).tobytes())
     return digest.hexdigest()
 
 
@@ -197,27 +199,34 @@ class TestMasks:
     def test_masked_words_match_the_golden_digest(self, n):
         assert _golden_masks(n) == GOLDEN_MASK_WORDS[n]
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_a_client_derives_only_its_own_pair_seeds(self, n, monkeypatch):
+        labels = []
+        derive = privacy.derive_seed
+        monkeypatch.setattr(
+            privacy, "derive_seed", lambda *parts: labels.append(parts[1]) or derive(*parts)
+        )
+        mask_update(np.ones(4), "site-1", [f"site-{i}" for i in range(n)], 1, _root(2))
+        assert labels == ["mask"] * (n - 1)
+
     def test_two_clients_cancel_exactly(self):
-        pairing = make_pairing(["a", "b"], round_no=1, root_seed=99)
-        mask_a = make_masks(pairing, "a", 64)
-        mask_b = make_masks(pairing, "b", 64)
+        mask_a = make_masks("a", ["a", "b"], 1, _root(99), 64)
+        mask_b = make_masks("b", ["a", "b"], 1, _root(99), 64)
         assert ((mask_a + mask_b) == 0).all()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_cohort_masks_sum_to_zero(self, n):
         cohort = [f"site-{i}" for i in range(n)]
-        pairing = make_pairing(cohort, round_no=3, root_seed=5)
         total = np.zeros(32, dtype=np.uint64)
         for cid in cohort:
-            total += make_masks(pairing, cid, 32)
+            total += make_masks(cid, cohort, 3, _root(5), 32)
         assert (total == 0).all()
 
     def test_masked_sum_equals_encoded_sum_bit_exact(self):
         rng = np.random.default_rng(2)
         cohort = ["a", "b", "c", "d"]
-        pairing = make_pairing(cohort, round_no=1, root_seed=11)
         deltas = {cid: rng.normal(size=50) for cid in cohort}
-        masked = [mask_update(deltas[cid], pairing, cid) for cid in sorted(cohort)]
+        masked = [mask_update(deltas[cid], cid, cohort, 1, _root(11)) for cid in sorted(cohort)]
         got = sum_masked(masked)
         expected_words = np.zeros(50, dtype=np.uint64)
         for cid in sorted(cohort):
@@ -227,29 +236,37 @@ class TestMasks:
 
     def test_missing_client_corrupts_sum(self):
         cohort = ["a", "b", "c"]
-        pairing = make_pairing(cohort, round_no=1, root_seed=3)
-        deltas = {cid: np.zeros(20) for cid in cohort}
-        masked = [mask_update(deltas[cid], pairing, cid) for cid in ["a", "b"]]
+        masked = [mask_update(np.zeros(20), cid, cohort, 1, _root(3)) for cid in ["a", "b"]]
         corrupted = sum_masked(masked)
         assert np.max(np.abs(corrupted)) > 1.0
 
-    def test_missing_pair_seed_is_error(self):
-        pairing = MaskPairing(round=1, pair_seeds={("a", "b"): 7})
-        with pytest.raises(KeyError):
-            make_masks(pairing, "z", 8)
-        with pytest.raises(KeyError):
-            pairing.seed_for("a", "c")
+    @pytest.mark.parametrize("cohort,reason", [
+        (["a", "b"], "'z' not in the masked cohort"),
+        ([], "'z' not in the masked cohort"),
+        (["z"], "'z' has no peer in the masked cohort"),
+    ])
+    def test_a_cohort_without_the_client_or_a_peer_is_refused(self, cohort, reason):
+        with pytest.raises(ConfigError, match=reason):
+            make_masks("z", cohort, 1, _root(7), 8)
+        with pytest.raises(ConfigError, match=reason):
+            mask_update(np.zeros(8), "z", cohort, 1, _root(7))
 
-    def test_pairing_is_round_and_pair_specific(self):
-        a = make_pairing(["x", "y"], 1, 5).pair_seeds[("x", "y")]
-        b = make_pairing(["x", "y"], 2, 5).pair_seeds[("x", "y")]
-        assert a != b
+    def test_refusals_are_checked_root_then_bound_then_cohort(self):
+        past = np.full(2, 2.0 ** 28)
+        with pytest.raises(ConfigError, match="no mask root in kit"):
+            mask_update(past, "z", ["a", "b"], 1, None)
+        with pytest.raises(ConfigError, match="supports"):
+            mask_update(past, "z", ["a", "b"], 1, _root(7))
+
+    def test_masks_are_round_specific(self):
+        a = make_masks("x", ["x", "y"], 1, _root(5), 8)
+        b = make_masks("x", ["x", "y"], 2, _root(5), 8)
+        assert a.tobytes() != b.tobytes()
 
 
-def _zero_start_mask_update(dense, pairing, client_id):
-    """The earlier masking path, verbatim: encode_fixed of the whole dense
-    delta plus a mask summed onto a zero vector."""
-    cohort = pairing.cohort()
+def _zero_start_mask_update(dense, client_id, cohort, round_no, root_seed):
+    """The earlier masking path, verbatim but for where the seeds come from:
+    encode_fixed of the whole dense delta plus a mask summed onto a zero vector."""
     bound = min(float(1 << 28), float(1 << 31) / max(len(cohort), 1))
     if np.any(np.abs(dense) >= bound):
         raise ConfigError("out of bound")
@@ -258,7 +275,8 @@ def _zero_start_mask_update(dense, pairing, client_id):
     for peer in cohort:
         if peer == client_id:
             continue
-        pair = _pair_words(pairing.seed_for(client_id, peer), len(dense))
+        a, b = sorted((client_id, peer))
+        pair = _pair_words(derive_seed(root_seed, "mask", round_no, a, b), len(dense))
         if client_id < peer:
             mask += pair
         else:
@@ -290,25 +308,24 @@ class TestFusedMasking:
         sparse = SparseVector(dims, indices, values)
         dense = sparse.to_dense()
         cohort = [f"site-{i}" for i in range(n)]
-        pairing = make_pairing(cohort, round_no=4, root_seed=root)
         for cid in cohort:  # both sides of every pair
             try:
-                want = _zero_start_mask_update(weight * dense, pairing, cid)
+                want = _zero_start_mask_update(weight * dense, cid, cohort, 4, root)
             except ConfigError:
                 for vector in (sparse, dense):
                     with pytest.raises(ConfigError):
-                        mask_update(vector, pairing, cid, weight)
+                        mask_update(vector, cid, cohort, 4, _root(root), weight)
                 continue
-            assert mask_update(sparse, pairing, cid, weight).tobytes() == want.tobytes()
-            assert mask_update(dense, pairing, cid, weight).tobytes() == want.tobytes()
+            for vector in (sparse, dense):
+                got = mask_update(vector, cid, cohort, 4, _root(root), weight)
+                assert got.tobytes() == want.tobytes()
 
     @given(st.integers(2, 5), st.integers(0, 40), st.integers(0, 2**63))
     @settings(max_examples=50, deadline=None)
     def test_sum_masked_equals_the_zero_start_sum(self, n, dims, root):
         cohort = [f"site-{i}" for i in range(n)]
-        pairing = make_pairing(cohort, round_no=2, root_seed=root)
         rng = np.random.default_rng(root % 2**32)
-        masked = [mask_update(rng.normal(size=dims), pairing, cid) for cid in cohort]
+        masked = [mask_update(rng.normal(size=dims), c, cohort, 2, _root(root)) for c in cohort]
         total = np.zeros(dims, dtype=np.uint64)
         for words in masked:
             total += words
@@ -327,8 +344,7 @@ class TestFusedMasking:
         assert sum_masked(masked).tobytes() == decode_fixed(total).tobytes()
 
     def test_sum_masked_leaves_its_inputs_alone(self):
-        pairing = make_pairing(["a", "b"], round_no=1, root_seed=8)
-        masked = [mask_update(np.full(6, 0.25), pairing, cid) for cid in ("a", "b")]
+        masked = [mask_update(np.full(6, 0.25), c, ["a", "b"], 1, _root(8)) for c in "ab"]
         before = [words.copy() for words in masked]
         sum_masked(masked)
         assert all((a == b).all() for a, b in zip(masked, before))

@@ -326,7 +326,7 @@ class TestPrivacyIntegration:
         else:
             # k = 2 of 3 sites, and this plan seed invites site-1 and site-3.
             spec = make_spec(n_clients=3, rounds=1, k=2, m=2, seeds=Seeds(data=1, model=2, net=1))
-            reason = "not in the masked cohort"
+            reason = "has no peer in the masked cohort"
         spec.policies = {
             cid: SitePolicy(site_id=cid, masking_enabled=True) for cid in ("site-1", "site-2")
         }
@@ -338,11 +338,11 @@ class TestPrivacyIntegration:
         assert len(refusals) == 2
         assert all(m.startswith("client site-1:") and reason in m for m in refusals)
         assert not any("busy in" in m for m in refusals)
-        # The reason is the message itself, not a KeyError's quoted repr of it.
+        # The reason is the message itself, not an exception's quoted repr of it.
         logged = [r.args[-1]["reason"] for r in records]
         assert all(reason in text and '"' not in text for text in logged)
         if spoil == "no-peer":
-            assert logged == ["'site-1' not in the masked cohort"] * 2
+            assert logged == ["'site-1' has no peer in the masked cohort"] * 2
 
     def test_masking_requires_fedavg(self):
         spec = make_spec(strategy="coord-median")

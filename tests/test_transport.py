@@ -29,7 +29,6 @@ from fedmesh.transport import (
     MSG_TASK_ASSIGN,
     MSG_TRANSPORT_ACK,
     MSG_UPDATE_SUBMIT,
-    NeedMoreBytes,
     Payload,
     ReliableEndpoint,
     Timers,
@@ -77,21 +76,20 @@ class TestFrameCodec:
         for _ in range(10_000):
             msg_type = rng.randrange(256)
             payload = rng.randbytes(rng.randrange(0, 64))
-            msg_type2, payload2, consumed = decode_frame(encode_frame(msg_type, payload))
+            msg_type2, payload2 = decode_frame(encode_frame(msg_type, payload))
             assert (msg_type2, payload2) == (msg_type, payload)
-            assert consumed == 10 + len(payload)
 
-    def test_truncated_needs_more(self):
+    def test_a_strict_prefix_is_corrupt(self):
         frame = encode_frame(0x02, b"hello")
         for cut in range(len(frame)):
-            prefix = frame[:cut]
-            try:
-                decode_frame(prefix)
-            except NeedMoreBytes:
-                continue
-            except CorruptFrame:
-                pytest.fail(f"prefix of {cut} bytes misread as corrupt")
-            pytest.fail(f"prefix of {cut} bytes decoded as complete")
+            with pytest.raises(CorruptFrame):
+                decode_frame(frame[:cut])
+
+    def test_trailing_bytes_are_corrupt(self):
+        frame = encode_frame(0x02, b"hello")
+        for tail in (b"\x00", b"FHN1", frame):
+            with pytest.raises(CorruptFrame):
+                decode_frame(frame + tail)
 
     def test_bad_magic_and_version(self):
         frame = bytearray(encode_frame(0x01, b"x"))
@@ -114,7 +112,7 @@ class TestFrameCodec:
             blob = rng.randbytes(rng.randrange(0, 40))
             try:
                 decode_frame(blob)
-            except (NeedMoreBytes, CorruptFrame):
+            except CorruptFrame:
                 pass
 
     def test_stream_decoder_reassembles_across_chunks(self):
@@ -166,6 +164,21 @@ class TestFrameCodec:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 1024 * 1024
+
+    @pytest.mark.parametrize("head", [0, 333, (1 << 20) + 333])
+    def test_a_large_frame_grows_in_place(self, head):
+        # Each growth step extends the frame's one buffer, with no zero-filled
+        # temporary of the step's size beside it and no over-allocated tail:
+        # a masked update's 6 MiB of words, after a head of any length.
+        blob = encode_frame(3, bytes(head), np.arange(786_432, dtype=np.uint64).data)
+        tracemalloc.start()
+        try:
+            ((msg_type, payload),) = read_frames(_chunked_recv(blob, 65_536, 65_537, seed=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert msg_type == 3 and payload == blob[transport.HEADER_LEN:]
+        assert peak <= 1.1 * len(blob)
 
     @given(st.integers(0, 255), st.lists(st.binary(max_size=40), max_size=3))
     @settings(max_examples=300, deadline=None)
@@ -941,7 +954,7 @@ class TestTcpNode:
         rel = ReliableEndpoint(node, backoff_base_ms=0.0)  # the retransmit falls due at once
         receipts = []
         seq = rel.send("site-1", MSG_TASK_ASSIGN, Payload(b"task"), receipts.append)
-        _, ack, _ = decode_frame(_ack_frame("server", seq))
+        _, ack = decode_frame(_ack_frame("server", seq))
         node._frames.put(("site-1", MSG_TRANSPORT_ACK, ack))
         assert node.run_until(lambda: receipts, timeout_s=5.0)
         assert receipts[0].ok and receipts[0].attempts == 1
