@@ -60,42 +60,102 @@ def as_dense(vector: Vector) -> np.ndarray:
 
 def l2_norm(vector: Vector) -> float:
     """``sqrt(add.reduce(w * w))`` over the dense form: pairwise-summed, never
-    BLAS, so the same bits on any thread count.  The squares go to a new
-    array, or for a sparse vector to its dense copy."""
-    scratch = None
+    BLAS, so the same bits on any thread count.  A dense vector's squares go
+    to a new array.  A SparseVector's norm evaluates numpy's pairwise tree
+    over its live words only (``_sparse_square_sum``), to the same bits."""
     if isinstance(vector, SparseVector):
-        vector = scratch = vector.to_dense()
-    return float(np.sqrt(np.add.reduce(np.multiply(vector, vector, out=scratch))))
+        return float(np.sqrt(_sparse_square_sum(vector)))
+    return float(np.sqrt(np.add.reduce(np.multiply(vector, vector))))
 
 
 @lru_cache(maxsize=64)
-def tree_spans(n: int, width: int = _SWEEP_WORDS) -> tuple[tuple[tuple[int, int], ...], object]:
+def tree_spans(n: int, width: int = _SWEEP_WORDS) -> tuple[np.ndarray, tuple[np.ndarray | None, ...]]:
     """Cut ``range(n)`` at the nodes of numpy's pairwise-sum tree no longer
     than *width* (at least 128, numpy's unsplit leaf): numpy splits a run of
     m > 128 words at ``m // 2 - (m // 2) % 8``.  Returns the spans, left to
-    right, and the tree over their indices as nested ``(left, right)`` pairs,
-    so that ``tree_sum`` of each span's ``np.add.reduce`` is ``np.add.reduce``
-    of the whole, bit for bit."""
-    spans = []
+    right, as ``(start, end)`` rows of a read-only array, and the tree above
+    them level by level from the spans up: where each node's children start
+    in the level below (a node carried up a level is its own single child),
+    or None where every node has two.  So ``tree_sum`` of each span's
+    ``np.add.reduce`` is ``np.add.reduce`` of the whole, bit for bit."""
+    starts, lengths = np.zeros(1, dtype=np.intp), np.array([n], dtype=np.intp)
+    levels = []
+    while (split := lengths > width).any():
+        half = lengths[split] // 2
+        half -= half % 8
+        counts = 1 + split
+        first = np.cumsum(counts) - counts
+        starts, lengths = np.repeat(starts, counts), np.repeat(lengths, counts)
+        left = first[split]
+        lengths[left] = half
+        starts[left + 1] += half
+        lengths[left + 1] -= half
+        first.flags.writeable = False
+        levels.append(None if split.all() else first)
+    spans = np.stack([starts, starts + lengths], axis=1)
+    spans.flags.writeable = False
+    return spans, tuple(levels[::-1])
 
-    def split(start: int, length: int):
-        if length <= width:
-            spans.append((start, start + length))
-            return len(spans) - 1
-        half = length // 2 - (length // 2) % 8
-        return split(start, half), split(start + half, length - half)
 
-    tree = split(0, n)
-    return tuple(spans), tree
-
-
-def tree_sum(tree, partials):
+def tree_sum(levels: tuple[np.ndarray | None, ...], partials) -> np.ndarray | np.float64:
     """Add per-span sums (``partials[i]``: a float, or a row of them summed
-    word by word) in the tree's order, each node its left plus its right."""
-    if isinstance(tree, int):
-        return partials[tree]
-    left, right = tree
-    return tree_sum(left, partials) + tree_sum(right, partials)
+    word by word) up ``tree_spans``' *levels*, each node its left plus its right."""
+    sums = np.asarray(partials)
+    for first in levels:
+        sums = sums[0::2] + sums[1::2] if first is None else np.add.reduceat(sums, first, axis=0)
+    return sums[0]
+
+
+@lru_cache(maxsize=8)
+def _lane_shift(dims: int) -> np.ndarray:
+    """Per 8-word block of ``range(dims)``, how far its words sit past their
+    lane in a row of 8 lanes per leaf of numpy's pairwise-sum tree: word w
+    sums in lane ``w - shift[w >> 3]``.  Every leaf starts at a multiple of 8."""
+    spans, _ = tree_spans(dims, 128)
+    blocks = -(-(spans[:, 1] - spans[:, 0]) // 8)
+    shift = 8 * (np.arange(blocks.sum()) - np.repeat(np.arange(len(spans)), blocks))
+    shift.flags.writeable = False
+    return shift
+
+
+def _sparse_square_sum(vector: SparseVector) -> np.float64:
+    """``np.add.reduce`` of the dense form's squares, from the live words alone.
+
+    A leaf of numpy's pairwise-sum tree (``tree_spans(dims, 128)``) of 8 to
+    128 words sums in 8 lanes (lane j holds the words at j mod 8, added in
+    index order), combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``; its
+    last ``m % 8`` words then add one at a time, as all words of a leaf under
+    8 words do.  Squares are never negative, so every +0.0 word these adds
+    meet is an exact identity: the lanes are in-order ``bincount`` sums of
+    the live squares, and untouched leaves and nodes hold +0.0.  Only the
+    last leaf has such a tail, the last ``dims % 8`` words.
+    """
+    spans, levels = tree_spans(vector.dims, 128)
+    shift = _lane_shift(vector.dims)
+    squares = np.multiply(vector.values, vector.values)
+    cut = int(np.searchsorted(vector.indices, vector.dims - vector.dims % 8))
+    head = vector.indices[:cut]
+    # An empty bincount is integer zeros.
+    r = np.bincount(head - shift[head >> 3], weights=squares[:cut], minlength=8 * len(spans))
+    r = r.astype(np.float64, copy=False).reshape(len(spans), 8)
+    r = r[:, 0::2] + r[:, 1::2]
+    r = r[:, 0::2] + r[:, 1::2]
+    sums = r[:, 0] + r[:, 1]
+    for square in squares[cut:]:
+        sums[-1] += square
+    return tree_sum(levels, sums)
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)``, by a sort and a drop of adjacent duplicates: the
+    path ``np.unique`` itself takes when asked for indices, several times
+    faster on index arrays than the hash path numpy 2.4 takes otherwise, and
+    without that path's lazy import of ``numpy.ma``."""
+    keys = np.sort(keys, axis=None)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def take(vector: Vector, cols: np.ndarray) -> np.ndarray:
@@ -166,7 +226,7 @@ def add_vectors(base: Vector, delta: Vector) -> Vector:
     dense form does, and stay sparse while that union ``sparse_fits``; every
     other case returns a dense array."""
     if isinstance(base, SparseVector) and isinstance(delta, SparseVector):
-        cols = np.union1d(base.indices, delta.indices)
+        cols = sorted_unique(np.concatenate((base.indices, delta.indices)))
         if sparse_fits(len(cols), base.dims):
             return SparseVector(base.dims, cols, take(base, cols) + take(delta, cols))
     return as_dense(base) + as_dense(delta)
@@ -183,7 +243,7 @@ def fedavg(updates: list[ClientUpdate]) -> Vector:
     rows = [u.delta for u in updates]
     cols = None
     if all(isinstance(r, SparseVector) for r in rows):
-        cols = np.unique(np.concatenate([r.indices for r in rows]))
+        cols = sorted_unique(np.concatenate([r.indices for r in rows]))
         rows = [SparseVector(len(cols), np.searchsorted(cols, r.indices), r.values) for r in rows]
     total = np.zeros(len(rows[0]))
     weight_sum = 0.0
@@ -206,7 +266,7 @@ def coordinate_median(updates: list[ClientUpdate]) -> np.ndarray:
     if len(sparse) <= len(rows) // 2:
         return np.median(np.stack([as_dense(r) for r in rows]), axis=0)
     with np.errstate(invalid="ignore"):
-        cols = np.unique(np.concatenate([r.indices for r in sparse] + [
+        cols = sorted_unique(np.concatenate([r.indices for r in sparse] + [
             np.flatnonzero(np.isnan(r[s:s + _SWEEP_WORDS] * np.inf)) + s
             for r in rows if not isinstance(r, SparseVector)
             for s in range(0, len(r), _SWEEP_WORDS)
@@ -255,7 +315,7 @@ def geometric_median(
     rows = [u.delta for u in _sorted_updates(updates)]
     if not all(np.isfinite(r.values if isinstance(r, SparseVector) else r).all() for r in rows):
         raise ValueError("geometric median requires finite inputs")
-    spans, tree = tree_spans(len(rows[0]))
+    spans, levels = tree_spans(len(rows[0]))
     # A sparse row's live words per block: (offsets in the block, values).
     live = []
     for p in rows:
@@ -300,7 +360,7 @@ def geometric_median(
                     sq[offsets] = np.square(values - xb[offsets])
                     partials[k, i] = np.add.reduce(sq)
                     sq[offsets] = kept
-        sums = np.sqrt(tree_sum(tree, partials))
+        sums = np.sqrt(tree_sum(levels, partials))
         return float(sums[0]), sums[1:]
 
     x = coordinate_median(updates)  # a fresh array, so the sweep may move it

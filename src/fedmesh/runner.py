@@ -78,8 +78,8 @@ from .trustops import (
     AuditLog,
     StartupKit,
     VirtualClock,
+    model_digest,
     sign_digest,
-    sign_model,
     verify_digest,
 )
 
@@ -425,11 +425,9 @@ class ServerNode(_Node):
 
     def _finish(self) -> None:
         self.global_params = as_dense(self.global_params)
-        self.model_signature = sign_model(self.global_params, self.kit.private_key())
-        self._audit("ModelSigned", {
-            "rounds": self.state.round,
-            "sha256": hashlib.sha256(self.global_params.data).hexdigest(),
-        })
+        digest = model_digest(self.global_params)  # the .params file's sha256
+        self.model_signature = sign_digest(digest, self.kit.private_key())
+        self._audit("ModelSigned", {"rounds": self.state.round, "sha256": digest.hex()})
         if not self.expected:
             self.done = True
             return

@@ -226,10 +226,6 @@ def verify_digest(digest: bytes, signature: bytes, public_key: bytes) -> bool:
         return False
 
 
-def sign_model(params: np.ndarray, private_key: Ed25519PrivateKey) -> bytes:
-    return sign_digest(model_digest(params), private_key)
-
-
 def verify_model(params: np.ndarray, signature: bytes, identity: Identity) -> bool:
     return verify_digest(model_digest(params), signature, identity.public_key)
 

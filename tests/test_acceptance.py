@@ -52,8 +52,9 @@ from fedmesh.trustops import (
     UnsafeComponentError,
     audit_verify,
     check_components,
+    model_digest,
     provision,
-    sign_model,
+    sign_digest,
     verify_model,
 )
 
@@ -470,7 +471,7 @@ class TestCriterion10TrustAndAudit:
     def test_model_tamper_audit_tamper_and_unsafe_jobs(self, corpus_dir):
         kits = provision([("server", "server"), ("site-1", "client")], key_seed=10)
         params = np.linspace(-1, 1, 8)
-        signature = sign_model(params, kits["server"].private_key())
+        signature = sign_digest(model_digest(params), kits["server"].private_key())
         assert verify_model(params, signature, kits["server"].identity())
         raw = bytearray(params.tobytes())
         flips = 0

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,6 +19,7 @@ from fedmesh.aggregation import (
     geometric_median,
     l2_norm,
     normalize_updates,
+    sorted_unique,
     sparse_fits,
     take,
     tree_spans,
@@ -537,10 +538,10 @@ class TestTreeSpans:
         x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
         pick = rng.random(n) < edges
         x[pick] = rng.choice(_SUM_EDGES, size=int(pick.sum()))
-        spans, tree = tree_spans(n, width)
+        spans, levels = tree_spans(n, width)
         assert [a for a, _ in spans] == [0, *(b for _, b in spans[:-1])] and spans[-1][1] == n
         assert all(b - a <= width for a, b in spans)
-        got = tree_sum(tree, [np.add.reduce(x[a:b]) for a, b in spans])
+        got = tree_sum(levels, [np.add.reduce(x[a:b]) for a, b in spans])
         assert _bits(got) == _bits(np.add.reduce(x)), \
             f"numpy {np.__version__} no longer sums {n} words in tree_spans' order"
 
@@ -548,7 +549,7 @@ class TestTreeSpans:
         # Moving the one split by 8 words changes the sum's bits, so the test
         # above fails if numpy's tree and tree_spans disagree.
         x = np.random.default_rng(0).normal(size=1 << 17)
-        assert tree_spans(len(x), 1 << 16)[0] == ((0, 1 << 16), (1 << 16, 1 << 17))
+        assert tree_spans(len(x), 1 << 16)[0].tolist() == [[0, 1 << 16], [1 << 16, 1 << 17]]
         moved = np.add.reduce(x[:(1 << 16) - 8]) + np.add.reduce(x[(1 << 16) - 8:])
         assert _bits(moved) != _bits(np.add.reduce(x))
 
@@ -580,6 +581,81 @@ class TestL2Norm:
         assert clip_to_norm(zero, 1.0) is zero
         tw = trust_weights(updates_from([zero, np.ones(5)]), np.ones(5))
         assert tw["site-0"] == 0.0 and tw["site-1"] == pytest.approx(1.0)
+
+
+# Norm lengths around numpy's 8-word unroll and 128-word leaf, 8 * k,
+# 128 * 2**k and the model's 3 * 2**18, on and off multiples of 8.
+_NORM_DIMS = sorted({
+    *range(1, 8), *(8 * k for k in (1, 2, 3, 9, 16)), *(8 * k + d for k in (2, 16, 17) for d in (1, 5, 7)),
+    *(128 << k for k in range(8)), *((128 << k) + d for k in (0, 1, 5) for d in (-3, 1, 9)),
+    1000, 4099, 65539, 3 * 2**18,
+})
+_NORM_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e150, -1e154, 1e160, 3e-170])
+
+
+class TestSparseL2Norm:
+    """A SparseVector's norm sums only its live squares, in numpy's order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dims=st.one_of(st.sampled_from(_NORM_DIMS), st.integers(0, 3000)),
+           live=st.sampled_from(["none", "all", "some", "few"]),
+           spread=st.integers(0, 2), edges=st.sampled_from([0.0, 0.1, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_is_the_dense_norm_bytes(self, dims, live, spread, edges, seed):
+        rng = np.random.default_rng(seed)
+        share = {"none": 0.0, "all": 1.0, "some": 0.3, "few": 0.01}[live]
+        indices = np.flatnonzero(rng.random(dims) < share)
+        values = rng.normal(size=len(indices)) * 10.0 ** rng.integers(-spread, spread + 1,
+                                                                       size=len(indices))
+        pick = rng.random(len(indices)) < edges  # stored +-0.0, subnormal and huge words
+        values[pick] = rng.choice(_NORM_EDGES, size=int(pick.sum()))
+        sparse = SparseVector(dims, indices, values)
+        dense = sparse.to_dense()
+        with np.errstate(over="ignore"):
+            want = np.sqrt(np.add.reduce(dense * dense))
+            got = l2_norm(sparse)
+        assert _bits(got) == _bits(want), \
+            f"numpy {np.__version__} no longer sums {dims} squares in _sparse_square_sum's order"
+
+    @pytest.mark.parametrize("dims", [7, 15, 127])
+    def test_tail_words_add_one_at_a_time(self, dims):
+        # One leaf: 1 + 2**-54 rounds back to 1 on each add, while the tail's
+        # squares summed first would carry 1 up by an ulp.
+        tail = np.arange(max(1, dims - dims % 8), dims)
+        sparse = SparseVector(dims, np.append(0, tail), np.append(1.0, np.full(len(tail), 2.0**-27)))
+        assert _bits(l2_norm(sparse)) == _bits(l2_norm(sparse.to_dense())) == _bits(1.0)
+
+    def test_huge_words_overflow_as_the_dense_sum_does(self):
+        sparse = SparseVector(300, np.array([3, 150, 299]), np.array([1e154, 1e154, 1e-300]))
+        with np.errstate(over="ignore"):
+            assert l2_norm(sparse) == l2_norm(sparse.to_dense()) == np.inf
+
+    def test_does_not_densify(self):
+        dims = 3 * 2**18
+        rng = np.random.default_rng(0)
+        sparse = SparseVector(dims, np.sort(rng.choice(dims, 15_000, replace=False)),
+                              rng.normal(size=15_000))
+        l2_norm(sparse)  # the tree's layout is built once per length
+        tracemalloc.start()
+        try:
+            l2_norm(sparse)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dims * 8 // 4, peak
+
+
+class TestSortedUnique:
+    @settings(max_examples=300, deadline=None)
+    @given(keys=hnp.arrays(st.sampled_from([np.int64, np.int32]), st.integers(0, 200),
+                           elements=st.integers(-50, 50), fill=st.nothing()))
+    @example(keys=np.array([], dtype=np.int64))
+    @example(keys=np.array([7]))
+    @example(keys=np.array([3, 3, 3]))
+    @example(keys=np.array([-2, 5, -2, 0, 5, -9]))
+    def test_is_np_unique(self, keys):
+        got, want = sorted_unique(keys), np.unique(keys)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestTake:

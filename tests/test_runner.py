@@ -1,11 +1,17 @@
 import gc
+import hashlib
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedmesh import protocol, runner
+import fedmesh
+from fedmesh import kvdoc, protocol, runner
 from fedmesh.aggregation import AggregationStrategy, SparseVector
 from fedmesh.data import PartitionPlan, partition, synthetic_corpus
 from fedmesh.errors import ConfigError
@@ -33,7 +39,14 @@ from fedmesh.transport import (
     ReliableEndpoint,
     encode_payload,
 )
-from fedmesh.trustops import AuditLog, audit_verify, provision, verify_model
+from fedmesh.trustops import (
+    AuditLog,
+    audit_verify,
+    canonical_param_bytes,
+    provision,
+    verify_digest,
+    verify_model,
+)
 
 CFG = TrainConfig(feature_dim=1 << 12, learning_rate=0.5, batch_size=16)
 
@@ -136,6 +149,56 @@ class TestFederationBasics:
     def test_validation_rejects_bad_quorum(self):
         with pytest.raises(ConfigError):
             make_spec(n_clients=2, k=3, m=3).validate()
+
+
+    def test_model_signed_entry_is_the_params_file_digest(self):
+        spec = make_spec(rounds=1)
+        res = run_federation(spec, SimNetConfig(seed=9))
+        (entry,) = [e for e in res.audit if e.event_type == "ModelSigned"]
+        digest = hashlib.sha256(canonical_param_bytes(res.final_params)).digest()
+        assert kvdoc.parse_doc(entry.payload)["sha256"] == digest.hex()
+        assert verify_digest(digest, res.model_signature,
+                             spec.kits["server"].identity().public_key)
+
+
+# A fresh interpreter runs a 2-site FedAvg federation whose updates are all
+# sparse, then reports whether every aggregated row was a SparseVector and
+# whether numpy.ma was imported.
+_COLD_SPARSE_RUN = """
+import sys
+from fedmesh import aggregation
+from fedmesh.aggregation import AggregationStrategy, SparseVector
+from fedmesh.data import PartitionPlan, partition, synthetic_corpus
+from fedmesh.model import TrainConfig
+from fedmesh.runner import FederationSpec, Seeds, run_federation
+from fedmesh.simnet import SimNetConfig
+from fedmesh.trustops import provision
+
+sparse_rows = []
+fedavg = aggregation.fedavg
+def recording(updates):
+    sparse_rows.extend(isinstance(u.delta, SparseVector) for u in updates)
+    return fedavg(updates)
+aggregation.fedavg = recording
+ids = ["site-1", "site-2"]
+shards = partition(synthetic_corpus(40, seed=21), PartitionPlan("equal-n", 2, seed=1))
+spec = FederationSpec(
+    shards=dict(zip(ids, shards)), train=TrainConfig(feature_dim=1 << 16, batch_size=16),
+    strategy=AggregationStrategy("fedavg"), rounds=2, k=2, m=2, deadline_ms=30_000.0,
+    kits=provision([("server", "server")] + [(c, "client") for c in ids], key_seed=5),
+    server_id="server", seeds=Seeds(data=1, model=2, net=3))
+run_federation(spec, SimNetConfig(seed=3))
+print(len(sparse_rows), all(sparse_rows), "numpy.ma" in sys.modules)
+"""
+
+
+def test_sparse_fedavg_run_never_imports_numpy_ma():
+    # np.unique's hash path checks np.ma.is_masked, and importing numpy.ma
+    # costs tens of milliseconds inside a process's first timed round.
+    src = str(Path(fedmesh.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _COLD_SPARSE_RUN], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["4", "True", "False"]
 
 
 class TestVectorLifetimes:

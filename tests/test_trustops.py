@@ -21,7 +21,7 @@ from fedmesh.trustops import (
     model_digest,
     parse_audit_line,
     provision,
-    sign_model,
+    sign_digest,
     verify_model,
     write_kits,
     write_params,
@@ -93,13 +93,13 @@ class TestModelSignatures:
     def test_sign_then_verify(self):
         kits = provision(SIX_SITES, key_seed=2)
         params = np.linspace(-1, 1, 64)
-        sig = sign_model(params, kits["server"].private_key())
+        sig = sign_digest(model_digest(params), kits["server"].private_key())
         assert verify_model(params, sig, kits["server"].identity())
 
     def test_single_bit_flip_fails(self):
         kits = provision(SIX_SITES, key_seed=2)
         params = np.linspace(-1, 1, 8)
-        sig = sign_model(params, kits["server"].private_key())
+        sig = sign_digest(model_digest(params), kits["server"].private_key())
         raw = bytearray(params.tobytes())
         for byte_idx in range(len(raw)):
             for bit in range(8):
@@ -111,7 +111,7 @@ class TestModelSignatures:
     def test_wrong_identity_fails(self):
         kits = provision(SIX_SITES, key_seed=2)
         params = np.ones(4)
-        sig = sign_model(params, kits["server"].private_key())
+        sig = sign_digest(model_digest(params), kits["server"].private_key())
         assert not verify_model(params, sig, kits["site-1"].identity())
 
     @pytest.mark.parametrize("layout", ["contiguous", "sliced", "big-endian", "empty"])
