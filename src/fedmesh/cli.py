@@ -164,6 +164,7 @@ def cmd_serve(args) -> int:
     out = Path(args.out)
     spec = _tcp_spec(config, kit)
     vet_config(config, list(spec.shards), out / "audit-rejected.log")
+    spec.validate()  # before the port is bound or named in --port-file
     out.mkdir(parents=True, exist_ok=True)
     node = TcpNode(kit.site_id, bind=parse_address(config.bind))
     log.info("serving on %s (port %d)", config.bind, node.port)
@@ -203,6 +204,7 @@ def cmd_client(args) -> int:
     holdout = load_conll(args.holdout).sentences if args.holdout else []
     spec = _tcp_spec(config, kit, shard, holdout)
     vet_config(config, list(spec.shards), None)
+    spec.validate()  # before the server is dialed
     address = args.server or kit.server_address
     node = TcpNode(kit.site_id, server_addr=parse_address(address), server_id=spec.server_id)
     try:

@@ -184,7 +184,6 @@ _EXPERIMENT_KEYS = {
     "rounds": (int, REQUIRED, lambda c: c.rounds),
     "clients": (int, REQUIRED, lambda c: c.clients),
     "partition": (_Section({
-        "mode": (str, "equal-n", lambda c: "ratio" if c.ratios else "equal-n"),
         "ratios": (_ratio, None, lambda c: c.ratios),
     }), {}, lambda c: c),
     "strategy": (_Section({
@@ -242,10 +241,8 @@ def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     if v["rounds"] < 0 or clients < 1:
         raise ConfigError("rounds must be >= 0 and clients >= 1")
 
-    mode, ratios = v.pop("partition").values()
-    if (mode == "ratio") != (ratios is not None):
-        raise ConfigError("partition.ratios: given exactly when partition.mode = ratio")
-    PartitionPlan(mode, clients, seed=0, ratios=ratios or ())
+    if (ratios := v.pop("partition")["ratios"]) is not None:
+        PartitionPlan("ratio", clients, seed=0, ratios=ratios)
 
     k, m, deadline_ms = v.pop("quorum").values()
     k = clients if k is None else k

@@ -30,7 +30,6 @@ class CorpusFormatError(ValueError):
 @dataclass
 class TaggedCorpus:
     sentences: list[TaggedSentence]
-    source: str = ""
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -96,7 +95,7 @@ def load_conll(path: str | Path) -> TaggedCorpus:
             tags.append(tag)
     if tokens:
         sentences.append(TaggedSentence(tuple(tokens), tuple(tags)))
-    return TaggedCorpus(sentences, source=str(path))
+    return TaggedCorpus(sentences)
 
 
 def save_conll(corpus: TaggedCorpus, path: str | Path) -> None:
@@ -220,4 +219,4 @@ def synthetic_corpus(n_sentences: int, seed: int) -> TaggedCorpus:
                     tokens.append(rng.choice(vocab))
                     tags.append("O")
         sentences.append(TaggedSentence(tuple(tokens), tuple(tags)))
-    return TaggedCorpus(sentences, source=f"synthetic(seed={seed})")
+    return TaggedCorpus(sentences)

@@ -172,8 +172,8 @@ def run_simulation(
     config: ExperimentConfig,
     audit_dir: str | Path | None = None,
 ) -> SimulationOutput:
-    """Run the configured experiment matrix plus the centralized baseline,
-    after vetting the config against the sites of its largest cell."""
+    """Run the configured experiment matrix plus the centralized baseline, once the
+    config is vetted against its largest cell's sites and every cell's spec is valid."""
     cells = _sweep_cells(config)
     vet_config(
         config,
@@ -184,6 +184,9 @@ def run_simulation(
     started = time.monotonic()
     train_corpus = load_conll(config.train_path)
     test_corpus = load_conll(config.test_path)
+    specs = [build_spec(config, train_corpus, test_corpus, n, ratios) for _, n, ratios in cells]
+    for spec in specs:
+        spec.validate()
 
     seed_fields = {
         "seed_data": config.seeds.data,
@@ -195,8 +198,7 @@ def run_simulation(
     test_batch = encode_sentences(
         test_corpus.sentences, config.train.feature_dim, config.train.hash_seed
     )
-    for label, n_clients, ratios in cells:
-        spec = build_spec(config, train_corpus, test_corpus, n_clients, ratios)
+    for (label, _, _), spec in zip(cells, specs):
         audit_path = None
         if audit_dir is not None:
             audit_path = Path(audit_dir) / f"audit-{label.replace('/', '-')}.log"

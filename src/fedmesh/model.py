@@ -89,24 +89,23 @@ class Metrics:
     tp: int
     fp: int
     fn: int
-    level: str
 
     @classmethod
-    def from_counts(cls, tp: int, fp: int, fn: int, level: str) -> "Metrics":
+    def from_counts(cls, tp: int, fp: int, fn: int) -> "Metrics":
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        return cls(precision, recall, f1, tp, fp, fn, level)
+        return cls(precision, recall, f1, tp, fp, fn)
 
     def fields(self, prefix: str) -> dict[str, float | int]:
         """``{prefix}_precision`` ... ``{prefix}_fn``, as rows and reports carry them."""
         return {f"{prefix}_{name}": getattr(self, name) for name in _METRIC_FIELDS}
 
     @classmethod
-    def from_fields(cls, doc: dict, prefix: str, level: str) -> "Metrics":
+    def from_fields(cls, doc: dict, prefix: str) -> "Metrics":
         """Inverse of ``fields``."""
         values = [doc[f"{prefix}_{name}"] for name in _METRIC_FIELDS]
-        return cls(*map(float, values[:3]), *map(int, values[3:]), level)
+        return cls(*map(float, values[:3]), *map(int, values[3:]))
 
 
 _METRIC_FIELDS = ("precision", "recall", "f1", "tp", "fp", "fn")
@@ -470,8 +469,8 @@ def evaluate(
     if not isinstance(corpus, EncodedBatch):
         corpus = encode_sentences(corpus, config.feature_dim, config.hash_seed)
     if corpus.n_tokens == 0:
-        zero = Metrics.from_counts(0, 0, 0, "entity-strict")
-        return zero, Metrics.from_counts(0, 0, 0, "token")
+        zero = Metrics.from_counts(0, 0, 0)
+        return zero, zero
     weights = params.reshape(NUM_CLASSES, config.feature_dim)
     pred_idx = _token_scores(weights, corpus).argmax(axis=0)
     gold_idx = corpus.labels
@@ -490,8 +489,8 @@ def evaluate(
         ent_fp += len(pred_spans - gold_spans)
         ent_fn += len(gold_spans - pred_spans)
     return (
-        Metrics.from_counts(ent_tp, ent_fp, ent_fn, "entity-strict"),
-        Metrics.from_counts(tok_tp, tok_fp, tok_fn, "token"),
+        Metrics.from_counts(ent_tp, ent_fp, ent_fn),
+        Metrics.from_counts(tok_tp, tok_fp, tok_fn),
     )
 
 

@@ -77,7 +77,6 @@ from .transport import (
 from .trustops import (
     AuditLog,
     StartupKit,
-    VirtualClock,
     model_digest,
     sign_digest,
     verify_digest,
@@ -124,7 +123,6 @@ class FederationSpec:
     holdouts: dict[str, list[TaggedSentence]] = field(default_factory=dict)
     adversary: Adversary | None = None
     retry_on_abort: bool = True
-    track_params: bool = False
 
     def client_ids(self) -> list[str]:
         return sorted(self.shards)
@@ -167,7 +165,6 @@ class FederationResult:
     cross_site: dict[str, tuple[Metrics, Metrics] | None]
     audit: list
     model_signature: bytes | None
-    params_per_round: list[np.ndarray] = field(default_factory=list)
 
 
 def _signed(doc: dict, vector: Vector | None, kit: StartupKit) -> Payload:
@@ -291,7 +288,6 @@ class ServerNode(_Node):
         # client -> its accepted update for the current round, kept from the
         # step that accepts it until the round is aggregated.
         self.vectors: dict[str, Vector] = {}
-        self.params_per_round: list[np.ndarray] = []
         self.eval_reports: dict[str, tuple[Metrics, Metrics] | None] = {}
         self.model_signature: bytes | None = None
         self._eval_timer = None
@@ -417,8 +413,6 @@ class ServerNode(_Node):
         self.global_params = add_vectors(self.global_params, delta)
         if self.spec.strategy.kind == "fedavg-trust" and np.any(reference := as_dense(delta)):
             self.trust_reference = reference
-        if self.spec.track_params:
-            self.params_per_round.append(as_dense(self.global_params).copy())
         return l2_norm(delta)
 
     # -- completion and cross-site evaluation --------------------------------------
@@ -445,8 +439,8 @@ class ServerNode(_Node):
         doc = opened[0]
         try:
             self.eval_reports[src] = (
-                Metrics.from_fields(doc, "ent", "entity-strict"),
-                Metrics.from_fields(doc, "tok", "token"),
+                Metrics.from_fields(doc, "ent"),
+                Metrics.from_fields(doc, "tok"),
             ) if doc.get("has_data") else None
         except (KeyError, TypeError, ValueError, OverflowError):
             self.eval_reports[src] = None
@@ -644,9 +638,7 @@ def run_federation(
     if missing:
         raise ConfigError(f"kits missing for {sorted(missing)}")
     net = SimNetwork(net_config or SimNetConfig(seed=spec.seeds.net))
-    clock = VirtualClock(lambda: net.now_ms)
-
-    audit = AuditLog(clock=clock, path=audit_path)
+    audit = AuditLog(lambda: net.now_ms, audit_path)
     server = ServerNode(
         ReliableEndpoint(net.endpoint(spec.server_id)), spec.kits[spec.server_id], spec, audit
     )
@@ -668,7 +660,6 @@ def run_federation(
         cross_site={cid: server.eval_reports.get(cid) for cid in sorted(server.expected)},
         audit=list(audit.entries),
         model_signature=server.model_signature,
-        params_per_round=server.params_per_round,
     )
 
 

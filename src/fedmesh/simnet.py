@@ -75,7 +75,6 @@ class SimNetwork:
         self._rng = random.Random(config.seed)
         self._timers = transport.Timers()
         self._endpoints: dict[str, SimEndpoint] = {}
-        self.delivery_trace: list[tuple[float, str, str, int]] = []
 
     def endpoint(self, name: str) -> SimEndpoint:
         if name in self._endpoints:
@@ -100,13 +99,7 @@ class SimNetwork:
         lo, hi = self.config.latency_ms
         latency = lo if lo == hi else self._rng.uniform(lo, hi)
         target = self._endpoints[dst]
-        size = len(data)
-
-        def deliver():
-            self.delivery_trace.append((self.now_ms, src, dst, size))
-            target._deliver(src, data)
-
-        self.schedule(latency, deliver)
+        self.schedule(latency, lambda: target._deliver(src, data))
 
     def step(self) -> bool:
         """Run the earliest pending event; False when the queue is empty."""

@@ -363,10 +363,7 @@ class Timers:
 @dataclass
 class DeliveryReceipt:
     ok: bool
-    dst: str
-    msg_type: int
     attempts: int
-    error: str | None = None
 
 
 def _pack_envelope(msg_type: int, sender: str, seq: int) -> bytes:
@@ -468,10 +465,7 @@ class ReliableEndpoint:
         if pending.attempts > self.max_retries:
             del self._pending[key]
             if pending.on_result is not None:
-                pending.on_result(DeliveryReceipt(
-                    ok=False, dst=pending.dst, msg_type=pending.frame.msg_type,
-                    attempts=pending.attempts, error="retries exhausted",
-                ))
+                pending.on_result(DeliveryReceipt(ok=False, attempts=pending.attempts))
             return
         self._transmit(key)
 
@@ -491,10 +485,7 @@ class ReliableEndpoint:
             if pending.timer is not None:
                 self.raw.cancel(pending.timer)
             if pending.on_result is not None:
-                pending.on_result(DeliveryReceipt(
-                    ok=True, dst=pending.dst, msg_type=pending.frame.msg_type,
-                    attempts=pending.attempts,
-                ))
+                pending.on_result(DeliveryReceipt(ok=True, attempts=pending.attempts))
             return
         if sender != src:
             return  # a data frame speaks only for the node it came from

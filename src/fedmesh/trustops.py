@@ -10,6 +10,8 @@ entry is detectable by a linear re-verification.
 from __future__ import annotations
 
 import hashlib
+import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -233,24 +235,11 @@ def verify_model(params: np.ndarray, signature: bytes, identity: Identity) -> bo
 # --- audit log ----------------------------------------------------------------
 
 
-class Clock:
-    """Injected time source so simulator runs produce deterministic logs."""
-
-    def now_rfc3339(self) -> str:
-        return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
-
-
-class VirtualClock(Clock):
-    """Maps virtual milliseconds onto a fixed epoch."""
-
-    def __init__(self, now_ms_fn):
-        self._now_ms = now_ms_fn
-
-    def now_rfc3339(self) -> str:
-        ms = self._now_ms()
-        seconds, frac = divmod(int(round(ms * 1000)), 1_000_000)
-        stamp = datetime.fromtimestamp(seconds, tz=timezone.utc)
-        return stamp.strftime("%Y-%m-%dT%H:%M:%S") + f".{frac:06d}Z"
+def _rfc3339(ms: float) -> str:
+    """*ms* milliseconds after the Unix epoch, as an RFC 3339 UTC stamp to the microsecond."""
+    seconds, frac = divmod(int(round(ms * 1000)), 1_000_000)
+    stamp = datetime.fromtimestamp(seconds, tz=timezone.utc)
+    return stamp.strftime("%Y-%m-%dT%H:%M:%S") + f".{frac:06d}Z"
 
 
 @dataclass(frozen=True)
@@ -270,10 +259,11 @@ def _entry_hash(seq: int, timestamp: str, event_type: str, payload_hash: str, pr
 
 
 class AuditLog:
-    """Append-only hash chain; optionally mirrored to a file, one entry per line."""
+    """Append-only hash chain, each entry stamped at *now_ms()* (ms since the
+    epoch, wall time by default); optionally mirrored to a file, one entry per line."""
 
-    def __init__(self, clock: Clock | None = None, path: str | Path | None = None):
-        self.clock = clock or Clock()
+    def __init__(self, now_ms: Callable[[], float] | None = None, path: str | Path | None = None):
+        self._now_ms = now_ms or (lambda: time.time() * 1000.0)
         self.entries: list[AuditEntry] = []
         self._path = Path(path) if path is not None else None
         if self._path is not None:
@@ -285,7 +275,7 @@ class AuditLog:
             raise ConfigError(f"unknown audit event type {event_type!r}")
         seq = len(self.entries)
         prev_hash = self.entries[-1].entry_hash if self.entries else GENESIS_HASH
-        timestamp = self.clock.now_rfc3339()
+        timestamp = _rfc3339(self._now_ms())
         payload_hash = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         entry = AuditEntry(
             seq=seq,

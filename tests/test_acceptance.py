@@ -157,7 +157,7 @@ class TestCriterion3CentralizedParity:
             f"centralized {central:.4f} - 0.02"
         )
 
-    def test_exact_trajectory_equality_one_full_batch_step(self):
+    def test_exact_trajectory_equality_one_full_batch_step(self, params_per_round):
         cfg = TrainConfig(feature_dim=1 << 12, learning_rate=0.5,
                           batch_size=100_000, local_epochs=1)
         corpus = synthetic_corpus(200, seed=41)
@@ -170,9 +170,8 @@ class TestCriterion3CentralizedParity:
             shards=dict(zip(ids, shards)), train=cfg,
             strategy=AggregationStrategy("fedavg"), rounds=rounds, k=2, m=2,
             deadline_ms=30_000.0, kits=kits, server_id="server",
-            track_params=True,
         )
-        result = run_federation(spec, SimNetConfig(seed=14))
+        run_federation(spec, SimNetConfig(seed=14))
 
         pooled = encode_sentences(shards[0] + shards[1], cfg.feature_dim, cfg.hash_seed)
         params = zero_params(cfg)
@@ -180,7 +179,7 @@ class TestCriterion3CentralizedParity:
         for round_no in range(rounds):
             _, grad = loss_and_grad(params, pooled, cfg)
             params = params - cfg.learning_rate * grad
-            gap = float(np.max(np.abs(result.params_per_round[round_no] - params)))
+            gap = float(np.max(np.abs(params_per_round[round_no] - params)))
             worst = max(worst, gap)
             assert gap <= 1e-9, f"round {round_no + 1}: gap {gap:.2e} > 1e-9"
         print(

@@ -126,7 +126,7 @@ class TestSimulateCommand:
     def test_a_one_site_ratio_cell_is_labelled_n1(self, workspace):
         (workspace / "one.cfg").write_text(
             CONFIG_TEMPLATE.replace("clients = 2", "clients = 1")
-            + 'partition.mode = ratio\npartition.ratios = "100"\n'
+            + 'partition.ratios = "100"\n'
         )
         out = workspace / "out"
         assert main([
@@ -261,6 +261,17 @@ class TestRefusedBeforeRunning:
     MISSPELT = CONFIG_TEMPLATE + "policy.site1.masking_enabled = true\n"
     UNSAFE = CONFIG_TEMPLATE.replace("learning_rate = 0.5", "learning_rate = 1000.0")
     STRAY_ADVERSARY = CONFIG_TEMPLATE + "adversary.client = site-9\nadversary.magnitude = 50.0\n"
+    # Vetting passes (every key names a site and each component is safe), but
+    # no spec of this federation is valid.
+    MASKED_GEO = CONFIG_TEMPLATE + (
+        "strategy.kind = geo-median\n"
+        "policy.site-1.masking_enabled = true\npolicy.site-2.masking_enabled = true\n"
+    )
+    # Only the n6 cell holds site-5, and it alone would mask there.
+    LONE_MASKED_SITE_IN_LAST_CELL = CONFIG_TEMPLATE + (
+        "experiment.kind = client-sweep\nexperiment.client_counts = [2, 4, 6]\n"
+        "policy.site-5.masking_enabled = true\n"
+    )
 
     def _simulate_refuses(self, workspace, capsys, text, reason):
         (workspace / "bad.cfg").write_text(text)
@@ -269,6 +280,7 @@ class TestRefusedBeforeRunning:
                      "--out", str(out)]) == 1
         assert reason in capsys.readouterr().err
         assert not (out / "report.rows").exists()
+        assert not list(out.glob("audit-n*.log"))  # no cell ran
 
     def _serve_refuses(self, workspace, capsys, text, reason):
         _provision(workspace)
@@ -288,17 +300,25 @@ class TestRefusedBeforeRunning:
     def test_simulate_refuses_an_adversary_for_no_site(self, workspace, capsys):
         self._simulate_refuses(workspace, capsys, self.STRAY_ADVERSARY, "adversary.client")
 
+    def test_simulate_validates_every_cell_before_the_first_runs(self, workspace, capsys):
+        self._simulate_refuses(workspace, capsys, self.LONE_MASKED_SITE_IN_LAST_CELL,
+                               "masking needs at least two sites")
+
     def test_serve_refuses_before_binding(self, workspace, capsys):
         self._serve_refuses(workspace, capsys, self.MISSPELT, "policy.site1")
 
     def test_serve_refuses_an_adversary_for_no_site(self, workspace, capsys):
         self._serve_refuses(workspace, capsys, self.STRAY_ADVERSARY, "adversary.client")
 
+    def test_serve_validates_its_spec_before_binding(self, workspace, capsys):
+        self._serve_refuses(workspace, capsys, self.MASKED_GEO, "masking requires the fedavg")
+
     @pytest.mark.parametrize("text,reason", [
         (MISSPELT, "policy.site1"),
         (STRAY_ADVERSARY, "adversary.client"),
         (UNSAFE, "learning_rate"),
-    ], ids=["misspelt-site", "stray-adversary", "unsafe-rate"])
+        (MASKED_GEO, "masking requires the fedavg"),
+    ], ids=["misspelt-site", "stray-adversary", "unsafe-rate", "invalid-spec"])
     def test_client_refuses_before_registering(self, workspace, capsys, text, reason):
         _provision(workspace)
         (workspace / "bad.cfg").write_text(text)

@@ -120,14 +120,16 @@ class TestExperimentConfig:
 
     def test_ratio_modes(self):
         text = MINIMAL.replace("clients = 6", "clients = 2") + (
-            "partition.mode = ratio\npartition.ratios = \"90/10\"\n"
+            "partition.ratios = \"90/10\"\n"
         )
         config = parse_experiment(text)
         assert config.ratios == (90, 10)
         text_list = MINIMAL.replace("clients = 6", "clients = 2") + (
-            "partition.mode = ratio\npartition.ratios = [75, 25]\n"
+            "partition.ratios = [75, 25]\n"
         )
         assert parse_experiment(text_list).ratios == (75, 25)
+        assert parse_experiment(text_list).plan().mode == "ratio"
+        assert parse_experiment(MINIMAL).plan().mode == "equal-n"
 
     def test_bad_ratio_string(self):
         text = MINIMAL + "experiment.kind = imbalance-sweep\nexperiment.ratios = [\"60/50\"]\n"
@@ -215,6 +217,8 @@ class TestExperimentConfig:
         ("experiment.kind = client-sweep\nexperiment.client_counts = 4",
          "experiment.client_counts"),
         ("partition.ratios = [50, 50, 0, 0, 0, 0]", "partition.ratios"),
+        # Ratio mode follows from partition.ratios alone.
+        ("partition.mode = ratio", "partition.mode: unknown key"),
         ("experiment.client_counts = [4, 8]", "experiment.client_counts"),
         ('experiment.ratios = ["50/50"]', "experiment.ratios"),
         ('experiment.kind = client-sweep\nexperiment.client_counts = [2]\n'

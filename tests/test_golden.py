@@ -58,6 +58,10 @@ policy.site-3.masking_enabled = true
 
 GOLDEN_ROWS_SHA256 = "37bafcef915bc4e330b0f2539d8568c1055499ca428a34bb7fd381e1a762b89d"
 GOLDEN_PARAMS_SHA256 = "7c9f9485216968b7d0cf53deb35548962445bdd74c571fb5b941ba238e796e6d"
+# The one cell's audit-n4.log: its entries' payloads, hash chain and
+# virtual-time stamps, recorded before audit stamps moved from clock
+# objects to one function of the simulator's virtual milliseconds.
+GOLDEN_AUDIT_SHA256 = "670324a86797f429186d867dabef88db78bfb592f5c1cd5e659e7bfea791c20c"
 
 GEO_CONFIG = """
 corpus.train = "train.conll"
@@ -173,6 +177,9 @@ def test_simulate_digests_match_recorded_constants(tmp_path):
     rows, params = _run_golden(tmp_path)
     assert rows == GOLDEN_ROWS_SHA256
     assert params == GOLDEN_PARAMS_SHA256
+    assert [path.name for path in sorted((tmp_path / "out").glob("audit-*.log"))] == ["audit-n4.log"]
+    audit = (tmp_path / "out" / "audit-n4.log").read_bytes()
+    assert hashlib.sha256(audit).hexdigest() == GOLDEN_AUDIT_SHA256
 
 
 def test_geo_median_simulate_digests_match_recorded_constants(tmp_path):

@@ -669,7 +669,6 @@ class TestEvaluate:
         assert ent.precision == 1.0
         assert ent.recall == 0.5
         assert ent.f1 == pytest.approx(2 / 3)
-        assert tok.level == "token"
 
     def test_perfect_prediction(self):
         corpus = [sentence(["flu", "is", "here"], ["B", "O", "O"])]
@@ -687,12 +686,12 @@ class TestEvaluate:
 
 class TestMetrics:
     def test_zero_over_zero_conventions(self):
-        m = Metrics.from_counts(0, 0, 0, "token")
+        m = Metrics.from_counts(0, 0, 0)
         assert m.precision == m.recall == m.f1 == 0.0
 
     @pytest.mark.parametrize("tp,fp,fn", [(3, 1, 2), (0, 5, 0), (7, 0, 0), (1, 1, 1)])
     def test_f1_is_harmonic_mean(self, tp, fp, fn):
-        m = Metrics.from_counts(tp, fp, fn, "entity-strict")
+        m = Metrics.from_counts(tp, fp, fn)
         if m.precision + m.recall:
             assert m.f1 == pytest.approx(
                 2 * m.precision * m.recall / (m.precision + m.recall)

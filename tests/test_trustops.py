@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -132,17 +134,14 @@ class TestModelSignatures:
         assert not verify_model(np.ones(4), b"junk", kits["server"].identity())
 
 
-class FixedClock:
-    def __init__(self):
-        self.t = 0
-
-    def now_rfc3339(self):
-        self.t += 1
-        return f"2024-01-01T00:00:{self.t:02d}.000000Z"
+def fixed_clock():
+    """Whole seconds from 2024-01-01T00:00:01Z, one more at each call."""
+    ticks = itertools.count(1_704_067_201_000, 1000)
+    return lambda: next(ticks)
 
 
 def build_log(n=10):
-    log = AuditLog(clock=FixedClock())
+    log = AuditLog(now_ms=fixed_clock())
     for i in range(n):
         log.append("UpdateAccepted", f"client = site-{i % 3}\nround = {i}\n")
     return log
@@ -152,6 +151,18 @@ class TestAuditChain:
     def test_genesis_prev_hash(self):
         log = build_log(1)
         assert log.entries[0].prev_hash == GENESIS_HASH == "0" * 64
+
+    def test_entries_are_stamped_in_rfc3339_utc_to_the_microsecond(self):
+        assert build_log(2).entries[1].timestamp == "2024-01-01T00:00:02.000000Z"
+        stamp = AuditLog(now_ms=lambda: 1500.25).append("Register", "").timestamp
+        assert stamp == "1970-01-01T00:00:01.500250Z"
+
+    def test_default_stamp_is_wall_time(self):
+        before = datetime.now(timezone.utc)
+        stamp = AuditLog().append("Register", "").timestamp
+        after = datetime.now(timezone.utc)
+        when = datetime.strptime(stamp, "%Y-%m-%dT%H:%M:%S.%fZ").replace(tzinfo=timezone.utc)
+        assert before - timedelta(milliseconds=1) <= when <= after + timedelta(milliseconds=1)
 
     def test_empty_log_verifies(self):
         assert audit_verify([]) is None
@@ -193,7 +204,7 @@ class TestAuditChain:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "audit.log"
-        log = AuditLog(clock=FixedClock(), path=path)
+        log = AuditLog(now_ms=fixed_clock(), path=path)
         for i in range(5):
             log.append("TaskAssign", f"round = {i}\n")
         loaded = load_audit_log(path)
@@ -205,7 +216,7 @@ class TestAuditChain:
         assert parse_audit_line(format_entry(entry)) == entry
 
     def test_unknown_event_type_rejected(self):
-        log = AuditLog(clock=FixedClock())
+        log = AuditLog(now_ms=fixed_clock())
         with pytest.raises(ConfigError):
             log.append("NotAnEvent", "")
 
