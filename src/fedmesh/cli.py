@@ -23,7 +23,6 @@ from .tcpnet import TcpNode, parse_address
 from .transport import ReliableEndpoint
 from .trustops import (
     AuditLog,
-    UnsafeComponentError,
     audit_verify,
     load_audit_log,
     load_kit,
@@ -163,7 +162,7 @@ def cmd_serve(args) -> int:
     kit = load_kit(args.kit)
     out = Path(args.out)
     spec = _tcp_spec(config, kit)
-    vet_config(config, list(spec.shards), out / "audit-rejected.log")
+    vet_config(config, list(spec.shards))
     spec.validate()  # before the port is bound or named in --port-file
     out.mkdir(parents=True, exist_ok=True)
     node = TcpNode(kit.site_id, bind=parse_address(config.bind))
@@ -203,7 +202,7 @@ def cmd_client(args) -> int:
     shard = load_conll(args.shard).sentences
     holdout = load_conll(args.holdout).sentences if args.holdout else []
     spec = _tcp_spec(config, kit, shard, holdout)
-    vet_config(config, list(spec.shards), None)
+    vet_config(config, list(spec.shards))
     spec.validate()  # before the server is dialed
     address = args.server or kit.server_address
     node = TcpNode(kit.site_id, server_addr=parse_address(address), server_id=spec.server_id)
@@ -294,8 +293,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.fn(args)
-    except (ConfigError, UnsafeComponentError, kvdoc.DocError) as exc:
+    except (ConfigError, kvdoc.DocError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.command in ("simulate", "serve"):  # the commands that keep audit logs
+            try:
+                AuditLog(path=Path(args.out) / "audit-rejected.log").append(
+                    "ConfigRejected", kvdoc.emit_doc({"reason": str(exc)}))
+            except OSError as audit_exc:
+                print(f"error: the refusal was not audited: {audit_exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RoundFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)

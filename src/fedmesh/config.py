@@ -25,6 +25,7 @@ from .model import TrainConfig
 from .privacy import DpParams, SitePolicy, SvtParams
 from .runner import Adversary, Seeds
 from .simnet import SimNetConfig
+from .tcpnet import parse_address
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -73,7 +74,7 @@ def _check(kind: Any, value: Any, path: str) -> Any:
     """*value* read as *kind*: a type, ``[kind]`` for a list of them, a
     ``_Section``, or a function of ``(value, path)``."""
     if isinstance(kind, _Section):
-        return kind.build(**_read(value, kind.keys, path))
+        return _at(path, kind.build, **_read(value, kind.keys, path))
     if type(kind) is list:
         if type(value) is not list:
             raise ConfigError(f"{path}: expected a list, got {value!r}")
@@ -85,6 +86,14 @@ def _check(kind: Any, value: Any, path: str) -> Any:
     if type(value) is not kind:
         raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
     return value
+
+
+def _at(path: str, build: Any, *args: Any, **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, with a range error it raises prefixed by *path*."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse(text: str, where: str) -> dict[str, Any]:
@@ -141,6 +150,12 @@ def _ratio(value: Any, path: str) -> tuple[int, ...]:
     return parts
 
 
+def _address(value: Any, path: str) -> str:
+    """A ``host:port`` that tcpnet.parse_address accepts, kept as written."""
+    _at(path, parse_address, _check(str, value, path))
+    return value
+
+
 _POLICY_KEYS = {
     "site_id": (str, None, None),
     "clip_norm": (float, None, lambda p: p.clip_norm),
@@ -157,12 +172,13 @@ _POLICY_KEYS = {
 }
 
 
-def policy_from_doc(site_id: str, doc: dict, path: str = "") -> SitePolicy:
-    """Build *site_id*'s SitePolicy from a parsed policy document."""
+def policy_from_doc(site_id: str, doc: dict) -> SitePolicy:
+    """Build *site_id*'s SitePolicy from its parsed ``policy.<site_id>`` document."""
+    path = f"policy.{site_id}"
     values = _read(doc, _POLICY_KEYS, path)
     if (named := values.pop("site_id")) not in (None, site_id):
         raise ConfigError(f"policy file names site {named!r}, expected {site_id!r}")
-    return SitePolicy(site_id, **values)
+    return _at(path, SitePolicy, site_id, **values)
 
 
 def policy_to_doc(policy: SitePolicy) -> dict:
@@ -173,7 +189,7 @@ def policy_to_doc(policy: SitePolicy) -> dict:
 def _policies(value: Any, path: str) -> dict[str, SitePolicy]:
     if type(value) is not dict:
         raise ConfigError(f"{path}: expected a section, got {value!r}")
-    return {site: policy_from_doc(site, doc, f"{path}.{site}") for site, doc in sorted(value.items())}
+    return {site: policy_from_doc(site, doc) for site, doc in sorted(value.items())}
 
 
 _EXPERIMENT_KEYS = {
@@ -210,7 +226,8 @@ _EXPERIMENT_KEYS = {
         "latency_min_ms": (float, 1.0, lambda s: s.latency_ms[0]),
         "latency_max_ms": (float, 5.0, lambda s: s.latency_ms[1]),
         "drop_prob": (float, 0.0, lambda s: s.drop_prob),
-    }), {}, lambda c: c.sim),
+    }, lambda latency_min_ms, latency_max_ms, drop_prob:
+        SimNetConfig((latency_min_ms, latency_max_ms), drop_prob)), {}, lambda c: c.sim),
     "seeds": (_Section({
         "data": (int, 1, lambda s: s.data),
         "model": (int, 2, lambda s: s.model),
@@ -230,7 +247,7 @@ _EXPERIMENT_KEYS = {
     }, lambda client, magnitude: Adversary(client, magnitude)), None, lambda c: c.adversary),
     "retry_on_abort": (bool, True, lambda c: c.retry_on_abort),
     "server_id": (str, "server", lambda c: c.server_id),
-    "bind": (str, "127.0.0.1:7761", lambda c: c.bind),
+    "bind": (_address, "127.0.0.1:7761", lambda c: c.bind),
 }
 
 
@@ -270,11 +287,10 @@ def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
             raise ConfigError(f"policy_dir: {pdir} is not a directory")
         for path in sorted(pdir.glob("*.policy")):
             doc = _parse(path.read_text(encoding="utf-8"), str(path))
-            policies[path.stem] = policy_from_doc(path.stem, doc, f"policy.{path.stem}")
+            policies[path.stem] = policy_from_doc(path.stem, doc)
     policies.update(v.pop("policy"))
 
     train_path, test_path = (str(base / p) for p in v.pop("corpus").values())
-    latency_min, latency_max, drop_prob = v.pop("transport").values()
     return ExperimentConfig(
         train_path=train_path,
         test_path=test_path,
@@ -282,7 +298,7 @@ def parse_experiment(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         k=k,
         m=m,
         deadline_ms=deadline_ms,
-        sim=SimNetConfig((latency_min, latency_max), drop_prob, seed=v["seeds"].net),
+        sim=replace(v.pop("transport"), seed=v["seeds"].net),
         experiment_kind=kind,
         client_counts=client_counts,
         sweep_ratios=sweep_ratios,
@@ -311,7 +327,7 @@ def experiment_to_doc(config: ExperimentConfig) -> dict:
 _ROSTER_KEYS = {
     "sites": ([str], REQUIRED, None),
     "server": (str, "server", None),
-    "address": (str, "127.0.0.1:7761", None),
+    "address": (_address, "127.0.0.1:7761", None),
 }
 
 

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import report as report_mod
-from .config import ExperimentConfig, experiment_to_doc, policy_to_doc
+from .config import ExperimentConfig, experiment_to_doc
 from .data import TaggedCorpus, load_conll, partition
 from .errors import ConfigError
 from .kvdoc import emit_doc
@@ -25,62 +25,17 @@ from .runner import (
     run_federation,
 )
 from .seeding import derive_seed
-from .trustops import (
-    AuditLog,
-    StartupKit,
-    UnsafeComponentError,
-    check_components,
-    provision,
-)
+from .trustops import StartupKit, provision
 
 
-# The vetted component kind of each policy key; a key missing here is vetted
-# under its own name, which trustops.COMPONENT_BOUNDS does not list.
-_COMPONENT = {"clip_norm": "clip", "dp": "dp-gaussian", "svt": "svt", "masking_enabled": "masking"}
-
-
-def components_of(config: ExperimentConfig) -> list[dict[str, dict[str, float]]]:
-    """Component/parameter sets a job would execute, for check_components;
-    a site's job is read from its policy document, key by key."""
-    jobs: list[dict[str, dict[str, float]]] = [
-        {
-            config.strategy.kind: {},
-            "sgd": {
-                "learning_rate": config.train.learning_rate,
-                "local_epochs": float(config.train.local_epochs),
-                "fedprox_mu": config.train.fedprox_mu,
-            },
-        }
-    ]
-    for site in sorted(config.policies):
-        job = {
-            _COMPONENT.get(key, key): value if type(value) is dict else {key: value}
-            for key, value in policy_to_doc(config.policies[site]).items()
-            if value is not False
-        }
-        if job:
-            jobs.append(job)
-    return jobs
-
-
-def vet_config(config: ExperimentConfig, sites: list[str], audit_path: Path | None) -> None:
+def vet_config(config: ExperimentConfig, sites: list[str]) -> None:
     """Refuse, before any round, a policy or an adversary naming none of *sites*
-    (every site of every run) and an unsafe component, audited to *audit_path*
-    if one is given."""
+    (every site of every run)."""
     stray = [f"policy.{site}" for site in sorted(set(config.policies) - set(sites))]
     if config.adversary is not None and config.adversary.client_id not in sites:
         stray.append("adversary.client")
     if stray:
         raise ConfigError(f"{stray[0]}: names no site of any run ({', '.join(sites)})")
-    try:
-        for job in components_of(config):
-            check_components(job)
-    except UnsafeComponentError as exc:
-        if audit_path is not None:
-            AuditLog(path=audit_path).append("ComponentRejected", emit_doc(
-                {"component": exc.component, "reason": exc.reason}
-            ))
-        raise
 
 
 def federation_spec(config: ExperimentConfig, shards: dict[str, list], holdouts: dict[str, list],
@@ -175,11 +130,7 @@ def run_simulation(
     """Run the configured experiment matrix plus the centralized baseline, once the
     config is vetted against its largest cell's sites and every cell's spec is valid."""
     cells = _sweep_cells(config)
-    vet_config(
-        config,
-        config.site_ids(max(n for _, n, _ in cells)),
-        None if audit_dir is None else Path(audit_dir) / "audit-rejected.log",
-    )
+    vet_config(config, config.site_ids(max(n for _, n, _ in cells)))
     out = SimulationOutput()
     started = time.monotonic()
     train_corpus = load_conll(config.train_path)

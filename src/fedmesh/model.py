@@ -62,15 +62,13 @@ class TrainConfig:
     hash_seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "fedprox_mu"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.local_epochs < 1 or self.batch_size < 1:
-            raise ConfigError("local_epochs and batch_size must be >= 1")
-        if self.fedprox_mu < 0:
-            raise ConfigError("fedprox_mu must be >= 0")
+        # Closed bounds refuse ±inf, and NaN fails every comparison.
+        for name, lo, hi in (("learning_rate", 0, 100), ("fedprox_mu", 0, 100),
+                             ("local_epochs", 1, 1000)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ConfigError(f"{name} must be in [{lo}, {hi}]")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if self.feature_dim < (1 << 10) or self.feature_dim & (self.feature_dim - 1):
             raise ConfigError("feature_dim must be a power of two >= 2^10")
 

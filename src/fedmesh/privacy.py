@@ -41,8 +41,8 @@ class DpParams:
     delta: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError("dp epsilon must be > 0")
+        if not self.epsilon >= 1e-6:
+            raise ConfigError("dp epsilon must be >= 1e-6")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("dp delta must be in (0, 1)")
 
@@ -58,8 +58,8 @@ class SvtParams:
             raise ConfigError("svt threshold_fraction must be in (0, 1]")
         if self.budget_c < 1:
             raise ConfigError("svt budget_c must be >= 1")
-        if self.epsilon <= 0:
-            raise ConfigError("svt epsilon must be > 0")
+        if not self.epsilon >= 1e-6:
+            raise ConfigError("svt epsilon must be >= 1e-6")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import threading
 import time
 from typing import Callable
 
+from .errors import ConfigError
 from .transport import MSG_TRANSPORT_ACK, CorruptFrame, Frame, Timers, read_frames, unpack_envelope
 
 # Not called here, but perfbench/tracing.py patches this name, so the import stays.
@@ -42,9 +43,12 @@ SEND_STALL_S = 5.0
 
 
 def parse_address(text: str) -> tuple[str, int]:
+    """``host:port`` as ``(host, port)``; a bare host gets DEFAULT_PORT."""
     host, _, port = text.rpartition(":")
     if not host:
         return text, DEFAULT_PORT
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ConfigError(f"expected host:port with a port in 0-65535, got {text!r}")
     return host, int(port)
 
 

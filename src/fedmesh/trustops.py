@@ -1,4 +1,4 @@
-"""Provisioning, signatures, the hash-chained audit log, and job vetting.
+"""Provisioning, signatures, and the hash-chained audit log.
 
 Sites authenticate with Ed25519 keys handed out as per-site startup kits.
 Messages and models are signed over SHA-256 digests of their canonical
@@ -10,6 +10,7 @@ entry is detectable by a linear re-verification.
 from __future__ import annotations
 
 import hashlib
+import re
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ from cryptography.hazmat.primitives.serialization import (
 )
 
 from . import kvdoc
-from .aggregation import STRATEGY_KINDS
 from .errors import ConfigError
 
 GENESIS_HASH = "0" * 64
@@ -46,18 +46,9 @@ AUDIT_EVENT_TYPES = (
     "RoundAborted",
     "ModelSigned",
     "PolicyApplied",
-    "ComponentRejected",
+    "ConfigRejected",
     "EvalReportRejected",
 )
-
-
-class UnsafeComponentError(Exception):
-    """A job names an unknown component kind or a parameter out of its bounds."""
-
-    def __init__(self, component: str, reason: str):
-        self.component = component
-        self.reason = reason
-        super().__init__(f"unsafe component {component!r}: {reason}")
 
 
 # --- identities and kits -----------------------------------------------------
@@ -165,27 +156,37 @@ def write_kits(kits: dict[str, StartupKit], out_dir: str | Path) -> None:
             (kit_dir / "mask.secret").write_text(kit.mask_root.hex() + "\n")
 
 
+def _key(text: str) -> bytes:
+    """A 32-byte key or secret, written as 64 hex digits."""
+    if not re.fullmatch(r"[0-9a-fA-F]{64}", text):
+        raise ConfigError(f"expected 32 bytes in hex, got {text!r}")
+    return bytes.fromhex(text)
+
+
+def _roster_entry(line: str) -> Identity:
+    fields = line.split()
+    if len(fields) != 3:
+        raise ConfigError(f"expected 'site_id role public_key', got {line!r}")
+    return Identity(fields[0], _key(fields[2]), fields[1])
+
+
 def load_kit(kit_dir: str | Path) -> StartupKit:
+    """The kit in *kit_dir*; a malformed file is refused naming that file."""
     kit_dir = Path(kit_dir)
-    private_seed = bytes.fromhex((kit_dir / "key.priv").read_text().strip())
-    roster: list[Identity] = []
-    for line in (kit_dir / "roster").read_text().splitlines():
-        if not line.strip():
-            continue
-        site_id, role, pub_hex = line.split()
-        roster.append(Identity(site_id, bytes.fromhex(pub_hex), role))
-    site_id = kit_dir.name
-    role = next(ident.role for ident in roster if ident.site_id == site_id)
-    mask_path = kit_dir / "mask.secret"
-    mask_root = bytes.fromhex(mask_path.read_text().strip()) if mask_path.exists() else None
-    return StartupKit(
-        site_id=site_id,
-        role=role,
-        private_seed=private_seed,
-        roster=roster,
-        server_address=(kit_dir / "server.addr").read_text().strip(),
-        mask_root=mask_root,
-    )
+    site_id, path = kit_dir.name, kit_dir / "key.priv"
+    try:
+        private_seed = _key(path.read_text().strip())
+        path = kit_dir / "roster"
+        roster = [_roster_entry(line) for line in path.read_text().splitlines() if line.strip()]
+        role = next((ident.role for ident in roster if ident.site_id == site_id), None)
+        if role is None:
+            raise ConfigError(f"site {site_id!r} is not on its own roster")
+        path = kit_dir / "mask.secret"
+        mask_root = _key(path.read_text().strip()) if path.exists() else None
+    except (ConfigError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    server_address = (kit_dir / "server.addr").read_text().strip()
+    return StartupKit(site_id, role, private_seed, roster, server_address, mask_root)
 
 
 # --- signatures ---------------------------------------------------------------
@@ -302,30 +303,36 @@ def format_entry(entry: AuditEntry) -> str:
     )
 
 
-def parse_audit_line(line: str) -> AuditEntry:
-    fields: dict[str, str] = {}
+# AuditEntry's fields before the payload, in order.
+_AUDIT_FIELDS = ("seq", "timestamp", "event_type", "payload_hash", "prev_hash", "entry_hash")
+
+
+def parse_audit_line(line: str, lineno: int | None = None) -> AuditEntry:
+    """One line that format_entry wrote; a malformed one raises a kvdoc.DocError
+    labelled *lineno*."""
     # payload is last and quoted; split the fixed-position fields first.
     head, _, payload_part = line.partition(" payload=")
-    for token in head.split():
-        key, _, value = token.partition("=")
-        fields[key] = value
-    payload = kvdoc.parse_scalar(payload_part, 0) if payload_part else ""
-    return AuditEntry(
-        seq=int(fields["seq"]),
-        timestamp=fields["timestamp"],
-        event_type=fields["event_type"],
-        payload_hash=fields["payload_hash"],
-        prev_hash=fields["prev_hash"],
-        entry_hash=fields["entry_hash"],
-        payload=str(payload),
-    )
+    fields = dict(token.partition("=")[::2] for token in head.split())
+    missing = [key for key in _AUDIT_FIELDS if key not in fields]
+    if missing:
+        raise kvdoc.DocError(f"no {missing[0]}= field", lineno)
+    if not (fields["seq"].isascii() and fields["seq"].isdigit()):
+        raise kvdoc.DocError(f"seq={fields['seq']} is not a sequence number", lineno)
+    payload = kvdoc.parse_scalar(payload_part, lineno) if payload_part else ""
+    return AuditEntry(int(fields["seq"]), *(fields[key] for key in _AUDIT_FIELDS[1:]),
+                      payload=str(payload))
 
 
 def load_audit_log(path: str | Path) -> list[AuditEntry]:
+    """Every entry of the log at *path*; a malformed line is refused as a
+    ConfigError naming the file and the line."""
     entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            entries.append(parse_audit_line(line))
+    try:
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+            if line.strip():
+                entries.append(parse_audit_line(line, lineno))
+    except (kvdoc.DocError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return entries
 
 
@@ -345,40 +352,3 @@ def audit_verify(entries: list[AuditEntry]) -> int | None:
             return entry.seq if entry.seq == i else i
         prev_hash = entry.entry_hash
     return None
-
-
-# --- component vetting ---------------------------------------------------------
-
-
-# Every component kind the runtime can run, with the bounds that no config
-# type enforces: parameter name -> (min, max), both inclusive, either None for
-# open.  Every other range is checked when the config is parsed.
-COMPONENT_BOUNDS: dict[str, dict[str, tuple[float | None, float | None]]] = {
-    **{kind: {} for kind in STRATEGY_KINDS},
-    "clip": {},
-    "dp-gaussian": {"epsilon": (1e-6, None)},
-    "svt": {"epsilon": (1e-6, None)},
-    "masking": {},
-    "sgd": {
-        "learning_rate": (None, 100.0),
-        "local_epochs": (None, 1000.0),
-        "fedprox_mu": (None, 100.0),
-    },
-}
-
-
-def check_components(job_components: dict[str, dict[str, float]]) -> None:
-    """Vet a job's components against COMPONENT_BOUNDS before any round starts.
-
-    *job_components* maps component kind -> numeric parameters.  Raises
-    UnsafeComponentError on the first unknown kind or out-of-bounds value.
-    """
-    for kind in sorted(job_components):
-        if kind not in COMPONENT_BOUNDS:
-            raise UnsafeComponentError(kind, "component kind not in allowlist")
-        for name, value in sorted(job_components[kind].items()):
-            lo, hi = COMPONENT_BOUNDS[kind].get(name, (None, None))
-            if lo is not None and value < lo:
-                raise UnsafeComponentError(kind, f"{name}={value} below bound {lo}")
-            if hi is not None and value > hi:
-                raise UnsafeComponentError(kind, f"{name}={value} above bound {hi}")

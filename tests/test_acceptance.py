@@ -8,7 +8,6 @@ rounds) and feeds criteria 1 and 3.
 
 import random
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,8 @@ from fedmesh.aggregation import (
 from fedmesh.cli import main
 from fedmesh.config import parse_experiment
 from fedmesh.data import PartitionPlan, partition, save_conll, synthetic_corpus
-from fedmesh.experiments import run_simulation, vet_config
+from fedmesh.errors import ConfigError
+from fedmesh.experiments import run_simulation
 from fedmesh.model import (
     TrainConfig,
     encode_sentences,
@@ -49,9 +49,7 @@ from fedmesh.runner import (
 )
 from fedmesh.simnet import SimNetConfig
 from fedmesh.trustops import (
-    UnsafeComponentError,
     audit_verify,
-    check_components,
     model_digest,
     provision,
     sign_digest,
@@ -515,10 +513,7 @@ class TestCriterion10TrustAndAudit:
                 assert audit_verify(entries) is not None
                 mutations += 1
 
-        with pytest.raises(UnsafeComponentError):
-            check_components({"shell-exec": {}})
-        bad = parse_experiment(
-            f"""
+        job = f"""
 corpus.train = "{corpus_dir / 'train.conll'}"
 corpus.test = "{corpus_dir / 'test.conll'}"
 rounds = 1
@@ -527,13 +522,11 @@ policy.site-1.clip_norm = 1.0
 policy.site-1.dp.epsilon = 1.0
 policy.site-1.dp.delta = 1e-5
 """
-        )
-        bad = replace(
-            bad,
-            train=replace(bad.train, learning_rate=1e6),
-        )
-        with pytest.raises(UnsafeComponentError):
-            vet_config(bad, bad.site_ids(), None)
+        parse_experiment(job)
+        with pytest.raises(ConfigError, match="^strategy: unknown aggregation kind 'shell-exec'"):
+            parse_experiment(job + "strategy.kind = shell-exec\n")
+        with pytest.raises(ConfigError, match=r"^train: learning_rate must be in \[0, 100\]"):
+            parse_experiment(job + "train.learning_rate = 1e6\n")
         print(
             f"\nACCEPTANCE 10 PASS — trust/audit: {flips} model bit-flips and "
             f"{mutations} audit mutations all detected; unsafe jobs rejected "

@@ -5,13 +5,16 @@ import time
 import numpy as np
 import pytest
 
+from fedmesh import cli
 from fedmesh.cli import _tcp_spec, main
 from fedmesh.config import parse_experiment
 from fedmesh.data import load_conll
 from fedmesh.experiments import build_spec
 from fedmesh.kvdoc import parse_doc
 from fedmesh.model import evaluate
-from fedmesh.trustops import load_kit, provision, verify_model
+from fedmesh.trustops import (
+    AuditLog, audit_verify, load_audit_log, load_kit, provision, verify_model,
+)
 
 CONFIG_TEMPLATE = """
 corpus.train = "data/train.conll"
@@ -32,6 +35,13 @@ def workspace(tmp_path):
     ]) == 0
     (tmp_path / "exp.cfg").write_text(CONFIG_TEMPLATE)
     return tmp_path
+
+
+def _one_rejection(out, reason):
+    """*out*'s rejection log holds one intact ConfigRejected entry naming *reason*."""
+    (entry,) = load_audit_log(out / "audit-rejected.log")
+    assert entry.event_type == "ConfigRejected" and audit_verify([entry]) is None
+    assert reason in parse_doc(entry.payload)["reason"]
 
 
 def _provision(workspace):
@@ -109,8 +119,18 @@ class TestSimulateCommand:
             "simulate", "--config", str(workspace / "bad.cfg"), "--out", str(out),
         ]) == 1
         assert not (out / "report.rows").exists()
-        rejected = (out / "audit-rejected.log").read_text()
-        assert "ComponentRejected" in rejected
+        _one_rejection(out, "train: learning_rate must be in [0, 100]")
+
+    def test_a_refusal_that_cannot_be_audited_still_exits_1(self, workspace, capsys):
+        (workspace / "bad.cfg").write_text(
+            CONFIG_TEMPLATE.replace("learning_rate = 0.5", "learning_rate = 1000.0")
+        )
+        (workspace / "taken").write_text("")
+        assert main([
+            "simulate", "--config", str(workspace / "bad.cfg"), "--out", str(workspace / "taken"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "train: learning_rate" in err and "the refusal was not audited" in err
 
     @pytest.mark.parametrize("deadline_ms", ["-5.0", "0.0"])
     def test_non_positive_deadline_refused(self, workspace, capsys, deadline_ms):
@@ -278,21 +298,26 @@ class TestRefusedBeforeRunning:
         out = workspace / "never"
         assert main(["simulate", "--config", str(workspace / "bad.cfg"),
                      "--out", str(out)]) == 1
-        assert reason in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err
         assert not (out / "report.rows").exists()
         assert not list(out.glob("audit-n*.log"))  # no cell ran
+        _one_rejection(out, reason)
 
-    def _serve_refuses(self, workspace, capsys, text, reason):
+    def _serve_refuses(self, workspace, capsys, monkeypatch, text, reason):
         _provision(workspace)
         (workspace / "bad.cfg").write_text(text)
         port_file = workspace / "port.txt"
+        monkeypatch.setattr(cli, "TcpNode", None)  # a bind would raise TypeError
         assert main([
             "serve", "--kit", str(workspace / "kits" / "server"),
             "--config", str(workspace / "bad.cfg"), "--out", str(workspace / "srv"),
             "--port-file", str(port_file), "--timeout", "1",
         ]) == 1
-        assert reason in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err
         assert not port_file.exists()
+        _one_rejection(workspace / "srv", reason)
 
     def test_simulate_refuses_a_policy_for_no_site(self, workspace, capsys):
         self._simulate_refuses(workspace, capsys, self.MISSPELT, "policy.site1")
@@ -304,14 +329,27 @@ class TestRefusedBeforeRunning:
         self._simulate_refuses(workspace, capsys, self.LONE_MASKED_SITE_IN_LAST_CELL,
                                "masking needs at least two sites")
 
-    def test_serve_refuses_before_binding(self, workspace, capsys):
-        self._serve_refuses(workspace, capsys, self.MISSPELT, "policy.site1")
+    def test_simulate_refuses_an_unsafe_rate(self, workspace, capsys):
+        self._simulate_refuses(workspace, capsys, self.UNSAFE, "train: learning_rate")
 
-    def test_serve_refuses_an_adversary_for_no_site(self, workspace, capsys):
-        self._serve_refuses(workspace, capsys, self.STRAY_ADVERSARY, "adversary.client")
+    def test_serve_refuses_before_binding(self, workspace, capsys, monkeypatch):
+        self._serve_refuses(workspace, capsys, monkeypatch, self.MISSPELT, "policy.site1")
 
-    def test_serve_validates_its_spec_before_binding(self, workspace, capsys):
-        self._serve_refuses(workspace, capsys, self.MASKED_GEO, "masking requires the fedavg")
+    def test_serve_refuses_an_adversary_for_no_site(self, workspace, capsys, monkeypatch):
+        self._serve_refuses(workspace, capsys, monkeypatch, self.STRAY_ADVERSARY,
+                            "adversary.client")
+
+    def test_serve_validates_its_spec_before_binding(self, workspace, capsys, monkeypatch):
+        self._serve_refuses(workspace, capsys, monkeypatch, self.MASKED_GEO,
+                            "masking requires the fedavg")
+
+    def test_serve_refuses_an_unsafe_rate(self, workspace, capsys, monkeypatch):
+        self._serve_refuses(workspace, capsys, monkeypatch, self.UNSAFE, "train: learning_rate")
+
+    def test_serve_refuses_a_malformed_bind_address(self, workspace, capsys, monkeypatch):
+        self._serve_refuses(workspace, capsys, monkeypatch,
+                            CONFIG_TEMPLATE.replace("127.0.0.1:0", "127.0.0.1:abc"),
+                            "bind: expected host:port")
 
     @pytest.mark.parametrize("text,reason", [
         (MISSPELT, "policy.site1"),
@@ -322,6 +360,22 @@ class TestRefusedBeforeRunning:
     def test_client_refuses_before_registering(self, workspace, capsys, text, reason):
         _provision(workspace)
         (workspace / "bad.cfg").write_text(text)
+        self._client_refuses(workspace, capsys, reason)
+
+    @pytest.mark.parametrize("content", ["abcd", "zz" * 32], ids=["2-byte-key", "non-hex-key"])
+    def test_client_refuses_a_malformed_kit_before_dialing(self, workspace, capsys, content):
+        _provision(workspace)
+        (workspace / "bad.cfg").write_text(CONFIG_TEMPLATE)
+        key = workspace / "kits" / "site-1" / "key.priv"
+        key.write_text(content)
+        self._client_refuses(workspace, capsys, f"{key}: expected 32 bytes in hex")
+
+    def test_client_refuses_a_malformed_server_address(self, workspace, capsys):
+        _provision(workspace)
+        (workspace / "bad.cfg").write_text(CONFIG_TEMPLATE)
+        self._client_refuses(workspace, capsys, "'127.0.0.1:port'", server="127.0.0.1:port")
+
+    def _client_refuses(self, workspace, capsys, reason, server="127.0.0.1:{port}"):
         with socket.create_server(("127.0.0.1", 0)) as listener:
             listener.settimeout(0.2)
             port = listener.getsockname()[1]
@@ -329,11 +383,12 @@ class TestRefusedBeforeRunning:
                 "client", "--kit", str(workspace / "kits" / "site-1"),
                 "--config", str(workspace / "bad.cfg"),
                 "--shard", str(workspace / "shards" / "shard-site-1.conll"),
-                "--server", f"127.0.0.1:{port}", "--timeout", "1",
+                "--server", server.format(port=port), "--timeout", "1",
             ]) == 1
             with pytest.raises(TimeoutError):
                 listener.accept()
-        assert reason in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err
 
 
 class TestAuditVerifyCommand:
@@ -347,6 +402,24 @@ class TestAuditVerifyCommand:
         tampered = workspace / "tampered.log"
         tampered.write_text("\n".join(lines) + "\n")
         assert main(["audit-verify", "--log", str(tampered)]) == 1
+
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda line: line.replace("seq=1 ", ""), "line 2: no seq= field"),
+        (lambda line: line.replace("seq=1 ", "seq=x "), "line 2: seq=x is not a sequence number"),
+        (lambda line: line[:-1], "line 2: unterminated string"),
+    ], ids=["no-seq", "non-numeric-seq", "unterminated-payload"])
+    def test_a_malformed_line_exits_1_naming_it(self, tmp_path, capsys, edit, reason):
+        log_path = tmp_path / "audit.log"
+        log = AuditLog(path=log_path)
+        for i in range(3):
+            log.append("TaskAssign", f"round = {i}\n")
+        lines = log_path.read_text().splitlines()
+        lines[1] = edit(lines[1])
+        log_path.write_text("\n".join(lines) + "\n")
+        assert main(["audit-verify", "--log", str(log_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{log_path}: {reason}" in err and "Traceback" not in err
 
 
 class TestProvisionCommand:

@@ -225,6 +225,13 @@ class TestExperimentConfig:
          'experiment.ratios = ["50/50"]', "experiment.ratios"),
         ('experiment.kind = imbalance-sweep\nexperiment.ratios = ["50/50"]\n'
          "experiment.client_counts = [2]", "experiment.client_counts"),
+        # A range a section's own type checks is prefixed with the section's path.
+        ("strategy.kind = shell-exec", "strategy: unknown aggregation kind 'shell-exec'"),
+        ("transport.drop_prob = 1.0", "transport: drop_prob must be in [0, 1)"),
+        ("transport.latency_min_ms = 9.0", "transport: latency_ms must satisfy"),
+        ("policy.site-1.clip_norm = -1.0", "policy.site-1: clip_norm must be positive"),
+        ('bind = "127.0.0.1:abc"', "bind: expected host:port with a port in 0-65535"),
+        ('bind = "127.0.0.1:65536"', "bind: expected host:port with a port in 0-65535"),
     ])
     def test_refused_naming_the_key(self, lines, key):
         with pytest.raises(ConfigError, match=re.escape(key)):
@@ -237,11 +244,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=r"policy\.site-1\.dp\.delt"):
             parse_experiment(MINIMAL + 'policy_dir = "policies"\n', base_dir=tmp_path)
 
+    def test_policy_file_range_error_names_its_section(self, tmp_path):
+        pdir = tmp_path / "policies"
+        pdir.mkdir()
+        (pdir / "site-1.policy").write_text("clip_norm = 1.0\ndp.epsilon = 0.0\ndp.delta = 1e-5\n")
+        with pytest.raises(ConfigError, match=r"^policy\.site-1\.dp: dp epsilon must be >= 1e-6$"):
+            parse_experiment(MINIMAL + 'policy_dir = "policies"\n', base_dir=tmp_path)
+
     @pytest.mark.parametrize("text,key", [
         ("sites = [site-1]\nsevrer = hub\n", "sevrer"),
         ("sites = site-1\n", "sites"),
         ("sites = []\n", "sites"),
         ("server = hub\n", "sites"),
+        ('sites = [site-1]\naddress = "127.0.0.1:port"\n', "address"),
     ])
     def test_roster_refused_naming_the_key(self, tmp_path, text, key):
         roster = tmp_path / "roster.cfg"

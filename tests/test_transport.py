@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from fedmesh import runner, tcpnet, transport
 from fedmesh.aggregation import AggregationStrategy, SparseVector, as_dense
 from fedmesh.data import PartitionPlan, partition, synthetic_corpus
+from fedmesh.errors import ConfigError
 from fedmesh.model import TrainConfig
 from fedmesh.runner import SIGNATURE_LEN, FederationSpec, ServerNode, _signed
 from fedmesh.simnet import SimNetConfig, SimNetwork
@@ -931,6 +932,24 @@ def _read_frame(sock: socket.socket) -> bytes:
     for msg_type, payload in read_frames(sock.recv_into):
         return encode_frame(msg_type, payload)
     return b""
+
+
+class TestParseAddress:
+    @pytest.mark.parametrize("text, address", [
+        ("127.0.0.1:0", ("127.0.0.1", 0)),
+        ("example.org:65535", ("example.org", 65535)),
+        ("localhost", ("localhost", tcpnet.DEFAULT_PORT)),
+    ])
+    def test_accepted(self, text, address):
+        assert tcpnet.parse_address(text) == address
+
+    @pytest.mark.parametrize("text", [
+        "127.0.0.1:abc", "127.0.0.1:port", "127.0.0.1:", "127.0.0.1:65536",
+        "127.0.0.1:-1", "127.0.0.1: 80", "127.0.0.1:\u00b2",
+    ])
+    def test_a_port_not_in_0_to_65535_is_a_config_error(self, text):
+        with pytest.raises(ConfigError, match="port in 0-65535"):
+            tcpnet.parse_address(text)
 
 
 class TestTcpNode:

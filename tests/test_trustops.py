@@ -5,18 +5,13 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from fedmesh.aggregation import STRATEGY_KINDS
 from fedmesh.config import parse_experiment
 from fedmesh.errors import ConfigError
-from fedmesh.experiments import _COMPONENT, vet_config
 from fedmesh.trustops import (
-    COMPONENT_BOUNDS,
     AuditLog,
     GENESIS_HASH,
-    UnsafeComponentError,
     audit_verify,
     canonical_param_bytes,
-    check_components,
     format_entry,
     load_audit_log,
     load_kit,
@@ -89,6 +84,24 @@ class TestProvision:
         roster.write_text(roster.read_text() + f"boss admin {'00' * 32}\n")
         with pytest.raises(ConfigError):
             load_kit(tmp_path / "kits" / "site-1")
+
+    @pytest.mark.parametrize("name, text, reason", [
+        ("key.priv", "zz" * 32, "expected 32 bytes in hex"),
+        ("key.priv", "abcd", "expected 32 bytes in hex, got 'abcd'"),
+        ("mask.secret", "00" * 31, "expected 32 bytes in hex"),
+        ("roster", "site-1 client\n", "expected 'site_id role public_key'"),
+        ("roster", f"site-1 client {'0' * 63}\n", "expected 32 bytes in hex"),
+        ("roster", f"server server {'00' * 32}\n", "site 'site-1' is not on its own roster"),
+    ], ids=["non-hex-key", "2-byte-key", "short-mask-root", "short-roster-line",
+            "odd-hex-public-key", "site-not-on-roster"])
+    def test_a_malformed_kit_is_refused_naming_the_file(self, tmp_path, name, text, reason):
+        write_kits(provision(SIX_SITES, key_seed=3), tmp_path)
+        kit_dir = tmp_path / "kits" / "site-1"
+        (kit_dir / name).write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_kit(kit_dir)
+        assert str(err.value).startswith(f"{kit_dir / name}: ")
+        assert reason in str(err.value)
 
 
 class TestModelSignatures:
@@ -211,6 +224,24 @@ class TestAuditChain:
         assert loaded == log.entries
         assert audit_verify(loaded) is None
 
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda line: line.replace("seq=2 ", ""), "line 3: no seq= field"),
+        (lambda line: line.replace("seq=2 ", "seq=x "), "line 3: seq=x is not a sequence number"),
+        (lambda line: line.replace(" entry_hash=", " entry="), "line 3: no entry_hash= field"),
+        (lambda line: line[:-1], "line 3: unterminated string"),
+    ], ids=["no-seq", "non-numeric-seq", "no-entry-hash", "unterminated-payload"])
+    def test_a_malformed_line_is_refused_naming_it(self, tmp_path, edit, reason):
+        path = tmp_path / "audit.log"
+        log = AuditLog(now_ms=fixed_clock(), path=path)
+        for i in range(4):
+            log.append("TaskAssign", f"round = {i}\n")
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_audit_log(path)
+        assert str(err.value) == f"{path}: {reason}"
+
     def test_line_format_round_trip(self):
         entry = build_log(3).entries[2]
         assert parse_audit_line(format_entry(entry)) == entry
@@ -221,60 +252,31 @@ class TestAuditChain:
             log.append("NotAnEvent", "")
 
 
-class TestComponentVetting:
-    def test_disallowed_kind(self):
-        with pytest.raises(UnsafeComponentError) as err:
-            check_components({"shell-exec": {}})
-        assert err.value.component == "shell-exec"
-        assert err.value.reason == "component kind not in allowlist"
-
-    def test_out_of_bounds_parameter(self):
-        with pytest.raises(UnsafeComponentError) as err:
-            check_components({"dp-gaussian": {"epsilon": -1.0, "delta": 1e-5}})
-        assert err.value.component == "dp-gaussian"
-        assert "epsilon" in err.value.reason
-
-    def test_conforming_job_passes(self):
-        check_components(
-            {
-                "fedavg": {},
-                "sgd": {"learning_rate": 0.5, "local_epochs": 1.0},
-                "dp-gaussian": {"epsilon": 1.0, "delta": 1e-5},
-            }
-        )
-
-    def test_table_lists_every_kind_the_runtime_runs(self):
-        assert set(COMPONENT_BOUNDS) == set(STRATEGY_KINDS) | set(_COMPONENT.values()) | {"sgd"}
-
-    # Each bound no config type enforces: the value at the bound is accepted,
-    # and the value just past it is refused with the audited payload below.
-    @pytest.mark.parametrize("setting, at_bound, past_bound, payload", [
+class TestConfigBoundsAtParse:
+    # Each bound is accepted at its edge, and the value just past it is
+    # refused at parse with the section's dotted path and the key.
+    @pytest.mark.parametrize("setting, at_bound, past_bound, message", [
         ("policy.site-1.clip_norm = 1.0\npolicy.site-1.dp.delta = 1e-5\n"
          "policy.site-1.dp.epsilon = {}", "1e-6", "9.9e-7",
-         'component = dp-gaussian\nreason = "epsilon=9.9e-07 below bound 1e-06"\n'),
+         "policy.site-1.dp: dp epsilon must be >= 1e-6"),
         ("policy.site-1.svt.threshold_fraction = 0.5\npolicy.site-1.svt.budget_c = 2\n"
          "policy.site-1.svt.epsilon = {}", "1e-6", "9.9e-7",
-         'component = svt\nreason = "epsilon=9.9e-07 below bound 1e-06"\n'),
-        ("train.learning_rate = {}", "100.0", "100.5",
-         'component = sgd\nreason = "learning_rate=100.5 above bound 100.0"\n'),
-        ("train.local_epochs = {}", "1000", "1001",
-         'component = sgd\nreason = "local_epochs=1001.0 above bound 1000.0"\n'),
-        ("train.fedprox_mu = {}", "100.0", "100.5",
-         'component = sgd\nreason = "fedprox_mu=100.5 above bound 100.0"\n'),
+         "policy.site-1.svt: svt epsilon must be >= 1e-6"),
+        ("train.learning_rate = {}", "100.0", "100.5", "train: learning_rate must be in [0, 100]"),
+        ("train.learning_rate = {}", "0.0", "-1e-9", "train: learning_rate must be in [0, 100]"),
+        ("train.local_epochs = {}", "1000", "1001", "train: local_epochs must be in [1, 1000]"),
+        ("train.local_epochs = {}", "1", "0", "train: local_epochs must be in [1, 1000]"),
+        ("train.fedprox_mu = {}", "100.0", "100.5", "train: fedprox_mu must be in [0, 100]"),
+        ("train.fedprox_mu = {}", "0.0", "-1e-9", "train: fedprox_mu must be in [0, 100]"),
     ])
-    def test_vetting_bounds_at_their_edges(self, tmp_path, setting, at_bound, past_bound, payload):
+    def test_bounds_at_their_edges(self, setting, at_bound, past_bound, message):
         def config(value):
             return parse_experiment(
                 'corpus.train = "a"\ncorpus.test = "b"\nrounds = 1\nclients = 2\n'
                 + setting.format(value) + "\n"
             )
 
-        ok = config(at_bound)
-        vet_config(ok, ok.site_ids(), tmp_path / "accepted.log")
-        assert not (tmp_path / "accepted.log").exists()
-        bad = config(past_bound)
-        with pytest.raises(UnsafeComponentError):
-            vet_config(bad, bad.site_ids(), tmp_path / "refused.log")
-        (entry,) = load_audit_log(tmp_path / "refused.log")
-        assert entry.event_type == "ComponentRejected"
-        assert entry.payload == payload
+        config(at_bound)
+        with pytest.raises(ConfigError) as err:
+            config(past_bound)
+        assert str(err.value) == message
