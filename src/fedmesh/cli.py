@@ -213,7 +213,7 @@ def cmd_client(args) -> int:
         if not node.run_until(lambda: client.done, timeout_s=args.timeout):
             log.error("client timed out waiting for federation to finish")
             return EXIT_RUNTIME
-        return EXIT_OK
+        return EXIT_OK if client.abort_reason is None else EXIT_RUNTIME
     finally:
         node.close()
 

@@ -9,6 +9,8 @@ Round flow: the coordinator scatters the global model to an invited sample
 of k registered clients, gathers updates until all k respond or the
 deadline fires, aggregates when at least m responded (aborting otherwise,
 with one optional retry), and repeats for the configured number of rounds.
+A retry keeps the first attempt's updates and the invited set, and sends
+the task again only to the invited sites that have not answered.
 A round's plan is two state fields, ``invited`` and ``attempt``; who
 answered is ``weights``, in arrival order.  A round's record joins the
 history when the round closes: when its aggregation starts, or when its
@@ -126,7 +128,7 @@ class RoundAggregated:
 @dataclass(frozen=True)
 class BroadcastTask:
     round: int
-    invited: tuple[str, ...]
+    to: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ def _begin_round(
     )
     actions = [
         _audit("TaskAssign", round=round_no, attempt=attempt, invited=",".join(invited)),
-        BroadcastTask(round_no, invited),
+        BroadcastTask(round_no, tuple(c for c in invited if c not in new.responded)),
         ScheduleDeadline(round_no, attempt, config.deadline_ms),
     ]
     return new, actions

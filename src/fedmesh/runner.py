@@ -197,16 +197,24 @@ def _opened(payload: memoryview, sender_pub: bytes) -> Opened | None:
         return None
 
 
-def _task_fields(opened: Opened | None) -> tuple[int, Vector, tuple[str, ...]] | None:
-    """(round, params, masked cohort) of an opened task; None if malformed or non-finite."""
+def _model(opened: Opened | None, dims: int) -> Vector | None:
+    """The model an opened task or eval request carries; None unless it is
+    *dims* finite float64 words."""
     if opened is None or opened[1] is None:
         return None
-    doc, params = opened
-    words = params.values if isinstance(params, SparseVector) else params
-    if words.dtype != np.float64 or not np.isfinite(words).all():
+    model = opened[1]
+    words = model.values if isinstance(model, SparseVector) else model
+    if len(model) != dims or words.dtype != np.float64 or not np.isfinite(words).all():
+        return None
+    return model
+
+
+def _task_fields(opened: Opened | None, dims: int) -> tuple[int, Vector, tuple[str, ...]] | None:
+    """(round, model, masked cohort) of an opened task; None if malformed."""
+    if (model := _model(opened, dims)) is None:
         return None
     try:
-        return int(doc["round"]), params, tuple(str(m) for m in doc.get("masked", []))
+        return int(opened[0]["round"]), model, tuple(str(m) for m in opened[0].get("masked", []))
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
@@ -304,9 +312,13 @@ class ServerNode(_Node):
     # -- the machine and its actions ---------------------------------------------
 
     def _step(self, event) -> tuple[ServerState, list]:
-        state, actions = server_step(self.state, event, self.config)
-        self.done |= state.failed  # a round aborted with no retry left
-        return state, actions
+        return server_step(self.state, event, self.config)
+
+    def dispatch(self, event) -> None:
+        super().dispatch(event)
+        if self.state.failed and not self.done:  # a round aborted with no retry left
+            self._close_run(MSG_ABORT, {
+                "reason": f"round {self.state.round} aborted with no retry left"})
 
     def _audit(self, event_type: str, detail: dict) -> None:
         self.audit.append(event_type, kvdoc.emit_doc(detail))
@@ -329,7 +341,7 @@ class ServerNode(_Node):
     # -- message handling ------------------------------------------------------
 
     def _on_register(self, src: str, opened: Opened | None) -> None:
-        if opened is None or opened[0].get("site_id") != src or src not in self.expected:
+        if opened is None or src not in self.expected:
             self._audit("Register", {"client": src, "status": "rejected"})
             self.rel.send(src, MSG_ABORT,
                           _signed({"reason": "registration rejected"}, None, self.kit))
@@ -352,16 +364,15 @@ class ServerNode(_Node):
             weight = float(doc.get("weight", 0.0))
         except (KeyError, TypeError, ValueError, OverflowError):
             round_no = None
-        if round_no is None or doc.get("client_id") != src or vector is None:
+        if round_no is None or vector is None:
             self._reject_update(src, "malformed update")
             return
-        masked = bool(doc.get("masked", False))
         if weight <= 0 or not np.isfinite(weight):
             self._reject_update(src, "bad weight")
             return
+        masked = src in self.config.masked_cohort
         words = vector.values if isinstance(vector, SparseVector) else vector
-        expected = np.uint64 if masked else np.float64
-        if masked != (src in self.config.masked_cohort) or words.dtype != expected:
+        if words.dtype != (np.uint64 if masked else np.float64):
             self._reject_update(src, "masking mismatch")
             return
         if len(vector) != self.spec.train.dims or (
@@ -378,14 +389,9 @@ class ServerNode(_Node):
     # -- round mechanics ---------------------------------------------------------
 
     def _broadcast_task(self, action: BroadcastTask) -> None:
-        masked = sorted(set(action.invited) & self.config.masked_cohort)
-        doc = {
-            "round": action.round,
-            "invited": list(action.invited),
-            "masked": masked,
-        }
-        payload = _signed(doc, self.global_params, self.kit)
-        for client in action.invited:
+        masked = sorted(set(self.state.invited) & self.config.masked_cohort)
+        payload = _signed({"round": action.round, "masked": masked}, self.global_params, self.kit)
+        for client in action.to:
             self.rel.send(client, MSG_TASK_ASSIGN, payload)
 
     def _aggregate(self, action: StartAggregation) -> None:
@@ -425,8 +431,7 @@ class ServerNode(_Node):
         if not self.expected:
             self.done = True
             return
-        doc = {"rounds": self.state.round}
-        payload = _signed(doc, self.global_params, self.kit)
+        payload = _signed({}, self.global_params, self.kit)
         for client in sorted(self.expected):
             self.rel.send(client, MSG_EVAL_REQUEST, payload)
         self._eval_timer = self.rel.raw.schedule(
@@ -453,11 +458,15 @@ class ServerNode(_Node):
             return
         if self._eval_timer is not None:
             self.rel.raw.cancel(self._eval_timer)
-        payload = _signed({"done": True}, None, self.kit)
+        self._close_run(MSG_ACK, {"done": True})
+
+    def _close_run(self, msg_type: int, doc: dict) -> None:
+        """Send *doc* to every site, then mark the run done.  Done comes last:
+        a TCP host closes its sockets as soon as it sees it, and a site that
+        never gets this message waits out its whole timeout."""
+        payload = _signed(doc, None, self.kit)
         for client in sorted(self.expected):
-            self.rel.send(client, MSG_ACK, payload)
-        # Last: a TCP host closes its sockets as soon as it sees done, and a
-        # client that never gets this ack waits out its whole timeout.
+            self.rel.send(client, msg_type, payload)
         self.done = True
 
 
@@ -491,13 +500,13 @@ class ClientNode(_Node):
         self.weight = float(token_count(self.shard)) if self.shard else 0.0
         self.current_task: tuple[int, Vector, tuple[str, ...]] | None = None
         self.registered = False
+        self.abort_reason: str | None = None  # set when the coordinator ends the run
         self._register_attempts = 0
 
     def register(self) -> None:
         self._register_attempts += 1
-        doc = {"site_id": self.kit.site_id, "role": self.kit.role}
         self.rel.send(
-            self.spec.server_id, MSG_REGISTER, _signed(doc, None, self.kit),
+            self.spec.server_id, MSG_REGISTER, _signed({}, None, self.kit),
             on_result=self._register_receipt,
         )
 
@@ -533,7 +542,7 @@ class ClientNode(_Node):
     # -- message handling ------------------------------------------------------
 
     def _on_task(self, src: str, opened: Opened | None) -> None:
-        task = _task_fields(opened)
+        task = _task_fields(opened, self.spec.train.dims)
         if task is None:
             self.dispatch(TaskReceived(round=-1, malformed=True))
             return
@@ -549,11 +558,15 @@ class ClientNode(_Node):
             self.done |= bool(opened[0].get("done"))
 
     def _on_eval_request(self, src: str, opened: Opened | None) -> None:
-        if opened is not None and opened[1] is not None:
-            self._report_eval(as_dense(opened[1]))
+        if (model := _model(opened, self.spec.train.dims)) is None:
+            self._audit("EvalRequestRefused", {"reason": "malformed model"})
+            return
+        self._report_eval(as_dense(model))
 
     def _on_abort(self, src: str, opened: Opened | None) -> None:
-        if opened is not None and opened[0].get("reason") == "registration rejected":
+        if opened is not None:
+            self.abort_reason = str(opened[0].get("reason"))
+            self._audit("RunAborted", {"reason": self.abort_reason})
             self.done = True
 
     # -- local work ------------------------------------------------------------
@@ -584,12 +597,6 @@ class ClientNode(_Node):
             derive_seed(self.spec.seeds.net, "privacy", self.kit.site_id, round_no)
         ))
         vector = delta = apply_policy(delta, self.policy, rng)
-        doc = {
-            "client_id": self.kit.site_id,
-            "round": round_no,
-            "weight": self.weight,
-            "masked": self.policy.masking_enabled,
-        }
         if self.policy.masking_enabled:
             try:
                 vector = mask_update(
@@ -599,7 +606,8 @@ class ClientNode(_Node):
                 self._drop(round_no, str(exc))
                 return
         self.rel.send(
-            self.spec.server_id, MSG_UPDATE_SUBMIT, _signed(doc, vector, self.kit),
+            self.spec.server_id, MSG_UPDATE_SUBMIT,
+            _signed({"round": round_no, "weight": self.weight}, vector, self.kit),
             on_result=lambda receipt: self.dispatch(TaskSettled(round_no)),
         )
 
@@ -615,7 +623,7 @@ class ClientNode(_Node):
         return attack
 
     def _report_eval(self, params: np.ndarray) -> None:
-        doc: dict = {"site_id": self.kit.site_id, "has_data": bool(self.holdout)}
+        doc: dict = {"has_data": bool(self.holdout)}
         if self.holdout:
             ent, tok = evaluate(params, self.holdout, self.spec.train)
             doc.update(ent.fields("ent"))

@@ -1,13 +1,15 @@
 """Plain-TCP transport backend carrying the same frames as the simulator.
 
-One node per process.  The thread that calls `TcpNode.run_until` is the
-event loop: it runs due timers from a `transport.Timers` heap on monotonic
-milliseconds (the simulator's heap on wall-clock time) and hands received
-frames to the receive handler, so it alone touches protocol state.  Each
-connection has a reader thread that polls, reads each frame into a buffer of
-its own (transport.read_frames), checks it once and queues its
-(src, msg_type, payload view) for the loop, so a node keeps reading while a
-send waits out a slow peer.  A connection is routed by the sender id in the
+One node per process.  A client dials its server when it is made and,
+while no server listens, again from its timer heap until one does.  The
+thread that calls `TcpNode.run_until` is the event loop: it runs due timers
+from a `transport.Timers` heap on monotonic milliseconds (the simulator's
+heap on wall-clock time) and hands received frames to the receive handler,
+so it alone touches protocol state.  Each connection has a reader thread
+that polls, reads each frame into a buffer of its own
+(transport.read_frames), checks it once and queues its (src, msg_type,
+payload view) for the loop, so a node keeps reading while a send waits out
+a slow peer.  A connection is routed by the sender id in the
 envelope of its first data frame, which is then the src of every frame it
 carries; a claim on a sender routed to a live connection is refused, and
 frames before the first data frame are dropped.  A send writes a Frame's
@@ -40,6 +42,9 @@ _POLL_S = 0.2  # how often the accept loop and idle readers look for close()
 # A send that moves no byte for this long fails and drops the route, so a
 # connected peer that stops reading cannot hold the event loop.
 SEND_STALL_S = 5.0
+# A client that finds no server listening dials again after 50 ms, then after
+# twice the last wait, never waiting longer than this.
+DIAL_BACKOFF_CAP_MS = 1000.0
 
 
 def parse_address(text: str) -> tuple[str, int]:
@@ -97,9 +102,7 @@ class TcpNode:
             self._spawn(self._accept_loop)
         else:
             assert server_id is not None
-            sock = _blocking(socket.create_connection(server_addr, timeout=10.0))
-            self._conns[server_id] = sock
-            self._spawn(self._reader_loop, sock, server_id)
+            self._dial(server_addr, server_id, 50.0)
 
     # -- RawEndpoint interface -------------------------------------------------
 
@@ -176,6 +179,19 @@ class TcpNode:
         return True
 
     # -- plumbing -----------------------------------------------------------------
+
+    def _dial(self, server_addr: tuple[str, int], server_id: str, retry_ms: float) -> None:
+        """Connect to the server; on failure, try again from the timer heap,
+        so the retries run on the event loop and end with run_until."""
+        try:
+            sock = _blocking(socket.create_connection(server_addr, timeout=10.0))
+        except OSError as exc:
+            log.info("dialing %s failed (%s); retrying in %.0f ms", server_addr, exc, retry_ms)
+            next_ms = min(2 * retry_ms, DIAL_BACKOFF_CAP_MS)
+            self.schedule(retry_ms, lambda: self._dial(server_addr, server_id, next_ms))
+            return
+        self._conns[server_id] = sock
+        self._spawn(self._reader_loop, sock, server_id)
 
     def _spawn(self, target, *args) -> None:
         threading.Thread(target=target, args=args, daemon=True).start()

@@ -308,8 +308,8 @@ _AUDIT_FIELDS = ("seq", "timestamp", "event_type", "payload_hash", "prev_hash", 
 
 
 def parse_audit_line(line: str, lineno: int | None = None) -> AuditEntry:
-    """One line that format_entry wrote; a malformed one raises a kvdoc.DocError
-    labelled *lineno*."""
+    """One line exactly as format_entry writes it; any other line raises a
+    kvdoc.DocError labelled *lineno*."""
     # payload is last and quoted; split the fixed-position fields first.
     head, _, payload_part = line.partition(" payload=")
     fields = dict(token.partition("=")[::2] for token in head.split())
@@ -319,8 +319,11 @@ def parse_audit_line(line: str, lineno: int | None = None) -> AuditEntry:
     if not (fields["seq"].isascii() and fields["seq"].isdigit()):
         raise kvdoc.DocError(f"seq={fields['seq']} is not a sequence number", lineno)
     payload = kvdoc.parse_scalar(payload_part, lineno) if payload_part else ""
-    return AuditEntry(int(fields["seq"]), *(fields[key] for key in _AUDIT_FIELDS[1:]),
-                      payload=str(payload))
+    entry = AuditEntry(int(fields["seq"]), *(fields[key] for key in _AUDIT_FIELDS[1:]),
+                       payload=str(payload))
+    if format_entry(entry) != line:  # the hash covers values, so a rewrite must not parse
+        raise kvdoc.DocError("not a line the audit log writes", lineno)
+    return entry
 
 
 def load_audit_log(path: str | Path) -> list[AuditEntry]:

@@ -408,7 +408,8 @@ class TestAuditVerifyCommand:
         (lambda line: line.replace("seq=1 ", ""), "line 2: no seq= field"),
         (lambda line: line.replace("seq=1 ", "seq=x "), "line 2: seq=x is not a sequence number"),
         (lambda line: line[:-1], "line 2: unterminated string"),
-    ], ids=["no-seq", "non-numeric-seq", "unterminated-payload"])
+        (lambda line: line.replace("seq=1 ", "seq=001 "), "line 2: not a line the audit log writes"),
+    ], ids=["no-seq", "non-numeric-seq", "unterminated-payload", "zero-padded-seq"])
     def test_a_malformed_line_exits_1_naming_it(self, tmp_path, capsys, edit, reason):
         log_path = tmp_path / "audit.log"
         log = AuditLog(path=log_path)
@@ -439,6 +440,64 @@ class TestProvisionCommand:
 
 @pytest.mark.slow
 class TestTcpFederation:
+    @staticmethod
+    def _run(workspace, config_text, clients_first=False, shard_dir="shards"):
+        """serve and two clients on one free port; their exit codes and the
+        seconds the whole run took."""
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]
+        cfg = workspace / "tcp.cfg"
+        cfg.write_text(config_text.replace("127.0.0.1:0", f"127.0.0.1:{port}"))
+        results = {}
+
+        def serve():
+            results["server"] = main([
+                "serve", "--kit", str(workspace / "kits" / "server"), "--config", str(cfg),
+                "--out", str(workspace / "srv"), "--timeout", "30", "--backoff-ms", "100",
+            ])
+
+        def client(site):
+            results[site] = main([
+                "client", "--kit", str(workspace / "kits" / site), "--config", str(cfg),
+                "--shard", str(workspace / shard_dir / f"shard-{site}.conll"),
+                "--server", f"127.0.0.1:{port}", "--timeout", "30", "--backoff-ms", "100",
+            ])
+
+        started = time.monotonic()
+        threads = [threading.Thread(target=client, args=(site,)) for site in ("site-1", "site-2")]
+        if clients_first:
+            for thread in threads:
+                thread.start()
+            time.sleep(1.0)
+            serve()
+        else:
+            threads.insert(0, threading.Thread(target=serve))
+            for thread in threads:
+                thread.start()
+                time.sleep(0.2)
+        for thread in threads:
+            thread.join(timeout=60)
+        return results, time.monotonic() - started
+
+    def test_clients_started_before_the_server_join_the_run(self, workspace):
+        _provision(workspace)
+        results, _ = self._run(workspace, CONFIG_TEMPLATE, clients_first=True)
+        assert results == {"server": 0, "site-1": 0, "site-2": 0}
+
+    def test_a_failed_run_ends_every_client_with_exit_2(self, workspace, caplog):
+        # site-1 has no data, so round 1 aborts twice and the run fails; the
+        # coordinator tells both sites, which exit 2 long before --timeout.
+        _provision(workspace)
+        (workspace / "starved").mkdir()
+        (workspace / "starved" / "shard-site-1.conll").write_text("")
+        (workspace / "starved" / "shard-site-2.conll").write_bytes(
+            (workspace / "shards" / "shard-site-2.conll").read_bytes())
+        results, seconds = self._run(
+            workspace, CONFIG_TEMPLATE + "quorum.deadline_ms = 300\n", shard_dir="starved")
+        assert results == {"server": 2, "site-1": 2, "site-2": 2}
+        assert seconds < 15
+        assert caplog.text.count("round 1 aborted with no retry left") == 2
+
     def test_tcp_matches_sim_final_model(self, workspace, capsys):
         _provision(workspace)
         sim_out = workspace / "sim"

@@ -69,7 +69,7 @@ def peak_share(vector: np.ndarray) -> float:
     received = []
     server.on_message = lambda src, msg_type, payload: received.append(len(payload))
     site = ReliableEndpoint(net.endpoint("site-1"))
-    doc = {"client_id": "site-1", "round": 1, "weight": 1.0, "masked": False}
+    doc = {"round": 1, "weight": 1.0}
     tracemalloc.start()
     try:
         site.send("server", MSG_UPDATE_SUBMIT, _signed(doc, vector, kit))
@@ -106,7 +106,7 @@ def held_share(vector: np.ndarray) -> float:
     server = ReliableEndpoint(net.endpoint("server"))
     for site in SITES:
         net.endpoint(site)
-    doc = {"round": 1, "invited": SITES, "masked": []}
+    doc = {"round": 1, "masked": []}
     tracemalloc.start()
     try:
         payload = _signed(doc, vector, kit)

@@ -105,7 +105,7 @@ class TestServerHappyPath:
         state, actions = started(cfg)
         assert state.phase == GATHERING
         (task,) = pick(actions, BroadcastTask)
-        assert task.round == 1 and len(task.invited) == 6
+        assert task.round == 1 and task.to == state.invited and len(task.to) == 6
         (deadline,) = pick(actions, ScheduleDeadline)
         assert deadline.delay_ms == 1000.0
 
@@ -220,6 +220,18 @@ class TestServerAbort:
         # same cohort is re-invited so earlier responses stay valid
         assert len(state.responded) == 2
 
+    def test_a_retry_sends_the_task_only_to_the_sites_that_have_not_answered(self):
+        cfg = config()
+        state, _ = started(cfg)
+        answered = state.invited[:2]
+        for cid in answered:
+            state, _ = server_step(state, UpdateReceived(cid, 1, 1.0), cfg)
+        state, actions = server_step(state, DeadlineFired(1, 0, now_ms=1000.0), cfg)
+        (task,) = pick(actions, BroadcastTask)
+        assert task.to == state.invited[2:]
+        (assign,) = [a for a in pick(actions, Audit) if a.event_type == "TaskAssign"]
+        assert dict(assign.detail)["invited"] == ",".join(state.invited)
+
     def test_second_abort_fails_federation(self):
         cfg = config()
         state, _ = started(cfg)
@@ -329,6 +341,8 @@ class ServerSafety(RuleBasedStateMachine):
         for action in actions:
             if isinstance(action, Audit) and action.event_type == "TaskAssign":
                 self.assigned[dict(action.detail)["round"]] += 1
+            if isinstance(action, BroadcastTask):
+                assert set(action.to) == set(self.state.invited) - set(self.state.responded)
             if isinstance(action, StartAggregation):
                 assert len(action.weights) >= self.cfg.m
                 masked = self.cfg.masked_cohort.intersection(self.state.invited)

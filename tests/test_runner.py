@@ -30,19 +30,25 @@ from fedmesh.runner import (
 from fedmesh.seeding import derive_seed
 from fedmesh.simnet import SimNetConfig
 from fedmesh.transport import (
+    MSG_ABORT,
+    MSG_ACK,
     MSG_EVAL_REPORT,
+    MSG_EVAL_REQUEST,
     MSG_REGISTER,
+    MSG_TASK_ASSIGN,
     MSG_UPDATE_SUBMIT,
     VECTOR_SPARSE_F64,
     DeliveryReceipt,
     Payload,
     ReliableEndpoint,
+    decode_payload,
     encode_payload,
 )
 from fedmesh.trustops import (
     AuditLog,
     audit_verify,
     canonical_param_bytes,
+    load_audit_log,
     provision,
     verify_digest,
     verify_model,
@@ -302,6 +308,23 @@ class TestLossyNetwork:
         res = run_federation(spec_tolerant, SimNetConfig(seed=1))
         assert all(rec.responded == ("site-2",) for rec in res.history)
 
+    def test_a_retry_trains_only_the_sites_that_have_not_answered(self, tmp_path, monkeypatch):
+        # site-3 has no data, so attempt 0 ends with two of three updates and
+        # the round is retried; site-1 and site-2 are not sent the task again.
+        spec = make_spec(n_clients=3, rounds=1, k=3, m=3)
+        spec.shards["site-3"] = []
+        train, trained = runner.local_train, []
+        monkeypatch.setattr(runner, "local_train",
+                            lambda *args: trained.append(1) or train(*args))
+        with pytest.raises(RoundFailedError):
+            run_federation(spec, SimNetConfig(seed=1), audit_path=tmp_path / "audit.log")
+        entries = load_audit_log(tmp_path / "audit.log")
+        assert len(trained) == 2
+        assert not any("duplicate update" in e.payload for e in entries)
+        assigned = [kvdoc.parse_doc(e.payload) for e in entries if e.event_type == "TaskAssign"]
+        assert [(d["attempt"], d["invited"]) for d in assigned] == [
+            ("0", "site-1,site-2,site-3"), ("1", "site-1,site-2,site-3")]
+
     @pytest.mark.parametrize("settle", ["no-data", "no-mask-root", "upload-given-up"])
     def test_a_settled_site_waits_and_runs_its_next_task(self, settle, monkeypatch):
         # site-1 refuses its round for no data or for a kit it cannot mask
@@ -542,10 +565,8 @@ class TestServerAuthentication:
         from fedmesh.runner import _signed
 
         impostor = ReliableEndpoint(net.endpoint("site-1"))
-        # site-1's claim signed with site-2's key
-        payload = _signed(
-            {"site_id": "site-1", "role": "client"}, None, spec.kits["site-2"]
-        )
+        # site-1's registration signed with site-2's key
+        payload = _signed({}, None, spec.kits["site-2"])
         impostor.send("server", MSG_REGISTER, payload)
         net.run()
         assert server.state.registry == frozenset()
@@ -561,14 +582,14 @@ class TestServerAuthentication:
         rogue = ReliableEndpoint(net.endpoint("site-1"))
         rogue.send(
             "server", MSG_REGISTER,
-            _signed({"site_id": "site-1", "role": "client"}, None, spec.kits["site-1"]),
+            _signed({}, None, spec.kits["site-1"]),
         )
         net.run()
         assert "site-1" in server.state.registry
 
         delta = np.zeros(CFG.dims)
         unsigned = encode_payload(
-            {"client_id": "site-1", "round": 1, "weight": 5.0, "masked": False}, delta
+            {"round": 1, "weight": 5.0}, delta
         )
         rogue.send("server", MSG_UPDATE_SUBMIT, unsigned)
         net.run()
@@ -588,11 +609,11 @@ class TestServerAuthentication:
         honest = ReliableEndpoint(net.endpoint("site-1"))
         honest.send(
             "server", MSG_REGISTER,
-            _signed({"site_id": "site-1", "role": "client"}, None, spec.kits["site-1"]),
+            _signed({}, None, spec.kits["site-1"]),
         )
         net.run()
         good = bytes(_signed(
-            {"client_id": "site-1", "round": 1, "weight": 5.0, "masked": False},
+            {"round": 1, "weight": 5.0},
             np.zeros(CFG.dims),
             spec.kits["site-1"],
         ))
@@ -612,7 +633,7 @@ class TestServerAuthentication:
         site = ReliableEndpoint(net.endpoint("site-1"))
         site.send(
             "server", MSG_REGISTER,
-            _signed({"site_id": "site-1", "role": "client"}, None, spec.kits["site-1"]),
+            _signed({}, None, spec.kits["site-1"]),
         )
         net.run()
         assert "site-1" in server.state.registry
@@ -627,7 +648,7 @@ class TestServerAuthentication:
         sites = {cid: ReliableEndpoint(net.endpoint(cid)) for cid in ("site-1", "site-2")}
         for cid, site in sites.items():
             site.send("server", MSG_REGISTER,
-                      _signed({"site_id": cid, "role": "client"}, None, spec.kits[cid]))
+                      _signed({}, None, spec.kits[cid]))
         net.run(until=lambda: server.state.phase != protocol.IDLE)
         return net, server, audit, sites["site-1"]
 
@@ -640,7 +661,7 @@ class TestServerAuthentication:
     def _update(self, spec, round_no, fill):
         from fedmesh.runner import _signed
 
-        doc = {"client_id": "site-1", "round": round_no, "weight": 5.0, "masked": False}
+        doc = {"round": round_no, "weight": 5.0}
         return _signed(doc, np.full(CFG.dims, fill), spec.kits["site-1"])
 
     @pytest.mark.parametrize("rounds,round_no,reason", [
@@ -663,6 +684,21 @@ class TestServerAuthentication:
         assert server.state.responded == ("site-1",)
         assert (server.vectors["site-1"] == 1.0).all()
 
+    @pytest.mark.parametrize("masked,words", [
+        (True, np.zeros(CFG.dims)), (False, np.zeros(CFG.dims, dtype=np.uint64)),
+    ], ids=["cohort-site-sends-f64", "other-site-sends-u64"])
+    def test_the_cohort_alone_decides_whether_an_update_is_masked(self, masked, words):
+        from fedmesh.runner import _signed
+
+        policies = {cid: SitePolicy(site_id=cid, masking_enabled=True)
+                    for cid in ("site-1", "site-2")} if masked else {}
+        spec = make_spec(policies=policies)
+        net, server, audit, site = self._registered_site_1(spec)
+        site.send("server", MSG_UPDATE_SUBMIT,
+                  _signed({"round": 1, "weight": 5.0}, words, spec.kits["site-1"]))
+        self._run_until_audited(net, audit, "masking mismatch")
+        assert "site-1" not in server.vectors
+
     @pytest.mark.parametrize("field,value", [
         ("round", "x"), ("round", [1, 2]), ("weight", "heavy"), ("round", None),
     ])
@@ -671,7 +707,7 @@ class TestServerAuthentication:
 
         spec = make_spec()
         net, server, audit, site = self._registered_site_1(spec)
-        doc = {"client_id": "site-1", "round": 1, "weight": 5.0, "masked": False}
+        doc = {"round": 1, "weight": 5.0}
         if value is None:
             del doc[field]
         else:
@@ -692,7 +728,7 @@ class TestServerAuthentication:
         spec = make_spec()
         net, server, audit, site = self._registered_site_1(spec)
         doc = {
-            "site_id": "site-1", "has_data": True,
+            "has_data": True,
             **Metrics.from_counts(3, 1, 2).fields("ent"),
             **Metrics.from_counts(9, 2, 4).fields("tok"),
         }
@@ -714,7 +750,7 @@ class TestServerAuthentication:
         kit = make_spec().kits["site-1"]
         delta = np.zeros(CFG.dims)
         delta[[3, 77, 500, 4000]] = [0.25, -0.0, 5e-324, -3.5]
-        doc = {"client_id": "site-1", "round": 1, "weight": 5.0, "masked": False}
+        doc = {"round": 1, "weight": 5.0}
         signed = bytes(_signed(doc, delta, kit))
         body = bytes(encode_payload(doc, delta))
         assert signed[:-SIGNATURE_LEN] == body
@@ -731,7 +767,7 @@ class TestServerAuthentication:
         delta = np.zeros(CFG.dims)
         delta[[0, 3, 77, 500, CFG.dims - 1]] = [1.0, 0.25, -0.0, 5e-324, -3.5]
         good = bytes(_signed(
-            {"client_id": "site-1", "round": 1, "weight": 5.0, "masked": False},
+            {"round": 1, "weight": 5.0},
             delta, kit,
         ))
         doc_len = int.from_bytes(good[:4], "big")
@@ -772,7 +808,7 @@ class TestClientTaskValidation:
         net = SimNetwork(SimNetConfig(seed=13))
         server = ReliableEndpoint(net.endpoint("server"))
         client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"], spec)
-        doc = {"round": 1, "invited": ["site-1"], "masked": []}
+        doc = {"round": 1, "masked": []}
         if value is None:
             del doc[field]
         else:
@@ -802,7 +838,7 @@ class TestClientTaskValidation:
         used = encode_sentences(shard, CFG.feature_dim, CFG.hash_seed).feats
         params = np.full(CFG.dims, fill)
         params[np.setdiff1d(np.arange(CFG.feature_dim), used)[0]] = bad
-        doc = {"round": 1, "invited": ["site-1"], "masked": []}
+        doc = {"round": 1, "masked": []}
         server.send("site-1", MSG_TASK_ASSIGN, _signed(doc, params, spec.kits["server"]))
         net.run()
         assert client.current_task is None
@@ -818,12 +854,48 @@ class TestClientTaskValidation:
         net = SimNetwork(SimNetConfig(seed=13))
         server = ReliableEndpoint(net.endpoint("server"))
         client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"], spec)
-        doc = {"round": 1, "invited": ["site-1"], "masked": []}
+        doc = {"round": 1, "masked": []}
         words = np.ones(CFG.dims, dtype=np.uint64)
         server.send("site-1", MSG_TASK_ASSIGN, _signed(doc, words, spec.kits["server"]))
         net.run()
         assert client.current_task is None
         assert "malformed task" in caplog.text
+
+    def test_a_task_of_the_wrong_length_is_refused_not_raised(self, caplog):
+        from fedmesh.runner import ClientNode, _signed
+        from fedmesh.simnet import SimNetwork
+
+        spec = make_spec()
+        net = SimNetwork(SimNetConfig(seed=13))
+        server = ReliableEndpoint(net.endpoint("server"))
+        sent = []
+        server.on_message = lambda src, msg_type, payload: sent.append(msg_type)
+        client = ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"], spec)
+        doc = {"round": 1, "masked": []}
+        server.send("site-1", MSG_TASK_ASSIGN, _signed(doc, np.ones(10), spec.kits["server"]))
+        net.run()
+        assert client.current_task is None and client.state == protocol.ClientState()
+        assert "malformed task" in caplog.text
+        assert MSG_UPDATE_SUBMIT not in sent
+
+    @pytest.mark.parametrize("model", [
+        np.ones(10), np.ones(CFG.dims, dtype=np.uint64), np.full(CFG.dims, np.nan),
+    ], ids=["ten-words", "u64-words", "non-finite"])
+    def test_an_eval_request_with_a_bad_model_is_dropped(self, model, caplog):
+        from fedmesh.runner import ClientNode, _signed
+        from fedmesh.simnet import SimNetwork
+
+        spec = make_spec()
+        spec.holdouts = {"site-1": synthetic_corpus(20, seed=25).sentences}
+        net = SimNetwork(SimNetConfig(seed=13))
+        server = ReliableEndpoint(net.endpoint("server"))
+        sent = []
+        server.on_message = lambda src, msg_type, payload: sent.append(msg_type)
+        ClientNode(ReliableEndpoint(net.endpoint("site-1")), spec.kits["site-1"], spec)
+        server.send("site-1", MSG_EVAL_REQUEST, _signed({}, model, spec.kits["server"]))
+        net.run()
+        assert MSG_EVAL_REPORT not in sent
+        assert "EvalRequestRefused" in caplog.text
 
 
 class TestServerShutdown:
@@ -842,3 +914,71 @@ class TestServerShutdown:
         server._finish_eval()
         assert done_at_send == [("site-1", False), ("site-2", False)]
         assert server.done
+
+    def test_a_failed_run_tells_every_site_before_it_is_done(self):
+        from fedmesh.runner import ClientNode, ServerNode
+        from fedmesh.simnet import SimNetwork
+
+        spec = make_spec(rounds=2)
+        spec.shards["site-1"] = []  # refuses its round, so both attempts fail
+        net = SimNetwork(SimNetConfig(seed=13))
+        server = ServerNode(ReliableEndpoint(net.endpoint("server")), spec.kits["server"],
+                            spec, AuditLog())
+        clients = [ClientNode(ReliableEndpoint(net.endpoint(cid)), spec.kits[cid], spec)
+                   for cid in spec.client_ids()]
+        for client in clients:
+            net.schedule(0.0, client.register)
+        send, sent = server.rel.send, []
+
+        def recording(dst, msg_type, payload, on_result=None):
+            sent.append((dst, msg_type, server.done))
+            return send(dst, msg_type, payload, on_result)
+
+        server.rel.send = recording
+        net.run(until=lambda: all(client.done for client in clients))
+        assert server.state.failed and server.done
+        assert sent[-2:] == [("site-1", MSG_ABORT, False), ("site-2", MSG_ABORT, False)]
+        assert [c.abort_reason for c in clients] == ["round 1 aborted with no retry left"] * 2
+
+
+class TestWireDocuments:
+    """Each message document carries only the fields its receiver reads."""
+
+    @staticmethod
+    def _documents(spec, monkeypatch, failing=False):
+        """msg_type -> the key sets of every document sent in a run of *spec*."""
+        send, docs = ReliableEndpoint.send, {}
+
+        def recording(rel, dst, msg_type, payload, on_result=None):
+            doc, _ = decode_payload(bytes(payload)[:-SIGNATURE_LEN])
+            docs.setdefault(msg_type, set()).add(tuple(sorted(doc)))
+            return send(rel, dst, msg_type, payload, on_result)
+
+        monkeypatch.setattr(ReliableEndpoint, "send", recording)
+        if failing:
+            with pytest.raises(RoundFailedError):
+                run_federation(spec, SimNetConfig(seed=3))
+        else:
+            run_federation(spec, SimNetConfig(seed=3))
+        return docs
+
+    def test_each_message_type_has_one_pinned_key_set(self, monkeypatch):
+        spec = make_spec(rounds=2, policies={
+            cid: SitePolicy(site_id=cid, masking_enabled=True) for cid in ("site-1", "site-2")})
+        spec.holdouts = {"site-1": synthetic_corpus(20, seed=25).sentences}
+        metrics = tuple(f"{level}_{name}" for level in ("ent", "tok")
+                        for name in ("f1", "fn", "fp", "precision", "recall", "tp"))
+        assert self._documents(spec, monkeypatch) == {
+            MSG_REGISTER: {()},
+            MSG_ACK: {("registered",), ("done",)},
+            MSG_TASK_ASSIGN: {("masked", "round")},
+            MSG_UPDATE_SUBMIT: {("round", "weight")},
+            MSG_EVAL_REQUEST: {()},
+            MSG_EVAL_REPORT: {("has_data",), tuple(sorted(("has_data",) + metrics))},
+        }
+
+    def test_an_abort_carries_its_reason_alone(self, monkeypatch):
+        spec = make_spec(rounds=1)
+        spec.shards["site-1"] = []
+        docs = self._documents(spec, monkeypatch, failing=True)
+        assert docs[MSG_ABORT] == {("reason",)}

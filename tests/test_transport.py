@@ -773,7 +773,7 @@ def _signed_update(round_no: int) -> Payload:
     spec = _federation()
     delta = np.zeros(spec.train.dims)
     delta[[1, 7, 300]] = [0.5, -1.25, 3.0]
-    doc = {"client_id": "site-1", "round": round_no, "weight": 5.0, "masked": False}
+    doc = {"round": round_no, "weight": 5.0}
     return _signed(doc, delta, spec.kits["site-1"])
 
 
@@ -784,7 +784,7 @@ def _server_and_site_1(server_raw, site_raw):
     audit = AuditLog()
     server = ServerNode(ReliableEndpoint(server_raw), spec.kits["server"], spec, audit)
     site = ReliableEndpoint(site_raw)
-    register = _signed({"site_id": "site-1", "role": "client"}, None, spec.kits["site-1"])
+    register = _signed({}, None, spec.kits["site-1"])
     site.send("server", MSG_REGISTER, register)
     return server, audit, site
 

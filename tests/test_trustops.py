@@ -229,7 +229,10 @@ class TestAuditChain:
         (lambda line: line.replace("seq=2 ", "seq=x "), "line 3: seq=x is not a sequence number"),
         (lambda line: line.replace(" entry_hash=", " entry="), "line 3: no entry_hash= field"),
         (lambda line: line[:-1], "line 3: unterminated string"),
-    ], ids=["no-seq", "non-numeric-seq", "no-entry-hash", "unterminated-payload"])
+        (lambda line: line.replace("seq=2 ", "seq=002 "), "line 3: not a line the audit log writes"),
+        (lambda line: line.replace(" ", "  ", 1), "line 3: not a line the audit log writes"),
+    ], ids=["no-seq", "non-numeric-seq", "no-entry-hash", "unterminated-payload",
+            "zero-padded-seq", "doubled-space"])
     def test_a_malformed_line_is_refused_naming_it(self, tmp_path, edit, reason):
         path = tmp_path / "audit.log"
         log = AuditLog(now_ms=fixed_clock(), path=path)
