@@ -208,6 +208,7 @@ def cmd_client(args) -> int:
     node = TcpNode(kit.site_id, server_addr=parse_address(address), server_id=spec.server_id)
     try:
         rel = ReliableEndpoint(node, backoff_base_ms=args.backoff_ms)
+        node.on_connect = rel.resend  # a Register sent before the server listened
         client = ClientNode(rel, kit, spec)
         node.schedule(0.0, client.register)
         if not node.run_until(lambda: client.done, timeout_s=args.timeout):

@@ -275,16 +275,17 @@ def encode_sentences(
     return EncodedBatch(feats, token_ptr, labels, sent_ptr)
 
 
-def zero_params(config: TrainConfig) -> np.ndarray:
-    return np.zeros(config.dims, dtype=np.float64)
-
-
 def _check_params(params: Vector, config: TrainConfig) -> None:
     shape = (params.dims,) if isinstance(params, SparseVector) else params.shape
     if shape != (config.dims,):
         raise ConfigError(
             f"parameter vector has {shape} but config implies dims={config.dims}"
         )
+
+
+def _class_cols(vocab: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """The flat indices of every class's weights at the features *vocab*, class by class."""
+    return (np.arange(NUM_CLASSES)[:, None] * config.feature_dim + vocab).reshape(-1)
 
 
 def _token_scores(weights: np.ndarray, batch: EncodedBatch) -> np.ndarray:
@@ -405,7 +406,7 @@ def local_train(
     if shard.n_tokens == 0:
         raise EmptyShardError("client shard has no tokens; report 'no data' instead")
     vocab, local = shard.compact
-    cols = (np.arange(NUM_CLASSES)[:, None] * config.feature_dim + vocab).reshape(-1)
+    cols = _class_cols(vocab, config)
     before = take(start, cols)
     weights = before.reshape(NUM_CLASSES, len(vocab)).copy()
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -453,7 +454,7 @@ def decode_entities(tags: list[str] | tuple[str, ...]) -> set[tuple[int, int]]:
 
 
 def evaluate(
-    params: np.ndarray,
+    params: Vector,
     corpus: list[TaggedSentence] | EncodedBatch,
     config: TrainConfig,
 ) -> tuple[Metrics, Metrics]:
@@ -461,7 +462,8 @@ def evaluate(
 
     Entity-strict counts exact (start, end) span matches after BIO repair;
     token level counts non-O tags (a correct non-O tag is a TP, a wrong
-    non-O prediction an FP, a missed non-O gold tag an FN).
+    non-O prediction an FP, a missed non-O gold tag an FN).  A SparseVector
+    is scored on the corpus's own columns, to the same bits as its dense form.
     """
     _check_params(params, config)
     if not isinstance(corpus, EncodedBatch):
@@ -469,8 +471,12 @@ def evaluate(
     if corpus.n_tokens == 0:
         zero = Metrics.from_counts(0, 0, 0)
         return zero, zero
-    weights = params.reshape(NUM_CLASSES, config.feature_dim)
-    pred_idx = _token_scores(weights, corpus).argmax(axis=0)
+    if isinstance(params, SparseVector):
+        vocab, batch = corpus.compact
+        weights = take(params, _class_cols(vocab, config)).reshape(NUM_CLASSES, len(vocab))
+    else:
+        batch, weights = corpus, params.reshape(NUM_CLASSES, config.feature_dim)
+    pred_idx = _token_scores(weights, batch).argmax(axis=0)
     gold_idx = corpus.labels
 
     hit = (pred_idx == gold_idx) & (gold_idx != 0)

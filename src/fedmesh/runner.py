@@ -24,7 +24,7 @@ import numpy as np
 from . import kvdoc, protocol, transport
 from .aggregation import (
     AggregationStrategy, ClientUpdate, SparseVector, Vector, add_scaled, add_vectors, aggregate,
-    as_dense, l2_norm,
+    as_dense, l2_norm, sparse_fits,
 )
 from .errors import ConfigError
 from .model import (
@@ -36,7 +36,6 @@ from .model import (
     evaluate,
     local_train,
     token_count,
-    zero_params,
 )
 from .privacy import SitePolicy, apply_policy, mask_update, sum_masked
 from .protocol import (
@@ -160,7 +159,7 @@ class RoundFailedError(RuntimeError):
 
 @dataclass
 class FederationResult:
-    final_params: np.ndarray
+    final_params: Vector
     history: tuple[RoundRecord, ...]
     cross_site: dict[str, tuple[Metrics, Metrics] | None]
     audit: list
@@ -288,7 +287,7 @@ class ServerNode(_Node):
         )
         self.state = ServerState()
         # Sparse until the aggregates' union of stored words outgrows
-        # sparse_fits; _finish densifies it once.
+        # sparse_fits, and signed, sent and returned as it is.
         self.global_params: Vector = SparseVector(
             spec.train.dims, np.empty(0, np.intp), np.empty(0)
         )
@@ -424,7 +423,6 @@ class ServerNode(_Node):
     # -- completion and cross-site evaluation --------------------------------------
 
     def _finish(self) -> None:
-        self.global_params = as_dense(self.global_params)
         digest = model_digest(self.global_params)  # the .params file's sha256
         self.model_signature = sign_digest(digest, self.kit.private_key())
         self._audit("ModelSigned", {"rounds": self.state.round, "sha256": digest.hex()})
@@ -561,7 +559,12 @@ class ClientNode(_Node):
         if (model := _model(opened, self.spec.train.dims)) is None:
             self._audit("EvalRequestRefused", {"reason": "malformed model"})
             return
-        self._report_eval(as_dense(model))
+        doc: dict = {"has_data": bool(self.holdout)}
+        if self.holdout:  # scored as it came: a sparse model on the holdout's own columns
+            ent, tok = evaluate(model, self.holdout, self.spec.train)
+            doc.update(ent.fields("ent"))
+            doc.update(tok.fields("tok"))
+        self.rel.send(self.spec.server_id, MSG_EVAL_REPORT, _signed(doc, None, self.kit))
 
     def _on_abort(self, src: str, opened: Opened | None) -> None:
         if opened is not None:
@@ -622,14 +625,6 @@ class ClientNode(_Node):
         attack.setflags(write=False)  # every round uploads this one array
         return attack
 
-    def _report_eval(self, params: np.ndarray) -> None:
-        doc: dict = {"has_data": bool(self.holdout)}
-        if self.holdout:
-            ent, tok = evaluate(params, self.holdout, self.spec.train)
-            doc.update(ent.fields("ent"))
-            doc.update(tok.fields("tok"))
-        self.rel.send(self.spec.server_id, MSG_EVAL_REPORT, _signed(doc, None, self.kit))
-
 
 def run_federation(
     spec: FederationSpec,
@@ -676,14 +671,15 @@ def run_centralized(
     train: TrainConfig,
     rounds: int,
     seeds: Seeds,
-) -> np.ndarray:
+) -> Vector:
     """Budget-parity baseline: train on the pooled sentences for rounds*local_epochs epochs.
 
     Uses the same per-round seed derivation as a single pooled 'site' so the
     two-client/one-full-batch configuration reproduces the federated
-    trajectory exactly.
+    trajectory exactly.  Every round trains the same columns, the pooled
+    corpus's, so the model is those words: sparse while they fit sparse_fits.
     """
-    params = zero_params(train)
+    params: Vector = SparseVector(train.dims, np.empty(0, np.intp), np.empty(0))
     encoded = encode_sentences(pooled, train.feature_dim, train.hash_seed)
     for round_no in range(1, rounds + 1):
         cfg = replace(
@@ -691,8 +687,8 @@ def run_centralized(
             seed=derive_seed(seeds.model, "shuffle", "centralized", round_no),
         )
         cols, _, trained = local_train(params, encoded, cfg)
-        params[cols] = trained
-    return params
+        params = SparseVector(train.dims, cols, trained)
+    return params if sparse_fits(len(params.indices), train.dims) else params.to_dense()
 
 
 def replay_rounds(audit_entries: list) -> dict[int, dict[str, object]]:

@@ -44,7 +44,7 @@ _POLL_S = 0.2  # how often the accept loop and idle readers look for close()
 SEND_STALL_S = 5.0
 # A client that finds no server listening dials again after 50 ms, then after
 # twice the last wait, never waiting longer than this.
-DIAL_BACKOFF_CAP_MS = 1000.0
+DIAL_BACKOFF_CAP_MS = 250.0
 
 
 def parse_address(text: str) -> tuple[str, int]:
@@ -94,6 +94,7 @@ class TcpNode:
         self._conns: dict[str, socket.socket] = {}
         self._stop = threading.Event()
         self._listener: socket.socket | None = None
+        self.on_connect: Callable[[str], None] = lambda server_id: None  # once a dial connects
 
         if bind is not None:
             self._listener = socket.create_server(bind)
@@ -192,6 +193,7 @@ class TcpNode:
             return
         self._conns[server_id] = sock
         self._spawn(self._reader_loop, sock, server_id)
+        self.on_connect(server_id)
 
     def _spawn(self, target, *args) -> None:
         threading.Thread(target=target, args=args, daemon=True).start()

@@ -449,6 +449,12 @@ class ReliableEndpoint:
         self._transmit((dst, seq))
         return seq
 
+    def resend(self, dst: str) -> None:
+        """Send every message pending to *dst* again now; each keeps its backoff timer."""
+        for pending in list(self._pending.values()):
+            if pending.dst == dst:
+                self.raw.send(dst, pending.frame)
+
     def _transmit(self, key: tuple[str, int]) -> None:
         pending = self._pending.get(key)
         if pending is None:

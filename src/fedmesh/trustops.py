@@ -12,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import re
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,13 @@ from cryptography.hazmat.primitives.serialization import (
 )
 
 from . import kvdoc
+from .aggregation import SparseVector, Vector
 from .errors import ConfigError
 
 GENESIS_HASH = "0" * 64
+
+# A sparse model is serialized this many words at a time (512 KiB).
+_BLOCK_WORDS = 1 << 16
 
 ROLES = ("server", "client")
 
@@ -85,6 +90,10 @@ class StartupKit:
         return Identity(self.site_id, _public_bytes(self.private_seed), self.role)
 
     def private_key(self) -> Ed25519PrivateKey:
+        return self._private_key
+
+    @cached_property
+    def _private_key(self) -> Ed25519PrivateKey:  # built once, not once per signature
         return Ed25519PrivateKey.from_private_bytes(self.private_seed)
 
 
@@ -192,18 +201,30 @@ def load_kit(kit_dir: str | Path) -> StartupKit:
 # --- signatures ---------------------------------------------------------------
 
 
-def _canonical_parts(params: np.ndarray) -> tuple[bytes, memoryview]:
-    """The 4-byte count prefix and the little-endian float64 body; the body is
-    the array's own buffer when the array already is contiguous ``<f8``."""
-    return len(params).to_bytes(4, "big"), np.ascontiguousarray(params, dtype="<f8").data
+def _canonical_parts(params: Vector) -> Iterator[bytes | memoryview]:
+    """The 4-byte count prefix, then the little-endian float64 body: a dense
+    array's own buffer when it is contiguous ``<f8``, or a SparseVector's dense
+    form block by block in one scratch buffer, so read each part before the next."""
+    yield len(params).to_bytes(4, "big")
+    if not isinstance(params, SparseVector):
+        yield np.ascontiguousarray(params, dtype="<f8").data
+        return
+    scratch = np.empty(min(params.dims, _BLOCK_WORDS), dtype="<f8")
+    starts = range(0, params.dims, _BLOCK_WORDS)
+    cuts = np.searchsorted(params.indices, [*starts, params.dims])
+    for start, lo, hi in zip(starts, cuts, cuts[1:]):
+        block = scratch[:params.dims - start]
+        block.fill(0.0)
+        block[params.indices[lo:hi] - start] = params.values[lo:hi]
+        yield block.data
 
 
-def canonical_param_bytes(params: np.ndarray) -> bytes:
+def canonical_param_bytes(params: Vector) -> bytes:
     """Count-prefixed little-endian float64 serialization used for signing."""
-    return b"".join(_canonical_parts(params))
+    return b"".join(map(bytes, _canonical_parts(params)))  # each part copied as drawn
 
 
-def model_digest(params: np.ndarray) -> bytes:
+def model_digest(params: Vector) -> bytes:
     """``sha256(canonical_param_bytes(params))``, hashed part by part, in place."""
     digest = hashlib.sha256()
     for part in _canonical_parts(params):
@@ -211,7 +232,7 @@ def model_digest(params: np.ndarray) -> bytes:
     return digest.digest()
 
 
-def write_params(path: str | Path, params: np.ndarray) -> None:
+def write_params(path: str | Path, params: Vector) -> None:
     """Write ``canonical_param_bytes(params)`` part by part, with no joined copy."""
     with open(path, "wb") as fh:
         fh.writelines(_canonical_parts(params))
@@ -229,7 +250,7 @@ def verify_digest(digest: bytes, signature: bytes, public_key: bytes) -> bool:
         return False
 
 
-def verify_model(params: np.ndarray, signature: bytes, identity: Identity) -> bool:
+def verify_model(params: Vector, signature: bytes, identity: Identity) -> bool:
     return verify_digest(model_digest(params), signature, identity.public_key)
 
 

@@ -30,7 +30,6 @@ from fedmesh.model import (
     encode_sentences,
     evaluate,
     loss_and_grad,
-    zero_params,
 )
 from fedmesh.privacy import (
     SitePolicy,
@@ -172,7 +171,7 @@ class TestCriterion3CentralizedParity:
         run_federation(spec, SimNetConfig(seed=14))
 
         pooled = encode_sentences(shards[0] + shards[1], cfg.feature_dim, cfg.hash_seed)
-        params = zero_params(cfg)
+        params = np.zeros(cfg.dims)
         worst = 0.0
         for round_no in range(rounds):
             _, grad = loss_and_grad(params, pooled, cfg)

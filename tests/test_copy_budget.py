@@ -21,6 +21,13 @@ buffers to ``sendmsg``, so a send allocates almost nothing; joining the
 frame would allocate the whole vector again.  The coordinator's masked fold
 sums the cohort's words into one copy and decodes it in place, so it makes
 one vector; decoding into a new array would make two.
+
+A run whose updates are all sparse keeps its model sparse to the end: the
+coordinator signs it, sends it for evaluation and returns it as it is, the
+sites score it on their holdouts' own columns, the pooled baseline keeps
+only its trained words and the params file is written block by block.  So
+such a run, its baseline, their scoring and their params files together
+allocate less than one dense model.
 """
 
 import hashlib
@@ -35,8 +42,11 @@ import pytest
 from test_golden import GOLDEN_CASES, _run_golden
 
 from fedmesh import runner, transport
+from fedmesh.aggregation import AggregationStrategy, SparseVector
+from fedmesh.data import PartitionPlan, partition, synthetic_corpus
+from fedmesh.model import TrainConfig, evaluate
 from fedmesh.privacy import sum_masked
-from fedmesh.runner import _signed
+from fedmesh.runner import FederationSpec, _signed, run_centralized, run_federation
 from fedmesh.simnet import SimEndpoint, SimNetConfig, SimNetwork
 from fedmesh.tcpnet import TcpNode
 from fedmesh.transport import (
@@ -49,7 +59,7 @@ from fedmesh.transport import (
     encode_frame,
     encode_payload,
 )
-from fedmesh.trustops import provision
+from fedmesh.trustops import provision, write_params
 
 WORDS = 3 * 2**18
 BUDGET = 1.25
@@ -194,6 +204,31 @@ def test_the_masked_fold_makes_one_vector():
         tracemalloc.stop()
     assert total.dtype == np.float64
     assert 1.0 <= peak / total.nbytes < 1.5  # decoding into a new array makes 2.0
+
+
+def test_a_sparse_run_to_its_params_files_allocates_less_than_one_model(tmp_path):
+    train = TrainConfig(feature_dim=1 << 17, batch_size=16)
+    ids = ["site-1", "site-2", "site-3"]
+    corpus = synthetic_corpus(60, seed=21)
+    holdout = synthetic_corpus(20, seed=22).sentences
+    spec = FederationSpec(
+        shards=dict(zip(ids, partition(corpus, PartitionPlan("equal-n", 3, seed=1)))),
+        train=train, strategy=AggregationStrategy("fedavg"), rounds=2, k=3, m=3,
+        deadline_ms=30_000.0, server_id="server", holdouts=dict.fromkeys(ids, holdout),
+        kits=provision([("server", "server")] + [(c, "client") for c in ids], key_seed=5))
+    tracemalloc.start()
+    try:
+        result = run_federation(spec)
+        central = run_centralized(corpus.sentences, train, spec.rounds, spec.seeds)
+        for name, params in (("federated", result.final_params), ("central", central)):
+            evaluate(params, holdout, train)
+            write_params(tmp_path / f"{name}.params", params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < train.dims * 8, peak / (train.dims * 8)
+    assert type(result.final_params) is type(central) is SparseVector
+    assert all(pair is not None for pair in result.cross_site.values())
 
 
 class _Stamped:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmesh import model
-from fedmesh.aggregation import SparseVector
+from fedmesh.aggregation import SparseVector, as_dense
 from fedmesh.errors import ConfigError
 from fedmesh.model import (
     EmptyShardError,
@@ -27,7 +27,6 @@ from fedmesh.model import (
     loss_and_grad,
     repair_tags,
     token_count,
-    zero_params,
 )
 from fedmesh.runner import Seeds, run_centralized
 from fedmesh.seeding import derive_seed
@@ -284,7 +283,7 @@ class TestEncoderBitIdentity:
 class TestLossAndGrad:
     def test_uniform_zero_params_loss_is_ln3(self):
         batch = [sentence(["flu", "is", "bad"], ["B", "O", "O"])]
-        loss, _ = loss_and_grad(zero_params(SMALL), batch, SMALL)
+        loss, _ = loss_and_grad(np.zeros(SMALL.dims), batch, SMALL)
         assert loss == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_mu_zero_matches_plain_gradient(self):
@@ -336,7 +335,7 @@ class TestLossAndGrad:
             sentence(["acute", "myelosis"], ["B", "I"]),
         ] * 5
         cfg = TrainConfig(feature_dim=1 << 10, learning_rate=0.2, batch_size=100)
-        params = zero_params(cfg)
+        params = np.zeros(cfg.dims)
         losses = []
         for _ in range(50):
             loss, grad = loss_and_grad(params, corpus, cfg)
@@ -410,7 +409,7 @@ class TestLocalTrain:
         signature = {_sentence_key(local, i): i for i in range(9)}
         assert len(signature) == 9  # every sentence is recognisable by its bytes
         cfg = replace(SMALL, local_epochs=3, batch_size=4)
-        _, steps = _spied_steps(zero_params(cfg), shard, cfg)
+        _, steps = _spied_steps(np.zeros(cfg.dims), shard, cfg)
         batches = [batch for batch, _ in steps]
         assert [b.n_sentences for b in batches] == [4, 4, 1] * 3
         seen = [signature[_sentence_key(b, j)] for b in batches for j in range(b.n_sentences)]
@@ -422,7 +421,7 @@ class TestLocalTrain:
         rng = np.random.default_rng(7)
         shard = encode_sentences(random_corpus(rng, n_sentences=11), SMALL.feature_dim)
         cfg = replace(SMALL, local_epochs=2, batch_size=3)
-        _, steps = _spied_steps(zero_params(cfg), shard, cfg)
+        _, steps = _spied_steps(np.zeros(cfg.dims), shard, cfg)
         order_rng = np.random.Generator(np.random.PCG64(cfg.seed))
         _, local = shard.compact
         want = []
@@ -468,11 +467,11 @@ class TestLocalTrain:
 
     def test_empty_shard_refused(self):
         with pytest.raises(EmptyShardError):
-            local_train(zero_params(SMALL), [], SMALL)
+            local_train(np.zeros(SMALL.dims), [], SMALL)
 
     def test_shard_without_tokens_refused(self):
         with pytest.raises(EmptyShardError):
-            local_train(zero_params(SMALL), [TaggedSentence((), ())] * 3, SMALL)
+            local_train(np.zeros(SMALL.dims), [TaggedSentence((), ())] * 3, SMALL)
 
     def test_token_less_batches_are_skipped(self):
         rng = np.random.default_rng(12)
@@ -604,21 +603,21 @@ class TestCompactTrainingBitIdentity:
         shard = random_corpus(rng, n_sentences=30)
         cfg = replace(SMALL, local_epochs=2, fedprox_mu=0.1)
         seeds = Seeds(model=5)
-        params = zero_params(cfg)
+        params = np.zeros(cfg.dims)
         for round_no in range(1, 5):
             round_cfg = replace(
                 cfg, seed=derive_seed(seeds.model, "shuffle", "centralized", round_no)
             )
             params, _ = _reference_local_train(params, shard, round_cfg,
                                                global_reference=params)
-        assert run_centralized(shard, cfg, 4, seeds).tobytes() == params.tobytes()
+        assert as_dense(run_centralized(shard, cfg, 4, seeds)).tobytes() == params.tobytes()
 
     def test_compact_remap_is_cached(self):
         shard = encode_sentences(random_corpus(np.random.default_rng(13)), SMALL.feature_dim)
         with mock.patch.object(model.np, "unique", wraps=np.unique) as unique:
-            local_train(zero_params(SMALL), shard, SMALL)
+            local_train(np.zeros(SMALL.dims), shard, SMALL)
             calls = unique.call_count
-            local_train(zero_params(SMALL), shard, SMALL)
+            local_train(np.zeros(SMALL.dims), shard, SMALL)
         # The first call sorts once, for the remap; the second not at all.
         assert (calls, unique.call_count) == (1, 1)
 
@@ -678,8 +677,18 @@ class TestEvaluate:
         assert ent.precision == ent.recall == ent.f1 == 1.0
         assert tok.precision == tok.recall == tok.f1 == 1.0
 
+    @pytest.mark.parametrize("live", [0, 1, 40, 600])
+    def test_a_sparse_model_scores_as_its_dense_form(self, live):
+        # Stored words at random columns, some of them the corpus's: scoring
+        # on the corpus's own columns must give every prediction, ties too.
+        rng = np.random.default_rng(live)
+        corpus = random_corpus(rng, n_sentences=40)
+        indices = np.sort(rng.choice(SMALL.dims, size=live, replace=False))
+        model = SparseVector(SMALL.dims, indices, rng.normal(size=live))
+        assert evaluate(model, corpus, SMALL) == evaluate(model.to_dense(), corpus, SMALL)
+
     def test_empty_corpus(self):
-        ent, tok = evaluate(zero_params(SMALL), [], SMALL)
+        ent, tok = evaluate(np.zeros(SMALL.dims), [], SMALL)
         assert (ent.tp, ent.fp, ent.fn) == (0, 0, 0)
         assert ent.f1 == 0.0 and tok.f1 == 0.0
 

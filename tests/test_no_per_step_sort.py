@@ -15,7 +15,7 @@ import numpy as np
 
 from fedmesh import model
 from fedmesh.data import synthetic_corpus
-from fedmesh.model import EncodedBatch, TrainConfig, encode_sentences, local_train, zero_params
+from fedmesh.model import EncodedBatch, TrainConfig, encode_sentences, local_train
 
 
 def test_below_the_switch_sorts_nothing_and_slices_once_per_epoch():
@@ -36,6 +36,6 @@ def test_below_the_switch_sorts_nothing_and_slices_once_per_epoch():
 
     with mock.patch.object(model.np, "unique", wraps=np.unique) as unique, \
             mock.patch.object(EncodedBatch, "sentence_slice", counting_slice):
-        local_train(zero_params(cfg), shard, cfg)
+        local_train(np.zeros(cfg.dims), shard, cfg)
     assert unique.call_count == 0
     assert slices == [96] * cfg.local_epochs

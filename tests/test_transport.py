@@ -1035,6 +1035,29 @@ class TestTcpNode:
         assert at_server == [_frame("site-1", 0, b"up")]
         assert at_client == [_frame("server", 0, b"down")]
 
+    def test_a_redial_that_connects_sends_the_pending_frames_at_once(self, tcp_nodes):
+        # No retransmit falls due within the test, so only the resend on
+        # connect can carry the message sent before the server listened.
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]
+        client = ReliableEndpoint(
+            tcp_nodes("site-1", server_addr=("127.0.0.1", port), server_id="server"),
+            backoff_base_ms=60_000.0,
+        )
+        client.raw.on_connect = client.resend
+        receipts = []
+        client.send("server", MSG_REGISTER, Payload(b"hello"), receipts.append)
+        server = ReliableEndpoint(tcp_nodes("server", bind=("127.0.0.1", port)))
+        inbox = []
+        server.on_message = lambda src, mt, payload: inbox.append((src, bytes(payload)))
+        serving = threading.Thread(target=server.raw.run_until, args=(lambda: inbox, 5.0))
+        serving.start()
+        assert client.raw.run_until(lambda: receipts, timeout_s=5.0)
+        serving.join(timeout=10.0)
+        assert not serving.is_alive()
+        assert inbox == [("site-1", b"hello")]
+        assert receipts[0].ok and receipts[0].attempts == 1
+
     def test_second_connection_cannot_take_a_live_route(self, tcp_nodes):
         server = tcp_nodes("server", bind=("127.0.0.1", 0))
         got = []

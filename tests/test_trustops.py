@@ -4,10 +4,14 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedmesh.aggregation import SparseVector
 from fedmesh.config import parse_experiment
 from fedmesh.errors import ConfigError
 from fedmesh.trustops import (
+    _BLOCK_WORDS,
     AuditLog,
     GENESIS_HASH,
     audit_verify,
@@ -25,6 +29,20 @@ from fedmesh.trustops import (
 )
 
 SIX_SITES = [("server", "server")] + [(f"site-{i}", "client") for i in range(1, 7)]
+
+
+@st.composite
+def sparse_models(draw) -> SparseVector:
+    """A SparseVector of dims below, at or across the serialization block,
+    with stored +0.0 and -0.0 words and words on the blocks' edges."""
+    dims = draw(st.sampled_from([0, 1, _BLOCK_WORDS - 1, _BLOCK_WORDS, _BLOCK_WORDS + 1,
+                                 2 * _BLOCK_WORDS + 5]) | st.integers(0, 3 * _BLOCK_WORDS))
+    edges = [i for cut in range(0, dims + 1, _BLOCK_WORDS) for i in (cut - 1, cut) if 0 <= i < dims]
+    indices = sorted(draw(st.sets(st.sampled_from(edges) | st.integers(0, dims - 1),
+                                  max_size=40))) if dims else []
+    values = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(),
+                           min_size=len(indices), max_size=len(indices)))
+    return SparseVector(dims, np.array(indices, dtype=np.intp), np.array(values, dtype=np.float64))
 
 
 class TestProvision:
@@ -111,6 +129,11 @@ class TestModelSignatures:
         sig = sign_digest(model_digest(params), kits["server"].private_key())
         assert verify_model(params, sig, kits["server"].identity())
 
+    def test_a_kit_builds_its_private_key_once(self):
+        # Every signature a node makes uses this one key object.
+        kit = provision(SIX_SITES, key_seed=2)["server"]
+        assert kit.private_key() is kit.private_key()
+
     def test_single_bit_flip_fails(self):
         kits = provision(SIX_SITES, key_seed=2)
         params = np.linspace(-1, 1, 8)
@@ -141,6 +164,23 @@ class TestModelSignatures:
         assert model_digest(params) == hashlib.sha256(canonical).digest()
         write_params(tmp_path / "model.params", params)
         assert (tmp_path / "model.params").read_bytes() == canonical
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=sparse_models())
+    def test_a_sparse_model_serializes_as_its_dense_form(self, model, tmp_path_factory):
+        # No golden config reaches a sparse final model (each has a DP site,
+        # whose noise makes the model dense), so this pins the streamed blocks.
+        kit = provision([("server", "server")], key_seed=2)["server"]
+        dense = model.to_dense()
+        assert canonical_param_bytes(model) == canonical_param_bytes(dense)
+        assert model_digest(model) == model_digest(dense)
+        out = tmp_path_factory.mktemp("params")
+        write_params(out / "sparse.params", model)
+        write_params(out / "dense.params", dense)
+        assert (out / "sparse.params").read_bytes() == (out / "dense.params").read_bytes()
+        signature = sign_digest(model_digest(dense), kit.private_key())
+        assert verify_model(model, signature, kit.identity())
+        assert not verify_model(model, bytes(64), kit.identity())
 
     def test_garbage_signature_returns_false(self):
         kits = provision(SIX_SITES, key_seed=2)
